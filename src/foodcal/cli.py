@@ -23,11 +23,9 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-
 import foodcal
 from foodcal import manifests, measurement, metrics, preprocess, regress, synth
-from foodcal.errors import FoodcalError
-from foodcal.measurement import ClassLabel
+from foodcal.errors import DataError, FoodcalError
 from foodcal.nnblocks.gradcheck import BLOCK_NAMES, gradcheck
 
 MODEL_NAMES = {
@@ -67,6 +65,19 @@ class RunManifest:
         with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as f:
             json.dump(asdict(self), f, indent=1)
             f.write("\n")
+
+
+def _record_run(args, out: Path, t0: float, *, config, seed, inputs, outputs) -> None:
+    """Write ``run_manifest.json`` for the running subcommand into ``out``."""
+    RunManifest(
+        command=args.command,
+        argv=args.argv,
+        config=config,
+        seed=seed,
+        inputs=inputs,
+        outputs=outputs,
+        wall_clock_s=round(time.perf_counter() - t0, 3),
+    ).write(out)
 
 
 def _default_out():
@@ -138,15 +149,15 @@ def cmd_gen(args, parser):
     ]
     manifests.write_manifest(out / "annotations.json", images)
     preprocess.write_csv(out / "dataset.csv", recs)
-    RunManifest(
-        command="gen",
-        argv=sys.argv[1:],
+    _record_run(
+        args,
+        out,
+        t0,
         config={"records": records, **_public_scene_config(cfg)},
         seed=seed,
         inputs=[],
         outputs=["annotations.json", "dataset.csv", "masks/"],
-        wall_clock_s=round(time.perf_counter() - t0, 3),
-    ).write(out)
+    )
     print(f"wrote {len(recs)} records from {len(scenes)} scenes to {out}")
     return 0
 
@@ -170,24 +181,14 @@ def cmd_extract(args, parser):
     records = []
     for img in images:
         scale = measurement.scale_from_detections(img.instances)
-        recs = measurement.extract_features(img.instances, scale)
-        cal_by_index = [
-            cal for inst, cal in zip(img.instances, img.calories) if inst.label is not ClassLabel.COIN
-        ]
-        for rec, cal in zip(recs, cal_by_index):
-            rec.calories_kcal = cal
+        for rec in measurement.extract_features(img.instances, scale):
+            rec.calories_kcal = img.calories[rec.instance]
             records.append(rec)
     out.mkdir(parents=True, exist_ok=True)
     preprocess.write_csv(out / "features.csv", records)
-    RunManifest(
-        command="extract",
-        argv=sys.argv[1:],
-        config={},
-        seed=None,
-        inputs=[str(args.annotations)],
-        outputs=["features.csv"],
-        wall_clock_s=round(time.perf_counter() - t0, 3),
-    ).write(out)
+    _record_run(
+        args, out, t0, config={}, seed=None, inputs=[str(args.annotations)], outputs=["features.csv"]
+    )
     print(f"extracted {len(records)} records from {len(images)} images to {out / 'features.csv'}")
     return 0
 
@@ -227,44 +228,59 @@ def cmd_train(args, parser):
     with open(model_path, "w", encoding="utf-8") as f:
         json.dump(bundle, f)
         f.write("\n")
-    RunManifest(
-        command="train",
-        argv=sys.argv[1:],
+    _record_run(
+        args,
+        out,
+        t0,
         config={"model": args.model, "zscore_threshold": threshold},
         seed=seed,
         inputs=[str(args.data)],
         outputs=["model.json"],
-        wall_clock_s=round(time.perf_counter() - t0, 3),
-    ).write(out)
+    )
     print(f"trained {algorithm} on {len(train_n)} rows -> {model_path}")
     return 0
 
 
 def _load_bundle(path):
+    """(regressor, normalization, (split fractions, split seed)) of a bundle."""
     with open(path, encoding="utf-8") as f:
         try:
             bundle = json.load(f)
         except json.JSONDecodeError as exc:
-            raise FoodcalError(f"{path}: invalid JSON model bundle") from exc
-    if bundle.get("format") != BUNDLE_FORMAT or bundle.get("version") != BUNDLE_VERSION:
-        raise FoodcalError(f"{path}: not a {BUNDLE_FORMAT} v{BUNDLE_VERSION} file")
-    pre = bundle["preprocessing"]
-    params = preprocess.NormalizationParams(
-        mins=tuple(pre["normalization"]["mins"]), maxs=tuple(pre["normalization"]["maxs"])
-    )
-    model = regress.from_dict(bundle["regressor"])
-    return model, params, pre
+            raise DataError(f"{path}: invalid JSON model bundle") from exc
+    if (
+        not isinstance(bundle, dict)
+        or bundle.get("format") != BUNDLE_FORMAT
+        or bundle.get("version") != BUNDLE_VERSION
+    ):
+        raise DataError(f"{path}: not a {BUNDLE_FORMAT} v{BUNDLE_VERSION} file")
+    try:
+        pre = bundle["preprocessing"]
+        params = preprocess.NormalizationParams(
+            mins=tuple(pre["normalization"]["mins"]), maxs=tuple(pre["normalization"]["maxs"])
+        )
+        split = (tuple(pre["split"]["fractions"]), pre["split"]["seed"])
+        regressor = bundle["regressor"]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed model bundle: missing or bad {exc}") from exc
+    n_numeric = len(preprocess.NUMERIC_NAMES)
+    if len(params.mins) != n_numeric or len(params.maxs) != n_numeric:
+        raise DataError(f"{path}: normalization needs {n_numeric} mins and maxs")
+    try:
+        model = regress.from_dict(regressor)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    return model, params, split
 
 
 def cmd_eval(args, parser):
     t0 = time.perf_counter()
-    model, params, pre = _load_bundle(args.model)
+    model, params, (fractions, split_seed) = _load_bundle(args.model)
     dataset = preprocess.RegressionDataset.from_records(preprocess.read_csv(args.data))
     if args.split == "all":
         part = dataset
     else:
-        fractions = tuple(pre["split"]["fractions"])
-        seed = pre["split"]["seed"] if args.seed is None else args.seed
+        seed = split_seed if args.seed is None else args.seed
         train, valid, test = preprocess.split(dataset, fractions=fractions, seed=seed)
         part = {"train": train, "valid": valid, "test": test}[args.split]
     part_n = preprocess.minmax_apply(params, part)
@@ -281,15 +297,15 @@ def cmd_eval(args, parser):
         with open(out / "eval.json", "w", encoding="utf-8") as f:
             json.dump({"n": len(part_n), "split": args.split, **report.as_dict()}, f)
             f.write("\n")
-        RunManifest(
-            command="eval",
-            argv=sys.argv[1:],
+        _record_run(
+            args,
+            out,
+            t0,
             config={"split": args.split},
-            seed=pre["split"]["seed"],
+            seed=split_seed,
             inputs=[str(args.model), str(args.data)],
             outputs=["eval.json"],
-            wall_clock_s=round(time.perf_counter() - t0, 3),
-        ).write(out)
+        )
     return 0
 
 
@@ -301,7 +317,7 @@ def cmd_pipeline(args, parser):
     for img in images:
         scale = measurement.scale_from_detections(img.instances)
         recs = measurement.extract_features(img.instances, scale)
-        ds = preprocess.RegressionDataset.from_records([_without_target(r) for r in recs])
+        ds = preprocess.RegressionDataset.from_records([replace(r, calories_kcal=0.0) for r in recs])
         ds_n = preprocess.minmax_apply(params, ds)
         preds = regress.predict_matrix(model, ds_n.X)
         for rec, kcal in zip(recs, preds):
@@ -313,28 +329,16 @@ def cmd_pipeline(args, parser):
         with open(out / "estimates.json", "w", encoding="utf-8") as f:
             json.dump(rows, f, indent=1)
             f.write("\n")
-        RunManifest(
-            command="pipeline",
-            argv=sys.argv[1:],
+        _record_run(
+            args,
+            out,
+            t0,
             config={},
             seed=None,
             inputs=[str(args.annotations), str(args.model)],
             outputs=["estimates.json"],
-            wall_clock_s=round(time.perf_counter() - t0, 3),
-        ).write(out)
+        )
     return 0
-
-
-def _without_target(rec):
-    """Feature record with a placeholder target (prediction input)."""
-    return measurement.FeatureRecord(
-        label=rec.label,
-        height_mm=rec.height_mm,
-        width_mm=rec.width_mm,
-        area_mm2=rec.area_mm2,
-        perimeter_mm=rec.perimeter_mm,
-        calories_kcal=0.0,
-    )
 
 
 def cmd_gradcheck(args, parser):
@@ -370,15 +374,15 @@ def cmd_detmetrics(args, parser):
         with open(out / "detmetrics.json", "w", encoding="utf-8") as f:
             json.dump(report.as_dict(), f, indent=1)
             f.write("\n")
-        RunManifest(
-            command="detmetrics",
-            argv=sys.argv[1:],
+        _record_run(
+            args,
+            out,
+            t0,
             config={"conf_threshold": args.conf_threshold},
             seed=None,
             inputs=[str(args.pred), str(args.gt)],
             outputs=["detmetrics.json"],
-            wall_clock_s=round(time.perf_counter() - t0, 3),
-        ).write(out)
+        )
     return 0
 
 
@@ -446,7 +450,9 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv  # recorded in run_manifest.json
     try:
         return args.func(args, parser)
     except FoodcalError as exc:

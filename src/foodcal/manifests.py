@@ -18,8 +18,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from foodcal import maskgeom
 from foodcal.errors import DataError
 from foodcal.measurement import ClassLabel, DetectionInstance
@@ -108,7 +106,3 @@ def read_manifest(path, load_masks: bool = True) -> list[ImageAnnotations]:
             raise DataError(f"{path}: malformed image entry: {exc}") from exc
         images.append(img)
     return images
-
-
-def masks_as_arrays(images: list[ImageAnnotations]) -> list[list[np.ndarray]]:
-    return [[inst.mask for inst in img.instances] for img in images]

@@ -15,8 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from foodcal import _mask_kernels
 from foodcal.errors import DataError, EmptyComponent
+
+# Moore neighborhood in clockwise order for image coordinates (y down):
+# E, SE, S, SW, W, NW, N, NE
+_DX = np.array([1, 1, 0, -1, -1, -1, 0, 1], dtype=np.int64)
+_DY = np.array([0, 1, 1, 1, 0, -1, -1, -1], dtype=np.int64)
+
+# _DIR_INDEX[dy + 1, dx + 1] -> direction index; center entry unused
+_DIR_INDEX = np.full((3, 3), -1, dtype=np.int64)
+for _d in range(8):
+    _DIR_INDEX[_DY[_d] + 1, _DX[_d] + 1] = _d
+del _d
 
 
 @dataclass(frozen=True)
@@ -54,7 +64,7 @@ def connected_components(mask) -> list[np.ndarray]:
     y0, y1 = int(ys.min()), int(ys.max())
     x0, x1 = int(xs.min()), int(xs.max())
     sub = m[y0 : y1 + 1, x0 : x1 + 1]
-    labels = _mask_kernels.label(sub)
+    labels = _label(sub)
 
     ids = np.unique(labels)
     ids = ids[ids > 0]
@@ -75,6 +85,113 @@ def connected_components(mask) -> list[np.ndarray]:
     return out
 
 
+def _label(mask):
+    """Label by iterated max-propagation of unique seeds over 8-neighborhoods.
+
+    Converges in O(geodesic diameter) vectorized sweeps; callers crop to the
+    foreground bounding box to keep that cheap. Component ids are arbitrary;
+    callers renumber, so only the partition matters.
+    """
+    fg = mask != 0
+    h, w = mask.shape
+    labels = np.where(fg, np.arange(1, h * w + 1, dtype=np.int64).reshape(h, w), 0)
+    while True:
+        p = np.pad(labels, 1)
+        neigh = np.maximum.reduce(
+            [
+                p[0:h, 0:w],
+                p[0:h, 1 : w + 1],
+                p[0:h, 2 : w + 2],
+                p[1 : h + 1, 0:w],
+                p[1 : h + 1, 2 : w + 2],
+                p[2 : h + 2, 0:w],
+                p[2 : h + 2, 1 : w + 1],
+                p[2 : h + 2, 2 : w + 2],
+            ]
+        )
+        new = np.where(fg, np.maximum(labels, neigh), 0)
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _trace_loops(mask, dxs, dys, dir_index, out):
+    """Clockwise border following from the first foreground pixel in
+    row-major order. State is the directed edge (previous, current); the
+    predecessor of the start on the clockwise cycle is found up front by a
+    counterclockwise scan, so the walk stops exactly when that closing edge
+    recurs. Writes (x, y) rows into ``out``; returns the point count, 0 for
+    an empty mask, or -1 if the safety cap in ``out`` is hit (which would
+    indicate a bug, not bad input)."""
+    h, w = mask.shape
+    sy = -1
+    sx = -1
+    for y in range(h):
+        for x in range(w):
+            if mask[y, x] != 0:
+                sy = y
+                sx = x
+                break
+        if sy >= 0:
+            break
+    if sy < 0:
+        return 0
+    out[0, 0] = sx
+    out[0, 1] = sy
+    n = 1
+    # The start is topmost-then-leftmost, so its W neighbor is background;
+    # scanning counterclockwise from W finds the pixel that re-enters the
+    # start at the end of the clockwise cycle.
+    ppy = -1
+    ppx = -1
+    for k in range(8):
+        d = (4 - k) % 8
+        ny = sy + dys[d]
+        nx = sx + dxs[d]
+        if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] != 0:
+            ppy = ny
+            ppx = nx
+            break
+    if ppy < 0:
+        return n  # isolated pixel
+    py = sy
+    px = sx
+    qy = ppy  # previous boundary pixel
+    qx = ppx
+    while True:
+        back = dir_index[qy - py + 1, qx - px + 1]
+        cy = -1
+        cx = -1
+        for k in range(1, 9):
+            d = (back + k) % 8
+            ny = py + dys[d]
+            nx = px + dxs[d]
+            if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] != 0:
+                cy = ny
+                cx = nx
+                break
+        if cy == sy and cx == sx and py == ppy and px == ppx:
+            return n
+        if n >= out.shape[0]:
+            return -1
+        out[n, 0] = cx
+        out[n, 1] = cy
+        n += 1
+        qy = py
+        qx = px
+        py = cy
+        px = cx
+
+
+def _trace(mask):
+    cap = 8 * int(np.count_nonzero(mask)) + 8
+    out = np.empty((cap, 2), dtype=np.int64)
+    n = _trace_loops(mask, _DX, _DY, _DIR_INDEX, out)
+    if n < 0:  # pragma: no cover - cap is generous
+        raise RuntimeError("contour trace exceeded safety cap")
+    return out[:n].copy()
+
+
 def trace_contour(component) -> np.ndarray:
     """Trace the outer boundary of a single-component mask.
 
@@ -85,7 +202,7 @@ def trace_contour(component) -> np.ndarray:
     if the mask has no foreground.
     """
     m = as_mask(component)
-    pts = _mask_kernels.trace(m)
+    pts = _trace(m)
     if pts.shape[0] == 0:
         raise EmptyComponent("cannot trace a mask with no foreground pixels")
     return pts
@@ -156,7 +273,7 @@ def read_pgm(path) -> np.ndarray:
         raise DataError(f"{path}: malformed PGM header") from exc
     if maxval > 255 or w < 1 or h < 1:
         raise DataError(f"{path}: unsupported PGM header (w={w} h={h} maxval={maxval})")
-    raster = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
-    if raster.size != w * h:
+    if len(data) - pos < w * h:
         raise DataError(f"{path}: truncated PGM raster")
+    raster = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
     return (raster.reshape(h, w) >= 128).astype(np.uint8)

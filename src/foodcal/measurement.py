@@ -76,7 +76,12 @@ class ScaleFactor:
 
 @dataclass
 class FeatureRecord:
-    """One regression row: food class, mm-scaled geometry, kcal target."""
+    """One regression row: food class, mm-scaled geometry, kcal target.
+
+    ``instance`` is the index of the detection the row was extracted from,
+    so labels attach by identity rather than by list position; it is not
+    part of the CSV row and does not take part in equality.
+    """
 
     label: ClassLabel
     height_mm: float
@@ -84,6 +89,7 @@ class FeatureRecord:
     area_mm2: float
     perimeter_mm: float
     calories_kcal: float | None = None
+    instance: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,8 @@ def extract_features(
     """mm-scaled geometry for each food instance, in input order.
 
     Coin instances are excluded. Instances with an empty or missing mask are
-    skipped with a warning. Height/width come from the instance bbox, area
+    skipped with a warning, so each record carries the index of its detection
+    in ``instance``. Height/width come from the instance bbox, area
     and perimeter from the traced contour of the mask's largest component;
     linear features scale with s_f and area with s_f squared.
     """
@@ -188,6 +195,7 @@ def extract_features(
                 width_mm=det.bbox[2] * scale.s_f,
                 area_mm2=stats.area_px * scale.s_f**2,
                 perimeter_mm=stats.perimeter_px * scale.s_f,
+                instance=i,
             )
         )
     return records

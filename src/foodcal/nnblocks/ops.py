@@ -10,9 +10,9 @@ checker). Max reductions route gradient to the first maximal element.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from foodcal.errors import ShapeMismatch
-from foodcal.nnblocks import _conv_kernels
 
 
 def as_tensor4(x) -> np.ndarray:
@@ -90,14 +90,51 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
+# ---------------------------------------------------------------------------
+# convolution: kernels take the pre-padded input and write into ``out``/
+# ``gw``/``gxp``; strided windows plus einsum, which lowers to BLAS for
+# channel-rich tensors
+
+
+def _windows(xp, oh, ow, kh, kw, stride):
+    n, c, _, _ = xp.shape
+    sn, sc, sy, sx = xp.strides
+    return as_strided(
+        xp, (n, c, oh, ow, kh, kw), (sn, sc, sy * stride, sx * stride, sy, sx), writeable=False
+    )
+
+
+def _conv_fwd(xp, wt, stride, out):
+    _, _, oh, ow = out.shape
+    kh, kw = wt.shape[2], wt.shape[3]
+    win = _windows(xp, oh, ow, kh, kw, stride)
+    np.einsum("nihwyx,oiyx->nohw", win, wt, out=out, optimize=True)
+
+
+def _conv_grad_w(xp, gy, stride, gw):
+    _, _, oh, ow = gy.shape
+    kh, kw = gw.shape[2], gw.shape[3]
+    win = _windows(xp, oh, ow, kh, kw, stride)
+    np.einsum("nihwyx,nohw->oiyx", win, gy, out=gw, optimize=True)
+
+
+def _conv_grad_x(gy, wt, stride, gxp):
+    _, _, oh, ow = gy.shape
+    kh, kw = wt.shape[2], wt.shape[3]
+    for ky in range(kh):
+        for kx in range(kw):
+            patch = np.einsum("nohw,oi->nihw", gy, wt[:, :, ky, kx])
+            gxp[:, :, ky : ky + oh * stride : stride, kx : kx + ow * stride : stride] += patch
+
+
 def conv2d_fwd(x, p: ConvParams):
     x = as_tensor4(x)
     if x.shape[1] != p.c_in:
         raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects {p.c_in}")
     oh, ow = conv_out_hw(x.shape[2], x.shape[3], p)
     xp = _pad(x, p.padding)
-    out = np.zeros((x.shape[0], p.c_out, oh, ow))  # kernels accumulate into out
-    _conv_kernels.conv_fwd(xp, p.weight, p.stride, out)
+    out = np.empty((x.shape[0], p.c_out, oh, ow))
+    _conv_fwd(xp, p.weight, p.stride, out)
     out += p.bias[None, :, None, None]
     return out, (xp, x.shape, p)
 
@@ -112,9 +149,9 @@ def conv2d_bwd(cache, gy):
     gy = np.ascontiguousarray(gy)
     gb = gy.sum(axis=(0, 2, 3))
     gw = np.empty_like(p.weight)
-    _conv_kernels.conv_grad_w(xp, gy, p.stride, gw)
+    _conv_grad_w(xp, gy, p.stride, gw)
     gxp = np.zeros_like(xp)
-    _conv_kernels.conv_grad_x(gy, p.weight, p.stride, gxp)
+    _conv_grad_x(gy, p.weight, p.stride, gxp)
     if p.padding:
         gx = gxp[:, :, p.padding : p.padding + x_shape[2], p.padding : p.padding + x_shape[3]]
     else:

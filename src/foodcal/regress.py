@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from foodcal import _cart_kernels
 from foodcal.errors import (
     DataError,
     DimensionMismatch,
@@ -67,6 +66,61 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 # CART
 
+# relative slack under which two candidate scores count as tied
+_TIE_REL = 1e-10
+
+
+def _best_split(X, y, feat_ids, min_leaf):
+    """Split search over one node's rows: the (feature, threshold)
+    minimizing the summed left/right squared error.
+
+    Candidate thresholds sit at midpoints between consecutive distinct
+    sorted values; ties resolve to the lowest feature index, then the lowest
+    threshold. Scores within ``_TIE_REL`` of each other count as tied, so
+    exact-arithmetic ties cannot be reordered by float rounding (this keeps
+    tree structure stable under, e.g., target translation). Returns
+    (feature, threshold, split_sse, parent_sse); feature is -1 when no
+    candidate satisfies the leaf-size constraint.
+    """
+    n = X.shape[0]
+    best_feat = -1
+    best_thr = 0.0
+    best_score = np.inf
+    parent_sse = np.inf
+    nl = np.arange(1, n, dtype=np.int64)
+    nr = n - nl
+    for f in feat_ids:
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        vs = col[order]
+        ys = y[order]
+        cum = np.cumsum(ys)
+        cumsq = np.cumsum(ys * ys)
+        total = cum[-1]
+        total_sq = cumsq[-1]
+        parent_sse = total_sq - total * total / n
+        tol = _TIE_REL * (1.0 + abs(parent_sse))
+        valid = (vs[1:] > vs[:-1]) & (nl >= min_leaf) & (nr >= min_leaf)
+        if not valid.any():
+            continue
+        sl = cum[:-1]
+        sql = cumsq[:-1]
+        sse_l = sql - sl * sl / nl
+        sr = total - sl
+        sqr = total_sq - sql
+        sse_r = sqr - sr * sr / nr
+        score = np.where(valid, sse_l + sse_r, np.inf)
+        min_score = score.min()
+        i = int(np.argmax(score <= min_score + tol))  # first tied candidate
+        if score[i] < best_score - tol:
+            best_score = float(score[i])
+            best_feat = int(f)
+            thr = (vs[i] + vs[i + 1]) / 2.0
+            if thr == vs[i + 1]:
+                thr = vs[i]
+            best_thr = float(thr)
+    return best_feat, best_thr, best_score, parent_sse
+
 
 def cart_best_split(X, y, feature_subset=None, min_samples_leaf: int = 1):
     """Best (feature, threshold) by variance reduction, or None.
@@ -87,7 +141,7 @@ def cart_best_split(X, y, feature_subset=None, min_samples_leaf: int = 1):
         if feature_subset is None
         else np.sort(np.asarray(feature_subset, dtype=np.int64))
     )
-    f, thr, score, parent_sse = _cart_kernels.best_split(X, y, feats, min_samples_leaf)
+    f, thr, score, parent_sse = _best_split(X, y, feats, min_samples_leaf)
     if f < 0 or not parent_sse - score > 0:
         return None
     return int(f), float(thr)
@@ -161,7 +215,7 @@ def _grow_tree(X, y, *, max_depth=None, min_samples_leaf=1, rng=None, n_subset=N
             feats = all_feats
         else:
             feats = np.sort(rng.choice(p, size=min(n_subset, p), replace=False)).astype(np.int64)
-        f, thr, score, parent_sse = _cart_kernels.best_split(X[idx], ys, feats, min_samples_leaf)
+        f, thr, score, parent_sse = _best_split(X[idx], ys, feats, min_samples_leaf)
         if f < 0 or not parent_sse - score > 0:
             continue
         go_left = X[idx, f] <= thr
@@ -493,21 +547,26 @@ def to_dict(model: Regressor) -> dict:
 
 
 def from_dict(payload: dict) -> Regressor:
-    if payload.get("format") != MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise DataError(f"not a {MODEL_FORMAT} payload")
     if payload.get("version") != MODEL_VERSION:
         raise DataError(f"unsupported model version {payload.get('version')}")
-    cls = _MODEL_CLASSES[payload["algorithm"]]
-    model = cls.from_state(payload["n_features"], payload["state"])
-    model.spec = ModelSpec(
-        payload["algorithm"],
-        seed=payload.get("seed", 0),
-        hyperparameters={
-            k: v
-            for k, v in payload.get("hyperparameters", {}).items()
-            if DEFAULT_HYPERPARAMETERS[payload["algorithm"]].get(k) != v
-        },
-    )
+    algorithm = payload.get("algorithm")
+    if algorithm not in _MODEL_CLASSES:
+        raise DataError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    try:
+        model = _MODEL_CLASSES[algorithm].from_state(payload["n_features"], payload["state"])
+        model.spec = ModelSpec(
+            algorithm,
+            seed=payload.get("seed", 0),
+            hyperparameters={
+                k: v
+                for k, v in payload.get("hyperparameters", {}).items()
+                if DEFAULT_HYPERPARAMETERS[algorithm].get(k) != v
+            },
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {MODEL_FORMAT} payload: {exc!r}") from exc
     return model
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from foodcal import measurement
+from foodcal import maskgeom, measurement
 from foodcal.errors import PlacementFailure
 from foodcal.measurement import (
     COIN_DIAMETER_MM,
@@ -348,12 +348,6 @@ def _rasterize(shape: _Shape, height, width, jitter=None) -> np.ndarray:
     return mask
 
 
-def _mask_bbox(mask) -> tuple[int, int, int, int]:
-    ys, xs = np.nonzero(mask)
-    x0, y0 = int(xs.min()), int(ys.min())
-    return (x0, y0, int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1)
-
-
 # ---------------------------------------------------------------------------
 # scenes
 
@@ -406,7 +400,7 @@ def generate_scene(
     instances = [
         DetectionInstance(
             label=ClassLabel.COIN,
-            bbox=_mask_bbox(coin_mask),
+            bbox=maskgeom.mask_bbox(coin_mask),
             confidence=round(float(rng.uniform(0.9, 1.0)), 6),
             mask=coin_mask,
         )
@@ -440,7 +434,7 @@ def generate_scene(
         instances.append(
             DetectionInstance(
                 label=item.label,
-                bbox=_mask_bbox(mask),
+                bbox=maskgeom.mask_bbox(mask),
                 confidence=round(float(rng.uniform(0.75, 1.0)), 6),
                 mask=mask,
             )
@@ -515,9 +509,7 @@ def generate_regression_dataset(
             scene_idx += 1
             scenes.append(scene)
             scale = measurement.scale_from_detections(scene.instances)
-            recs = measurement.extract_features(scene.instances, scale)
-            food_truths = [t for t in scene.truth.instances if t.label is not ClassLabel.COIN]
-            for rec, truth in zip(recs, food_truths):
-                rec.calories_kcal = truth.calories_kcal
+            for rec in measurement.extract_features(scene.instances, scale):
+                rec.calories_kcal = scene.truth.instances[rec.instance].calories_kcal
                 records.append(rec)
     return records[:n_records], scenes

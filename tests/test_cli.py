@@ -1,11 +1,12 @@
 import json
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from foodcal import manifests, preprocess, regress
+from foodcal import manifests, maskgeom, preprocess, regress
 from foodcal.cli import main
 
 GEN_ARGS = ["gen", "--seed", "7", "--records", "24", "--views-per-item", "4"]
@@ -49,6 +50,20 @@ def test_extract_reproduces_gen_dataset(gen_dir, tmp_path):
     out = tmp_path / "x"
     assert run_cli("extract", "--annotations", str(gen_dir / "annotations.json"), "--out", str(out)) == 0
     assert (out / "features.csv").read_bytes() == (gen_dir / "dataset.csv").read_bytes()
+
+
+def test_extract_keeps_labels_when_a_mask_is_blank(gen_dir, tmp_path):
+    # extract skips a food instance with an empty mask; the items after it in
+    # the same image must keep their own calorie labels
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    first_food = manifests.read_manifest(data / "annotations.json")[0].instances[1]
+    maskgeom.write_pgm(data / "masks" / "scene_0000_i01.pgm", np.zeros_like(first_food.mask))
+    out = tmp_path / "x"
+    assert run_cli("extract", "--annotations", str(data / "annotations.json"), "--out", str(out)) == 0
+    expected = (gen_dir / "dataset.csv").read_text().splitlines()
+    del expected[1]  # the header stays; the blanked item's row goes
+    assert (out / "features.csv").read_text().splitlines() == expected
 
 
 def test_train_eval_flow(gen_dir, tmp_path, capsys):
@@ -162,6 +177,28 @@ def test_data_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda b: b.pop("preprocessing"),
+        lambda b: b["regressor"].update(algorithm="xgb"),
+        lambda b: b["preprocessing"]["normalization"]["mins"].pop(),
+    ],
+    ids=["no-preprocessing", "unknown-algorithm", "short-normalization"],
+)
+def test_malformed_bundle_exits_2(gen_dir, tmp_path, capsys, corrupt):
+    model = tmp_path / "m" / "model.json"
+    assert run_cli("train", "--data", str(gen_dir / "dataset.csv"), "--model", "dt",
+                   "--out", str(model.parent)) == 0
+    bundle = json.loads(model.read_text())
+    corrupt(bundle)
+    model.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert run_cli("eval", "--model", str(model), "--data", str(gen_dir / "dataset.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run_cli("train", "--data", str(tmp_path / "nope.csv"), "--model", "rf",
                    "--out", str(tmp_path / "m")) == 2
@@ -193,6 +230,7 @@ def test_manifest_round_trip(gen_dir):
 def test_run_manifest_contents(gen_dir):
     manifest = json.loads((gen_dir / "run_manifest.json").read_text())
     assert manifest["command"] == "gen"
+    assert manifest["argv"] == GEN_ARGS + ["--out", str(gen_dir)]
     assert manifest["seed"] == 7
     assert manifest["version"]
     assert "dataset.csv" in manifest["outputs"]

@@ -256,3 +256,10 @@ def test_pgm_rejects_other_formats(tmp_path):
     p.write_bytes(b"P2\n1 1\n255\n0")
     with pytest.raises(DataError):
         maskgeom.read_pgm(p)
+
+
+def test_pgm_rejects_truncated_raster(tmp_path):
+    p = tmp_path / "short.pgm"
+    p.write_bytes(b"P5\n4 3\n255\n" + bytes(11))
+    with pytest.raises(DataError, match="truncated"):
+        maskgeom.read_pgm(p)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from foodcal import regress
-from foodcal.errors import DimensionMismatch, EmptyDataset, ZeroTotalWeight
+from foodcal.errors import DataError, DimensionMismatch, EmptyDataset, ZeroTotalWeight
 from foodcal.preprocess import N_FEATURES, RegressionDataset
 from foodcal.regress import ModelSpec
 
@@ -286,3 +286,20 @@ def test_model_file_layout(tmp_path):
     assert payload["version"] == 1
     assert payload["algorithm"] == "linear"
     assert "state" in payload and "hyperparameters" in payload
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: p.update(algorithm="xgb"),
+        lambda p: p.pop("state"),
+        lambda p: p["state"].pop("coef"),
+    ],
+    ids=["unknown-algorithm", "no-state", "no-coef"],
+)
+def test_from_dict_rejects_malformed_payload(corrupt):
+    rng = np.random.default_rng(9)
+    payload = regress.to_dict(regress.fit(ModelSpec("linear"), toy_dataset(rng, n=20)))
+    corrupt(payload)
+    with pytest.raises(DataError):
+        regress.from_dict(payload)

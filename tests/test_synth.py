@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,25 @@ def test_multi_view_items_share_calorie_label():
         cals = {round(records[v * n_items + i].calories_kcal, 9) for v in range(4)}
         labels = {records[v * n_items + i].label for v in range(4)}
         assert len(cals) == 1 and len(labels) == 1
+
+
+def test_blank_mask_does_not_shift_calorie_labels(monkeypatch):
+    # extract_features skips an instance whose mask is empty; the items after
+    # it in the same scene must keep their own calorie labels
+    real = synth.generate_scene
+
+    def blank_first_food(cfg, seed, items=None):
+        scene = real(cfg, seed, items)
+        if seed == 0:
+            det = scene.instances[1]
+            scene.instances[1] = replace(det, mask=np.zeros_like(det.mask))
+        return scene
+
+    monkeypatch.setattr(synth, "generate_scene", blank_first_food)
+    records, scenes = synth.generate_regression_dataset(synth.SceneConfig(views_per_item=1), 6, seed=3)
+    expected = [t.calories_kcal for s in scenes for t in s.truth.instances[1:]]
+    del expected[0]  # the blanked item
+    assert [r.calories_kcal for r in records] == expected
 
 
 def test_views_of_one_item_vary_in_features():
