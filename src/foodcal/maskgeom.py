@@ -19,14 +19,8 @@ from foodcal.errors import DataError, EmptyComponent
 
 # Moore neighborhood in clockwise order for image coordinates (y down):
 # E, SE, S, SW, W, NW, N, NE
-_DX = np.array([1, 1, 0, -1, -1, -1, 0, 1], dtype=np.int64)
-_DY = np.array([0, 1, 1, 1, 0, -1, -1, -1], dtype=np.int64)
-
-# _DIR_INDEX[dy + 1, dx + 1] -> direction index; center entry unused
-_DIR_INDEX = np.full((3, 3), -1, dtype=np.int64)
-for _d in range(8):
-    _DIR_INDEX[_DY[_d] + 1, _DX[_d] + 1] = _d
-del _d
+_DX = (1, 1, 0, -1, -1, -1, 0, 1)
+_DY = (0, 1, 1, 1, 0, -1, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -50,6 +44,16 @@ def as_mask(arr) -> np.ndarray:
     return m
 
 
+def foreground_slices(mask) -> tuple[slice, slice] | None:
+    """Row and column slices of the foreground bounding box of a 2D array,
+    or None when it has no non-zero entry. Does not validate the values."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
 def connected_components(mask) -> list[np.ndarray]:
     """Split a mask into its 8-connected foreground components.
 
@@ -58,138 +62,116 @@ def connected_components(mask) -> list[np.ndarray]:
     Components are disjoint and their union is the input foreground.
     """
     m = as_mask(mask)
-    ys, xs = np.nonzero(m)
-    if ys.size == 0:
+    box = foreground_slices(m)
+    if box is None:
         return []
-    y0, y1 = int(ys.min()), int(ys.max())
-    x0, x1 = int(xs.min()), int(xs.max())
-    sub = m[y0 : y1 + 1, x0 : x1 + 1]
-    labels = _label(sub)
-
-    ids = np.unique(labels)
-    ids = ids[ids > 0]
-    order = []
-    for cid in ids:
-        cy, cx = np.nonzero(labels == cid)
-        first = int(np.argmin(cy * sub.shape[1] + cx))
-        order.append(
-            (int(cy.min()) + y0, int(cx.min()) + x0, int(cy[first]) * m.shape[1] + int(cx[first]), cid)
-        )
-    order.sort()
+    sub = m[box]
+    w = sub.shape[1]
+    labels = _label(sub).ravel()
+    fg = np.flatnonzero(labels)
+    ids, first, inverse = np.unique(labels[fg], return_index=True, return_inverse=True)
+    first = fg[first]  # row-major first pixel of each component, so its min-y
+    min_x = np.full(ids.size, w, dtype=np.int64)
+    np.minimum.at(min_x, inverse, fg % w)
 
     out = []
-    for *_key, cid in order:
+    for k in np.lexsort((first, min_x, first // w)):
         comp = np.zeros_like(m)
-        comp[y0 : y1 + 1, x0 : x1 + 1] = (labels == cid).astype(np.uint8)
+        comp[box] = (labels == ids[k]).reshape(sub.shape)
         out.append(comp)
     return out
 
 
 def _label(mask):
-    """Label by iterated max-propagation of unique seeds over 8-neighborhoods.
-
-    Converges in O(geodesic diameter) vectorized sweeps; callers crop to the
-    foreground bounding box to keep that cheap. Component ids are arbitrary;
-    callers renumber, so only the partition matters.
+    """8-connected labelling by vectorised union-find (Wu, Otoo & Suzuki,
+    Pattern Anal. Appl. 2009). Every pixel starts out pointing at the first
+    pixel of its horizontal run; each round then min-hooks the roots of the
+    run pairs that still straddle two trees and pointer-jumps until every
+    pixel points at its root. Every tree with a pair left merges each round,
+    so there are O(log n) rounds, and a root is the smallest row-major index
+    in its tree. Returns int64 labels, 0 for background; ids are arbitrary,
+    only the partition matters.
     """
     fg = mask != 0
     h, w = mask.shape
-    labels = np.where(fg, np.arange(1, h * w + 1, dtype=np.int64).reshape(h, w), 0)
-    while True:
-        p = np.pad(labels, 1)
-        neigh = np.maximum.reduce(
-            [
-                p[0:h, 0:w],
-                p[0:h, 1 : w + 1],
-                p[0:h, 2 : w + 2],
-                p[1 : h + 1, 0:w],
-                p[1 : h + 1, 2 : w + 2],
-                p[2 : h + 2, 0:w],
-                p[2 : h + 2, 1 : w + 1],
-                p[2 : h + 2, 2 : w + 2],
-            ]
-        )
-        new = np.where(fg, np.maximum(labels, neigh), 0)
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
-
-
-def _trace_loops(mask, dxs, dys, dir_index, out):
-    """Clockwise border following from the first foreground pixel in
-    row-major order. State is the directed edge (previous, current); the
-    predecessor of the start on the clockwise cycle is found up front by a
-    counterclockwise scan, so the walk stops exactly when that closing edge
-    recurs. Writes (x, y) rows into ``out``; returns the point count, 0 for
-    an empty mask, or -1 if the safety cap in ``out`` is hit (which would
-    indicate a bug, not bad input)."""
-    h, w = mask.shape
-    sy = -1
-    sx = -1
-    for y in range(h):
-        for x in range(w):
-            if mask[y, x] != 0:
-                sy = y
-                sx = x
+    idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
+    run_start = fg.copy()
+    run_start[:, 1:] &= ~fg[:, :-1]
+    parent = np.maximum.accumulate(np.where(run_start, idx, 0), axis=1).ravel()
+    # Pairs (y, x)-(y + 1, x + dx). A pair that follows one at (y, x - 1)
+    # joins the same two runs, so only the first pair of each streak is kept.
+    a, b = [], []
+    for dx in (-1, 0, 1):
+        x0, x1 = max(0, -dx), w - max(0, dx)
+        both = fg[:-1, x0:x1] & fg[1:, x0 + dx : x1 + dx]
+        both[:, 1:] &= ~both[:, :-1]
+        src = idx[:-1, x0:x1][both]
+        a.append(src)
+        b.append(src + w + dx)
+    a = np.concatenate(a)
+    b = np.concatenate(b)
+    while a.size:
+        ra = parent[a]
+        rb = parent[b]
+        open_ = ra != rb
+        a, b, ra, rb = a[open_], b[open_], ra[open_], rb[open_]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
                 break
-        if sy >= 0:
-            break
-    if sy < 0:
-        return 0
-    out[0, 0] = sx
-    out[0, 1] = sy
-    n = 1
-    # The start is topmost-then-leftmost, so its W neighbor is background;
-    # scanning counterclockwise from W finds the pixel that re-enters the
-    # start at the end of the clockwise cycle.
-    ppy = -1
-    ppx = -1
-    for k in range(8):
-        d = (4 - k) % 8
-        ny = sy + dys[d]
-        nx = sx + dxs[d]
-        if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] != 0:
-            ppy = ny
-            ppx = nx
-            break
-    if ppy < 0:
-        return n  # isolated pixel
-    py = sy
-    px = sx
-    qy = ppy  # previous boundary pixel
-    qx = ppx
-    while True:
-        back = dir_index[qy - py + 1, qx - px + 1]
-        cy = -1
-        cx = -1
-        for k in range(1, 9):
-            d = (back + k) % 8
-            ny = py + dys[d]
-            nx = px + dxs[d]
-            if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] != 0:
-                cy = ny
-                cx = nx
-                break
-        if cy == sy and cx == sx and py == ppy and px == ppx:
-            return n
-        if n >= out.shape[0]:
-            return -1
-        out[n, 0] = cx
-        out[n, 1] = cy
-        n += 1
-        qy = py
-        qx = px
-        py = cy
-        px = cx
+            parent = jumped
+    return np.where(fg, parent.reshape(h, w) + 1, 0)
 
 
 def _trace(mask):
-    cap = 8 * int(np.count_nonzero(mask)) + 8
-    out = np.empty((cap, 2), dtype=np.int64)
-    n = _trace_loops(mask, _DX, _DY, _DIR_INDEX, out)
-    if n < 0:  # pragma: no cover - cap is generous
-        raise RuntimeError("contour trace exceeded safety cap")
-    return out[:n].copy()
+    """Clockwise border following from the first foreground pixel in
+    row-major order, over a flat byte view of the foreground bounding box
+    with a zero border, so no neighbour lookup needs a bounds check. State
+    is the directed edge (previous, current); the predecessor of the start
+    on the clockwise cycle is found up front by a counterclockwise scan, so
+    the walk stops exactly when that closing edge recurs. Returns (x, y)
+    rows in the coordinates of ``mask``; empty for an empty mask.
+    """
+    box = foreground_slices(mask)
+    if box is None:
+        return np.empty((0, 2), dtype=np.int64)
+    sub = mask[box]
+    h, w = sub.shape
+    stride = w + 2
+    pad = np.zeros((h + 2, stride), dtype=np.uint8)
+    pad[1:-1, 1:-1] = sub
+    buf = pad.tobytes()
+    offsets = [dy * stride + dx for dx, dy in zip(_DX, _DY)] * 2
+    start = buf.index(1)
+    # The start is topmost-then-leftmost, so its W neighbour is background;
+    # scanning counterclockwise from W finds the pixel that re-enters the
+    # start at the end of the clockwise cycle.
+    for k in range(8):
+        back = (4 - k) % 8
+        prev = start + offsets[back]
+        if buf[prev]:
+            break
+    else:
+        prev = -1  # isolated pixel
+    points = [start]
+    if prev >= 0:
+        p = start
+        for _ in range(8 * h * w + 8):
+            for d in range(back + 1, back + 9):
+                c = p + offsets[d]
+                if buf[c]:
+                    break
+            if c == start and p == prev:
+                break
+            points.append(c)
+            back = (d + 4) % 8
+            p = c
+        else:  # pragma: no cover - a closed border is at most 8 moves per pixel
+            raise RuntimeError("contour trace exceeded safety cap")
+    flat = np.array(points, dtype=np.int64)
+    ys, xs = np.divmod(flat, stride)
+    return np.column_stack((xs + (box[1].start - 1), ys + (box[0].start - 1)))
 
 
 def trace_contour(component) -> np.ndarray:
@@ -230,12 +212,11 @@ def shape_stats(contour) -> ShapeStats:
 
 def mask_bbox(mask) -> tuple[int, int, int, int]:
     """Tight (x, y, w, h) bounding box of the foreground pixels."""
-    m = as_mask(mask)
-    ys, xs = np.nonzero(m)
-    if ys.size == 0:
+    box = foreground_slices(as_mask(mask))
+    if box is None:
         raise EmptyComponent("mask has no foreground pixels")
-    x0, y0 = int(xs.min()), int(ys.min())
-    return (x0, y0, int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1)
+    ys, xs = box
+    return (xs.start, ys.start, xs.stop - xs.start, ys.stop - ys.start)
 
 
 def write_pgm(path, mask) -> None:

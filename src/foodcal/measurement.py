@@ -176,7 +176,9 @@ def extract_features(
     skipped with a warning, so each record carries the index of its detection
     in ``instance``. Height/width come from the instance bbox, area
     and perimeter from the traced contour of the mask's largest component;
-    linear features scale with s_f and area with s_f squared.
+    linear features scale with s_f and area with s_f squared. The mask is
+    cropped to its foreground rows and columns first: area and perimeter do
+    not change under translation, and both sums are exact on integer points.
     """
     records = []
     for i, det in enumerate(detections):
@@ -185,7 +187,10 @@ def extract_features(
         if det.mask is None or not det.mask.any():
             logger.warning("skipping instance %d (%s): empty mask", i, det.label.value)
             continue
-        comps = maskgeom.connected_components(det.mask)
+        mask = det.mask
+        if mask.ndim == 2:  # anything else goes on whole, for as_mask to reject
+            mask = mask[maskgeom.foreground_slices(mask)]
+        comps = maskgeom.connected_components(mask)
         largest = max(comps, key=lambda c: int(c.sum()))
         stats = maskgeom.shape_stats(maskgeom.trace_contour(largest))
         records.append(

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from foodcal.errors import DataError
+from foodcal.errors import DataError, ShapeMismatch
 from foodcal.nnblocks.blocks import C2fCdParams, CbamParams
 from foodcal.nnblocks.ops import ConvParams
 
@@ -70,24 +70,27 @@ def to_dict(params) -> dict:
 
 
 def from_dict(payload: dict):
-    if payload.get("format") != PARAMS_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != PARAMS_FORMAT:
         raise DataError(f"not a {PARAMS_FORMAT} payload")
     if payload.get("version") != PARAMS_VERSION:
         raise DataError(f"unsupported block-params version {payload.get('version')}")
     kind = payload.get("kind")
-    body = payload["params"]
-    if kind == "conv":
-        return _conv_from(body)
-    if kind == "cbam":
-        return _cbam_from(body)
-    if kind == "c2fcd":
+    if kind not in ("conv", "cbam", "c2fcd"):
+        raise DataError(f"unknown block kind {kind!r}")
+    try:
+        body = payload["params"]
+        if kind == "conv":
+            return _conv_from(body)
+        if kind == "cbam":
+            return _cbam_from(body)
         return C2fCdParams(
             entry=_conv_from(body["entry"]),
             bottlenecks=[(_conv_from(a), _conv_from(b)) for a, b in body["bottlenecks"]],
             cbam=_cbam_from(body["cbam"]),
             exit=_conv_from(body["exit"]),
         )
-    raise DataError(f"unknown block kind {kind!r}")
+    except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
+        raise DataError(f"malformed {PARAMS_FORMAT} {kind} payload: {exc!r}") from exc
 
 
 def save_params(params, path) -> None:

@@ -177,6 +177,17 @@ def test_data_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_csv_exits_2(tmp_path, capsys):
+    data = tmp_path / "nan.csv"
+    data.write_text(
+        "class,height_mm,width_mm,area_mm2,perimeter_mm,calories_kcal\n"
+        "Puri,10.0,20.0,30.0,40.0,50.0\n"
+        "Puri,nan,20.0,30.0,40.0,inf\n"
+    )
+    assert run_cli("train", "--data", str(data), "--model", "lr", "--out", str(tmp_path / "m")) == 2
+    assert "line 3: non-finite height_mm, calories_kcal" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [

@@ -3,6 +3,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foodcal import maskgeom
 from foodcal.errors import DataError, EmptyComponent
@@ -35,6 +37,84 @@ def flood_components(mask):
                             dq.append((ny, nx))
             comps.append(frozenset(comp))
     return comps
+
+
+def ordered_flood_components(mask):
+    """flood_components in the documented order: (min-y, min-x, first pixel
+    in row-major order)."""
+    return sorted(
+        flood_components(mask),
+        key=lambda c: (min(y for _, y in c), min(x for x, _ in c), min((y, x) for x, y in c)),
+    )
+
+
+def outer_border(component):
+    """Foreground pixels 4-adjacent to the background region that reaches
+    outside the image, as a set of (x, y): the pixels a clockwise outer
+    border walk must visit."""
+    h, w = component.shape
+    fg = np.zeros((h + 2, w + 2), bool)
+    fg[1:-1, 1:-1] = component != 0
+    outside = np.zeros_like(fg)
+    outside[0, 0] = True
+    dq = deque([(0, 0)])
+    while dq:
+        y, x = dq.popleft()
+        for ny, nx in ((y + 1, x), (y - 1, x), (y, x + 1), (y, x - 1)):
+            if 0 <= ny < h + 2 and 0 <= nx < w + 2 and not fg[ny, nx] and not outside[ny, nx]:
+                outside[ny, nx] = True
+                dq.append((ny, nx))
+    return {
+        (int(x) - 1, int(y) - 1)
+        for y, x in zip(*np.nonzero(fg))
+        if outside[y - 1, x] or outside[y + 1, x] or outside[y, x - 1] or outside[y, x + 1]
+    }
+
+
+def check_against_oracles(mask):
+    """Components match the ordered flood fill; each contour starts at the
+    topmost-then-leftmost pixel, steps between 8-neighbours, and visits
+    exactly the outer border."""
+    comps = maskgeom.connected_components(mask)
+    assert [frozenset(zip(*np.nonzero(c)[::-1])) for c in comps] == ordered_flood_components(mask)
+    for comp in comps:
+        assert comp.shape == mask.shape and comp.dtype == np.uint8
+        pts = maskgeom.trace_contour(comp)
+        ys, xs = np.nonzero(comp)
+        assert (pts[0, 1], pts[0, 0]) == (ys[0], xs[0])
+        steps = np.abs(np.diff(np.vstack([pts, pts[:1]]), axis=0)).max(axis=1)
+        assert len(pts) == 1 or np.all(steps == 1)
+        assert {tuple(p) for p in pts.tolist()} == outer_border(comp)
+
+
+def serpentine(rows, width):
+    """One-pixel-wide path over every other row, turning at alternate ends."""
+    m = np.zeros((2 * rows - 1, width), np.uint8)
+    m[::2] = 1
+    for r in range(rows - 1):
+        m[2 * r + 1, width - 1 if r % 2 == 0 else 0] = 1
+    return m
+
+
+def spiral(side):
+    """One-pixel-wide square spiral winding inwards, one-pixel gaps."""
+    m = np.zeros((side, side), np.uint8)
+    y, x, dy, dx = 0, 0, 0, 1
+    m[0, 0] = 1
+    while True:
+        moved = False
+        while True:
+            ny, nx = y + dy, x + dx
+            ay, ax = ny + dy, nx + dx
+            inside = 0 <= ny < side and 0 <= nx < side
+            if not inside or (0 <= ay < side and 0 <= ax < side and m[ay, ax]):
+                break
+            y, x = ny, nx
+            m[y, x] = 1
+            moved = True
+        if not moved:
+            return m
+        dy, dx = dx, -dy  # turn clockwise (y down)
 
 
 def shoelace_oracle(points):
@@ -108,6 +188,87 @@ def test_components_keep_input_dimensions():
     m[2:4, 3:5] = 1
     (c,) = maskgeom.connected_components(m)
     assert c.shape == m.shape
+
+
+@st.composite
+def random_masks(draw, max_side=64):
+    h = draw(st.integers(1, max_side))
+    w = draw(st.integers(1, max_side))
+    density = draw(st.floats(0.02, 0.98))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((h, w)) < density).astype(np.uint8)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_masks())
+def test_components_and_contours_match_oracles_on_random_masks(m):
+    check_against_oracles(m)
+
+
+def test_serpentine_is_one_component():
+    m = serpentine(16, 40)
+    (comp,) = maskgeom.connected_components(m)
+    assert np.array_equal(comp, m)
+    check_against_oracles(m)
+
+
+def test_spiral_is_one_component():
+    m = spiral(45)
+    assert m.sum() > 45 * 45 // 2
+    (comp,) = maskgeom.connected_components(m)
+    assert np.array_equal(comp, m)
+    check_against_oracles(m)
+
+
+def test_component_order_uses_min_x_before_first_pixel():
+    # A's first pixel (5, 0) comes after B's (2, 0) in row-major order, but
+    # A reaches further left (min-x 1), so A comes first
+    m = np.zeros((7, 7), np.uint8)
+    m[0:7, 5] = 1
+    m[6, 1:6] = 1
+    m[0:4, 2:4] = 1
+    a, b = maskgeom.connected_components(m)
+    assert a[0, 5] == 1 and b[0, 2] == 1
+    check_against_oracles(m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.pad(np.zeros((6, 9), np.uint8), 1, constant_values=1),  # frame on all four borders
+        np.eye(12, dtype=np.uint8) | np.eye(12, dtype=np.uint8)[::-1],  # X corner to corner
+        (np.indices((11, 13)).sum(axis=0) % 2 == 0).astype(np.uint8),  # checkerboard
+        np.ones((9, 14), np.uint8),
+    ],
+    ids=["frame", "cross", "checkerboard", "full"],
+)
+def test_masks_touching_all_borders(m):
+    check_against_oracles(m)
+
+
+@pytest.mark.parametrize(
+    "line", [[1], [1, 1, 0, 1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 0], [1] * 50 + [0] + [1] * 3]
+)
+def test_single_row_and_column_masks(line):
+    row = np.array([line], np.uint8)
+    check_against_oracles(row)
+    check_against_oracles(row.T.copy())
+
+
+@pytest.mark.parametrize(
+    "shape", [serpentine(6, 15), spiral(21), random_mask(np.random.default_rng(9)), np.ones((1, 1), np.uint8)],
+    ids=["serpentine", "spiral", "random", "pixel"],
+)
+def test_contour_does_not_depend_on_placement(shape):
+    h, w = shape.shape
+    expected = [maskgeom.trace_contour(c) for c in maskgeom.connected_components(shape)]
+    for oy, ox in [(0, 0), (640 - h, 640 - w), (0, 640 - w), (640 - h, 0), (317, 5)]:
+        image = np.zeros((640, 640), np.uint8)
+        image[oy : oy + h, ox : ox + w] = shape
+        got = [maskgeom.trace_contour(c) for c in maskgeom.connected_components(image)]
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e + [ox, oy])
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,50 @@ def test_rescaling_equivariance():
         )
 
 
+def blob_with_island():
+    """A disk with a one-pixel tail and a separate smaller disk: the largest
+    component is traced, the island is not."""
+    m = disk_mask((70, 90), 30, 35, 25)
+    m[35, 55:70] = 1
+    m |= disk_mask((70, 90), 80, 8, 6)
+    return m
+
+
+def test_records_do_not_depend_on_mask_placement():
+    shape = blob_with_island()
+    h, w = shape.shape
+    sf = meas.scale_factor(41, 44)
+    (expected,) = meas.extract_features([det(ClassLabel.SINGARA, 0.9, (0, 0, w, h), shape)], sf)
+    for oy, ox in [(0, 0), (640 - h, 640 - w), (0, 640 - w), (640 - h, 0), (211, 377)]:
+        image = np.zeros((640, 640), np.uint8)
+        image[oy : oy + h, ox : ox + w] = shape
+        (rec,) = meas.extract_features([det(ClassLabel.SINGARA, 0.9, (ox, oy, w, h), image)], sf)
+        assert rec == expected  # exact float equality
+
+
+@pytest.mark.parametrize(
+    "mask, match",
+    [
+        (np.ones(5, np.uint8), "2D"),
+        (np.ones((2, 3, 3), np.uint8), "2D"),
+        (np.pad(np.full((2, 2), 2, np.uint8), 300), "exactly 0 or 1"),
+        (np.pad(np.array([[1, 255]], np.uint8), 200), "exactly 0 or 1"),
+    ],
+    ids=["1d", "3d", "value-2", "value-255"],
+)
+def test_malformed_masks_raise(mask, match):
+    d = det(ClassLabel.PURI, 0.9, bbox=(0, 0, 3, 3), mask=mask)
+    with pytest.raises(ValueError, match=match):
+        meas.extract_features([d], meas.ScaleFactor(1.0, 1.0, 1.0))
+
+
+def test_all_zero_mask_of_any_shape_is_skipped(caplog):
+    dets = [det(ClassLabel.PURI, 0.9, mask=np.zeros(s, np.uint8)) for s in [(640, 640), (4,), (1, 1)]]
+    with caplog.at_level("WARNING"):
+        assert meas.extract_features(dets, meas.ScaleFactor(1.0, 1.0, 1.0)) == []
+    assert caplog.text.count("empty mask") == 3
+
+
 # ---------------------------------------------------------------------------
 # calorie_label
 

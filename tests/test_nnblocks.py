@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from foodcal.errors import ShapeMismatch
+from foodcal.errors import DataError, ShapeMismatch
 from foodcal.nnblocks import blocks, flops, ops, serialize
 from foodcal.nnblocks.gradcheck import BLOCK_NAMES, gradcheck
 
@@ -367,3 +367,26 @@ def test_c2fcd_params_round_trip_same_forward(tmp_path):
     q = serialize.load_params(path)
     x = rng.normal(size=(1, 4, 6, 6))
     assert np.array_equal(blocks.c2f_cd(x, p), blocks.c2f_cd(x, q))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "conv"},
+        {"kind": "conv", "params": {"weight": [1.0], "bias": [0.0], "stride": 1, "padding": 0}},
+        {"kind": "conv", "params": {"weight": [[[[1.0]]]], "bias": [0.0]}},
+        {"kind": "cbam", "params": {"w1": [[1.0, 2.0], [3.0]]}},
+        {"kind": "c2fcd", "params": {"entry": 3}},
+        {"kind": "c2fcd", "params": []},
+    ],
+    ids=["no-params", "bad-shape", "missing-key", "ragged", "bad-entry", "list-body"],
+)
+def test_from_dict_rejects_malformed_body(payload):
+    header = {"format": serialize.PARAMS_FORMAT, "version": serialize.PARAMS_VERSION}
+    with pytest.raises(DataError, match="malformed"):
+        serialize.from_dict({**header, **payload})
+
+
+def test_from_dict_rejects_non_dict_payload():
+    with pytest.raises(DataError):
+        serialize.from_dict([1, 2])

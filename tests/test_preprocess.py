@@ -288,6 +288,28 @@ def test_csv_rejects_wrong_header(tmp_path):
         pp.read_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ("Puri,nan,20.0,30.0,40.0,50.0", "height_mm"),
+        ("Puri,10.0,20.0,-inf,40.0,50.0", "area_mm2"),
+        ("Puri,10.0,20.0,30.0,40.0,inf", "calories_kcal"),
+    ],
+)
+def test_csv_rejects_non_finite_values(tmp_path, row, field):
+    path = tmp_path / "d.csv"
+    path.write_text(",".join(pp.CSV_FIELDS) + "\nBeguni,1.0,2.0,3.0,4.0,5.0\n" + row + "\n")
+    with pytest.raises(DataError, match=f"line 3: non-finite {field}"):
+        pp.read_csv(path)
+
+
+def test_csv_rejects_short_row(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(",".join(pp.CSV_FIELDS) + "\nPuri,10.0,20.0\n")
+    with pytest.raises(DataError, match="line 2"):
+        pp.read_csv(path)
+
+
 def test_dataset_from_records_layout():
     rec = FeatureRecord(ClassLabel.PURI, 10.0, 20.0, 30.0, 40.0, calories_kcal=50.0)
     ds = pp.RegressionDataset.from_records([rec])
