@@ -25,7 +25,7 @@ from pathlib import Path
 
 import foodcal
 from foodcal import manifests, measurement, metrics, preprocess, regress, synth
-from foodcal.errors import DataError, FoodcalError
+from foodcal.errors import DataError, FoodcalError, read_json
 from foodcal.nnblocks.gradcheck import BLOCK_NAMES, gradcheck
 
 MODEL_NAMES = {
@@ -87,10 +87,9 @@ def _default_out():
 def _load_config(path):
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as f:
-        cfg = json.load(f)
+    cfg = read_json(path, "config")
     if not isinstance(cfg, dict):
-        raise FoodcalError(f"{path}: config must be a JSON object")
+        raise DataError(f"{path}: config must be a JSON object")
     return cfg
 
 
@@ -243,11 +242,7 @@ def cmd_train(args, parser):
 
 def _load_bundle(path):
     """(regressor, normalization, (split fractions, split seed)) of a bundle."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            bundle = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON model bundle") from exc
+    bundle = read_json(path, "model bundle")
     if (
         not isinstance(bundle, dict)
         or bundle.get("format") != BUNDLE_FORMAT

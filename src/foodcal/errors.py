@@ -1,4 +1,8 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, and the JSON-file reader
+that turns a file it cannot parse into a ``DataError``."""
+
+import json
+import math
 
 
 class FoodcalError(Exception):
@@ -67,3 +71,25 @@ class PlacementFailure(FoodcalError):
 
 class DataError(FoodcalError):
     """Malformed input file (mask, manifest, CSV, or model)."""
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):  # 1e999 overflows to inf
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def read_json(path, what: str):
+    """The JSON document in ``path``. A file that is not UTF-8, not JSON, or
+    holds NaN, Infinity or a number that overflows a float raises
+    ``DataError`` naming the file as ``what``."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f, parse_float=_finite_float, parse_constant=_reject_constant)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{path}: invalid JSON {what}: {exc}") from exc

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from foodcal import maskgeom
-from foodcal.errors import DataError
+from foodcal.errors import DataError, read_json
 from foodcal.measurement import ClassLabel, DetectionInstance
 
 MANIFEST_FORMAT = "foodcal-annotations"
@@ -69,12 +69,8 @@ def write_manifest(path, images: list[ImageAnnotations], masks_dir: str | None =
 
 def read_manifest(path, load_masks: bool = True) -> list[ImageAnnotations]:
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON manifest") from exc
-    if payload.get("format") != MANIFEST_FORMAT:
+    payload = read_json(path, "manifest")
+    if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
         raise DataError(f"{path}: not a {MANIFEST_FORMAT} file")
     if payload.get("version") != MANIFEST_VERSION:
         raise DataError(f"{path}: unsupported manifest version {payload.get('version')}")
@@ -85,6 +81,11 @@ def read_manifest(path, load_masks: bool = True) -> list[ImageAnnotations]:
                 name=entry["image"], width=int(entry["width"]), height=int(entry["height"])
             )
             for rec in entry.get("instances", []):
+                bbox = tuple(int(v) for v in rec["bbox"])
+                if len(bbox) != 4 or bbox[2] <= 0 or bbox[3] <= 0:
+                    raise DataError(
+                        f"{path}: image {img.name}: bbox {list(bbox)} is not [x, y, w, h] with w, h > 0"
+                    )
                 mask = None
                 if load_masks and "mask" in rec:
                     mask = maskgeom.read_pgm(path.parent / rec["mask"])
@@ -96,13 +97,13 @@ def read_manifest(path, load_masks: bool = True) -> list[ImageAnnotations]:
                 img.instances.append(
                     DetectionInstance(
                         label=ClassLabel.from_name(rec["class"]),
-                        bbox=tuple(int(v) for v in rec["bbox"]),
+                        bbox=bbox,
                         confidence=rec.get("confidence"),
                         mask=mask,
                     )
                 )
                 img.calories.append(rec.get("calories_kcal"))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed image entry: {exc}") from exc
         images.append(img)
     return images

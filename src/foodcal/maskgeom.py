@@ -38,10 +38,9 @@ def as_mask(arr) -> np.ndarray:
     m = np.asarray(arr)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"mask must be 2D and non-empty, got shape {m.shape}")
-    m = m.astype(np.uint8, copy=False)
-    if not np.all((m == 0) | (m == 1)):
+    if not np.all((m == 0) | (m == 1)):  # before the cast, which would wrap 256 to 0
         raise ValueError("mask values must be exactly 0 or 1")
-    return m
+    return m.astype(np.uint8, copy=False)
 
 
 def foreground_slices(mask) -> tuple[slice, slice] | None:

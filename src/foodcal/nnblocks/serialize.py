@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from foodcal.errors import DataError, ShapeMismatch
+from foodcal.errors import DataError, ShapeMismatch, read_json
 from foodcal.nnblocks.blocks import C2fCdParams, CbamParams
 from foodcal.nnblocks.ops import ConvParams
 
@@ -100,9 +100,4 @@ def save_params(params, path) -> None:
 
 
 def load_params(path):
-    with open(path, encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON block-params file") from exc
-    return from_dict(payload)
+    return from_dict(read_json(path, "block-params file"))

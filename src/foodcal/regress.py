@@ -6,10 +6,14 @@ same CART split search. Fitting is deterministic given (spec, data, seed);
 random-forest trees draw per-tree generators seeded by (seed, tree_index),
 so results do not depend on the thread count used to fit them.
 
-Trained models serialize to a versioned JSON layout; floats are written
-with full round-trip precision so a reloaded model predicts bit-identically.
+Every tree model keeps its trees packed in one set of node arrays
+(``_Trees``) that one level-by-level traversal walks for all rows at once.
+Trained models serialize to a versioned JSON layout (``foodcal-regressor``
+v2; v1 files still load) that stores floats exactly, as JSON reprs or as
+the bytes of the packed arrays, so a reloaded model predicts bit-identically.
 """
 
+import base64
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,6 +26,7 @@ from foodcal.errors import (
     EmptyDataset,
     SingularSystem,
     ZeroTotalWeight,
+    read_json,
 )
 from foodcal.preprocess import RegressionDataset
 
@@ -37,7 +42,7 @@ DEFAULT_HYPERPARAMETERS = {
 }
 
 MODEL_FORMAT = "foodcal-regressor"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # execution knobs that change nothing about the learned model; kept out of
 # the persisted layout so files are byte-identical across thread counts
@@ -147,64 +152,201 @@ def cart_best_split(X, y, feature_subset=None, min_samples_leaf: int = 1):
     return int(f), float(thr)
 
 
-class _Tree:
-    """CART regression tree stored as parallel node arrays (feature -1 = leaf)."""
+_BLOCK_ROWS = 1024  # rows that _Trees walks at once
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
 
-    def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=np.float64)
+class _Trees:
+    """One or more CART trees packed into one set of node arrays.
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        for r in range(X.shape[0]):
-            i = 0
-            while self.feature[i] >= 0:
-                if X[r, self.feature[i]] <= self.threshold[i]:
-                    i = self.left[i]
-                else:
-                    i = self.right[i]
-            out[r] = self.value[i]
+    Trees lie one after another, each in preorder, so the left child of
+    internal node ``i`` is node ``i + 1``. ``right[i]`` is its right child
+    (-1 at a leaf) and ``roots[t]`` the first node of tree ``t``; indices
+    are global. ``feature`` is -1 at a leaf. ``split`` holds the threshold
+    of an internal node (a row goes left when ``x[feature] <= split``) and
+    the value of a leaf.
+    """
+
+    __slots__ = ("feature", "split", "right", "roots")
+
+    def __init__(self, feature, split, right, roots):
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.split = np.asarray(split, dtype=np.float64)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.roots = np.asarray(roots, dtype=np.intp)
+
+    @classmethod
+    def concat(cls, packs) -> "_Trees":
+        if len(packs) == 1:
+            return packs[0]
+        offsets = np.cumsum([0] + [len(p.feature) for p in packs])
+        return cls(
+            _cat([p.feature for p in packs]),
+            _cat([p.split for p in packs]),
+            _cat([np.where(p.right >= 0, p.right + o, -1) for p, o in zip(packs, offsets)]),
+            _cat([p.roots + o for p, o in zip(packs, offsets)]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def __getitem__(self, t) -> "_Trees":
+        """Tree ``t`` as a pack of its own."""
+        start, stop = self.roots[t], np.append(self.roots[1:], len(self.feature))[t]
+        right = self.right[start:stop]
+        return _Trees(
+            self.feature[start:stop], self.split[start:stop], np.where(right >= 0, right - start, -1), [0]
+        )
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+    @property
+    def threshold(self) -> np.ndarray:
+        return np.where(self.feature >= 0, self.split, 0.0)
+
+    def leaves(self, X) -> np.ndarray:
+        """Leaf value of every tree for every row, shape (n_trees, n_rows)."""
+        out = np.empty((len(self.roots), X.shape[0]))
+        for rows, values in self.leaf_blocks(X):
+            out[:, rows] = values
         return out
+
+    def leaf_blocks(self, X):
+        """``(rows, values)`` for consecutive blocks of at most ``_BLOCK_ROWS``
+        rows of ``X``: ``values`` are the leaf values of every tree for
+        ``X[rows]``, shape (n_trees, block), so the walk's work arrays stay
+        bounded by n_trees x _BLOCK_ROWS however many rows ``X`` has."""
+        for start in range(0, X.shape[0], _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            yield rows, self._walk(X[rows])
+
+    def _walk(self, X) -> np.ndarray:
+        """Leaf values for ``X``, shape (n_trees, n_rows). All (tree, row)
+        pairs descend together, one level per iteration, until each has
+        reached a leaf."""
+        n = X.shape[0]
+        node = np.repeat(self.roots, n)
+        row = np.tile(np.arange(n), len(self.roots))
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            i = node[live]
+            go_left = X[row[live], self.feature[i]] <= self.split[i]
+            i = np.where(go_left, i + 1, self.right[i])
+            node[live] = i
+            live = live[self.feature[i] >= 0]
+        return self.split[node].reshape(len(self.roots), n)
+
+    def predict(self, X) -> np.ndarray:
+        """Leaf values of the first tree: the prediction of a one-tree pack."""
+        return self.leaves(X)[0]
 
     def to_state(self) -> dict:
         return {
+            "roots": self.roots.tolist(),
             "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
+            "right": _encode(self.right, "<i4"),
+            "split": _encode(self.split, "<f8"),
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "_Tree":
-        return cls(state["feature"], state["threshold"], state["left"], state["right"], state["value"])
+    def from_state(cls, state: dict, n_features: int, min_trees: int = 1) -> "_Trees":
+        """Packed trees of a v2 state, rejecting any tree that predict could
+        not walk to a leaf."""
+        trees = cls(
+            _ints(state["feature"], "feature"),
+            _decode(state["split"], "<f8", "split"),
+            _decode(state["right"], "<i4", "right"),
+            _ints(state["roots"], "roots"),
+        )
+        feature, right, roots = trees.feature, trees.right, trees.roots
+        n = len(feature)
+        if not len(trees.split) == len(right) == n:
+            raise DataError(f"feature, right and split hold {n}, {len(right)} and {len(trees.split)} nodes")
+        if len(roots) < min_trees:
+            raise DataError(f"{len(roots)} trees, at least {min_trees} needed")
+        sizes = np.diff(np.append(roots, n))
+        starts_at_0 = roots[0] == 0 if len(roots) else n == 0
+        if not starts_at_0 or np.any(sizes <= 0):
+            raise DataError("roots must start at node 0 and rise strictly below the node count")
+        if np.any((feature < -1) | (feature >= n_features)):
+            raise DataError(f"feature index outside [-1, {n_features})")
+        if not np.all(np.isfinite(trees.split)):
+            raise DataError("non-finite threshold or leaf value")
+        i = np.arange(n)
+        end = np.repeat(roots + sizes, sizes)  # one past the last node of each node's tree
+        bad = np.flatnonzero(np.where(feature >= 0, (i + 1 >= right) | (right >= end), right != -1))
+        if bad.size:
+            k = int(bad[0])
+            t = int(np.searchsorted(roots, k, side="right")) - 1
+            raise DataError(
+                f"tree {t} node {k - roots[t]}: right child {right[k]} breaks the preorder layout"
+            )
+        return trees
+
+    @classmethod
+    def from_v1(cls, trees: list) -> "_Trees":
+        """Pack v1 per-tree node lists (feature, threshold, left, right and
+        value each); ``from_state`` checks the result."""
+        packs = []
+        for t, tree in enumerate(trees):
+            feature = _ints(tree["feature"], "feature")
+            left = _ints(tree["left"], "left")
+            right = _ints(tree["right"], "right")
+            threshold = np.asarray(tree["threshold"], dtype=np.float64)
+            value = np.asarray(tree["value"], dtype=np.float64)
+            n = len(feature)
+            if not len(left) == len(right) == len(threshold) == len(value) == n:
+                raise DataError(f"tree {t}: node lists differ in length")
+            inner = feature >= 0
+            if np.any(left != np.where(inner, np.arange(n) + 1, -1)) or np.any((right < -1) | (right >= n)):
+                raise DataError(f"tree {t}: not a preorder tree with children inside it")
+            packs.append(cls(feature, np.where(inner, threshold, value), right, [0]))
+        return cls.concat(packs)
 
 
-def _grow_tree(X, y, *, max_depth=None, min_samples_leaf=1, rng=None, n_subset=None) -> _Tree:
-    """Iterative preorder CART growth (explicit stack, so depth is unbounded)."""
+def _cat(arrays):
+    return np.concatenate(arrays) if arrays else np.zeros(0)
+
+
+def _encode(a, dtype) -> str:
+    return base64.b64encode(np.asarray(a, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _decode(text, dtype, name) -> np.ndarray:
+    if not isinstance(text, str):
+        raise DataError(f"{name} must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise DataError(f"{name}: invalid base64") from exc
+    if len(raw) % np.dtype(dtype).itemsize:
+        raise DataError(f"{name}: {len(raw)} bytes is not a whole number of {np.dtype(dtype).name} values")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def _ints(values, name) -> np.ndarray:
+    a = np.asarray(values)
+    if a.ndim != 1 or (a.size and a.dtype.kind != "i"):
+        raise DataError(f"{name} must be a list of integers")
+    return a
+
+
+def _grow_tree(X, y, *, max_depth=None, min_samples_leaf=1, rng=None, n_subset=None) -> _Trees:
+    """Iterative preorder CART growth (explicit stack, so depth is unbounded)
+    into a one-tree pack."""
     p = X.shape[1]
     all_feats = np.arange(p, dtype=np.int64)
-    feature, threshold, left, right, value = [], [], [], [], []
-    stack = [(np.arange(len(y), dtype=np.int64), 0, -1, False)]
+    feature, split, right = [], [], []
+    stack = [(np.arange(len(y), dtype=np.int64), 0, -1)]  # rows, depth, node whose right child this is
     while stack:
-        idx, depth, parent, is_left = stack.pop()
+        idx, depth, right_of = stack.pop()
         ys = y[idx]
         node = len(feature)
         feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
+        split.append(float(ys.mean()))
         right.append(-1)
-        value.append(float(ys.mean()))
-        if parent >= 0:
-            if is_left:
-                left[parent] = node
-            else:
-                right[parent] = node
+        if right_of >= 0:
+            right[right_of] = node
         if len(idx) < max(2, 2 * min_samples_leaf):
             continue
         if max_depth is not None and depth >= max_depth:
@@ -224,10 +366,10 @@ def _grow_tree(X, y, *, max_depth=None, min_samples_leaf=1, rng=None, n_subset=N
         if len(li) == 0 or len(ri) == 0:
             continue
         feature[node] = int(f)
-        threshold[node] = float(thr)
-        stack.append((ri, depth + 1, node, False))
-        stack.append((li, depth + 1, node, True))
-    return _Tree(feature, threshold, left, right, value)
+        split[node] = float(thr)
+        stack.append((ri, depth + 1, node))
+        stack.append((li, depth + 1, -1))  # popped next, so it is node + 1
+    return _Trees(feature, split, right, [0])
 
 
 def weighted_median(values, weights) -> float:
@@ -341,7 +483,7 @@ class KnnModel(Regressor):
 class TreeModel(Regressor):
     algorithm = "dtree"
 
-    def __init__(self, n_features, tree: _Tree):
+    def __init__(self, n_features, tree: _Trees):
         super().__init__(n_features)
         self.tree = tree
 
@@ -353,19 +495,22 @@ class TreeModel(Regressor):
         return self.tree.predict(X)
 
     def to_state(self):
-        return {"tree": self.tree.to_state()}
+        return self.tree.to_state()
 
     @classmethod
     def from_state(cls, n_features, state):
-        return cls(n_features, _Tree.from_state(state["tree"]))
+        tree = _Trees.from_state(state, n_features)
+        if len(tree) != 1:
+            raise DataError(f"a dtree holds one tree, not {len(tree)}")
+        return cls(n_features, tree)
 
 
 class ForestModel(Regressor):
     algorithm = "rforest"
 
-    def __init__(self, n_features, trees: list[_Tree]):
+    def __init__(self, n_features, trees: list[_Trees]):
         super().__init__(n_features)
-        self.trees = trees
+        self.trees = _Trees.concat(trees)
 
     @classmethod
     def fit(cls, X, y, *, seed=0, n_trees=100, max_depth=None, min_samples_leaf=1, threads=1, **_):
@@ -392,25 +537,24 @@ class ForestModel(Regressor):
         return cls(p, trees)
 
     def predict(self, X):
-        preds = np.stack([t.predict(X) for t in self.trees])
-        return preds.mean(axis=0)
+        return self.trees.leaves(X).mean(axis=0)
 
     def to_state(self):
-        return {"trees": [t.to_state() for t in self.trees]}
+        return self.trees.to_state()
 
     @classmethod
     def from_state(cls, n_features, state):
-        return cls(n_features, [_Tree.from_state(s) for s in state["trees"]])
+        return cls(n_features, [_Trees.from_state(state, n_features)])
 
 
 class BoostModel(Regressor):
     algorithm = "gboost"
 
-    def __init__(self, n_features, init, learning_rate, trees):
+    def __init__(self, n_features, init, learning_rate, trees: list[_Trees]):
         super().__init__(n_features)
         self.init = float(init)
         self.learning_rate = float(learning_rate)
-        self.trees = trees
+        self.trees = _Trees.concat(trees)
 
     @classmethod
     def fit(cls, X, y, *, n_rounds=100, learning_rate=0.1, max_depth=3, **_):
@@ -426,22 +570,18 @@ class BoostModel(Regressor):
 
     def predict(self, X):
         out = np.full(X.shape[0], self.init)
-        for tree in self.trees:
-            out = out + self.learning_rate * tree.predict(X)
+        for rows, leaves in self.trees.leaf_blocks(X):
+            for pred in leaves:
+                out[rows] = out[rows] + self.learning_rate * pred
         return out
 
     def to_state(self):
-        return {
-            "init": self.init,
-            "learning_rate": self.learning_rate,
-            "trees": [t.to_state() for t in self.trees],
-        }
+        return {"init": self.init, "learning_rate": self.learning_rate, **self.trees.to_state()}
 
     @classmethod
     def from_state(cls, n_features, state):
-        return cls(
-            n_features, state["init"], state["learning_rate"], [_Tree.from_state(s) for s in state["trees"]]
-        )
+        trees = _Trees.from_state(state, n_features, min_trees=0)  # zero rounds predict the mean
+        return cls(n_features, state["init"], state["learning_rate"], [trees])
 
 
 class AdaBoostModel(Regressor):
@@ -449,9 +589,9 @@ class AdaBoostModel(Regressor):
 
     algorithm = "adaboost"
 
-    def __init__(self, n_features, trees, log_weights):
+    def __init__(self, n_features, trees: list[_Trees], log_weights):
         super().__init__(n_features)
-        self.trees = trees
+        self.trees = _Trees.concat(trees)
         self.log_weights = np.asarray(log_weights, dtype=np.float64)
 
     @classmethod
@@ -485,18 +625,19 @@ class AdaBoostModel(Regressor):
         return cls(X.shape[1], trees, log_weights)
 
     def predict(self, X):
-        preds = np.stack([t.predict(X) for t in self.trees])
+        preds = self.trees.leaves(X)
         return np.array([weighted_median(preds[:, r], self.log_weights) for r in range(X.shape[0])])
 
     def to_state(self):
-        return {
-            "log_weights": self.log_weights.tolist(),
-            "trees": [t.to_state() for t in self.trees],
-        }
+        return {"log_weights": self.log_weights.tolist(), **self.trees.to_state()}
 
     @classmethod
     def from_state(cls, n_features, state):
-        return cls(n_features, [_Tree.from_state(s) for s in state["trees"]], state["log_weights"])
+        trees = _Trees.from_state(state, n_features)
+        model = cls(n_features, [trees], state["log_weights"])
+        if model.log_weights.shape != (len(trees),) or not np.all(np.isfinite(model.log_weights)):
+            raise DataError(f"{len(trees)} trees need as many finite log_weights")
+        return model
 
 
 _MODEL_CLASSES = {
@@ -549,13 +690,19 @@ def to_dict(model: Regressor) -> dict:
 def from_dict(payload: dict) -> Regressor:
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise DataError(f"not a {MODEL_FORMAT} payload")
-    if payload.get("version") != MODEL_VERSION:
-        raise DataError(f"unsupported model version {payload.get('version')}")
+    version = payload.get("version")
+    if version not in (1, MODEL_VERSION):
+        raise DataError(f"unsupported model version {version}")
     algorithm = payload.get("algorithm")
     if algorithm not in _MODEL_CLASSES:
         raise DataError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    state = payload.get("state")
+    if not isinstance(state, dict):
+        raise DataError(f"malformed {MODEL_FORMAT} payload: state must be an object")
     try:
-        model = _MODEL_CLASSES[algorithm].from_state(payload["n_features"], payload["state"])
+        if version == 1:
+            state = _state_from_v1(algorithm, state)
+        model = _MODEL_CLASSES[algorithm].from_state(payload["n_features"], state)
         model.spec = ModelSpec(
             algorithm,
             seed=payload.get("seed", 0),
@@ -570,6 +717,21 @@ def from_dict(payload: dict) -> Regressor:
     return model
 
 
+# where a v1 tree model keeps its list of per-tree node lists
+_V1_TREES = {"dtree": "tree", "rforest": "trees", "gboost": "trees", "adaboost": "trees"}
+
+
+def _state_from_v1(algorithm: str, state: dict) -> dict:
+    """The v2 state of a v1 one: a tree model's trees packed into one set
+    of node arrays; every other state is the same in both versions."""
+    key = _V1_TREES.get(algorithm)
+    if key is None:
+        return state
+    trees = [state[key]] if algorithm == "dtree" else state[key]
+    rest = {k: v for k, v in state.items() if k != key}
+    return {**rest, **_Trees.from_v1(trees).to_state()}
+
+
 def save_model(model: Regressor, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(to_dict(model), f)
@@ -577,9 +739,4 @@ def save_model(model: Regressor, path) -> None:
 
 
 def load_model(path) -> Regressor:
-    with open(path, encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON model file") from exc
-    return from_dict(payload)
+    return from_dict(read_json(path, "model file"))

@@ -1,5 +1,6 @@
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from foodcal import manifests, maskgeom, preprocess, regress
 from foodcal.cli import main
+from foodcal.errors import DataError
 
 GEN_ARGS = ["gen", "--seed", "7", "--records", "24", "--views-per-item", "4"]
 
@@ -245,3 +247,94 @@ def test_run_manifest_contents(gen_dir):
     assert manifest["seed"] == 7
     assert manifest["version"]
     assert "dataset.csv" in manifest["outputs"]
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"records": 6, "seed"', b'{"records": 6, "seed": "\xff"}', b'{"records": NaN}',
+     b'{"records": 1e999}'],
+    ids=["truncated", "not-utf8", "nan", "overflow"],
+)
+def test_bad_config_file_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "cfg.json: invalid JSON config" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "flag", ["eval --model", "pipeline --model", "extract --annotations", "detmetrics --pred"]
+)
+def test_non_utf8_json_input_exits_2(gen_dir, tmp_path, capsys, flag):
+    bad = str(tmp_path / "bad.json")
+    ann = str(gen_dir / "annotations.json")
+    args = {
+        "eval --model": ["eval", "--model", bad, "--data", str(gen_dir / "dataset.csv")],
+        "pipeline --model": ["pipeline", "--annotations", ann, "--model", bad],
+        "extract --annotations": ["extract", "--annotations", bad, "--out", str(tmp_path / "x")],
+        "detmetrics --pred": ["detmetrics", "--pred", bad, "--gt", ann],
+    }[flag]
+    (tmp_path / "bad.json").write_bytes(b'{"format": "foodcal-\xff"}')
+    assert run_cli(*args) == 2
+    assert "bad.json: invalid JSON" in _one_error_line(capsys)
+
+
+def test_bundle_with_overflowing_number_exits_2(gen_dir, tmp_path, capsys):
+    # 1e999 parses as inf, which gboost's init would carry into every prediction
+    model = tmp_path / "m" / "model.json"
+    assert run_cli("train", "--data", str(gen_dir / "dataset.csv"), "--model", "gb",
+                   "--out", str(model.parent)) == 0
+    bundle = json.loads(model.read_text())
+    bundle["regressor"]["state"]["init"] = 12345.5
+    model.write_text(json.dumps(bundle).replace("12345.5", "1e999"))
+    capsys.readouterr()
+    assert run_cli("eval", "--model", str(model), "--data", str(gen_dir / "dataset.csv")) == 2
+    assert "model.json: invalid JSON" in _one_error_line(capsys)
+
+
+def test_bundle_with_cyclic_tree_exits_2(gen_dir, tmp_path):
+    # a v1 tree whose root is its own right child: every row above the root's
+    # threshold once looped in predict for ever, hence the child process and
+    # its timeout
+    tree = {"feature": [5, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+            "right": [0, -1, -1], "value": [0.0, 1.0, 2.0]}
+    bundle = {
+        "format": "foodcal-model-bundle",
+        "version": 1,
+        "preprocessing": {
+            "normalization": {"mins": [0.0] * 4, "maxs": [1.0] * 4},
+            "split": {"fractions": [0.8, 0.1, 0.1], "seed": 0},
+            "zscore_threshold": 2.0,
+        },
+        "regressor": {"format": "foodcal-regressor", "version": 1, "algorithm": "dtree", "seed": 0,
+                      "hyperparameters": {}, "n_features": 9, "state": {"tree": tree}},
+    }
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(bundle))
+    data = gen_dir / "dataset.csv"
+    result = subprocess.run(
+        [sys.executable, "-m", "foodcal.cli", "eval", "--model", str(model), "--data", str(data)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "right child 0" in result.stderr
+
+
+@pytest.mark.parametrize("bbox", [[1, 1, 0, 5], [1, 1, 5, -2], [1, 1, 5], [1, 1, 5, 5, 5]],
+                         ids=["zero-width", "negative-height", "three-values", "five-values"])
+def test_manifest_rejects_degenerate_box(tmp_path, bbox):
+    instances = [{"class": "Coin", "bbox": [0, 0, 4, 4]}, {"class": "Puri", "bbox": bbox}]
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps({"format": "foodcal-annotations", "version": 1, "images": [
+        {"image": "scene_0007", "width": 10, "height": 10, "instances": instances}]}))
+    with pytest.raises(DataError, match="scene_0007"):
+        manifests.read_manifest(path)

@@ -424,3 +424,18 @@ def test_pgm_rejects_truncated_raster(tmp_path):
     p.write_bytes(b"P5\n4 3\n255\n" + bytes(11))
     with pytest.raises(DataError, match="truncated"):
         maskgeom.read_pgm(p)
+
+
+@pytest.mark.parametrize("values", [[[256, 1]], [[0.5, 1.7]], [[1.0, np.nan]], [[-1, 0]]],
+                         ids=["256", "fractions", "nan", "negative"])
+def test_as_mask_checks_values_before_casting(values):
+    with pytest.raises(ValueError, match="exactly 0 or 1"):
+        maskgeom.as_mask(np.array(values))
+
+
+def test_as_mask_accepts_bool_and_uint8():
+    assert maskgeom.as_mask(np.array([[True, False]])).tolist() == [[1, 0]]
+    assert maskgeom.as_mask(np.array([[True, False]])).dtype == np.uint8
+    u = np.array([[0, 1]], dtype=np.uint8)
+    assert maskgeom.as_mask(u) is u
+    assert maskgeom.as_mask(np.array([[0.0, 1.0]])).tolist() == [[0, 1]]

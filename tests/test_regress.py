@@ -1,5 +1,10 @@
+import base64
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foodcal import regress
 from foodcal.errors import DataError, DimensionMismatch, EmptyDataset, ZeroTotalWeight
@@ -283,7 +288,7 @@ def test_model_file_layout(tmp_path):
 
     payload = json.loads(path.read_text())
     assert payload["format"] == "foodcal-regressor"
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert payload["algorithm"] == "linear"
     assert "state" in payload and "hyperparameters" in payload
 
@@ -303,3 +308,310 @@ def test_from_dict_rejects_malformed_payload(corrupt):
     corrupt(payload)
     with pytest.raises(DataError):
         regress.from_dict(payload)
+
+
+# ---------------------------------------------------------------------------
+# packed trees: scalar-walk oracle, v1 compatibility, structure checks
+
+
+def walk(tree: dict, x) -> float:
+    """One row down one tree in the v1 per-tree layout, a node at a time:
+    the per-row loop that the packed traversal replaced, kept as its oracle."""
+    i = 0
+    while tree["feature"][i] >= 0:
+        if x[tree["feature"][i]] <= tree["threshold"][i]:
+            i = tree["left"][i]
+        else:
+            i = tree["right"][i]
+    return tree["value"][i]
+
+
+def v1_tree(pack) -> dict:
+    """The v1 per-tree node lists of a one-tree pack."""
+    inner = pack.feature >= 0
+    n = len(pack.feature)
+    return {
+        "feature": pack.feature.tolist(),
+        "threshold": pack.threshold.tolist(),
+        "left": np.where(inner, np.arange(n) + 1, -1).tolist(),
+        "right": pack.right.tolist(),
+        "value": np.where(inner, 0.0, pack.split).tolist(),
+    }
+
+
+def v1_payload(algorithm, n_features, state, hyperparameters=None) -> dict:
+    return {
+        "format": "foodcal-regressor",
+        "version": 1,
+        "algorithm": algorithm,
+        "seed": 0,
+        "hyperparameters": hyperparameters or {},
+        "n_features": n_features,
+        "state": state,
+    }
+
+
+def v1_state(model) -> dict:
+    """The v1 state of a fitted tree model."""
+    if model.algorithm == "dtree":
+        return {"tree": v1_tree(model.tree)}
+    state = {"trees": [v1_tree(t) for t in model.trees]}
+    if model.algorithm == "gboost":
+        state = {"init": model.init, "learning_rate": model.learning_rate, **state}
+    if model.algorithm == "adaboost":
+        state = {"log_weights": model.log_weights.tolist(), **state}
+    return state
+
+
+GRID = (-1.0, 0.0, 0.5, 1.0, 2.5)  # thresholds and row values, so rows tie with thresholds
+
+
+@st.composite
+def v1_trees(draw, n_features, max_depth=6):
+    """A random tree in the v1 layout, from a single leaf to depth 6."""
+    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+    def grow(depth):
+        node = len(tree["feature"])
+        tree["feature"].append(-1)
+        tree["threshold"].append(0.0)
+        tree["left"].append(-1)
+        tree["right"].append(-1)
+        tree["value"].append(draw(st.floats(-1e3, 1e3)))
+        if depth < max_depth and draw(st.booleans()):
+            tree["feature"][node] = draw(st.integers(0, n_features - 1))
+            tree["threshold"][node] = draw(st.sampled_from(GRID))
+            tree["left"][node] = grow(depth + 1)
+            tree["right"][node] = grow(depth + 1)
+        return node
+
+    grow(0)
+    return tree
+
+
+@st.composite
+def ensembles(draw):
+    p = draw(st.integers(1, 4))
+    trees = draw(st.lists(v1_trees(p), min_size=1, max_size=6))
+    rows = draw(st.lists(st.lists(st.sampled_from(GRID), min_size=p, max_size=p), min_size=1, max_size=8))
+    weights = draw(st.lists(st.floats(0.01, 5.0), min_size=len(trees), max_size=len(trees)))
+    return p, trees, np.array(rows), weights
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ensembles())
+def test_packed_predictions_match_scalar_walk(case):
+    p, trees, X, weights = case
+    oracle = np.array([[walk(t, x) for x in X] for t in trees])  # (trees, rows)
+
+    rf = regress.from_dict(v1_payload("rforest", p, {"trees": trees}))
+    assert np.array_equal(rf.trees.leaves(X), oracle)
+    assert np.array_equal(np.stack([t.predict(X) for t in rf.trees]), oracle)
+    assert np.array_equal(rf.predict(X), oracle.mean(axis=0))
+
+    gb = regress.from_dict(v1_payload("gboost", p, {"init": 3.0, "learning_rate": 0.1, "trees": trees}))
+    expected = np.full(len(X), 3.0)
+    for row in oracle:
+        expected = expected + 0.1 * row
+    assert np.array_equal(gb.predict(X), expected)
+
+    ada = regress.from_dict(v1_payload("adaboost", p, {"log_weights": weights, "trees": trees}))
+    medians = [regress.weighted_median(oracle[:, r], weights) for r in range(len(X))]
+    assert np.array_equal(ada.predict(X), medians)
+
+    dt = regress.from_dict(v1_payload("dtree", p, {"tree": trees[0]}))
+    assert np.array_equal(dt.predict(X), oracle[0])
+
+    for model in (rf, gb, ada, dt):
+        again = regress.from_dict(regress.to_dict(model))
+        assert np.array_equal(again.predict(X), model.predict(X))
+
+
+# v1 payloads as the previous layout wrote them, with their predictions for
+# V1_QUERY, for a 2-feature toy problem
+V1_QUERY = [[0.5, 0.5], [2.0, 1.0], [3.5, 2.5], [6.0, 0.0]]
+V1_WRITTEN = {
+    "dtree": (
+        {"tree": {"feature": [0, 1, -1, -1, 1, -1, -1], "threshold": [2.5, 0.5, 0.0, 0.0, 2.0, 0.0, 0.0],
+                  "left": [1, 2, -1, -1, 5, -1, -1], "right": [4, 3, -1, -1, 6, -1, -1],
+                  "value": [4.833333333333333, 2.3333333333333335, 4.0, 1.5, 7.333333333333333, 8.5, 5.0]}},
+        [4.0, 1.5, 5.0, 8.5],
+    ),
+    "rforest": (
+        {"trees": [{"feature": [1, -1, 1, -1, -1], "threshold": [0.5, 0.0, 2.5, 0.0, 0.0],
+                    "left": [1, -1, 3, -1, -1], "right": [2, -1, 4, -1, -1],
+                    "value": [4.333333333333333, 9.0, 3.4, 3.0, 5.0]},
+                   {"feature": [1, 0, -1, -1, -1], "threshold": [1.5, 2.0, 0.0, 0.0, 0.0],
+                    "left": [1, 2, -1, -1, -1], "right": [4, 3, -1, -1, -1],
+                    "value": [6.333333333333333, 7.2, 4.0, 8.0, 2.0]}]},
+        [6.5, 3.5, 2.5, 8.5],
+    ),
+    "gboost": (
+        {"init": 4.833333333333333, "learning_rate": 0.1,
+         "trees": [{"feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0], "left": [1, -1, -1],
+                    "right": [2, -1, -1],
+                    "value": [2.9605947323337506e-16, -2.4999999999999996, 2.5000000000000004]},
+                   {"feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0], "left": [1, -1, -1],
+                    "right": [2, -1, -1],
+                    "value": [2.9605947323337506e-16, -2.2499999999999996, 2.2500000000000004]}]},
+        [4.358333333333333, 4.358333333333333, 5.308333333333333, 5.308333333333333],
+    ),
+    "adaboost": (
+        {"log_weights": [0.5596157879354223],
+         "trees": [{"feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0], "left": [1, -1, -1],
+                    "right": [2, -1, -1], "value": [5.5, 2.3333333333333335, 8.666666666666666]}]},
+        [2.3333333333333335, 2.3333333333333335, 8.666666666666666, 8.666666666666666],
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(V1_WRITTEN))
+def test_v1_written_payload_predicts_as_before(algorithm):
+    state, expected = V1_WRITTEN[algorithm]
+    model = regress.from_dict(v1_payload(algorithm, 2, state))
+    assert regress.predict_matrix(model, V1_QUERY).tolist() == expected
+    resaved = regress.to_dict(model)
+    assert resaved["version"] == 2
+    assert regress.predict_matrix(regress.from_dict(resaved), V1_QUERY).tolist() == expected
+
+
+@pytest.mark.parametrize("algorithm", ["dtree", "rforest", "gboost", "adaboost"])
+def test_v1_payload_loads_bit_identical_to_v2_resave(algorithm):
+    rng = np.random.default_rng(12)
+    ds = toy_dataset(rng, n=50, noise=2.0)
+    hyper = {"n_trees": 10} if algorithm == "rforest" else {}
+    model = regress.fit(ModelSpec(algorithm, seed=4, hyperparameters=hyper), ds)
+    v1 = regress.from_dict(v1_payload(algorithm, N_FEATURES, v1_state(model), hyper))
+    v2 = regress.from_dict(regress.to_dict(v1))
+    q = rng.uniform(0, 1, size=(30, N_FEATURES))
+    expected = regress.predict_matrix(model, q)
+    assert np.array_equal(regress.predict_matrix(v1, q), expected)
+    assert np.array_equal(regress.predict_matrix(v2, q), expected)
+    assert regress.to_dict(v2)["state"] == regress.to_dict(model)["state"]
+
+
+def test_v2_forest_state_lists_one_feature_per_node():
+    rng = np.random.default_rng(13)
+    model = regress.fit(ModelSpec("rforest", seed=1, hyperparameters={"n_trees": 7}), toy_dataset(rng, n=60))
+    state = regress.to_dict(model)["state"]
+    nodes = sum(len(t.feature) for t in model.trees)
+    assert len(state["feature"]) == nodes == len(model.trees.feature)
+    assert len(state["roots"]) == 7
+    assert len(base64.b64decode(state["right"])) == 4 * nodes
+    assert len(base64.b64decode(state["split"])) == 8 * nodes
+
+
+def test_gboost_of_zero_rounds_round_trips():
+    X = np.array([[0.0], [1.0], [2.0]])
+    model = regress.BoostModel.fit(X, np.array([1.0, 2.0, 6.0]), n_rounds=0)
+    again = regress.from_dict(regress.to_dict(model))
+    assert again.predict(np.array([[5.0]]))[0] == 3.0
+
+
+@pytest.mark.parametrize("algorithm", ["dtree", "rforest", "gboost", "adaboost"])
+def test_predict_in_row_blocks_is_bit_identical(algorithm, monkeypatch):
+    rng = np.random.default_rng(5)
+    model = regress.fit(ModelSpec(algorithm, seed=3), toy_dataset(rng, n=60))
+    X = rng.uniform(0, 1, size=(10, N_FEATURES))
+    whole = model.predict(X)
+    monkeypatch.setattr(regress, "_BLOCK_ROWS", 3)
+    trees = model.tree if algorithm == "dtree" else model.trees
+    assert [values.shape[1] for _rows, values in trees.leaf_blocks(X)] == [3, 3, 3, 1]
+    assert np.array_equal(model.predict(X), whole)
+
+
+def _recode(state, key, edit):
+    dtype = {"right": "<i4", "split": "<f8"}[key]
+    values = np.frombuffer(base64.b64decode(state[key]), dtype=dtype).copy()
+    edit(values, state)
+    state[key] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
+def _give_first_leaf_a_child(right, state):
+    k = state["feature"].index(-1)
+    right[k] = k + 1
+
+
+def _set(a, k, v):
+    a[k] = v
+
+
+BAD_ROOTS = "roots must start at node 0"
+BAD_RIGHT = "breaks the preorder layout"
+
+# corruption of a v2 rforest state, and the error it must raise
+V2_CORRUPTIONS = {
+    "root-points-at-itself": (lambda s: _recode(s, "right", lambda a, s: _set(a, 0, 0)), BAD_RIGHT),
+    "right-child-is-left-child": (lambda s: _recode(s, "right", lambda a, s: _set(a, 0, 1)), BAD_RIGHT),
+    "right-child-in-next-tree": (
+        lambda s: _recode(s, "right", lambda a, s: _set(a, 0, s["roots"][1])), BAD_RIGHT
+    ),
+    "right-child-past-end": (lambda s: _recode(s, "right", lambda a, s: _set(a, 0, 10**6)), BAD_RIGHT),
+    "leaf-with-child": (lambda s: _recode(s, "right", _give_first_leaf_a_child), BAD_RIGHT),
+    "feature-too-large": (lambda s: _set(s["feature"], 0, N_FEATURES), "feature index"),
+    "feature-below-leaf": (lambda s: _set(s["feature"], s["feature"].index(-1), -2), "feature index"),
+    "float-feature": (lambda s: _set(s["feature"], 0, 0.5), "list of integers"),
+    "nan-threshold": (lambda s: _recode(s, "split", lambda a, s: _set(a, 0, np.nan)), "non-finite"),
+    "infinite-leaf": (
+        lambda s: _recode(s, "split", lambda a, s: _set(a, s["feature"].index(-1), np.inf)), "non-finite"
+    ),
+    "short-feature": (lambda s: s["feature"].pop(), "nodes"),
+    "short-split": (lambda s: s.update(split=s["split"][:-12]), "nodes"),
+    "no-trees": (lambda s: s.update(roots=[], feature=[], right="", split=""), "0 trees"),
+    "nodes-without-trees": (lambda s: s.update(roots=[]), "0 trees"),
+    "roots-not-at-0": (lambda s: _set(s["roots"], 0, 1), BAD_ROOTS),
+    "roots-not-rising": (lambda s: _set(s["roots"], 1, 0), BAD_ROOTS),
+    "root-past-end": (lambda s: s["roots"].append(10**6), BAD_ROOTS),
+    "invalid-base64": (lambda s: s.update(split=s["split"][:8] + "!~!~" + s["split"][8:]), "invalid base64"),
+    "ragged-bytes": (lambda s: s.update(right=base64.b64encode(b"abc").decode("ascii")), "whole number"),
+    "right-not-a-string": (lambda s: s.update(right=[-1]), "base64 string"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(V2_CORRUPTIONS))
+def test_from_dict_rejects_bad_packed_trees(corruption):
+    rng = np.random.default_rng(14)
+    model = regress.fit(ModelSpec("rforest", seed=2, hyperparameters={"n_trees": 3}), toy_dataset(rng, n=40))
+    payload = regress.to_dict(model)
+    corrupt, message = V2_CORRUPTIONS[corruption]
+    corrupt(payload["state"])
+    with pytest.raises(DataError, match=message):
+        regress.from_dict(payload)
+
+
+def _v1_rf():
+    return v1_payload("rforest", 2, copy.deepcopy(V1_WRITTEN["rforest"][0]))
+
+
+# corruption of the v1 rforest in V1_WRITTEN, and the error it must raise
+V1_CORRUPTIONS = {
+    # a right child of 0 sent the per-row loop round node 0 for ever
+    "root-points-at-itself": (lambda s: _set(s["trees"][0]["right"], 0, 0), BAD_RIGHT),
+    "right-child-past-tree": (lambda s: _set(s["trees"][0]["right"], 0, 5), "not a preorder tree"),
+    "left-child-not-next": (lambda s: _set(s["trees"][1]["left"], 0, 4), "not a preorder tree"),
+    "leaf-with-child": (lambda s: _set(s["trees"][0]["right"], 1, 2), BAD_RIGHT),
+    "ragged-node-lists": (lambda s: s["trees"][0]["value"].pop(), "differ in length"),
+    "feature-too-large": (lambda s: _set(s["trees"][0]["feature"], 0, 2), "feature index"),
+    "no-trees": (lambda s: s.update(trees=[]), "0 trees"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(V1_CORRUPTIONS))
+def test_from_dict_rejects_bad_v1_trees(corruption):
+    payload = _v1_rf()
+    corrupt, message = V1_CORRUPTIONS[corruption]
+    corrupt(payload["state"])
+    with pytest.raises(DataError, match=message):
+        regress.from_dict(payload)
+
+
+def test_from_dict_rejects_dtree_of_two_trees_and_unmatched_weights():
+    rng = np.random.default_rng(15)
+    ds = toy_dataset(rng, n=40)
+    forest = regress.to_dict(regress.fit(ModelSpec("rforest", hyperparameters={"n_trees": 2}), ds))
+    with pytest.raises(DataError, match="one tree"):
+        regress.from_dict({**forest, "algorithm": "dtree", "hyperparameters": {}})
+    ada = regress.to_dict(regress.fit(ModelSpec("adaboost", seed=1), ds))
+    ada["state"]["log_weights"].append(1.0)
+    with pytest.raises(DataError, match="log_weights"):
+        regress.from_dict(ada)
