@@ -16,16 +16,15 @@ The FOODCAL_OUT_DIR environment variable supplies a default --out directory.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import foodcal
 from foodcal import manifests, measurement, metrics, preprocess, regress, synth
-from foodcal.errors import DataError, FoodcalError, read_json
+from foodcal.errors import DataError, FoodcalError, read_json, write_json
 from foodcal.nnblocks.gradcheck import BLOCK_NAMES, gradcheck
 
 MODEL_NAMES = {
@@ -42,6 +41,10 @@ BUNDLE_VERSION = 1
 
 GRADCHECK_TOLERANCE = 1e-4
 
+# SceneConfig fields that gen takes as flags and --config keys, each of the
+# type of its default; run_manifest.json records them
+SCENE_OPTIONS = ("width", "height", "items_per_scene", "views_per_item", "boundary_noise", "weight_noise")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
@@ -49,35 +52,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunManifest:
-    command: str
-    argv: list[str]
-    config: dict
-    seed: int | None
-    inputs: list[str]
-    outputs: list[str]
-    version: str = foodcal.__version__
-    wall_clock_s: float = 0.0
-
-    def write(self, out_dir: Path) -> None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as f:
-            json.dump(asdict(self), f, indent=1)
-            f.write("\n")
-
-
 def _record_run(args, out: Path, t0: float, *, config, seed, inputs, outputs) -> None:
     """Write ``run_manifest.json`` for the running subcommand into ``out``."""
-    RunManifest(
-        command=args.command,
-        argv=args.argv,
-        config=config,
-        seed=seed,
-        inputs=inputs,
-        outputs=outputs,
-        wall_clock_s=round(time.perf_counter() - t0, 3),
-    ).write(out)
+    manifest = {
+        "command": args.command,
+        "argv": args.argv,
+        "config": config,
+        "seed": seed,
+        "inputs": inputs,
+        "outputs": outputs,
+        "version": foodcal.__version__,
+        "wall_clock_s": round(time.perf_counter() - t0, 3),
+    }
+    write_json(out / "run_manifest.json", manifest, indent=1)
 
 
 def _default_out():
@@ -105,15 +92,11 @@ def _resolve(args, config, key, default):
 
 def _scene_config(args, config) -> synth.SceneConfig:
     base = synth.SceneConfig()
-    return replace(
-        base,
-        width=int(_resolve(args, config, "width", base.width)),
-        height=int(_resolve(args, config, "height", base.height)),
-        items_per_scene=int(_resolve(args, config, "items_per_scene", base.items_per_scene)),
-        views_per_item=int(_resolve(args, config, "views_per_item", base.views_per_item)),
-        boundary_noise=float(_resolve(args, config, "boundary_noise", base.boundary_noise)),
-        weight_noise=float(_resolve(args, config, "weight_noise", base.weight_noise)),
-    )
+    values = {}
+    for key in SCENE_OPTIONS:
+        default = getattr(base, key)
+        values[key] = type(default)(_resolve(args, config, key, default))
+    return replace(base, **values)
 
 
 def _require_out(args, parser):
@@ -152,25 +135,17 @@ def cmd_gen(args, parser):
         args,
         out,
         t0,
-        config={"records": records, **_public_scene_config(cfg)},
+        config={
+            "records": records,
+            **{key: getattr(cfg, key) for key in SCENE_OPTIONS},
+            "coin_radius_range": list(cfg.coin_radius_range),
+        },
         seed=seed,
         inputs=[],
         outputs=["annotations.json", "dataset.csv", "masks/"],
     )
     print(f"wrote {len(recs)} records from {len(scenes)} scenes to {out}")
     return 0
-
-
-def _public_scene_config(cfg: synth.SceneConfig) -> dict:
-    return {
-        "width": cfg.width,
-        "height": cfg.height,
-        "items_per_scene": cfg.items_per_scene,
-        "views_per_item": cfg.views_per_item,
-        "boundary_noise": cfg.boundary_noise,
-        "weight_noise": cfg.weight_noise,
-        "coin_radius_range": list(cfg.coin_radius_range),
-    }
 
 
 def cmd_extract(args, parser):
@@ -192,13 +167,6 @@ def cmd_extract(args, parser):
     return 0
 
 
-def _split_and_prepare(dataset, seed, threshold=2.0, fractions=(0.8, 0.1, 0.1)):
-    train, valid, test = preprocess.split(dataset, fractions=fractions, seed=seed)
-    train = preprocess.zscore_filter(train, threshold)
-    params = preprocess.minmax_fit(train)
-    return params, preprocess.minmax_apply(params, train), valid, test
-
-
 def cmd_train(args, parser):
     config = _load_config(args.config)
     out = _require_out(args, parser)
@@ -206,7 +174,8 @@ def cmd_train(args, parser):
     threshold = float(_resolve(args, config, "zscore_threshold", 2.0))
     t0 = time.perf_counter()
     dataset = preprocess.RegressionDataset.from_records(preprocess.read_csv(args.data))
-    params, train_n, _, _ = _split_and_prepare(dataset, seed, threshold)
+    train, _, _ = preprocess.split(dataset, seed=seed)
+    params, train_n = preprocess.minmax_fit_apply(preprocess.zscore_filter(train, threshold))
     algorithm = MODEL_NAMES[args.model]
     hyper = {}
     if algorithm == "rforest" and args.threads is not None:
@@ -217,16 +186,14 @@ def cmd_train(args, parser):
         "version": BUNDLE_VERSION,
         "preprocessing": {
             "normalization": {"mins": list(params.mins), "maxs": list(params.maxs)},
-            "split": {"fractions": [0.8, 0.1, 0.1], "seed": seed},
+            "split": {"fractions": list(preprocess.SPLIT_FRACTIONS), "seed": seed},
             "zscore_threshold": threshold,
         },
         "regressor": regress.to_dict(model),
     }
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.json"
-    with open(model_path, "w", encoding="utf-8") as f:
-        json.dump(bundle, f)
-        f.write("\n")
+    write_json(model_path, bundle)
     _record_run(
         args,
         out,
@@ -289,9 +256,7 @@ def cmd_eval(args, parser):
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "eval.json", "w", encoding="utf-8") as f:
-            json.dump({"n": len(part_n), "split": args.split, **report.as_dict()}, f)
-            f.write("\n")
+        write_json(out / "eval.json", {"n": len(part_n), "split": args.split, **report.as_dict()})
         _record_run(
             args,
             out,
@@ -312,7 +277,7 @@ def cmd_pipeline(args, parser):
     for img in images:
         scale = measurement.scale_from_detections(img.instances)
         recs = measurement.extract_features(img.instances, scale)
-        ds = preprocess.RegressionDataset.from_records([replace(r, calories_kcal=0.0) for r in recs])
+        ds = preprocess.RegressionDataset.from_records(recs)
         ds_n = preprocess.minmax_apply(params, ds)
         preds = regress.predict_matrix(model, ds_n.X)
         for rec, kcal in zip(recs, preds):
@@ -321,9 +286,7 @@ def cmd_pipeline(args, parser):
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "estimates.json", "w", encoding="utf-8") as f:
-            json.dump(rows, f, indent=1)
-            f.write("\n")
+        write_json(out / "estimates.json", rows, indent=1)
         _record_run(
             args,
             out,
@@ -366,9 +329,7 @@ def cmd_detmetrics(args, parser):
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "detmetrics.json", "w", encoding="utf-8") as f:
-            json.dump(report.as_dict(), f, indent=1)
-            f.write("\n")
+        write_json(out / "detmetrics.json", report.as_dict(), indent=1)
         _record_run(
             args,
             out,
@@ -395,10 +356,9 @@ def build_parser() -> _Parser:
     p.add_argument("--records", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None, help="JSON config file")
-    for key in ("width", "height", "items-per-scene", "views-per-item"):
-        p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=int, default=None)
-    for key in ("boundary-noise", "weight-noise"):
-        p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=float, default=None)
+    scene = synth.SceneConfig()
+    for key in SCENE_OPTIONS:
+        p.add_argument(f"--{key.replace('_', '-')}", type=type(getattr(scene, key)), default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("extract", help="extract mm-scaled features from an annotation manifest")

@@ -1,5 +1,6 @@
-"""Exception types raised across the toolkit, and the JSON-file reader
-that turns a file it cannot parse into a ``DataError``."""
+"""Exception types raised across the toolkit, the JSON-file reader that
+turns a file it cannot parse into a ``DataError``, and the one JSON-file
+writer."""
 
 import json
 import math
@@ -93,3 +94,10 @@ def read_json(path, what: str):
             return json.load(f, parse_float=_finite_float, parse_constant=_reject_constant)
         except (ValueError, RecursionError) as exc:
             raise DataError(f"{path}: invalid JSON {what}: {exc}") from exc
+
+
+def write_json(path, payload, indent=None) -> None:
+    """Write ``payload`` to ``path`` as JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=indent)
+        f.write("\n")

@@ -14,12 +14,11 @@ truth omits "confidence"; synthetic ground truth may carry per-instance
 calorie labels.
 """
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from foodcal import maskgeom
-from foodcal.errors import DataError, read_json
+from foodcal.errors import DataError, read_json, write_json
 from foodcal.measurement import ClassLabel, DetectionInstance
 
 MANIFEST_FORMAT = "foodcal-annotations"
@@ -35,16 +34,11 @@ class ImageAnnotations:
     calories: list[float | None] = field(default_factory=list)  # aligned with instances
 
 
-def write_manifest(path, images: list[ImageAnnotations], masks_dir: str | None = "masks") -> Path:
-    """Write the manifest and the referenced PGM masks.
-
-    Returns the manifest path. Masks land in ``masks_dir`` next to the
-    manifest (set ``masks_dir=None`` to skip mask files entirely).
-    """
+def write_manifest(path, images: list[ImageAnnotations]) -> Path:
+    """Write the manifest and the referenced PGM masks, which land in
+    ``masks/`` next to the manifest. Returns the manifest path."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if masks_dir is not None:
-        (path.parent / masks_dir).mkdir(parents=True, exist_ok=True)
+    (path.parent / "masks").mkdir(parents=True, exist_ok=True)
     payload = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, "images": []}
     for img in images:
         entry = {"image": img.name, "width": img.width, "height": img.height, "instances": []}
@@ -53,21 +47,24 @@ def write_manifest(path, images: list[ImageAnnotations], masks_dir: str | None =
             rec = {"class": inst.label.value, "bbox": [int(v) for v in inst.bbox]}
             if inst.confidence is not None:
                 rec["confidence"] = inst.confidence
-            if inst.mask is not None and masks_dir is not None:
-                mask_name = f"{img.name}_i{k:02d}.pgm"
-                maskgeom.write_pgm(path.parent / masks_dir / mask_name, inst.mask)
-                rec["mask"] = f"{masks_dir}/{mask_name}"
+            if inst.mask is not None:
+                rec["mask"] = f"masks/{img.name}_i{k:02d}.pgm"
+                maskgeom.write_pgm(path.parent / rec["mask"], inst.mask)
             if cal is not None:
                 rec["calories_kcal"] = cal
             entry["instances"].append(rec)
         payload["images"].append(entry)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1)
-        f.write("\n")
+    write_json(path, payload, indent=1)
     return path
 
 
-def read_manifest(path, load_masks: bool = True) -> list[ImageAnnotations]:
+def _list(value, what):
+    if not isinstance(value, list):
+        raise DataError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
+def read_manifest(path) -> list[ImageAnnotations]:
     path = Path(path)
     payload = read_json(path, "manifest")
     if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
@@ -75,19 +72,19 @@ def read_manifest(path, load_masks: bool = True) -> list[ImageAnnotations]:
     if payload.get("version") != MANIFEST_VERSION:
         raise DataError(f"{path}: unsupported manifest version {payload.get('version')}")
     images = []
-    for entry in payload.get("images", []):
+    for entry in _list(payload.get("images", []), f"{path}: images"):
         try:
             img = ImageAnnotations(
                 name=entry["image"], width=int(entry["width"]), height=int(entry["height"])
             )
-            for rec in entry.get("instances", []):
+            for rec in _list(entry.get("instances", []), f"{path}: image {img.name}: instances"):
                 bbox = tuple(int(v) for v in rec["bbox"])
                 if len(bbox) != 4 or bbox[2] <= 0 or bbox[3] <= 0:
                     raise DataError(
                         f"{path}: image {img.name}: bbox {list(bbox)} is not [x, y, w, h] with w, h > 0"
                     )
                 mask = None
-                if load_masks and "mask" in rec:
+                if "mask" in rec:
                     mask = maskgeom.read_pgm(path.parent / rec["mask"])
                     if mask.shape != (img.height, img.width):
                         raise DataError(

@@ -248,15 +248,12 @@ def map_summary(
     )
     per_class = {}
     for label in labels:
-        aps = {}
-        for thr in COCO_THRESHOLDS:
-            tps, num_gt = _class_tp_sequences(
-                preds_by_image, gts_by_image, label, thr, iou_kind, conf_threshold
-            )
-            aps[thr] = average_precision(tps, num_gt)
-        tps50, num_gt = _class_tp_sequences(
-            preds_by_image, gts_by_image, label, 0.5, iou_kind, conf_threshold
-        )
+        sweep = {
+            thr: _class_tp_sequences(preds_by_image, gts_by_image, label, thr, iou_kind, conf_threshold)
+            for thr in COCO_THRESHOLDS
+        }
+        aps = {thr: average_precision(tps, num_gt) for thr, (tps, num_gt) in sweep.items()}
+        tps50, num_gt = sweep[0.5]
         n_tp = sum(tps50)
         n_pred = len(tps50)
         per_class[label.value] = ClassDetectionMetrics(

@@ -50,6 +50,8 @@ def param_arrays(params) -> list[tuple[str, np.ndarray]]:
                 ("cbam.b2", params.cbam.b2),
                 ("cbam.spatial.weight", params.cbam.spatial.weight),
                 ("cbam.spatial.bias", params.cbam.spatial.bias),
+                ("exit.weight", params.exit.weight),
+                ("exit.bias", params.exit.bias),
             ]
         )
         return out
@@ -114,11 +116,12 @@ def gradcheck(block: str, seed: int = 0, step: float = _FD_STEP) -> float:
     y, cache = fwd(x)
     gx, grads = bwd(cache, np.ones_like(y))
 
+    arrays = param_arrays(params)
+    names = sorted(name for name, _ in arrays)
+    if sorted(grads) != names:
+        raise ValueError(f"{block}: backward returns gradients of {sorted(grads)}, the check covers {names}")
     worst = 0.0
-    targets = [("input", x, gx)]
-    grad_map = dict(grads)
-    for name, arr in param_arrays(params):
-        targets.append((name, arr, grad_map[name]))
+    targets = [("input", x, gx)] + [(name, arr, grads[name]) for name, arr in arrays]
 
     for _name, arr, analytic in targets:
         numeric = np.empty_like(arr)

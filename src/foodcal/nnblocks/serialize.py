@@ -5,11 +5,9 @@ repr); field order follows the parameter dataclasses. The "kind" field
 selects the parameter type: conv, cbam, or c2fcd.
 """
 
-import json
-
 import numpy as np
 
-from foodcal.errors import DataError, ShapeMismatch, read_json
+from foodcal.errors import DataError, ShapeMismatch, read_json, write_json
 from foodcal.nnblocks.blocks import C2fCdParams, CbamParams
 from foodcal.nnblocks.ops import ConvParams
 
@@ -94,9 +92,7 @@ def from_dict(payload: dict):
 
 
 def save_params(params, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(to_dict(params), f)
-        f.write("\n")
+    write_json(path, to_dict(params))
 
 
 def load_params(path):

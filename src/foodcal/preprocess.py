@@ -22,6 +22,7 @@ NUMERIC_NAMES = ("height_mm", "width_mm", "area_mm2", "perimeter_mm")
 CSV_FIELDS = ("class",) + NUMERIC_NAMES + ("calories_kcal",)
 N_FEATURES = len(FOOD_CLASSES) + len(NUMERIC_NAMES)
 NUMERIC = slice(len(FOOD_CLASSES), N_FEATURES)
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, valid, test
 
 
 def one_hot(label: ClassLabel) -> np.ndarray:
@@ -163,7 +164,7 @@ def zscore_filter(data: RegressionDataset, threshold: float = 2.0) -> Regression
 
 def split(
     data: RegressionDataset,
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
+    fractions: tuple[float, float, float] = SPLIT_FRACTIONS,
     seed: int = 0,
 ) -> tuple[RegressionDataset, RegressionDataset, RegressionDataset]:
     """Seeded uniform shuffle, then a contiguous train/valid/test split.

@@ -14,7 +14,6 @@ the bytes of the packed arrays, so a reloaded model predicts bit-identically.
 """
 
 import base64
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,7 +25,6 @@ from foodcal.errors import (
     EmptyDataset,
     SingularSystem,
     ZeroTotalWeight,
-    read_json,
 )
 from foodcal.preprocess import RegressionDataset
 
@@ -125,31 +123,6 @@ def _best_split(X, y, feat_ids, min_leaf):
                 thr = vs[i]
             best_thr = float(thr)
     return best_feat, best_thr, best_score, parent_sse
-
-
-def cart_best_split(X, y, feature_subset=None, min_samples_leaf: int = 1):
-    """Best (feature, threshold) by variance reduction, or None.
-
-    Thresholds are midpoints between consecutive distinct sorted values;
-    ties break to the lowest feature index, then the lowest threshold.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if len(y) < 2:
-        raise ValueError("split search needs at least two rows")
-    if np.all(y == y[0]):
-        return None
-    feats = (
-        np.arange(X.shape[1], dtype=np.int64)
-        if feature_subset is None
-        else np.sort(np.asarray(feature_subset, dtype=np.int64))
-    )
-    f, thr, score, parent_sse = _best_split(X, y, feats, min_samples_leaf)
-    if f < 0 or not parent_sse - score > 0:
-        return None
-    return int(f), float(thr)
 
 
 _BLOCK_ROWS = 1024  # rows that _Trees walks at once
@@ -447,7 +420,10 @@ class LinearModel(Regressor):
 
     @classmethod
     def from_state(cls, n_features, state):
-        return cls(n_features, state["coef"], state["intercept"])
+        model = cls(n_features, state["coef"], state["intercept"])
+        if model.coef.shape != (n_features,):
+            raise DataError(f"linear coef has shape {model.coef.shape}, expected ({n_features},)")
+        return model
 
 
 class KnnModel(Regressor):
@@ -477,7 +453,15 @@ class KnnModel(Regressor):
 
     @classmethod
     def from_state(cls, n_features, state):
-        return cls(n_features, state["X"], state["y"], state["k"])
+        model = cls(n_features, state["X"], state["y"], state["k"])
+        m = len(model.y)
+        if m < 1 or model.y.shape != (m,) or model.X.shape != (m, n_features):
+            raise DataError(
+                f"knn X {model.X.shape} and y {model.y.shape} must be (m, {n_features}) and (m,), m >= 1"
+            )
+        if model.k < 1:
+            raise DataError(f"knn k must be at least 1, got {model.k}")
+        return model
 
 
 class TreeModel(Regressor):
@@ -731,12 +715,3 @@ def _state_from_v1(algorithm: str, state: dict) -> dict:
     rest = {k: v for k, v in state.items() if k != key}
     return {**rest, **_Trees.from_v1(trees).to_state()}
 
-
-def save_model(model: Regressor, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(to_dict(model), f)
-        f.write("\n")
-
-
-def load_model(path) -> Regressor:
-    return from_dict(read_json(path, "model file"))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from foodcal import manifests, maskgeom, preprocess, regress
-from foodcal.cli import main
+from foodcal.cli import SCENE_OPTIONS, main
 from foodcal.errors import DataError
 
 GEN_ARGS = ["gen", "--seed", "7", "--records", "24", "--views-per-item", "4"]
@@ -212,6 +212,29 @@ def test_malformed_bundle_exits_2(gen_dir, tmp_path, capsys, corrupt):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "model, corrupt",
+    [
+        ("lr", lambda s: s.update(coef=s["coef"][:2])),
+        ("knn", lambda s: s.update(X=[row[:2] for row in s["X"]])),
+        ("knn", lambda s: s.update(k=0)),
+        ("knn", lambda s: s.update(y=s["y"][:-1])),
+        ("knn", lambda s: s.update(X=[], y=[])),
+    ],
+    ids=["linear-short-coef", "knn-narrow-X", "knn-k-0", "knn-short-y", "knn-no-rows"],
+)
+def test_bad_linear_or_knn_state_exits_2(gen_dir, tmp_path, capsys, model, corrupt):
+    path = tmp_path / "m" / "model.json"
+    assert run_cli("train", "--data", str(gen_dir / "dataset.csv"), "--model", model,
+                   "--out", str(path.parent)) == 0
+    bundle = json.loads(path.read_text())
+    corrupt(bundle["regressor"]["state"])
+    path.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert run_cli("eval", "--model", str(path), "--data", str(gen_dir / "dataset.csv")) == 2
+    assert "model.json: " in _one_error_line(capsys)
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run_cli("train", "--data", str(tmp_path / "nope.csv"), "--model", "rf",
                    "--out", str(tmp_path / "m")) == 2
@@ -238,6 +261,19 @@ def test_manifest_round_trip(gen_dir):
     images = manifests.read_manifest(gen_dir / "annotations.json")
     assert images and images[0].instances[0].mask is not None
     assert images[0].instances[0].mask.shape == (images[0].height, images[0].width)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    zip(SCENE_OPTIONS, (256, 288, 2, 3, 0.03, 0.04)),
+    ids=SCENE_OPTIONS,
+)
+def test_scene_option_reaches_run_manifest(tmp_path, key, value):
+    out = tmp_path / "o"
+    flag = "--" + key.replace("_", "-")
+    assert run_cli("gen", "--seed", "1", "--records", "3", flag, str(value), "--out", str(out)) == 0
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert config[key] == value and type(config[key]) is type(value)
 
 
 def test_run_manifest_contents(gen_dir):
@@ -337,4 +373,19 @@ def test_manifest_rejects_degenerate_box(tmp_path, bbox):
     path.write_text(json.dumps({"format": "foodcal-annotations", "version": 1, "images": [
         {"image": "scene_0007", "width": 10, "height": 10, "instances": instances}]}))
     with pytest.raises(DataError, match="scene_0007"):
+        manifests.read_manifest(path)
+
+
+def test_manifest_with_non_list_images_exits_2(tmp_path, capsys):
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps({"format": "foodcal-annotations", "version": 1, "images": 5}))
+    assert run_cli("extract", "--annotations", str(path), "--out", str(tmp_path / "x")) == 2
+    assert "images must be a list" in _one_error_line(capsys)
+
+
+def test_manifest_rejects_non_list_instances(tmp_path):
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps({"format": "foodcal-annotations", "version": 1, "images": [
+        {"image": "scene_0003", "width": 10, "height": 10, "instances": {}}]}))
+    with pytest.raises(DataError, match="scene_0003: instances must be a list"):
         manifests.read_manifest(path)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from foodcal.cli import GRADCHECK_TOLERANCE
 from foodcal.errors import DataError, ShapeMismatch
 from foodcal.nnblocks import blocks, flops, ops, serialize
 from foodcal.nnblocks.gradcheck import BLOCK_NAMES, gradcheck
@@ -286,6 +287,34 @@ def test_c2f_cd_rejects_odd_output_channels():
 def test_gradcheck_below_threshold(block):
     for seed in (0, 1):
         assert gradcheck(block, seed=seed) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "key, corrupt",
+    [("exit.weight", lambda g: 3 * g + 1), ("exit.bias", lambda g: g - 5)],
+    ids=["exit-weight", "exit-bias"],
+)
+def test_gradcheck_catches_a_wrong_exit_gradient(monkeypatch, key, corrupt):
+    right = blocks.c2f_cd_bwd
+
+    def wrong(cache, gy):
+        gx, grads = right(cache, gy)
+        return gx, {**grads, key: corrupt(grads[key])}
+
+    monkeypatch.setattr(blocks, "c2f_cd_bwd", wrong)
+    assert gradcheck("c2fcd", seed=0) > GRADCHECK_TOLERANCE
+
+
+def test_gradcheck_rejects_gradients_it_does_not_check(monkeypatch):
+    right = blocks.c2f_cd_bwd
+
+    def without_exit_bias(cache, gy):
+        gx, grads = right(cache, gy)
+        return gx, {k: v for k, v in grads.items() if k != "exit.bias"}
+
+    monkeypatch.setattr(blocks, "c2f_cd_bwd", without_exit_bias)
+    with pytest.raises(ValueError, match="exit.bias"):
+        gradcheck("c2fcd", seed=0)
 
 
 def test_relu_gradient_exact_in_linear_region():

@@ -1,5 +1,6 @@
 import base64
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -29,34 +30,40 @@ def toy_dataset(rng, n=120, noise=0.0):
 
 
 # ---------------------------------------------------------------------------
-# cart_best_split
+# CART split search, seen through the root of a depth-1 tree
+
+
+def root_split(X, y):
+    """(feature, threshold) at the root of a depth-1 tree; feature -1 means
+    the root is a leaf."""
+    X = np.asarray(X, dtype=np.float64)
+    tree = regress.TreeModel.fit(X, np.asarray(y, dtype=np.float64), max_depth=1).tree
+    return int(tree.feature[0]), float(tree.threshold[0])
 
 
 def test_split_none_when_targets_equal():
     X = np.array([[0.0], [1.0], [2.0]])
-    assert regress.cart_best_split(X, [5.0, 5.0, 5.0]) is None
+    assert root_split(X, [5.0, 5.0, 5.0])[0] == -1
 
 
 def test_split_midpoint_of_two_values():
-    assert regress.cart_best_split(np.array([[0.0], [1.0]]), [0.0, 10.0]) == (0, 0.5)
+    assert root_split(np.array([[0.0], [1.0]]), [0.0, 10.0]) == (0, 0.5)
 
 
 def test_split_tie_prefers_lower_feature_index():
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
-    f, thr = regress.cart_best_split(X, [0.0, 10.0])
-    assert f == 0 and thr == 0.5
+    assert root_split(X, [0.0, 10.0]) == (0, 0.5)
 
 
 def test_split_tie_prefers_lower_threshold():
     # y symmetric around the middle: splitting at 0.5 or 1.5 gives equal SSE
     X = np.array([[0.0], [1.0], [2.0]])
-    f, thr = regress.cart_best_split(X, [0.0, 5.0, 10.0])
-    assert f == 0 and thr == 0.5
+    assert root_split(X, [0.0, 5.0, 10.0]) == (0, 0.5)
 
 
 def test_split_constant_feature_gives_none():
     X = np.array([[3.0], [3.0], [3.0]])
-    assert regress.cart_best_split(X, [0.0, 5.0, 9.0]) is None
+    assert root_split(X, [0.0, 5.0, 9.0])[0] == -1
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +270,7 @@ def test_rforest_depends_only_on_data_and_seed():
 
 
 @pytest.mark.parametrize("algorithm", regress.ALGORITHMS)
-def test_round_trip_bit_identical_predictions(tmp_path, algorithm):
+def test_round_trip_bit_identical_predictions(algorithm):
     rng = np.random.default_rng(8)
     ds = toy_dataset(rng, n=50, noise=2.0)
     spec = ModelSpec(
@@ -272,21 +279,15 @@ def test_round_trip_bit_identical_predictions(tmp_path, algorithm):
         hyperparameters={"n_trees": 10} if algorithm == "rforest" else {},
     )
     model = regress.fit(spec, ds)
-    path = tmp_path / f"{algorithm}.json"
-    regress.save_model(model, path)
-    loaded = regress.load_model(path)
+    loaded = regress.from_dict(json.loads(json.dumps(regress.to_dict(model))))
     q = rng.uniform(0, 1, size=(20, N_FEATURES))
     assert np.array_equal(regress.predict_matrix(model, q), regress.predict_matrix(loaded, q))
 
 
-def test_model_file_layout(tmp_path):
+def test_model_file_layout():
     rng = np.random.default_rng(9)
     model = regress.fit(ModelSpec("linear", seed=0), toy_dataset(rng, n=20))
-    path = tmp_path / "m.json"
-    regress.save_model(model, path)
-    import json
-
-    payload = json.loads(path.read_text())
+    payload = json.loads(json.dumps(regress.to_dict(model)))
     assert payload["format"] == "foodcal-regressor"
     assert payload["version"] == 2
     assert payload["algorithm"] == "linear"
