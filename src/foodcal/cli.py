@@ -16,6 +16,7 @@ The FOODCAL_OUT_DIR environment variable supplies a default --out directory.
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -44,6 +45,14 @@ GRADCHECK_TOLERANCE = 1e-4
 # SceneConfig fields that gen takes as flags and --config keys, each of the
 # type of its default; run_manifest.json records them
 SCENE_OPTIONS = ("width", "height", "items_per_scene", "views_per_item", "boundary_noise", "weight_noise")
+
+# [low, high) of the options whose other values fail a run; a weight noise
+# of 1 or more can draw a negative weight
+_OPTION_RANGES = {
+    **dict.fromkeys(("records", "width", "height", "items_per_scene", "views_per_item"), (1, math.inf)),
+    "seed": (0, math.inf),
+    "weight_noise": (0.0, 1.0),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,23 +89,32 @@ def _load_config(path):
     return cfg
 
 
-def _resolve(args, config, key, default):
-    """Explicit flag > config file > default."""
+def _option(args, parser, config, key, default):
+    """Explicit flag > config file > default, of the type of ``default``.
+    A config value must be a JSON integer for an int option and a JSON
+    number for a float one, never a bool. A value out of range is a usage
+    error from a flag and a ``DataError`` from the file."""
     value = getattr(args, key, None)
     if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+        where, fail = f"--{key.replace('_', '-')}", parser.error
+    elif key in config:
+        where, fail, value = f"{args.config}: {key}", _data_error, config[key]
+        kinds = int if isinstance(default, int) else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            fail(f"{where} must be {'an integer' if kinds is int else 'a number'}, got {value!r}")
+        if kinds is not int and abs(value) > sys.float_info.max:
+            fail(f"{where} overflows a float: {value!r}")
+        value = type(default)(value)
+    else:
+        return default
+    low, high = _OPTION_RANGES.get(key, (-math.inf, math.inf))
+    if not low <= value < high:
+        fail(f"{where} must be {f'>= {low}' if high == math.inf else f'in [{low}, {high})'}, got {value!r}")
+    return value
 
 
-def _scene_config(args, config) -> synth.SceneConfig:
-    base = synth.SceneConfig()
-    values = {}
-    for key in SCENE_OPTIONS:
-        default = getattr(base, key)
-        values[key] = type(default)(_resolve(args, config, key, default))
-    return replace(base, **values)
+def _data_error(message):
+    raise DataError(message)
 
 
 def _require_out(args, parser):
@@ -113,9 +131,10 @@ def _require_out(args, parser):
 def cmd_gen(args, parser):
     config = _load_config(args.config)
     out = _require_out(args, parser)
-    seed = int(_resolve(args, config, "seed", 0))
-    records = int(_resolve(args, config, "records", 100))
-    cfg = _scene_config(args, config)
+    seed = _option(args, parser, config, "seed", 0)
+    records = _option(args, parser, config, "records", 100)
+    base = synth.SceneConfig()
+    cfg = replace(base, **{key: _option(args, parser, config, key, getattr(base, key)) for key in SCENE_OPTIONS})
     t0 = time.perf_counter()
     recs, scenes = synth.generate_regression_dataset(cfg, records, seed)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,17 +189,14 @@ def cmd_extract(args, parser):
 def cmd_train(args, parser):
     config = _load_config(args.config)
     out = _require_out(args, parser)
-    seed = int(_resolve(args, config, "seed", 0))
-    threshold = float(_resolve(args, config, "zscore_threshold", 2.0))
+    seed = _option(args, parser, config, "seed", 0)
+    threshold = _option(args, parser, config, "zscore_threshold", 2.0)
     t0 = time.perf_counter()
     dataset = preprocess.RegressionDataset.from_records(preprocess.read_csv(args.data))
     train, _, _ = preprocess.split(dataset, seed=seed)
     params, train_n = preprocess.minmax_fit_apply(preprocess.zscore_filter(train, threshold))
     algorithm = MODEL_NAMES[args.model]
-    hyper = {}
-    if algorithm == "rforest" and args.threads is not None:
-        hyper["threads"] = args.threads
-    model = regress.fit(regress.ModelSpec(algorithm, seed=seed, hyperparameters=hyper), train_n)
+    model = regress.fit(regress.ModelSpec(algorithm, seed=seed), train_n)
     bundle = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
@@ -300,6 +316,8 @@ def cmd_pipeline(args, parser):
 
 
 def cmd_gradcheck(args, parser):
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
     worst = 0.0
     for seed in range(args.seeds):
         err = gradcheck(args.block, seed=seed)
@@ -370,7 +388,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=sorted(MODEL_NAMES), required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="tree-fitting threads (rf only)")
+    p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)

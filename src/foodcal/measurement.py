@@ -7,7 +7,6 @@ square. Calorie targets are weight (grams) times a per-class caloric
 density (kcal per gram).
 """
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
@@ -92,45 +91,6 @@ class FeatureRecord:
     instance: int | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class CalorieDensityTable:
-    """Per-class caloric densities (kcal per gram), food classes only."""
-
-    densities: dict[ClassLabel, float] = field(
-        default_factory=lambda: dict(DEFAULT_DENSITIES)
-    )
-
-    def __post_init__(self):
-        for label in FOOD_CLASSES:
-            if label not in self.densities:
-                raise ValueError(f"density table missing {label.value}")
-            if self.densities[label] <= 0:
-                raise ValueError(f"density for {label.value} must be positive")
-
-    def density(self, label: ClassLabel) -> float:
-        if label not in self.densities:
-            raise UnknownDensity(f"no caloric density for class {label.value}")
-        return self.densities[label]
-
-    @classmethod
-    def from_csv(cls, path) -> "CalorieDensityTable":
-        densities = {}
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames != ["class", "kcal_per_gram"]:
-                raise ValueError(f"{path}: expected header 'class,kcal_per_gram'")
-            for row in reader:
-                densities[ClassLabel.from_name(row["class"])] = float(row["kcal_per_gram"])
-        return cls(densities=densities)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["class", "kcal_per_gram"])
-            for label, value in self.densities.items():
-                writer.writerow([label.value, repr(value)])
-
-
 def select_reference(detections: list[DetectionInstance]) -> DetectionInstance:
     """Pick the highest-confidence coin; ties go to the earliest instance."""
     if not detections:
@@ -206,11 +166,10 @@ def extract_features(
     return records
 
 
-def calorie_label(
-    weight_g: float, label: ClassLabel, table: CalorieDensityTable | None = None
-) -> float:
+def calorie_label(weight_g: float, label: ClassLabel) -> float:
     """Calories = weight (g) times the class density (kcal/g)."""
     if weight_g < 0:
         raise ValueError(f"weight must be non-negative, got {weight_g}")
-    table = table if table is not None else CalorieDensityTable()
-    return weight_g * table.density(label)
+    if label not in DEFAULT_DENSITIES:
+        raise UnknownDensity(f"no caloric density for class {label.value}")
+    return weight_g * DEFAULT_DENSITIES[label]

@@ -292,16 +292,6 @@ def detection_report(
     return DetectionReport(box=box, mask=mask)
 
 
-def confusion_counts(true_labels, pred_labels) -> dict[str, dict[str, int]]:
-    """Plain confusion-count table from paired class labels."""
-    if len(true_labels) != len(pred_labels):
-        raise LengthMismatch("label lists differ in length")
-    table = {t.value: {p.value: 0 for p in ClassLabel} for t in ClassLabel}
-    for t, p in zip(true_labels, pred_labels):
-        table[t.value][p.value] += 1
-    return table
-
-
 def summary_text(summary: DetectionSummary, title: str = "detections") -> str:
     """Aligned text table for terminal output."""
     lines = [

@@ -20,7 +20,6 @@ from foodcal.nnblocks.flops import (
 )
 from foodcal.nnblocks.gradcheck import BLOCK_NAMES, gradcheck
 from foodcal.nnblocks.ops import ConvParams, conv2d, coord_channels, coordconv
-from foodcal.nnblocks.serialize import load_params, save_params
 
 __all__ = [
     "BLOCK_NAMES",
@@ -41,6 +40,4 @@ __all__ = [
     "c2f_cd_flops",
     "c2f_flops",
     "gradcheck",
-    "load_params",
-    "save_params",
 ]

@@ -19,6 +19,13 @@ from foodcal.nnblocks import ops
 from foodcal.nnblocks.ops import ConvParams
 
 
+def _zeroed(params):
+    """``params`` with every parameter array set to zero in place."""
+    for _, arr in ops.param_arrays(params):
+        arr[...] = 0.0
+    return params
+
+
 @dataclass
 class CbamParams:
     """Shared-MLP channel attention plus 7x7 spatial attention parameters.
@@ -65,15 +72,7 @@ class CbamParams:
 
     @classmethod
     def zeros(cls, channels, reduction=16, spatial_kernel=7) -> "CbamParams":
-        hidden = max(1, channels // reduction)
-        return cls(
-            w1=np.zeros((hidden, channels)),
-            b1=np.zeros(hidden),
-            w2=np.zeros((channels, hidden)),
-            b2=np.zeros(channels),
-            spatial=ConvParams.zeros(1, 2, spatial_kernel, padding=(spatial_kernel - 1) // 2),
-            reduction=reduction,
-        )
+        return _zeroed(cls.init(channels, reduction, np.random.default_rng(0), spatial_kernel))
 
 
 def _mlp_fwd(v, p: CbamParams):
@@ -207,10 +206,6 @@ class C2fCdParams:
     def c_out(self) -> int:
         return self.exit.c_out
 
-    @property
-    def n_bottlenecks(self) -> int:
-        return len(self.bottlenecks)
-
     @classmethod
     def init(cls, c_in, c_out, n=1, reduction=16, rng=None) -> "C2fCdParams":
         if c_out % 2 != 0:
@@ -229,19 +224,7 @@ class C2fCdParams:
 
     @classmethod
     def zeros(cls, c_in, c_out, n=1, reduction=16) -> "C2fCdParams":
-        if c_out % 2 != 0:
-            raise ShapeMismatch("c_out must be even (channels split into halves)")
-        ch = c_out // 2
-        cat_ch = (2 + n) * ch
-        return cls(
-            entry=ConvParams.zeros(2 * ch, c_in + 2, 1),
-            bottlenecks=[
-                (ConvParams.zeros(ch, ch, 3, padding=1), ConvParams.zeros(ch, ch, 3, padding=1))
-                for _ in range(n)
-            ],
-            cbam=CbamParams.zeros(cat_ch, reduction),
-            exit=ConvParams.zeros(c_out, cat_ch, 1),
-        )
+        return _zeroed(cls.init(c_in, c_out, n, reduction, np.random.default_rng(0)))
 
 
 def _bottleneck_fwd(x, p1: ConvParams, p2: ConvParams):

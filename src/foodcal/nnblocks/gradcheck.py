@@ -17,47 +17,6 @@ BLOCK_NAMES = ("conv", "coordconv", "cbam", "c2fcd")
 _FD_STEP = 1e-5
 
 
-def param_arrays(params) -> list[tuple[str, np.ndarray]]:
-    """Live (name, array) views of every parameter array, in a fixed order
-    matching the gradient dict keys of the block backwards."""
-    if isinstance(params, ops.ConvParams):
-        return [("weight", params.weight), ("bias", params.bias)]
-    if isinstance(params, blocks.CbamParams):
-        return [
-            ("w1", params.w1),
-            ("b1", params.b1),
-            ("w2", params.w2),
-            ("b2", params.b2),
-            ("spatial.weight", params.spatial.weight),
-            ("spatial.bias", params.spatial.bias),
-        ]
-    if isinstance(params, blocks.C2fCdParams):
-        out = [("entry.weight", params.entry.weight), ("entry.bias", params.entry.bias)]
-        for k, (p1, p2) in enumerate(params.bottlenecks):
-            out.extend(
-                [
-                    (f"bottlenecks.{k}.0.weight", p1.weight),
-                    (f"bottlenecks.{k}.0.bias", p1.bias),
-                    (f"bottlenecks.{k}.1.weight", p2.weight),
-                    (f"bottlenecks.{k}.1.bias", p2.bias),
-                ]
-            )
-        out.extend(
-            [
-                ("cbam.w1", params.cbam.w1),
-                ("cbam.b1", params.cbam.b1),
-                ("cbam.w2", params.cbam.w2),
-                ("cbam.b2", params.cbam.b2),
-                ("cbam.spatial.weight", params.cbam.spatial.weight),
-                ("cbam.spatial.bias", params.cbam.spatial.bias),
-                ("exit.weight", params.exit.weight),
-                ("exit.bias", params.exit.bias),
-            ]
-        )
-        return out
-    raise TypeError(f"unsupported parameter object {type(params)!r}")
-
-
 def _make_case(block: str, seed: int):
     """Input, params, and fwd/bwd callables for one named block."""
     rng = np.random.default_rng(seed)
@@ -116,7 +75,7 @@ def gradcheck(block: str, seed: int = 0, step: float = _FD_STEP) -> float:
     y, cache = fwd(x)
     gx, grads = bwd(cache, np.ones_like(y))
 
-    arrays = param_arrays(params)
+    arrays = ops.param_arrays(params)
     names = sorted(name for name, _ in arrays)
     if sorted(grads) != names:
         raise ValueError(f"{block}: backward returns gradients of {sorted(grads)}, the check covers {names}")

@@ -7,7 +7,7 @@ matching ``*_bwd`` to produce analytic gradients (used by the gradient
 checker). Max reductions route gradient to the first maximal element.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -67,10 +67,25 @@ class ConvParams:
             padding=padding,
         )
 
-    @classmethod
-    def zeros(cls, c_out, c_in, kernel, stride=1, padding=0) -> "ConvParams":
-        kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
-        return cls(np.zeros((c_out, c_in, kh, kw)), np.zeros(c_out), stride, padding)
+
+def param_arrays(params, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+    """Live (name, array) views of every array of a parameter dataclass, in
+    field order. Nested dataclasses and lists of them give dotted names
+    (``cbam.spatial.weight``, ``bottlenecks.0.1.bias``): the keys of the
+    block backwards' gradient dicts."""
+    if is_dataclass(params):
+        children = [(f.name, getattr(params, f.name)) for f in fields(params)]
+    elif isinstance(params, (list, tuple)):
+        children = list(enumerate(params))
+    else:
+        raise TypeError(f"unsupported parameter object {type(params)!r}")
+    out = []
+    for key, value in children:
+        if isinstance(value, np.ndarray):
+            out.append((f"{prefix}{key}", value))
+        elif is_dataclass(value) or isinstance(value, (list, tuple)):
+            out.extend(param_arrays(value, f"{prefix}{key}."))
+    return out
 
 
 def conv_out_hw(h: int, w: int, p: ConvParams) -> tuple[int, int]:

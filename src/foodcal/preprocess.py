@@ -207,15 +207,3 @@ def augment(
         raise ValueError(f"unknown augmentation mode {mode!r}")
     return out, new_boxes
 
-
-def resize_nearest(mask: np.ndarray, size: tuple[int, int] = (640, 640)) -> np.ndarray:
-    """Nearest-neighbor resize to (height, width); source index is
-    floor(i * src / target)."""
-    th, tw = size
-    if th < 1 or tw < 1:
-        raise ValueError(f"target size must be positive, got {size}")
-    m = np.asarray(mask)
-    sh, sw = m.shape
-    rows = (np.arange(th) * sh) // th
-    cols = (np.arange(tw) * sw) // tw
-    return m[np.ix_(rows, cols)].copy()

@@ -2,19 +2,17 @@
 
 Six algorithms: ordinary least squares, k-nearest neighbours, CART decision
 tree, random forest, gradient boosting, and AdaBoost.R2, all built on the
-same CART split search. Fitting is deterministic given (spec, data, seed);
-random-forest trees draw per-tree generators seeded by (seed, tree_index),
-so results do not depend on the thread count used to fit them.
+same CART split search. Fitting is deterministic given (spec, data, seed):
+random-forest trees draw per-tree generators seeded by (seed, tree_index).
 
 Every tree model keeps its trees packed in one set of node arrays
 (``_Trees``) that one level-by-level traversal walks for all rows at once.
-Trained models serialize to a versioned JSON layout (``foodcal-regressor``
+Trained models are stored in a versioned JSON layout (``foodcal-regressor``
 v2; v1 files still load) that stores floats exactly, as JSON reprs or as
 the bytes of the packed arrays, so a reloaded model predicts bit-identically.
 """
 
 import base64
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,17 +32,13 @@ DEFAULT_HYPERPARAMETERS = {
     "linear": {"ridge": 1e-8},
     "knn": {"k": 5},
     "dtree": {"max_depth": None, "min_samples_leaf": 1},
-    "rforest": {"n_trees": 100, "max_depth": None, "min_samples_leaf": 1, "threads": 1},
+    "rforest": {"n_trees": 100, "max_depth": None, "min_samples_leaf": 1},
     "gboost": {"n_rounds": 100, "learning_rate": 0.1, "max_depth": 3},
     "adaboost": {"max_rounds": 50, "max_depth": 3},
 }
 
 MODEL_FORMAT = "foodcal-regressor"
 MODEL_VERSION = 2
-
-# execution knobs that change nothing about the learned model; kept out of
-# the persisted layout so files are byte-identical across thread counts
-_RUNTIME_ONLY = {"threads"}
 
 
 @dataclass(frozen=True)
@@ -366,7 +360,7 @@ def weighted_median(values, weights) -> float:
 
 
 class Regressor:
-    """Common surface: predict on a feature matrix, serialize to a state dict."""
+    """Common surface: predict on a feature matrix, export a state dict."""
 
     algorithm = ""
 
@@ -497,7 +491,7 @@ class ForestModel(Regressor):
         self.trees = _Trees.concat(trees)
 
     @classmethod
-    def fit(cls, X, y, *, seed=0, n_trees=100, max_depth=None, min_samples_leaf=1, threads=1, **_):
+    def fit(cls, X, y, *, seed=0, n_trees=100, max_depth=None, min_samples_leaf=1, **_):
         n, p = X.shape
         n_subset = max(1, p // 3)
 
@@ -513,15 +507,12 @@ class ForestModel(Regressor):
                 n_subset=n_subset,
             )
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                trees = list(pool.map(fit_tree, range(n_trees)))
-        else:
-            trees = [fit_tree(t) for t in range(n_trees)]
-        return cls(p, trees)
+        return cls(p, [fit_tree(t) for t in range(n_trees)])
 
     def predict(self, X):
-        return self.trees.leaves(X).mean(axis=0)
+        # cumsum adds the trees in order for any row count; mean's pairwise
+        # sum would round a 1-row call differently from a batch
+        return np.cumsum(self.trees.leaves(X), axis=0)[-1] / len(self.trees)
 
     def to_state(self):
         return self.trees.to_state()
@@ -659,13 +650,12 @@ def predict_matrix(model: Regressor, X) -> np.ndarray:
 
 def to_dict(model: Regressor) -> dict:
     spec: ModelSpec = getattr(model, "spec", ModelSpec(model.algorithm))
-    hyper = {k: v for k, v in spec.resolved().items() if k not in _RUNTIME_ONLY}
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "algorithm": model.algorithm,
         "seed": spec.seed,
-        "hyperparameters": hyper,
+        "hyperparameters": spec.resolved(),
         "n_features": model.n_features,
         "state": model.to_state(),
     }

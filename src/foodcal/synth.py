@@ -24,7 +24,6 @@ from foodcal import maskgeom, measurement
 from foodcal.errors import PlacementFailure
 from foodcal.measurement import (
     COIN_DIAMETER_MM,
-    CalorieDensityTable,
     ClassLabel,
     DetectionInstance,
     FeatureRecord,
@@ -304,7 +303,7 @@ def draw_item(rng, label: ClassLabel, cfg: SceneConfig) -> FoodItem:
         aspect=aspect,
         height_ratio=height_ratio,
         weight_g=weight,
-        calories_kcal=measurement.calorie_label(weight, label, CalorieDensityTable()),
+        calories_kcal=measurement.calorie_label(weight, label),
         area_mm2=area_mm2,
         perimeter_mm=perimeter_mm,
     )

@@ -1,13 +1,19 @@
+import argparse
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from foodcal import manifests, maskgeom, preprocess, regress
+from foodcal import cli, manifests, maskgeom, preprocess, regress, synth
 from foodcal.cli import SCENE_OPTIONS, main
 from foodcal.errors import DataError
 
@@ -303,6 +309,93 @@ def test_bad_config_file_exits_2(tmp_path, capsys, content):
     assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
     assert "cfg.json: invalid JSON config" in _one_error_line(capsys)
 
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("gen", {"width": "abc"}, "width must be an integer, got 'abc'"),
+        ("gen", {"records": 6.9}, "records must be an integer, got 6.9"),
+        ("gen", {"records": 0}, "records must be >= 1, got 0"),
+        ("gen", {"items_per_scene": 0}, "items_per_scene must be >= 1, got 0"),
+        ("gen", {"views_per_item": -3}, "views_per_item must be >= 1, got -3"),
+        ("gen", {"width": -5}, "width must be >= 1, got -5"),
+        ("gen", {"seed": -1}, "seed must be >= 0, got -1"),
+        ("gen", {"seed": True}, "seed must be an integer, got True"),
+        ("gen", {"boundary_noise": "0.1"}, "boundary_noise must be a number, got '0.1'"),
+        ("gen", {"weight_noise": 1}, "weight_noise must be in [0.0, 1.0), got 1.0"),
+        ("train", {"zscore_threshold": None}, "zscore_threshold must be a number, got None"),
+        ("train", {"zscore_threshold": 10**400}, "zscore_threshold overflows a float"),
+        ("train", {"seed": [1]}, "seed must be an integer, got [1]"),
+    ],
+    ids=["str-int", "float-int", "zero-records", "zero-items", "negative-views", "negative-width",
+         "negative-seed", "bool-int", "str-float", "weight-noise-1", "null-float", "huge-float",
+         "list-int"],
+)
+def test_bad_config_value_exits_2(gen_dir, tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    data = ["--data", str(gen_dir / "dataset.csv"), "--model", "lr"] if command == "train" else []
+    assert run_cli(command, *data, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert f"cfg.json: {message}" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--records", "0", "--out", "o"], "--records must be >= 1, got 0"),
+        (["gen", "--seed", "-1", "--out", "o"], "--seed must be >= 0, got -1"),
+        (["gen", "--height", "0", "--out", "o"], "--height must be >= 1, got 0"),
+        (["gen", "--weight-noise", "1.5", "--out", "o"], "--weight-noise must be in [0.0, 1.0), got 1.5"),
+        (["gradcheck", "--block", "conv", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+    ],
+    ids=["records", "seed", "height", "weight-noise", "gradcheck-seeds"],
+)
+def test_out_of_range_flag_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+_OPTION_DEFAULTS = {"seed": 0, "records": 100, "zscore_threshold": 2.0} | {
+    key: getattr(synth.SceneConfig(), key) for key in SCENE_OPTIONS
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(_OPTION_DEFAULTS)), value=json_values)
+def test_config_value_is_typed_in_range_or_a_data_error(key, value):
+    default = _OPTION_DEFAULTS[key]
+    args = argparse.Namespace(config="cfg.json", **{key: None})
+    try:
+        got = cli._option(args, cli.build_parser(), {key: value}, key, default)
+    except DataError as exc:
+        assert str(exc).startswith(f"cfg.json: {key} ")
+        return
+    low, high = cli._OPTION_RANGES.get(key, (-np.inf, np.inf))
+    assert type(got) is type(default) and low <= got < high
+    assert got == type(default)(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=st.dictionaries(st.sampled_from(["seed", "zscore_threshold", "records"]), json_values))
+def test_train_config_never_ends_in_a_traceback(gen_dir, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli("train", "--data", str(gen_dir / "dataset.csv"), "--model", "lr",
+                           "--config", str(cfg), "--out", str(Path(tmp) / "m"))
+    assert code == 0 or (code == 2 and err.getvalue().startswith("error: ")
+                         and err.getvalue().count("\n") == 1), err.getvalue()
 
 @pytest.mark.parametrize(
     "flag", ["eval --model", "pipeline --model", "extract --annotations", "detmetrics --pred"]

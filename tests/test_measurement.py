@@ -224,13 +224,6 @@ def test_calorie_label_linear_in_weight():
         assert meas.calorie_label(2 * w, label) == 2 * meas.calorie_label(w, label)
 
 
-def test_density_table_round_trip(tmp_path):
-    p = tmp_path / "densities.csv"
-    table = meas.CalorieDensityTable()
-    table.to_csv(p)
-    assert meas.CalorieDensityTable.from_csv(p) == table
-
-
-def test_density_table_requires_all_food_classes():
-    with pytest.raises(ValueError):
-        meas.CalorieDensityTable(densities={ClassLabel.PURI: 2.44})
+def test_default_densities_cover_food_classes():
+    assert set(meas.DEFAULT_DENSITIES) == set(meas.FOOD_CLASSES)
+    assert all(d > 0 for d in meas.DEFAULT_DENSITIES.values())

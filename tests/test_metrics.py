@@ -339,15 +339,6 @@ def test_detection_report_includes_mask_variant_only_with_masks():
     assert report2.mask is None
 
 
-def test_confusion_counts():
-    t = [ClassLabel.PURI, ClassLabel.PURI, ClassLabel.COIN]
-    p = [ClassLabel.PURI, ClassLabel.BEGUNI, ClassLabel.COIN]
-    table = metrics.confusion_counts(t, p)
-    assert table["Puri"]["Puri"] == 1
-    assert table["Puri"]["Beguni"] == 1
-    assert table["Coin"]["Coin"] == 1
-
-
 def test_summary_text_renders():
     gts = [[det(ClassLabel.PURI, (0, 0, 4, 4))]]
     preds = [[det(ClassLabel.PURI, (0, 0, 4, 4), conf=0.9)]]

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from foodcal.cli import GRADCHECK_TOLERANCE
-from foodcal.errors import DataError, ShapeMismatch
-from foodcal.nnblocks import blocks, flops, ops, serialize
-from foodcal.nnblocks.gradcheck import BLOCK_NAMES, gradcheck
+from foodcal.errors import ShapeMismatch
+from foodcal.nnblocks import blocks, flops, ops
+from foodcal.nnblocks.gradcheck import BLOCK_NAMES, _make_case, gradcheck
 
 
 def loop_conv_oracle(x, p):
@@ -317,6 +317,50 @@ def test_gradcheck_rejects_gradients_it_does_not_check(monkeypatch):
         gradcheck("c2fcd", seed=0)
 
 
+def _grad_shapes(fwd, bwd, x):
+    y, cache = fwd(x)
+    return {k: g.shape for k, g in bwd(cache, np.ones_like(y))[1].items()}
+
+
+@pytest.mark.parametrize("block", BLOCK_NAMES)
+def test_param_names_are_the_backward_gradient_keys(block):
+    x, p, fwd, bwd = _make_case(block, 0)
+    assert {name: a.shape for name, a in ops.param_arrays(p)} == _grad_shapes(fwd, bwd, x)
+
+
+def test_param_names_cover_every_bottleneck():
+    rng = np.random.default_rng(3)
+    p = blocks.C2fCdParams.init(3, 4, n=2, reduction=2, rng=rng)
+    shapes = {name: a.shape for name, a in ops.param_arrays(p)}
+    x = rng.normal(size=(1, 3, 4, 4))
+    assert shapes == _grad_shapes(lambda x: blocks.c2f_cd_fwd(x, p), blocks.c2f_cd_bwd, x)
+    assert {"entry.weight", "bottlenecks.1.1.bias", "cbam.spatial.weight", "exit.bias"} <= set(shapes)
+
+
+def _settings(p):
+    """Each conv's (stride, padding) and the CBAM reduction of a params object."""
+    if isinstance(p, blocks.CbamParams):
+        return [(p.spatial.stride, p.spatial.padding)], p.reduction
+    convs = [p.entry, *(c for pair in p.bottlenecks for c in pair), p.cbam.spatial, p.exit]
+    return [(c.stride, c.padding) for c in convs], p.cbam.reduction
+
+
+@pytest.mark.parametrize(
+    "zeros, init",
+    [
+        (lambda: blocks.CbamParams.zeros(6, reduction=3, spatial_kernel=5),
+         lambda rng: blocks.CbamParams.init(6, 3, rng, spatial_kernel=5)),
+        (lambda: blocks.C2fCdParams.zeros(3, 4, n=2, reduction=2),
+         lambda rng: blocks.C2fCdParams.init(3, 4, n=2, reduction=2, rng=rng)),
+    ],
+    ids=["cbam", "c2fcd"],
+)
+def test_zeros_has_the_layout_of_init(zeros, init):
+    z, i = zeros(), init(np.random.default_rng(5))
+    assert [(n, a.shape) for n, a in ops.param_arrays(z)] == [(n, a.shape) for n, a in ops.param_arrays(i)]
+    assert not any(a.any() for _, a in ops.param_arrays(z))
+    assert _settings(z) == _settings(i)
+
 def test_relu_gradient_exact_in_linear_region():
     # all-positive pre-activations: the MLP is locally linear, so analytic
     # and finite-difference gradients agree to FD precision
@@ -372,50 +416,3 @@ def test_flops_difference_decomposes():
     )
     cbam_part = flops.cbam_flops(cfg.cat_channels, 20, 24, 8)
     assert flops.c2f_cd_flops(cfg) - flops.c2f_flops(cfg) == coord_increment + cbam_part
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_conv_params_round_trip(tmp_path):
-    rng = np.random.default_rng(26)
-    p = ops.ConvParams.init(3, 2, 3, rng, stride=2, padding=1)
-    path = tmp_path / "conv.json"
-    serialize.save_params(p, path)
-    q = serialize.load_params(path)
-    assert np.array_equal(p.weight, q.weight) and np.array_equal(p.bias, q.bias)
-    assert (p.stride, p.padding) == (q.stride, q.padding)
-
-
-def test_c2fcd_params_round_trip_same_forward(tmp_path):
-    rng = np.random.default_rng(27)
-    p = blocks.C2fCdParams.init(4, 6, n=2, reduction=3, rng=rng)
-    path = tmp_path / "block.json"
-    serialize.save_params(p, path)
-    q = serialize.load_params(path)
-    x = rng.normal(size=(1, 4, 6, 6))
-    assert np.array_equal(blocks.c2f_cd(x, p), blocks.c2f_cd(x, q))
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"kind": "conv"},
-        {"kind": "conv", "params": {"weight": [1.0], "bias": [0.0], "stride": 1, "padding": 0}},
-        {"kind": "conv", "params": {"weight": [[[[1.0]]]], "bias": [0.0]}},
-        {"kind": "cbam", "params": {"w1": [[1.0, 2.0], [3.0]]}},
-        {"kind": "c2fcd", "params": {"entry": 3}},
-        {"kind": "c2fcd", "params": []},
-    ],
-    ids=["no-params", "bad-shape", "missing-key", "ragged", "bad-entry", "list-body"],
-)
-def test_from_dict_rejects_malformed_body(payload):
-    header = {"format": serialize.PARAMS_FORMAT, "version": serialize.PARAMS_VERSION}
-    with pytest.raises(DataError, match="malformed"):
-        serialize.from_dict({**header, **payload})
-
-
-def test_from_dict_rejects_non_dict_payload():
-    with pytest.raises(DataError):
-        serialize.from_dict([1, 2])

@@ -238,37 +238,6 @@ def test_hflip_preserves_maskgeom_area_perimeter():
 
 
 # ---------------------------------------------------------------------------
-# resize
-
-
-def test_resize_identity():
-    m = (np.random.default_rng(1).random((17, 23)) < 0.5).astype(np.uint8)
-    assert np.array_equal(pp.resize_nearest(m, (17, 23)), m)
-
-
-def test_resize_checkerboard_upscale():
-    m = np.array([[1, 0], [0, 1]], np.uint8)
-    out = pp.resize_nearest(m, (4, 4))
-    assert out.tolist() == [
-        [1, 1, 0, 0],
-        [1, 1, 0, 0],
-        [0, 0, 1, 1],
-        [0, 0, 1, 1],
-    ]
-
-
-def test_resize_all_ones_stays_ones():
-    m = np.ones((3, 5), np.uint8)
-    for size in ((640, 640), (2, 2), (7, 11)):
-        assert pp.resize_nearest(m, size).all()
-
-
-def test_resize_default_is_640():
-    out = pp.resize_nearest(np.ones((10, 10), np.uint8))
-    assert out.shape == (640, 640)
-
-
-# ---------------------------------------------------------------------------
 # CSV round trip
 
 

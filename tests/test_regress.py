@@ -243,17 +243,6 @@ def test_translation_consistency():
         assert np.abs(moved - base - shift).max() < 1e-9, algorithm
 
 
-def test_rforest_thread_count_does_not_change_predictions():
-    rng = np.random.default_rng(6)
-    ds = toy_dataset(rng, n=60, noise=1.0)
-    q = ds.X[:10]
-    spec1 = ModelSpec("rforest", seed=3, hyperparameters={"n_trees": 12, "threads": 1})
-    spec8 = ModelSpec("rforest", seed=3, hyperparameters={"n_trees": 12, "threads": 8})
-    p1 = regress.predict_matrix(regress.fit(spec1, ds), q)
-    p8 = regress.predict_matrix(regress.fit(spec8, ds), q)
-    assert np.array_equal(p1, p8)
-
-
 def test_rforest_depends_only_on_data_and_seed():
     rng = np.random.default_rng(7)
     ds = toy_dataset(rng, n=40)
@@ -264,6 +253,19 @@ def test_rforest_depends_only_on_data_and_seed():
         assert np.array_equal(ta.threshold, tb.threshold)
         assert np.array_equal(ta.feature, tb.feature)
 
+
+
+@pytest.mark.parametrize("algorithm", ["rforest", "gboost", "adaboost"])
+def test_tree_ensemble_row_predictions_do_not_depend_on_batch_size(algorithm):
+    # one row alone, in twos and in the full batch must round alike
+    rng = np.random.default_rng(8)
+    ds = toy_dataset(rng, n=80, noise=1.0)
+    model = regress.fit(ModelSpec(algorithm, seed=1), ds)
+    batch = regress.predict_matrix(model, ds.X)
+    single = np.array([regress.predict(model, x) for x in ds.X])
+    pairs = np.concatenate([regress.predict_matrix(model, ds.X[i : i + 2]) for i in range(0, 80, 2)])
+    assert np.array_equal(single, batch)
+    assert np.array_equal(pairs, batch)
 
 # ---------------------------------------------------------------------------
 # persistence
