@@ -20,12 +20,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import foodcal
 from foodcal import manifests, measurement, metrics, preprocess, regress, synth
-from foodcal.errors import DataError, FoodcalError, read_json, write_json
+from foodcal.errors import DataError, FoodcalError, is_number, read_json, write_json
 from foodcal.nnblocks.gradcheck import BLOCK_NAMES, gradcheck
 
 MODEL_NAMES = {
@@ -74,6 +74,16 @@ def _record_run(args, out: Path, t0: float, *, config, seed, inputs, outputs) ->
         "wall_clock_s": round(time.perf_counter() - t0, 3),
     }
     write_json(out / "run_manifest.json", manifest, indent=1)
+
+
+def _write_report(args, t0: float, name: str, payload, *, config, seed, inputs, indent=None) -> None:
+    """With ``--out``, write ``payload`` there as JSON file ``name``, then
+    ``run_manifest.json``; without it, write nothing."""
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / name, payload, indent=indent)
+        _record_run(args, out, t0, config=config, seed=seed, inputs=inputs, outputs=[name])
 
 
 def _default_out():
@@ -171,12 +181,7 @@ def cmd_extract(args, parser):
     out = _require_out(args, parser)
     t0 = time.perf_counter()
     images = manifests.read_manifest(args.annotations)
-    records = []
-    for img in images:
-        scale = measurement.scale_from_detections(img.instances)
-        for rec in measurement.extract_features(img.instances, scale):
-            rec.calories_kcal = img.calories[rec.instance]
-            records.append(rec)
+    records = [rec for img in images for rec in measurement.image_records(img.instances, img.calories)]
     out.mkdir(parents=True, exist_ok=True)
     preprocess.write_csv(out / "features.csv", records)
     _record_run(
@@ -223,8 +228,19 @@ def cmd_train(args, parser):
     return 0
 
 
+def _numbers(path, what, values, count):
+    """``values`` as a tuple of floats when it is a list of ``count`` finite
+    JSON numbers, never bools; otherwise a ``DataError`` naming the file."""
+    if not (isinstance(values, list) and len(values) == count and all(map(is_number, values))):
+        raise DataError(f"{path}: {what} must be {count} finite numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
 def _load_bundle(path):
-    """(regressor, normalization, (split fractions, split seed)) of a bundle."""
+    """(regressor, normalization, (split fractions, split seed)) of a bundle.
+    The normalization holds one finite min and max per numeric feature, the
+    split three non-negative fractions summing to 1 and an integer seed
+    >= 0."""
     bundle = read_json(path, "model bundle")
     if (
         not isinstance(bundle, dict)
@@ -234,21 +250,26 @@ def _load_bundle(path):
         raise DataError(f"{path}: not a {BUNDLE_FORMAT} v{BUNDLE_VERSION} file")
     try:
         pre = bundle["preprocessing"]
-        params = preprocess.NormalizationParams(
-            mins=tuple(pre["normalization"]["mins"]), maxs=tuple(pre["normalization"]["maxs"])
-        )
-        split = (tuple(pre["split"]["fractions"]), pre["split"]["seed"])
+        mins, maxs = pre["normalization"]["mins"], pre["normalization"]["maxs"]
+        fractions, seed = pre["split"]["fractions"], pre["split"]["seed"]
         regressor = bundle["regressor"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed model bundle: missing or bad {exc}") from exc
     n_numeric = len(preprocess.NUMERIC_NAMES)
-    if len(params.mins) != n_numeric or len(params.maxs) != n_numeric:
-        raise DataError(f"{path}: normalization needs {n_numeric} mins and maxs")
+    params = preprocess.NormalizationParams(
+        mins=_numbers(path, "normalization mins", mins, n_numeric),
+        maxs=_numbers(path, "normalization maxs", maxs, n_numeric),
+    )
+    fractions = _numbers(path, "split fractions", fractions, 3)
+    if min(fractions) < 0 or not math.isclose(sum(fractions), 1.0, abs_tol=1e-9):
+        raise DataError(f"{path}: split fractions must be non-negative and sum to 1, got {list(fractions)}")
+    if not is_number(seed, int) or seed < 0:
+        raise DataError(f"{path}: split seed must be an integer >= 0, got {seed!r}")
     try:
         model = regress.from_dict(regressor)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return model, params, split
+    return model, params, (fractions, seed)
 
 
 def cmd_eval(args, parser):
@@ -269,19 +290,9 @@ def cmd_eval(args, parser):
         f"MAE={report.mae:.4f} MSE={report.mse:.4f} RMSE={report.rmse:.4f} R2={report.r2:.4f}"
     )
     print(line)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "eval.json", {"n": len(part_n), "split": args.split, **report.as_dict()})
-        _record_run(
-            args,
-            out,
-            t0,
-            config={"split": args.split},
-            seed=split_seed,
-            inputs=[str(args.model), str(args.data)],
-            outputs=["eval.json"],
-        )
+    payload = {"n": len(part_n), "split": args.split, **asdict(report)}
+    _write_report(args, t0, "eval.json", payload, config={"split": args.split}, seed=split_seed,
+                  inputs=[str(args.model), str(args.data)])
     return 0
 
 
@@ -289,29 +300,15 @@ def cmd_pipeline(args, parser):
     t0 = time.perf_counter()
     model, params, _ = _load_bundle(args.model)
     images = manifests.read_manifest(args.annotations)
+    scored = [(img.name, rec) for img in images for rec in measurement.image_records(img.instances, img.calories)]
+    dataset = preprocess.RegressionDataset.from_records([rec for _, rec in scored])
+    preds = regress.predict_matrix(model, preprocess.minmax_apply(params, dataset).X)
     rows = []
-    for img in images:
-        scale = measurement.scale_from_detections(img.instances)
-        recs = measurement.extract_features(img.instances, scale)
-        ds = preprocess.RegressionDataset.from_records(recs)
-        ds_n = preprocess.minmax_apply(params, ds)
-        preds = regress.predict_matrix(model, ds_n.X)
-        for rec, kcal in zip(recs, preds):
-            rows.append({"image": img.name, "class": rec.label.value, "kcal": float(kcal)})
-            print(f"{img.name}  {rec.label.value:<8} {kcal:8.2f} kcal")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "estimates.json", rows, indent=1)
-        _record_run(
-            args,
-            out,
-            t0,
-            config={},
-            seed=None,
-            inputs=[str(args.annotations), str(args.model)],
-            outputs=["estimates.json"],
-        )
+    for (name, rec), kcal in zip(scored, preds):
+        rows.append({"image": name, "class": rec.label.value, "kcal": float(kcal)})
+        print(f"{name}  {rec.label.value:<8} {kcal:8.2f} kcal")
+    _write_report(args, t0, "estimates.json", rows, config={}, seed=None,
+                  inputs=[str(args.annotations), str(args.model)], indent=1)
     return 0
 
 
@@ -344,19 +341,8 @@ def cmd_detmetrics(args, parser):
     print(metrics.summary_text(report.box, title="boxes"))
     if report.mask is not None:
         print(metrics.summary_text(report.mask, title="masks"))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "detmetrics.json", report.as_dict(), indent=1)
-        _record_run(
-            args,
-            out,
-            t0,
-            config={"conf_threshold": args.conf_threshold},
-            seed=None,
-            inputs=[str(args.pred), str(args.gt)],
-            outputs=["detmetrics.json"],
-        )
+    _write_report(args, t0, "detmetrics.json", asdict(report), config={"conf_threshold": args.conf_threshold},
+                  seed=None, inputs=[str(args.pred), str(args.gt)], indent=1)
     return 0
 
 
@@ -428,11 +414,9 @@ def main(argv=None) -> int:
     args.argv = argv  # recorded in run_manifest.json
     try:
         return args.func(args, parser)
-    except FoodcalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FoodcalError, OSError) as exc:
+        # one line, even when the message quotes a line break from a file
+        print("error:", str(exc).translate({ord("\n"): "\\n", ord("\r"): "\\r"}), file=sys.stderr)
         return 2
 
 

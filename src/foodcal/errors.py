@@ -1,9 +1,10 @@
 """Exception types raised across the toolkit, the JSON-file reader that
-turns a file it cannot parse into a ``DataError``, and the one JSON-file
-writer."""
+turns a file it cannot parse into a ``DataError``, the type test for the
+numbers it returns, and the one JSON-file writer."""
 
 import json
 import math
+import sys
 
 
 class FoodcalError(Exception):
@@ -94,6 +95,12 @@ def read_json(path, what: str):
             return json.load(f, parse_float=_finite_float, parse_constant=_reject_constant)
         except (ValueError, RecursionError) as exc:
             raise DataError(f"{path}: invalid JSON {what}: {exc}") from exc
+
+
+def is_number(value, kind=(int, float)) -> bool:
+    """Whether a value ``read_json`` returned is a number of ``kind`` (``int``
+    for a JSON integer) that converts to a finite float. A bool is not."""
+    return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def write_json(path, payload, indent=None) -> None:

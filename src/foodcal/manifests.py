@@ -11,14 +11,17 @@ A manifest is a JSON document listing images and their instances:
 
 Masks are PGM files referenced relative to the manifest location. Ground
 truth omits "confidence"; synthetic ground truth may carry per-instance
-calorie labels.
+calorie labels. "image" is a string; "width", "height" and the bbox
+values are JSON integers; "confidence" is a number in [0, 1], null or
+absent; "calories_kcal" is a finite number, null or absent. Any other
+value is a ``DataError`` naming the image.
 """
 
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from foodcal import maskgeom
-from foodcal.errors import DataError, read_json, write_json
+from foodcal.errors import DataError, is_number, read_json, write_json
 from foodcal.measurement import ClassLabel, DetectionInstance
 
 MANIFEST_FORMAT = "foodcal-annotations"
@@ -70,37 +73,42 @@ def read_manifest(path) -> list[ImageAnnotations]:
     if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
         raise DataError(f"{path}: not a {MANIFEST_FORMAT} file")
     if payload.get("version") != MANIFEST_VERSION:
-        raise DataError(f"{path}: unsupported manifest version {payload.get('version')}")
+        raise DataError(f"{path}: unsupported manifest version {payload.get('version')!r}")
     images = []
     for entry in _list(payload.get("images", []), f"{path}: images"):
+        if not isinstance(entry, dict) or not isinstance(entry.get("image"), str):
+            raise DataError(f'{path}: an image entry is not an object with a string "image" name')
+        where = f"{path}: image {entry['image']}"
         try:
-            img = ImageAnnotations(
-                name=entry["image"], width=int(entry["width"]), height=int(entry["height"])
-            )
-            for rec in _list(entry.get("instances", []), f"{path}: image {img.name}: instances"):
-                bbox = tuple(int(v) for v in rec["bbox"])
-                if len(bbox) != 4 or bbox[2] <= 0 or bbox[3] <= 0:
-                    raise DataError(
-                        f"{path}: image {img.name}: bbox {list(bbox)} is not [x, y, w, h] with w, h > 0"
-                    )
+            img = ImageAnnotations(name=entry["image"], width=entry["width"], height=entry["height"])
+            if not (is_number(img.width, int) and is_number(img.height, int)):
+                raise DataError(f"{where}: width and height must be integers, got {img.width!r}, {img.height!r}")
+            for rec in _list(entry.get("instances", []), f"{where}: instances"):
+                bbox = rec["bbox"]
+                if not (isinstance(bbox, list) and len(bbox) == 4 and all(is_number(v, int) for v in bbox)
+                        and bbox[2] > 0 and bbox[3] > 0):
+                    raise DataError(f"{where}: bbox {bbox!r} is not [x, y, w, h] of integers with w, h > 0")
+                calories = rec.get("calories_kcal")
+                if calories is not None and not is_number(calories):
+                    raise DataError(f"{where}: calories_kcal must be a finite number or null, got {calories!r}")
                 mask = None
                 if "mask" in rec:
                     mask = maskgeom.read_pgm(path.parent / rec["mask"])
                     if mask.shape != (img.height, img.width):
                         raise DataError(
-                            f"{path}: mask {rec['mask']} is {mask.shape}, image is "
+                            f"{where}: mask {rec['mask']} is {mask.shape}, image is "
                             f"({img.height}, {img.width})"
                         )
                 img.instances.append(
                     DetectionInstance(
                         label=ClassLabel.from_name(rec["class"]),
-                        bbox=bbox,
+                        bbox=tuple(bbox),
                         confidence=rec.get("confidence"),
                         mask=mask,
                     )
                 )
-                img.calories.append(rec.get("calories_kcal"))
+                img.calories.append(calories)
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: malformed image entry: {exc}") from exc
+            raise DataError(f"{where}: malformed entry: {exc}") from exc
         images.append(img)
     return images

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from foodcal import maskgeom
-from foodcal.errors import InvalidDimension, NoReferenceObject, UnknownDensity
+from foodcal.errors import InvalidDimension, NoReferenceObject, UnknownDensity, is_number
 
 logger = logging.getLogger(__name__)
 
@@ -60,8 +60,8 @@ class DetectionInstance:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+        if self.confidence is not None and not (is_number(self.confidence) and 0.0 <= self.confidence <= 1.0):
+            raise ValueError(f"confidence must be a number in [0, 1], got {self.confidence!r}")
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,17 @@ def extract_features(
                 instance=i,
             )
         )
+    return records
+
+
+def image_records(detections: list[DetectionInstance], calories: list[float | None]) -> list[FeatureRecord]:
+    """The regression rows of one image: the scale from its coin, then
+    ``extract_features``. ``calories``, aligned with ``detections``, gives
+    each row its target by ``rec.instance``, so a row keeps the label of the
+    detection it came from when an instance before it is skipped."""
+    records = extract_features(detections, scale_from_detections(detections))
+    for rec in records:
+        rec.calories_kcal = calories[rec.instance]
     return records
 
 

@@ -35,9 +35,6 @@ class RegressionReport:
     rmse: float
     r2: float
 
-    def as_dict(self) -> dict:
-        return {"mae": self.mae, "mse": self.mse, "rmse": self.rmse, "r2": self.r2}
-
 
 def regression_metrics(pred, truth) -> RegressionReport:
     p = np.asarray(pred, dtype=np.float64)
@@ -174,41 +171,17 @@ class ClassDetectionMetrics:
 
 @dataclass(frozen=True)
 class DetectionSummary:
-    per_class: dict[str, ClassDetectionMetrics]
     precision: float
     recall: float
     map50: float
     map50_95: float
-
-    def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "map50": self.map50,
-            "map50_95": self.map50_95,
-            "per_class": {
-                name: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "ap50": m.ap50,
-                    "ap50_95": m.ap50_95,
-                    "num_gt": m.num_gt,
-                }
-                for name, m in self.per_class.items()
-            },
-        }
+    per_class: dict[str, ClassDetectionMetrics]  # last, as in detmetrics.json
 
 
 @dataclass(frozen=True)
 class DetectionReport:
     box: DetectionSummary
     mask: DetectionSummary | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "box": self.box.as_dict(),
-            "mask": self.mask.as_dict() if self.mask is not None else None,
-        }
 
 
 def _class_tp_sequences(preds_by_image, gts_by_image, label, threshold, kind, conf_threshold):

@@ -84,30 +84,34 @@ def write_csv(path, records: list[FeatureRecord]) -> None:
 
 
 def read_csv(path) -> list[FeatureRecord]:
-    """Read a dataset CSV; a bad class name or number, or a non-finite
-    feature or target, raises DataError naming the line."""
+    """Read a dataset CSV; text that is not UTF-8 CSV, a bad class name or
+    number, or a non-finite feature or target raises DataError naming the
+    line."""
     records = []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames != list(CSV_FIELDS):
-            raise DataError(f"{path}: expected header {','.join(CSV_FIELDS)}")
-        for row in reader:
-            try:
-                rec = FeatureRecord(
-                    label=ClassLabel.from_name(row["class"]),
-                    height_mm=float(row["height_mm"]),
-                    width_mm=float(row["width_mm"]),
-                    area_mm2=float(row["area_mm2"]),
-                    perimeter_mm=float(row["perimeter_mm"]),
-                    calories_kcal=float(row["calories_kcal"]) if row["calories_kcal"] else None,
-                )
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: line {reader.line_num}: bad row {row}: {exc}") from exc
-            values = (rec.height_mm, rec.width_mm, rec.area_mm2, rec.perimeter_mm, rec.calories_kcal or 0.0)
-            if not all(map(math.isfinite, values)):
-                bad = [name for name in CSV_FIELDS[1:] if not math.isfinite(getattr(rec, name) or 0.0)]
-                raise DataError(f"{path}: line {reader.line_num}: non-finite {', '.join(bad)}")
-            records.append(rec)
+        try:
+            if reader.fieldnames != list(CSV_FIELDS):
+                raise DataError(f"{path}: expected header {','.join(CSV_FIELDS)}")
+            for row in reader:
+                try:
+                    rec = FeatureRecord(
+                        label=ClassLabel.from_name(row["class"]),
+                        height_mm=float(row["height_mm"]),
+                        width_mm=float(row["width_mm"]),
+                        area_mm2=float(row["area_mm2"]),
+                        perimeter_mm=float(row["perimeter_mm"]),
+                        calories_kcal=float(row["calories_kcal"]) if row["calories_kcal"] else None,
+                    )
+                except (TypeError, ValueError) as exc:
+                    raise DataError(f"{path}: line {reader.line_num}: bad row {row}: {exc}") from exc
+                values = (rec.height_mm, rec.width_mm, rec.area_mm2, rec.perimeter_mm, rec.calories_kcal or 0.0)
+                if not all(map(math.isfinite, values)):
+                    bad = [name for name in CSV_FIELDS[1:] if not math.isfinite(getattr(rec, name) or 0.0)]
+                    raise DataError(f"{path}: line {reader.line_num}: non-finite {', '.join(bad)}")
+                records.append(rec)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: not UTF-8 CSV: {exc}") from exc
     return records
 
 

@@ -666,9 +666,9 @@ def from_dict(payload: dict) -> Regressor:
         raise DataError(f"not a {MODEL_FORMAT} payload")
     version = payload.get("version")
     if version not in (1, MODEL_VERSION):
-        raise DataError(f"unsupported model version {version}")
+        raise DataError(f"unsupported model version {version!r}")
     algorithm = payload.get("algorithm")
-    if algorithm not in _MODEL_CLASSES:
+    if not isinstance(algorithm, str) or algorithm not in _MODEL_CLASSES:
         raise DataError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     state = payload.get("state")
     if not isinstance(state, dict):

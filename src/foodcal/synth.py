@@ -499,16 +499,11 @@ def generate_regression_dataset(
     groups = [items[i : i + group_size] for i in range(0, len(items), group_size)]
     records: list[FeatureRecord] = []
     scenes: list[Scene] = []
-    scene_idx = 0
-    for view in range(views):
-        for group in groups:
-            if len(records) >= n_records:
-                break
-            scene = _scene_with_retries(cfg, scene_idx, group)
-            scene_idx += 1
-            scenes.append(scene)
-            scale = measurement.scale_from_detections(scene.instances)
-            for rec in measurement.extract_features(scene.instances, scale):
-                rec.calories_kcal = scene.truth.instances[rec.instance].calories_kcal
-                records.append(rec)
+    # scene k renders group k % len(groups) in view k // len(groups)
+    for scene_idx in range(views * len(groups)):
+        scene = _scene_with_retries(cfg, scene_idx, groups[scene_idx % len(groups)])
+        scenes.append(scene)
+        records += measurement.image_records(scene.instances, [t.calories_kcal for t in scene.truth.instances])
+        if len(records) >= n_records:
+            break
     return records[:n_records], scenes

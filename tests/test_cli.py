@@ -130,28 +130,61 @@ def test_eval_on_perfect_predictions_reports_r2_one(tmp_path, capsys):
     assert "R2=1.0000" in capsys.readouterr().out
 
 
-def test_pipeline_matches_extract_then_predict(gen_dir, tmp_path, capsys):
-    model_dir = tmp_path / "m"
-    run_cli("train", "--data", str(gen_dir / "dataset.csv"), "--model", "dt", "--seed", "0",
-            "--out", str(model_dir))
+@pytest.fixture(scope="module")
+def gen_644(tmp_path_factory):
+    """``gen --seed 7 --records 644`` and extract's ``x/features.csv`` of its
+    manifest. On these rows lr rounds a few predictions differently in one
+    batch and in one call per image."""
+    root = tmp_path_factory.mktemp("gen644")
+    assert run_cli("gen", "--seed", "7", "--records", "644", "--out", str(root)) == 0
+    assert run_cli("extract", "--annotations", str(root / "annotations.json"), "--out", str(root / "x")) == 0
+    return root
+
+
+@pytest.mark.parametrize("model", sorted(cli.MODEL_NAMES))
+def test_pipeline_matches_extract_then_predict(gen_644, tmp_path, capsys, model):
+    # pipeline scores the whole manifest in one batch: its kcal equal, bit for
+    # bit, one predict_matrix call over extract's rows normalised with the bundle
+    bundle = tmp_path / "m" / "model.json"
+    assert run_cli("train", "--data", str(gen_644 / "dataset.csv"), "--model", model,
+                   "--out", str(bundle.parent)) == 0
     out = tmp_path / "p"
-    assert run_cli(
-        "pipeline", "--annotations", str(gen_dir / "annotations.json"),
-        "--model", str(model_dir / "model.json"), "--out", str(out),
-    ) == 0
+    assert run_cli("pipeline", "--annotations", str(gen_644 / "annotations.json"),
+                   "--model", str(bundle), "--out", str(out)) == 0
     capsys.readouterr()
     estimates = json.loads((out / "estimates.json").read_text())
 
-    # independent composition: extract -> normalize -> predict
-    from foodcal.cli import _load_bundle
-
-    model, params, _ = _load_bundle(model_dir / "model.json")
-    records = preprocess.read_csv(gen_dir / "dataset.csv")
-    for r in records:
-        r.calories_kcal = 0.0
+    regressor, params, _ = cli._load_bundle(bundle)
+    records = preprocess.read_csv(gen_644 / "x" / "features.csv")
     ds = preprocess.minmax_apply(params, preprocess.RegressionDataset.from_records(records))
-    expected = regress.predict_matrix(model, ds.X)
-    assert np.allclose([e["kcal"] for e in estimates], expected, atol=1e-12)
+    assert [e["class"] for e in estimates] == [r.label.value for r in records]
+    assert [e["kcal"] for e in estimates] == regress.predict_matrix(regressor, ds.X).tolist()
+
+
+def test_pipeline_on_coin_only_images_estimates_nothing(gen_dir, tmp_path, capsys):
+    coin = {"class": "Coin", "bbox": [0, 0, 4, 4]}
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps({"format": "foodcal-annotations", "version": 1, "images": [
+        {"image": f"scene_{i}", "width": 10, "height": 10, "instances": [coin]} for i in range(2)]}))
+    assert run_cli("train", "--data", str(gen_dir / "dataset.csv"), "--model", "lr",
+                   "--out", str(tmp_path / "m")) == 0
+    assert run_cli("pipeline", "--annotations", str(path), "--model", str(tmp_path / "m" / "model.json"),
+                   "--out", str(tmp_path / "p")) == 0
+    assert json.loads((tmp_path / "p" / "estimates.json").read_text()) == []
+
+
+def test_gen_stops_once_it_has_its_records(tmp_path):
+    # gen once rendered no more scenes after the last record but still ran
+    # through every remaining view, hence the child process and its timeout
+    result = subprocess.run(
+        [sys.executable, "-m", "foodcal.cli", "gen", "--records", "1", "--views-per-item", "1000000000",
+         "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(preprocess.read_csv(tmp_path / "dataset.csv")) == 1
 
 
 def test_gradcheck_command(capsys):
@@ -196,16 +229,40 @@ def test_non_finite_csv_exits_2(tmp_path, capsys):
     assert "line 3: non-finite height_mm, calories_kcal" in capsys.readouterr().err
 
 
+def _set_split(**values):
+    return lambda b: b["preprocessing"]["split"].update(values)
+
+
+def _set_min(value):
+    return lambda b: b["preprocessing"]["normalization"]["mins"].__setitem__(1, value)
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, message",
     [
-        lambda b: b.pop("preprocessing"),
-        lambda b: b["regressor"].update(algorithm="xgb"),
-        lambda b: b["preprocessing"]["normalization"]["mins"].pop(),
+        (lambda b: b.pop("preprocessing"), "malformed model bundle: missing or bad 'preprocessing'"),
+        (lambda b: b["regressor"].update(algorithm="xgb"), "unknown algorithm 'xgb'"),
+        (lambda b: b["regressor"].update(algorithm=[]), "unknown algorithm []"),
+        (lambda b: b["regressor"].update(version="2\n"), "unsupported model version '2\\n'"),
+        (lambda b: b["preprocessing"]["normalization"]["mins"].pop(), "normalization mins must be 4 finite"),
+        (_set_min("abc"), "normalization mins must be 4 finite numbers"),
+        (_set_min([1.0]), "normalization mins must be 4 finite numbers"),
+        (_set_min(True), "normalization mins must be 4 finite numbers"),
+        (lambda b: b["preprocessing"]["normalization"]["maxs"].__setitem__(0, 10**400),
+         "normalization maxs must be 4 finite numbers"),
+        (_set_split(fractions=["0.8", "0.1", "0.1"]), "split fractions must be 3 finite numbers"),
+        (_set_split(fractions=[0.5, 0.5]), "split fractions must be 3 finite numbers"),
+        (_set_split(fractions=[1.5, -0.25, -0.25]), "split fractions must be non-negative and sum to 1"),
+        (_set_split(fractions=[0.5, 0.25, 0.125]), "split fractions must be non-negative and sum to 1"),
+        (_set_split(seed=1.5), "split seed must be an integer >= 0, got 1.5"),
+        (_set_split(seed=-3), "split seed must be an integer >= 0, got -3"),
+        (_set_split(seed=True), "split seed must be an integer >= 0, got True"),
     ],
-    ids=["no-preprocessing", "unknown-algorithm", "short-normalization"],
+    ids=["no-preprocessing", "unknown-algorithm", "list-algorithm", "line-break-version", "short-normalization",
+         "string-min", "nested-min", "bool-min", "huge-max", "string-fractions", "two-fractions",
+         "negative-fraction", "fractions-sum", "float-seed", "negative-seed", "bool-seed"],
 )
-def test_malformed_bundle_exits_2(gen_dir, tmp_path, capsys, corrupt):
+def test_malformed_bundle_exits_2(gen_dir, tmp_path, capsys, corrupt, message):
     model = tmp_path / "m" / "model.json"
     assert run_cli("train", "--data", str(gen_dir / "dataset.csv"), "--model", "dt",
                    "--out", str(model.parent)) == 0
@@ -214,8 +271,9 @@ def test_malformed_bundle_exits_2(gen_dir, tmp_path, capsys, corrupt):
     model.write_text(json.dumps(bundle))
     capsys.readouterr()
     assert run_cli("eval", "--model", str(model), "--data", str(gen_dir / "dataset.csv")) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"model.json: {message}" in _one_error_line(capsys)
+    assert run_cli("pipeline", "--annotations", str(gen_dir / "annotations.json"), "--model", str(model)) == 2
+    assert f"model.json: {message}" in _one_error_line(capsys)
 
 
 @pytest.mark.parametrize(
@@ -397,6 +455,14 @@ def test_train_config_never_ends_in_a_traceback(gen_dir, config):
     assert code == 0 or (code == 2 and err.getvalue().startswith("error: ")
                          and err.getvalue().count("\n") == 1), err.getvalue()
 
+
+def test_non_utf8_csv_exits_2(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"class,height_mm,width_mm,area_mm2,perimeter_mm,calories_kcal\nPuri,1\xff.0,2,3,4,5\n")
+    assert run_cli("train", "--data", str(data), "--model", "lr", "--out", str(tmp_path / "m")) == 2
+    assert "bad.csv: not UTF-8 CSV" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize(
     "flag", ["eval --model", "pipeline --model", "extract --annotations", "detmetrics --pred"]
 )
@@ -458,8 +524,11 @@ def test_bundle_with_cyclic_tree_exits_2(gen_dir, tmp_path):
     assert "right child 0" in result.stderr
 
 
-@pytest.mark.parametrize("bbox", [[1, 1, 0, 5], [1, 1, 5, -2], [1, 1, 5], [1, 1, 5, 5, 5]],
-                         ids=["zero-width", "negative-height", "three-values", "five-values"])
+@pytest.mark.parametrize(
+    "bbox",
+    [[1, 1, 0, 5], [1, 1, 5, -2], [1, 1, 5], [1, 1, 5, 5, 5], [1, 1, 5.9, 5.9], [1, 1, True, 5], "1 1 5 5"],
+    ids=["zero-width", "negative-height", "three-values", "five-values", "fractional", "bool", "string"],
+)
 def test_manifest_rejects_degenerate_box(tmp_path, bbox):
     instances = [{"class": "Coin", "bbox": [0, 0, 4, 4]}, {"class": "Puri", "bbox": bbox}]
     path = tmp_path / "annotations.json"
@@ -482,3 +551,42 @@ def test_manifest_rejects_non_list_instances(tmp_path):
         {"image": "scene_0003", "width": 10, "height": 10, "instances": {}}]}))
     with pytest.raises(DataError, match="scene_0003: instances must be a list"):
         manifests.read_manifest(path)
+
+
+def _first_image_and_food(doc):
+    return doc["images"][0], doc["images"][0]["instances"][1]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("calories_kcal", "abc", "calories_kcal must be a finite number or null, got 'abc'"),
+        ("calories_kcal", "12", "calories_kcal must be a finite number or null, got '12'"),
+        ("calories_kcal", True, "calories_kcal must be a finite number or null, got True"),
+        ("calories_kcal", 10**400, "calories_kcal must be a finite number or null"),
+        ("confidence", True, "confidence must be a number in [0, 1], got True"),
+        ("confidence", "0.9", "confidence must be a number in [0, 1], got '0.9'"),
+        ("width", 320.7, "width and height must be integers, got 320.7, 320"),
+        ("height", "320", "width and height must be integers, got 320, '320'"),
+    ],
+    ids=["string-kcal", "numeric-string-kcal", "bool-kcal", "huge-kcal", "bool-confidence",
+         "string-confidence", "fractional-width", "string-height"],
+)
+def test_manifest_field_types_exit_2(gen_dir, tmp_path, capsys, field, value, message):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    doc = json.loads((data / "annotations.json").read_text())
+    image, food = _first_image_and_food(doc)
+    (image if field in ("width", "height") else food)[field] = value
+    (data / "annotations.json").write_text(json.dumps(doc))
+    assert run_cli("extract", "--annotations", str(data / "annotations.json"), "--out", str(tmp_path / "x")) == 2
+    line = _one_error_line(capsys)
+    assert "annotations.json: image scene_0000: " in line and message in line
+
+
+def test_error_line_escapes_a_line_break_from_the_input(tmp_path, capsys):
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps({"format": "foodcal-annotations", "version": 1, "images": [
+        {"image": "scene\n7", "width": 10.5, "height": 10}]}))
+    assert run_cli("extract", "--annotations", str(path), "--out", str(tmp_path / "x")) == 2
+    assert "image scene\\n7: width and height must be integers" in _one_error_line(capsys)
