@@ -177,11 +177,27 @@ def cmd_gen(args, parser):
     return 0
 
 
+def _manifest_rows(path):
+    """The images of a manifest and the (image name, feature record) of
+    every food instance in them, in order. An image that cannot be measured,
+    such as one without a coin, is a ``DataError`` naming the manifest and
+    the image."""
+    images = manifests.read_manifest(path)
+    rows = []
+    for img in images:
+        try:
+            records = measurement.image_records(img.instances, img.calories)
+        except FoodcalError as exc:
+            raise DataError(f"{path}: image {img.name}: {exc}") from exc
+        rows.extend((img.name, rec) for rec in records)
+    return images, rows
+
+
 def cmd_extract(args, parser):
     out = _require_out(args, parser)
     t0 = time.perf_counter()
-    images = manifests.read_manifest(args.annotations)
-    records = [rec for img in images for rec in measurement.image_records(img.instances, img.calories)]
+    images, rows = _manifest_rows(args.annotations)
+    records = [rec for _, rec in rows]
     out.mkdir(parents=True, exist_ok=True)
     preprocess.write_csv(out / "features.csv", records)
     _record_run(
@@ -274,12 +290,13 @@ def _load_bundle(path):
 
 def cmd_eval(args, parser):
     t0 = time.perf_counter()
+    seed = _option(args, parser, {}, "seed", None)
     model, params, (fractions, split_seed) = _load_bundle(args.model)
+    seed = split_seed if seed is None else seed
     dataset = preprocess.RegressionDataset.from_records(preprocess.read_csv(args.data))
     if args.split == "all":
         part = dataset
     else:
-        seed = split_seed if args.seed is None else args.seed
         train, valid, test = preprocess.split(dataset, fractions=fractions, seed=seed)
         part = {"train": train, "valid": valid, "test": test}[args.split]
     part_n = preprocess.minmax_apply(params, part)
@@ -291,7 +308,7 @@ def cmd_eval(args, parser):
     )
     print(line)
     payload = {"n": len(part_n), "split": args.split, **asdict(report)}
-    _write_report(args, t0, "eval.json", payload, config={"split": args.split}, seed=split_seed,
+    _write_report(args, t0, "eval.json", payload, config={"split": args.split}, seed=seed,
                   inputs=[str(args.model), str(args.data)])
     return 0
 
@@ -299,8 +316,7 @@ def cmd_eval(args, parser):
 def cmd_pipeline(args, parser):
     t0 = time.perf_counter()
     model, params, _ = _load_bundle(args.model)
-    images = manifests.read_manifest(args.annotations)
-    scored = [(img.name, rec) for img in images for rec in measurement.image_records(img.instances, img.calories)]
+    _, scored = _manifest_rows(args.annotations)
     dataset = preprocess.RegressionDataset.from_records([rec for _, rec in scored])
     preds = regress.predict_matrix(model, preprocess.minmax_apply(params, dataset).X)
     rows = []

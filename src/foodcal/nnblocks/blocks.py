@@ -55,7 +55,7 @@ class CbamParams:
 
     @property
     def channels(self) -> int:
-        return self.w1.shape[1]
+        return self.w1.shape[-1]
 
     @classmethod
     def init(cls, channels, reduction=16, rng=None, spatial_kernel=7) -> "CbamParams":
@@ -76,9 +76,16 @@ class CbamParams:
 
 
 def _mlp_fwd(v, p: CbamParams):
-    pre = v @ p.w1.T + p.b1
+    """The MLP over (P * n, c) descriptors, group i through copy i of the
+    stacked arrays (see ``ops.with_copy_axis``); the cache is for plain
+    parameters."""
+    w1, w2 = ops.with_copy_axis(p.w1, 2), ops.with_copy_axis(p.w2, 2)
+    b1, b2 = ops.with_copy_axis(p.b1, 1), ops.with_copy_axis(p.b2, 1)
+    groups = v.reshape(ops.copy_count(len(v), w1, b1, w2, b2), -1, v.shape[1])
+    pre = groups @ w1.transpose(0, 2, 1) + b1[:, None]
     h = ops.relu(pre)
-    return h @ p.w2.T + p.b2, (v, pre, h)
+    z = h @ w2.transpose(0, 2, 1) + b2[:, None]
+    return z.reshape(len(v), -1), (v, pre.reshape(len(v), -1), h.reshape(len(v), -1))
 
 
 def _mlp_bwd(cache, p: CbamParams, gz):

@@ -27,7 +27,11 @@ def as_tensor4(x) -> np.ndarray:
 @dataclass
 class ConvParams:
     """Cross-correlation parameters: weight (c_out, c_in, k_h, k_w), bias
-    (c_out,), uniform stride and zero padding."""
+    (c_out,), uniform stride and zero padding.
+
+    A weight stacked to (P, c_out, c_in, k_h, k_w) or a bias stacked to
+    (P, c_out) holds P copies of that parameter (see ``with_copy_axis``);
+    the shape properties read the trailing axes, so they hold for both."""
 
     weight: np.ndarray
     bias: np.ndarray
@@ -46,15 +50,15 @@ class ConvParams:
 
     @property
     def c_out(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-4]
 
     @property
     def c_in(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-3]
 
     @property
     def kernel(self) -> tuple[int, int]:
-        return self.weight.shape[2], self.weight.shape[3]
+        return self.weight.shape[-2], self.weight.shape[-1]
 
     @classmethod
     def init(cls, c_out, c_in, kernel, rng, stride=1, padding=0) -> "ConvParams":
@@ -88,6 +92,29 @@ def param_arrays(params, prefix: str = "") -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def with_copy_axis(a: np.ndarray, ndim: int) -> np.ndarray:
+    """A parameter of ``ndim`` axes with a leading copy axis: (1, *shape)
+    when plain, unchanged when stacked to (P, *shape).
+
+    Stacked parameters run P copies of a block in one forward: the batch
+    holds P groups of n samples, and group i meets copy i of every stacked
+    array. Only the ops that read parameters see the groups; activations
+    stay (P * n, c, h, w)."""
+    return a.reshape((-1,) + a.shape[a.ndim - ndim :])
+
+
+def copy_count(batch: int, *arrays: np.ndarray) -> int:
+    """P, the copy count of ``arrays`` (each from ``with_copy_axis``), once
+    it is checked that every array has 1 or P copies and that ``batch``
+    splits into P groups."""
+    copies = max(len(a) for a in arrays)
+    if any(len(a) not in (1, copies) for a in arrays) or batch % copies:
+        raise ShapeMismatch(
+            f"parameter copies {[len(a) for a in arrays]} do not split a batch of {batch}"
+        )
+    return copies
+
+
 def conv_out_hw(h: int, w: int, p: ConvParams) -> tuple[int, int]:
     kh, kw = p.kernel
     oh = (h + 2 * p.padding - kh) // p.stride + 1
@@ -106,40 +133,19 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# convolution: kernels take the pre-padded input and write into ``out``/
-# ``gw``/``gxp``; strided windows plus einsum, which lowers to BLAS for
-# channel-rich tensors
+# convolution: a window matrix of the padded input against the weight, one
+# matmul that lowers to BLAS
 
 
-def _windows(xp, oh, ow, kh, kw, stride):
+def _window_matrix(xp, oh, ow, kh, kw, stride):
+    """(n, c * kh * kw, oh * ow) receptive fields of the pre-padded ``xp``,
+    rows in the order of a flattened (c, kh, kw) weight."""
     n, c, _, _ = xp.shape
     sn, sc, sy, sx = xp.strides
-    return as_strided(
-        xp, (n, c, oh, ow, kh, kw), (sn, sc, sy * stride, sx * stride, sy, sx), writeable=False
+    win = as_strided(
+        xp, (n, c, kh, kw, oh, ow), (sn, sc, sy, sx, sy * stride, sx * stride), writeable=False
     )
-
-
-def _conv_fwd(xp, wt, stride, out):
-    _, _, oh, ow = out.shape
-    kh, kw = wt.shape[2], wt.shape[3]
-    win = _windows(xp, oh, ow, kh, kw, stride)
-    np.einsum("nihwyx,oiyx->nohw", win, wt, out=out, optimize=True)
-
-
-def _conv_grad_w(xp, gy, stride, gw):
-    _, _, oh, ow = gy.shape
-    kh, kw = gw.shape[2], gw.shape[3]
-    win = _windows(xp, oh, ow, kh, kw, stride)
-    np.einsum("nihwyx,nohw->oiyx", win, gy, out=gw, optimize=True)
-
-
-def _conv_grad_x(gy, wt, stride, gxp):
-    _, _, oh, ow = gy.shape
-    kh, kw = wt.shape[2], wt.shape[3]
-    for ky in range(kh):
-        for kx in range(kw):
-            patch = np.einsum("nohw,oi->nihw", gy, wt[:, :, ky, kx])
-            gxp[:, :, ky : ky + oh * stride : stride, kx : kx + ow * stride : stride] += patch
+    return win.reshape(n, c * kh * kw, oh * ow)
 
 
 def conv2d_fwd(x, p: ConvParams):
@@ -148,10 +154,12 @@ def conv2d_fwd(x, p: ConvParams):
         raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects {p.c_in}")
     oh, ow = conv_out_hw(x.shape[2], x.shape[3], p)
     xp = _pad(x, p.padding)
-    out = np.empty((x.shape[0], p.c_out, oh, ow))
-    _conv_fwd(xp, p.weight, p.stride, out)
-    out += p.bias[None, :, None, None]
-    return out, (xp, x.shape, p)
+    w, b = with_copy_axis(p.weight, 4), with_copy_axis(p.bias, 1)
+    copies = copy_count(x.shape[0], w, b)
+    cols = _window_matrix(xp, oh, ow, *p.kernel, p.stride)
+    out = np.matmul(w.reshape(len(w), 1, p.c_out, -1), cols.reshape(copies, -1, *cols.shape[1:]))
+    out += b[:, None, :, None]
+    return out.reshape(x.shape[0], p.c_out, oh, ow), (xp, x.shape, p)
 
 
 def conv2d(x, p: ConvParams) -> np.ndarray:
@@ -160,18 +168,21 @@ def conv2d(x, p: ConvParams) -> np.ndarray:
 
 
 def conv2d_bwd(cache, gy):
+    """Input, weight and bias gradients of a forward with plain parameters."""
     xp, x_shape, p = cache
-    gy = np.ascontiguousarray(gy)
-    gb = gy.sum(axis=(0, 2, 3))
-    gw = np.empty_like(p.weight)
-    _conv_grad_w(xp, gy, p.stride, gw)
+    n, c_out, oh, ow = gy.shape
+    kh, kw = p.kernel
+    g = gy.reshape(n, c_out, oh * ow)
+    gb = g.sum(axis=(0, 2))
+    cols = _window_matrix(xp, oh, ow, kh, kw, p.stride)
+    gw = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(p.weight.shape)
+    gcols = np.matmul(p.weight.reshape(c_out, -1).T, g).reshape(n, p.c_in, kh, kw, oh, ow)
     gxp = np.zeros_like(xp)
-    _conv_grad_x(gy, p.weight, p.stride, gxp)
-    if p.padding:
-        gx = gxp[:, :, p.padding : p.padding + x_shape[2], p.padding : p.padding + x_shape[3]]
-    else:
-        gx = gxp
-    return gx, gw, gb
+    s = p.stride
+    for ky in range(kh):
+        for kx in range(kw):
+            gxp[:, :, ky : ky + oh * s : s, kx : kx + ow * s : s] += gcols[:, :, ky, kx]
+    return gxp[:, :, p.padding : p.padding + x_shape[2], p.padding : p.padding + x_shape[3]], gw, gb
 
 
 def coord_channels(n: int, h: int, w: int) -> np.ndarray:

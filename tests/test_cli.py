@@ -173,6 +173,51 @@ def test_pipeline_on_coin_only_images_estimates_nothing(gen_dir, tmp_path, capsy
     assert json.loads((tmp_path / "p" / "estimates.json").read_text()) == []
 
 
+def _drop_coin_of_second_image(gen_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    doc = json.loads((data / "annotations.json").read_text())
+    second = doc["images"][1]
+    second["instances"] = [inst for inst in second["instances"] if inst["class"] != "Coin"]
+    (data / "annotations.json").write_text(json.dumps(doc))
+    return data / "annotations.json", second["image"]
+
+
+@pytest.mark.parametrize("command", ["extract", "pipeline"])
+def test_coinless_image_is_named_in_the_error(gen_dir, tmp_path, capsys, command):
+    path, image = _drop_coin_of_second_image(gen_dir, tmp_path)
+    model = []
+    if command == "pipeline":
+        assert run_cli("train", "--data", str(gen_dir / "dataset.csv"), "--model", "lr",
+                       "--out", str(tmp_path / "m")) == 0
+        model = ["--model", str(tmp_path / "m" / "model.json")]
+    capsys.readouterr()
+    assert run_cli(command, "--annotations", str(path), *model, "--out", str(tmp_path / "o")) == 2
+    assert f"{path}: image {image}: no coin instance among detections" in _one_error_line(capsys)
+
+
+@pytest.fixture(scope="module")
+def lr_bundle(gen_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("lr")
+    assert run_cli("train", "--data", str(gen_dir / "dataset.csv"), "--model", "lr", "--out", str(out)) == 0
+    return out / "model.json"
+
+
+def test_eval_negative_seed_is_a_usage_error(gen_dir, lr_bundle, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--model", str(lr_bundle), "--data", str(gen_dir / "dataset.csv"), "--seed", "-3"])
+    assert exc.value.code == 1
+    assert "--seed must be >= 0, got -3" in capsys.readouterr().err
+
+
+def test_eval_records_the_seed_it_split_with(gen_dir, lr_bundle, tmp_path):
+    args = ["eval", "--model", str(lr_bundle), "--data", str(gen_dir / "dataset.csv"), "--split", "train"]
+    assert run_cli(*args, "--seed", "5", "--out", str(tmp_path / "e")) == 0
+    assert json.loads((tmp_path / "e" / "run_manifest.json").read_text())["seed"] == 5
+    assert run_cli(*args, "--out", str(tmp_path / "d")) == 0
+    assert json.loads((tmp_path / "d" / "run_manifest.json").read_text())["seed"] == 0
+
+
 def test_gen_stops_once_it_has_its_records(tmp_path):
     # gen once rendered no more scenes after the last record but still ran
     # through every remaining view, hence the child process and its timeout

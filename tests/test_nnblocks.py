@@ -1,10 +1,22 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from foodcal.cli import GRADCHECK_TOLERANCE
 from foodcal.errors import ShapeMismatch
 from foodcal.nnblocks import blocks, flops, ops
-from foodcal.nnblocks.gradcheck import BLOCK_NAMES, _make_case, gradcheck
+from foodcal.nnblocks.gradcheck import (
+    _FD_STEP,
+    BLOCK_NAMES,
+    _make_case,
+    _numeric_gradients,
+    _swap_param,
+    gradcheck,
+)
+
+# the package exports the function under the module's name
+gradcheck_module = importlib.import_module("foodcal.nnblocks.gradcheck")
 
 
 def loop_conv_oracle(x, p):
@@ -335,6 +347,120 @@ def test_param_names_cover_every_bottleneck():
     x = rng.normal(size=(1, 3, 4, 4))
     assert shapes == _grad_shapes(lambda x: blocks.c2f_cd_fwd(x, p), blocks.c2f_cd_bwd, x)
     assert {"entry.weight", "bottlenecks.1.1.bias", "cbam.spatial.weight", "exit.bias"} <= set(shapes)
+
+
+def loop_numeric_gradients(x, params, fwd, step):
+    """Central differences one element at a time, two forwards each, with
+    the element perturbed in place: the check before it was batched."""
+    numeric = {}
+    for name, arr in [("input", x), *ops.param_arrays(params)]:
+        num = np.empty_like(arr)
+        flat, num_flat = arr.reshape(-1), num.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = float(fwd(x)[0].sum())
+            flat[i] = orig - step
+            dn = float(fwd(x)[0].sum())
+            flat[i] = orig
+            num_flat[i] = (up - dn) / (2.0 * step)
+        numeric[name] = num
+    return numeric
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("block", BLOCK_NAMES)
+def test_batched_differences_match_the_element_loop(block, seed):
+    x, p, fwd, _ = _make_case(block, seed)
+    batched = _numeric_gradients(x, p, fwd, _FD_STEP)
+    oracle = loop_numeric_gradients(x, p, fwd, _FD_STEP)
+    assert list(batched) == list(oracle)
+    for name in oracle:
+        np.testing.assert_allclose(batched[name], oracle[name], rtol=0, atol=1e-8, err_msg=name)
+
+
+@pytest.mark.parametrize("block", BLOCK_NAMES)
+def test_stacked_parameter_forward_equals_separate_forwards(block):
+    # conv -> conv2d_fwd, coordconv -> coordconv_fwd, cbam -> cbam_fwd,
+    # c2fcd -> c2f_cd_fwd; every parameter array in turn gets three copies
+    x, p, fwd, _ = _make_case(block, 0)
+    rng = np.random.default_rng(11)
+    for name, arr in ops.param_arrays(p):
+        copies = arr + rng.normal(scale=0.1, size=(3, *arr.shape))
+        separate = []
+        for copy in copies:
+            _swap_param(p, name, copy)
+            separate.append(fwd(x)[0])
+        _swap_param(p, name, copies)
+        try:
+            stacked = fwd(np.tile(x, (3, 1, 1, 1)))[0]
+        finally:
+            _swap_param(p, name, arr)
+        assert stacked.ndim == 4
+        np.testing.assert_allclose(stacked, np.concatenate(separate), rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_stacked_parameter_must_split_the_batch():
+    rng = np.random.default_rng(0)
+    p = ops.ConvParams.init(2, 3, 3, rng, padding=1)
+    p.weight = np.stack([p.weight] * 3)
+    with pytest.raises(ShapeMismatch, match="do not split a batch of 4"):
+        ops.conv2d(rng.normal(size=(4, 3, 5, 5)), p)
+    p.bias = np.stack([p.bias] * 2)
+    with pytest.raises(ShapeMismatch, match=r"copies \[3, 2\]"):
+        ops.conv2d(rng.normal(size=(6, 3, 5, 5)), p)
+
+
+def _snapshot(x, p):
+    return [(name, arr, arr.copy()) for name, arr in [("input", x), *ops.param_arrays(p)]]
+
+
+def _assert_unchanged(x, p, before):
+    after = [("input", x), *ops.param_arrays(p)]
+    assert [name for name, _ in after] == [name for name, _, _ in before]
+    for (name, arr), (_, was, values) in zip(after, before):
+        assert arr is was, name
+        assert np.array_equal(arr, values), name
+
+
+@pytest.mark.parametrize("block", BLOCK_NAMES)
+def test_gradcheck_leaves_input_and_parameters_as_they_were(monkeypatch, block):
+    case = _make_case(block, 0)
+    before = _snapshot(case[0], case[1])
+    monkeypatch.setattr(gradcheck_module, "_make_case", lambda *_: case)
+    assert gradcheck(block) < GRADCHECK_TOLERANCE
+    _assert_unchanged(case[0], case[1], before)
+
+
+def test_gradcheck_restores_parameters_when_a_forward_raises(monkeypatch):
+    x, p, fwd, bwd = _make_case("c2fcd", 0)
+    before = _snapshot(x, p)
+    calls = []
+
+    def failing(x):
+        calls.append(x.shape[0])
+        if len(calls) == 15:  # the analytic pass, the input's chunks, then parameter chunks
+            raise RuntimeError("forward failed")
+        return fwd(x)
+
+    monkeypatch.setattr(gradcheck_module, "_make_case", lambda *_: (x, p, failing, bwd))
+    with pytest.raises(RuntimeError, match="forward failed"):
+        gradcheck("c2fcd")
+    assert calls[-1] == 2 * gradcheck_module._CHUNK  # raised on a stacked parameter chunk
+    _assert_unchanged(x, p, before)
+
+
+def test_gradcheck_catches_one_wrong_element_deep_in_the_block(monkeypatch):
+    right = blocks.c2f_cd_bwd
+
+    def wrong(cache, gy):
+        gx, grads = right(cache, gy)
+        bad = grads["bottlenecks.0.0.weight"].copy()
+        bad[0, 0, 1, 1] += 1.0
+        return gx, {**grads, "bottlenecks.0.0.weight": bad}
+
+    monkeypatch.setattr(blocks, "c2f_cd_bwd", wrong)
+    assert gradcheck("c2fcd", seed=0) > GRADCHECK_TOLERANCE
 
 
 def _settings(p):
