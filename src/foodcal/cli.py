@@ -349,6 +349,12 @@ def cmd_detmetrics(args, parser):
     names_g = [img.name for img in gts]
     if names_p != names_g:
         raise FoodcalError("prediction and ground-truth manifests list different images")
+    for pred, gt in zip(preds, gts):
+        if (pred.width, pred.height) != (gt.width, gt.height):
+            raise DataError(
+                f"{args.pred}: image {pred.name} is {pred.width}x{pred.height}, "
+                f"but {gt.width}x{gt.height} in {args.gt}"
+            )
     report = metrics.detection_report(
         [img.instances for img in preds],
         [img.instances for img in gts],

@@ -5,13 +5,20 @@ boxes and masks, greedy confidence-ordered matching, average precision with
 101-point interpolation, and per-class / mean summaries at IoU 0.5 plus the
 0.50:0.05:0.95 threshold sweep. Precision/recall headline numbers use all
 predictions at IoU 0.5 (no confidence cutoff) unless one is supplied.
+
+As in COCO's reference evaluator, the sweep computes the IoU of each
+same-class (prediction, ground truth) pair of an image once and matches at
+every threshold from it. Mask IoU counts the intersection on the overlap of
+the two masks' foreground windows only.
 """
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
+from foodcal import maskgeom
 from foodcal.errors import (
     DegenerateTarget,
     LengthMismatch,
@@ -67,21 +74,74 @@ def box_iou(a, b) -> float:
 
 
 def mask_iou(a, b) -> float:
-    a = np.asarray(a)
-    b = np.asarray(b)
+    """Intersection over union of two equal-shape 2-D masks (non-zero is
+    foreground); 0 when the union is empty."""
+    return _window_iou(_MaskWindow.of(a), _MaskWindow.of(b))
+
+
+@dataclass(frozen=True)
+class _MaskWindow:
+    """A mask's foreground bounding box: its top-left corner in the frame,
+    the boolean crop inside it and its pixel count. An empty mask has an
+    empty crop."""
+
+    shape: tuple[int, int]
+    top: int
+    left: int
+    crop: np.ndarray
+    area: int
+
+    @classmethod
+    def of(cls, mask) -> "_MaskWindow":
+        m = np.asarray(mask)
+        if m.ndim != 2:
+            raise ShapeMismatch(f"a mask must be 2-D, got shape {m.shape}")
+        box = maskgeom.foreground_slices(m)
+        if box is None:
+            return cls(m.shape, 0, 0, np.zeros((0, 0), dtype=bool), 0)
+        crop = m[box] != 0
+        return cls(m.shape, box[0].start, box[1].start, crop, int(np.count_nonzero(crop)))
+
+
+def _window_iou(a: _MaskWindow, b: _MaskWindow) -> float:
+    """Mask IoU with the intersection counted on the overlap of the two
+    windows only; union = |A| + |B| - |A n B|, the same integers as a
+    full-frame count."""
     if a.shape != b.shape:
         raise ShapeMismatch(f"mask dimensions differ: {a.shape} vs {b.shape}")
-    inter = int(np.count_nonzero((a != 0) & (b != 0)))
-    union = int(np.count_nonzero((a != 0) | (b != 0)))
+    top, left = max(a.top, b.top), max(a.left, b.left)
+    bottom = min(a.top + a.crop.shape[0], b.top + b.crop.shape[0])
+    right = min(a.left + a.crop.shape[1], b.left + b.crop.shape[1])
+    inter = 0
+    if top < bottom and left < right:
+        inter = int(
+            np.count_nonzero(
+                a.crop[top - a.top : bottom - a.top, left - a.left : right - a.left]
+                & b.crop[top - b.top : bottom - b.top, left - b.left : right - b.left]
+            )
+        )
+    union = a.area + b.area - inter
     return inter / union if union > 0 else 0.0
 
 
-def _instance_iou(pred: DetectionInstance, gt: DetectionInstance, kind: str) -> float:
+def _check_kind(kind: str) -> None:
+    if kind not in ("box", "mask"):
+        raise ValueError(f"iou kind must be 'box' or 'mask', got {kind!r}")
+
+
+def _match_candidates(preds, gts, kind) -> list[list[tuple[float, int]]]:
+    """For each prediction, the (IoU, ground-truth index) of every same-class
+    ground truth it overlaps, highest IoU first and ties to the lower index.
+    Each pair's IoU is computed once; a mask is cropped to its window once."""
     if kind == "box":
-        return box_iou(pred.bbox, gt.bbox)
-    if kind == "mask":
-        return mask_iou(pred.mask, gt.mask)
-    raise ValueError(f"iou kind must be 'box' or 'mask', got {kind!r}")
+        iou, pk, gk = box_iou, [p.bbox for p in preds], [g.bbox for g in gts]
+    else:
+        iou, pk, gk = _window_iou, [_MaskWindow.of(p.mask) for p in preds], [_MaskWindow.of(g.mask) for g in gts]
+    candidates = []
+    for pred, a in zip(preds, pk):
+        pairs = ((iou(a, b), j) for j, (gt, b) in enumerate(zip(gts, gk)) if gt.label is pred.label)
+        candidates.append(sorted((c for c in pairs if c[0] > 0.0), key=lambda c: (-c[0], c[1])))
+    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +159,28 @@ class MatchResult:
     gt_matched: tuple[bool, ...]
 
 
+def _confidence_order(preds) -> list[int]:
+    return sorted(range(len(preds)), key=lambda i: (-(preds[i].confidence or 0.0), i))
+
+
+def _greedy_match(order, candidates, num_gt: int, threshold: float) -> tuple[list[bool], list[bool]]:
+    """TP flag per ordered prediction and matched flag per ground truth:
+    each prediction claims its best unmatched candidate at or above the
+    threshold."""
+    matched = [False] * num_gt
+    tp = []
+    for i in order:
+        hit = False
+        for iou, j in candidates[i]:
+            if iou < threshold:
+                break
+            if not matched[j]:
+                matched[j] = hit = True
+                break
+        tp.append(hit)
+    return tp, matched
+
+
 def match_detections(
     preds: list[DetectionInstance],
     gts: list[DetectionInstance],
@@ -110,27 +192,12 @@ def match_detections(
     Predictions are visited in confidence-descending order (ties keep input
     order); each claims the unmatched same-class ground truth with the
     highest IoU at or above the threshold (IoU ties go to the lowest ground
-    truth index). Unclaimed predictions are false positives.
+    truth index). A pair with IoU 0 never matches. Unclaimed predictions are
+    false positives.
     """
-    order = sorted(range(len(preds)), key=lambda i: (-(preds[i].confidence or 0.0), i))
-    matched = [False] * len(gts)
-    tp = []
-    for i in order:
-        pred = preds[i]
-        best_j = -1
-        best_iou = 0.0
-        for j, gt in enumerate(gts):
-            if matched[j] or gt.label is not pred.label:
-                continue
-            iou = _instance_iou(pred, gt, iou_kind)
-            if iou >= iou_threshold and iou > best_iou:
-                best_iou = iou
-                best_j = j
-        if best_j >= 0:
-            matched[best_j] = True
-            tp.append(True)
-        else:
-            tp.append(False)
+    _check_kind(iou_kind)
+    order = _confidence_order(preds)
+    tp, matched = _greedy_match(order, _match_candidates(preds, gts, iou_kind), len(gts), iou_threshold)
     return MatchResult(order=tuple(order), tp=tuple(tp), gt_matched=tuple(matched))
 
 
@@ -184,22 +251,39 @@ class DetectionReport:
     mask: DetectionSummary | None = None
 
 
+def _class_sweeps(preds_by_image, gts_by_image, kind, conf_threshold, thresholds):
+    """Pooled confidence-ordered TP flags per class across all images, one
+    list per threshold, and the class's ground-truth count.
+
+    Each image is matched once per threshold from one set of pair IoUs. A
+    prediction only claims ground truth of its own class, so matching all
+    classes of an image together gives each class the flags it would get
+    alone."""
+    pooled = defaultdict(list)  # label -> [(-conf, image, index, tp per threshold)]
+    num_gt = Counter()
+    for img, (preds, gts) in enumerate(zip(preds_by_image, gts_by_image)):
+        if conf_threshold is not None:
+            preds = [p for p in preds if (p.confidence or 0.0) >= conf_threshold]
+        num_gt.update(g.label for g in gts)
+        order = _confidence_order(preds)
+        candidates = _match_candidates(preds, gts, kind)
+        tps = [_greedy_match(order, candidates, len(gts), thr)[0] for thr in thresholds]
+        for rank, i in enumerate(order):
+            pooled[preds[i].label].append((-(preds[i].confidence or 0.0), img, i, [tp[rank] for tp in tps]))
+    sweeps = {}
+    for label in pooled.keys() | num_gt.keys():
+        entries = sorted(pooled[label])  # (image, index) is unique, so tp lists are never compared
+        sweeps[label] = ([[e[3][t] for e in entries] for t in range(len(thresholds))], num_gt[label])
+    return sweeps
+
+
 def _class_tp_sequences(preds_by_image, gts_by_image, label, threshold, kind, conf_threshold):
     """Pooled confidence-ordered TP flags for one class across all images."""
-    entries = []  # (-conf, image index, within-image rank, tp)
-    num_gt = 0
-    for img, (preds, gts) in enumerate(zip(preds_by_image, gts_by_image)):
-        cls_pred_idx = [i for i, p in enumerate(preds) if p.label is label]
-        if conf_threshold is not None:
-            cls_pred_idx = [i for i in cls_pred_idx if (preds[i].confidence or 0.0) >= conf_threshold]
-        cls_gts = [g for g in gts if g.label is label]
-        num_gt += len(cls_gts)
-        result = match_detections([preds[i] for i in cls_pred_idx], cls_gts, threshold, kind)
-        for rank, i in enumerate(result.order):
-            conf = preds[cls_pred_idx[i]].confidence or 0.0
-            entries.append((-conf, img, i, result.tp[rank]))
-    entries.sort()
-    return [e[3] for e in entries], num_gt
+    sweeps = _class_sweeps(preds_by_image, gts_by_image, kind, conf_threshold, (threshold,))
+    if label not in sweeps:
+        return [], 0
+    (tps,), num_gt = sweeps[label]
+    return tps, num_gt
 
 
 def map_summary(
@@ -214,26 +298,25 @@ def map_summary(
     Classes are the ones present in the ground truth; predictions for absent
     classes are ignored. Precision of a class with no predictions is 0.
     """
+    _check_kind(iou_kind)
     if len(preds_by_image) != len(gts_by_image):
         raise LengthMismatch("prediction and ground-truth image lists differ in length")
+    sweeps = _class_sweeps(preds_by_image, gts_by_image, iou_kind, conf_threshold, COCO_THRESHOLDS)
     labels = sorted(
         {g.label for gts in gts_by_image for g in gts}, key=lambda l: list(ClassLabel).index(l)
     )
     per_class = {}
     for label in labels:
-        sweep = {
-            thr: _class_tp_sequences(preds_by_image, gts_by_image, label, thr, iou_kind, conf_threshold)
-            for thr in COCO_THRESHOLDS
-        }
-        aps = {thr: average_precision(tps, num_gt) for thr, (tps, num_gt) in sweep.items()}
-        tps50, num_gt = sweep[0.5]
+        tps_by_threshold, num_gt = sweeps[label]
+        aps = [average_precision(tps, num_gt) for tps in tps_by_threshold]
+        tps50 = tps_by_threshold[0]  # COCO_THRESHOLDS[0] is 0.5
         n_tp = sum(tps50)
         n_pred = len(tps50)
         per_class[label.value] = ClassDetectionMetrics(
             precision=n_tp / n_pred if n_pred else 0.0,
             recall=n_tp / num_gt,
-            ap50=aps[0.5],
-            ap50_95=sum(aps.values()) / len(aps),
+            ap50=aps[0],
+            ap50_95=sum(aps) / len(aps),
             num_gt=num_gt,
         )
     if not per_class:

@@ -479,8 +479,10 @@ def generate_regression_dataset(
     Items are drawn first (classes cycling through seeded permutations for
     near-uniform balance), then rendered in ``views_per_item`` scenes each,
     ``items_per_scene`` items at a time. One record per item view, truncated
-    to ``n_records``. Deterministic per (cfg, n_records, seed), including
-    the bytes of any files written from the result.
+    to ``n_records``; the last scene drops the food instances (and their
+    truth) whose records are cut, so a manifest written from the scenes
+    measures to the same rows. Deterministic per (cfg, n_records, seed),
+    including the bytes of any files written from the result.
     """
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
@@ -502,8 +504,16 @@ def generate_regression_dataset(
     # scene k renders group k % len(groups) in view k // len(groups)
     for scene_idx in range(views * len(groups)):
         scene = _scene_with_retries(cfg, scene_idx, groups[scene_idx % len(groups)])
-        scenes.append(scene)
         records += measurement.image_records(scene.instances, [t.calories_kcal for t in scene.truth.instances])
+        surplus = {rec.instance for rec in records[n_records:]}
+        if surplus:
+            keep = [k for k in range(len(scene.instances)) if k not in surplus]
+            scene = replace(
+                scene,
+                instances=[scene.instances[k] for k in keep],
+                truth=replace(scene.truth, instances=[scene.truth.instances[k] for k in keep]),
+            )
+        scenes.append(scene)
         if len(records) >= n_records:
             break
     return records[:n_records], scenes

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from foodcal import cli, manifests, maskgeom, preprocess, regress, synth
 from foodcal.cli import SCENE_OPTIONS, main
 from foodcal.errors import DataError
+from foodcal.measurement import ClassLabel, DetectionInstance
 
 GEN_ARGS = ["gen", "--seed", "7", "--records", "24", "--views-per-item", "4"]
 
@@ -232,6 +233,16 @@ def test_gen_stops_once_it_has_its_records(tmp_path):
     assert len(preprocess.read_csv(tmp_path / "dataset.csv")) == 1
 
 
+def test_gen_writes_one_food_instance_per_row(gen_644, tmp_path):
+    # gen once cut the rows to --records but kept every food instance of its
+    # last scene in annotations.json, so extract found more rows than it wrote
+    small = tmp_path / "small"
+    assert run_cli("gen", "--seed", "1", "--records", "5", "--views-per-item", "2", "--out", str(small)) == 0
+    assert run_cli("extract", "--annotations", str(small / "annotations.json"), "--out", str(small / "x")) == 0
+    for root in (small, gen_644):
+        assert (root / "x" / "features.csv").read_bytes() == (root / "dataset.csv").read_bytes()
+
+
 def test_gradcheck_command(capsys):
     assert run_cli("gradcheck", "--block", "coordconv", "--seeds", "2") == 0
     assert "PASS" in capsys.readouterr().out
@@ -248,6 +259,21 @@ def test_detmetrics_self_comparison(gen_dir, tmp_path, capsys):
     report = json.loads((out / "detmetrics.json").read_text())
     assert report["box"]["map50"] == 1.0
     assert report["mask"]["map50"] == 1.0
+
+
+@pytest.mark.parametrize("with_masks", [False, True], ids=["boxes", "masks"])
+def test_detmetrics_rejects_images_of_different_size(tmp_path, capsys, with_masks):
+    def manifest(name, size):
+        mask = np.zeros((size, size), np.uint8) if with_masks else None
+        if mask is not None:
+            mask[10:20, 10:20] = 1
+        inst = DetectionInstance(label=ClassLabel.PURI, bbox=(10, 10, 10, 10), confidence=0.9, mask=mask)
+        img = manifests.ImageAnnotations(name="scene_0004", width=size, height=size, instances=[inst])
+        return manifests.write_manifest(tmp_path / name / "annotations.json", [img])
+
+    pred, gt = manifest("pred", 300), manifest("gt", 320)
+    assert run_cli("detmetrics", "--pred", str(pred), "--gt", str(gt), "--out", str(tmp_path / "dm")) == 2
+    assert f"{pred}: image scene_0004 is 300x300, but 320x320 in {gt}" in _one_error_line(capsys)
 
 
 def test_usage_error_exits_1():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from foodcal import metrics
 from foodcal.errors import DegenerateTarget, LengthMismatch, NoGroundTruth, ShapeMismatch
@@ -13,7 +16,14 @@ def det(label, bbox, conf=None, mask=None):
 
 
 # ---------------------------------------------------------------------------
-# oracles: naive matcher + direct AP definition
+# oracles: full-frame mask IoU, naive matcher + direct AP definition
+
+
+def full_frame_mask_iou(a, b):
+    """Both masks counted over the whole frame."""
+    inter = int(np.count_nonzero((a != 0) & (b != 0)))
+    union = int(np.count_nonzero((a != 0) | (b != 0)))
+    return inter / union if union > 0 else 0.0
 
 
 def oracle_ap(tp_sequence, num_gt):
@@ -56,7 +66,7 @@ def oracle_class_ap(preds_by_image, gts_by_image, label, thr, kind):
                 if kind == "box":
                     iou = metrics.box_iou(p.bbox, g.bbox)
                 else:
-                    iou = metrics.mask_iou(p.mask, g.mask)
+                    iou = full_frame_mask_iou(p.mask, g.mask)
                 if iou >= thr and iou > best:
                     best, best_j = iou, j
             hit = best_j >= 0
@@ -69,7 +79,19 @@ def oracle_class_ap(preds_by_image, gts_by_image, label, thr, kind):
     return oracle_ap([t[3] for t in pool], num_gt)
 
 
-def random_scene(rng, with_masks=False, size=24):
+def box_mask(rng, size, box, irregular):
+    """The box filled; an irregular mask has holes inside the box and stray
+    pixels anywhere in the frame."""
+    x, y, w, h = box
+    mask = np.zeros((size, size), np.uint8)
+    mask[y : y + h, x : x + w] = 1
+    if irregular:
+        mask &= rng.random((size, size)) < 0.85
+        mask |= rng.random((size, size)) < 0.01
+    return mask
+
+
+def random_scene(rng, with_masks=False, size=24, irregular=False):
     """A micro-scene: up to 6 GT boxes and up to 6 predictions."""
     labels = list(ClassLabel)
     gts, preds = [], []
@@ -77,34 +99,23 @@ def random_scene(rng, with_masks=False, size=24):
         x, y = rng.integers(0, size - 6, 2)
         w, h = rng.integers(3, 7, 2)
         label = labels[rng.integers(0, len(labels))]
-        mask = None
-        if with_masks:
-            mask = np.zeros((size, size), np.uint8)
-            mask[y : y + h, x : x + w] = 1
-        gts.append(det(label, (int(x), int(y), int(w), int(h)), mask=mask))
+        box = (int(x), int(y), int(w), int(h))
+        gts.append(det(label, box, mask=box_mask(rng, size, box, irregular) if with_masks else None))
     for g in gts:
         if rng.random() < 0.8:  # jittered true positive candidate
             dx, dy = rng.integers(-2, 3, 2)
             x = int(np.clip(g.bbox[0] + dx, 0, size - 3))
             y = int(np.clip(g.bbox[1] + dy, 0, size - 3))
-            w, h = g.bbox[2], g.bbox[3]
-            mask = None
-            if with_masks:
-                mask = np.zeros((size, size), np.uint8)
-                mask[y : y + h, x : x + w] = 1
+            box = (x, y, g.bbox[2], g.bbox[3])
+            mask = box_mask(rng, size, box, irregular) if with_masks else None
             label = g.label if rng.random() < 0.9 else labels[rng.integers(0, len(labels))]
-            preds.append(det(label, (x, y, w, h), conf=float(rng.random()), mask=mask))
+            preds.append(det(label, box, conf=float(rng.random()), mask=mask))
     for _ in range(int(rng.integers(0, 3))):  # noise predictions
         x, y = rng.integers(0, size - 6, 2)
         w, h = rng.integers(3, 7, 2)
-        mask = None
-        if with_masks:
-            mask = np.zeros((size, size), np.uint8)
-            mask[y : y + h, x : x + w] = 1
-        preds.append(
-            det(labels[rng.integers(0, len(labels))], (int(x), int(y), int(w), int(h)),
-                conf=float(rng.random()), mask=mask)
-        )
+        box = (int(x), int(y), int(w), int(h))
+        mask = box_mask(rng, size, box, irregular) if with_masks else None
+        preds.append(det(labels[rng.integers(0, len(labels))], box, conf=float(rng.random()), mask=mask))
     return preds, gts
 
 
@@ -189,10 +200,39 @@ def test_mask_iou_self_and_symmetry():
 def test_mask_iou_dim_mismatch():
     with pytest.raises(ShapeMismatch):
         metrics.mask_iou(np.zeros((2, 2)), np.zeros((3, 3)))
+    with pytest.raises(ShapeMismatch, match="2-D"):
+        metrics.mask_iou(np.zeros(4), np.zeros(4))
 
 
 def test_empty_union_is_zero():
     assert metrics.mask_iou(np.zeros((3, 3)), np.zeros((3, 3))) == 0.0
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two masks of one frame, each a random pattern inside a random box
+    (empty, or touching the frame edges, or apart from the other's) plus
+    stray pixels outside the box."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+
+    def one():
+        y0, x0 = draw(st.integers(0, h)), draw(st.integers(0, w))
+        y1, x1 = draw(st.integers(y0, h)), draw(st.integers(x0, w))
+        mask = np.zeros((h, w), np.uint8)
+        mask[y0:y1, x0:x1] = draw(arrays(np.uint8, (y1 - y0, x1 - x0), elements=st.sampled_from([0, 1, 255])))
+        for _ in range(draw(st.integers(0, 2))):
+            mask[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = 1
+        return mask
+
+    return one(), one()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mask_pairs())
+def test_window_mask_iou_equals_full_frame_count(pair):
+    a, b = pair
+    assert metrics.mask_iou(a, b) == full_frame_mask_iou(a, b)
+    assert metrics.mask_iou(b, a) == full_frame_mask_iou(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +253,13 @@ def test_duplicate_detection_second_is_fp():
     r = metrics.match_detections([p2, p1], [g])
     assert r.order == (1, 0)
     assert r.tp == (True, False)
+
+
+def test_iou_tie_goes_to_the_lower_ground_truth_index():
+    # the partial overlap comes first, then two exact copies of the prediction
+    gts = [det(ClassLabel.PURI, box) for box in ((2, 0, 4, 4), (0, 0, 4, 4), (0, 0, 4, 4))]
+    r = metrics.match_detections([det(ClassLabel.PURI, (0, 0, 4, 4), conf=0.9)], gts)
+    assert r.gt_matched == (False, True, False)
 
 
 def test_wrong_class_is_fp():
@@ -327,6 +374,48 @@ def test_map_summary_matches_bruteforce_oracle_masks():
     for label_name, m in summary.per_class.items():
         label = ClassLabel.from_name(label_name)
         assert m.ap50 == pytest.approx(oracle_class_ap(preds, gts, label, 0.5, "mask"), abs=1e-12)
+
+
+def test_map_summary_matches_oracle_on_irregular_masks_at_every_threshold():
+    rng = np.random.default_rng(9)
+    scenes = [random_scene(rng, with_masks=True, irregular=True) for _ in range(60)]
+    preds = [s[0] for s in scenes]
+    gts = [s[1] for s in scenes]
+    summary = metrics.map_summary(preds, gts, iou_kind="mask")
+    for label_name, m in summary.per_class.items():
+        label = ClassLabel.from_name(label_name)
+        sweep = [oracle_class_ap(preds, gts, label, t, "mask") for t in metrics.COCO_THRESHOLDS]
+        for thr, expected in zip(metrics.COCO_THRESHOLDS, sweep):
+            tps, num_gt = metrics._class_tp_sequences(preds, gts, label, thr, "mask", None)
+            assert metrics.average_precision(tps, num_gt) == pytest.approx(expected, abs=1e-12)
+        assert m.ap50 == pytest.approx(sweep[0], abs=1e-12)
+        assert m.ap50_95 == pytest.approx(sum(sweep) / len(sweep), abs=1e-12)
+    assert 0.0 < summary.map50_95 < summary.map50 < 1.0
+
+
+@pytest.mark.parametrize("kind, kernel", [("box", "box_iou"), ("mask", "_window_iou")])
+def test_map_summary_computes_each_pair_iou_once(monkeypatch, kind, kernel):
+    # the 10 thresholds of the sweep all read one IoU per same-class pair
+    rng = np.random.default_rng(10)
+    scenes = [random_scene(rng, with_masks=True) for _ in range(20)]
+    preds = [s[0] for s in scenes]
+    gts = [s[1] for s in scenes]
+    calls = []
+    real = getattr(metrics, kernel)
+    monkeypatch.setattr(metrics, kernel, lambda a, b: calls.append(1) or real(a, b))
+    metrics.map_summary(preds, gts, iou_kind=kind)
+    pairs = sum(p.label is g.label for ps, gs in zip(preds, gts) for p in ps for g in gs)
+    assert pairs > 0
+    assert len(calls) == pairs
+
+
+@pytest.mark.parametrize("kind", ["bogus", "Mask"])
+def test_unknown_iou_kind_is_rejected_up_front(kind):
+    gts = [[det(ClassLabel.PURI, (0, 0, 4, 4))]]
+    with pytest.raises(ValueError, match="iou kind"):
+        metrics.map_summary([[]], gts, iou_kind=kind)
+    with pytest.raises(ValueError, match="iou kind"):
+        metrics.match_detections([], gts[0], iou_kind=kind)
 
 
 def test_detection_report_includes_mask_variant_only_with_masks():
