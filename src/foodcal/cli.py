@@ -348,7 +348,9 @@ def cmd_detmetrics(args, parser):
     names_p = [img.name for img in preds]
     names_g = [img.name for img in gts]
     if names_p != names_g:
-        raise FoodcalError("prediction and ground-truth manifests list different images")
+        # the None ends make a list that runs out differ from the longer one
+        k, p, g = next((k, p, g) for k, (p, g) in enumerate(zip(names_p + [None], names_g + [None])) if p != g)
+        raise DataError(f"{args.pred}: image {k} is {p!r}, but {g!r} in {args.gt}")
     for pred, gt in zip(preds, gts):
         if (pred.width, pred.height) != (gt.width, gt.height):
             raise DataError(

@@ -41,6 +41,11 @@ def write_manifest(path, images: list[ImageAnnotations]) -> Path:
     """Write the manifest and the referenced PGM masks, which land in
     ``masks/`` next to the manifest. Returns the manifest path."""
     path = Path(path)
+    for img in images:
+        if img.calories and len(img.calories) != len(img.instances):
+            raise ValueError(
+                f"image {img.name}: {len(img.calories)} calorie labels for {len(img.instances)} instances"
+            )
     (path.parent / "masks").mkdir(parents=True, exist_ok=True)
     payload = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, "images": []}
     for img in images:

@@ -49,7 +49,7 @@ def foreground_slices(mask) -> tuple[slice, slice] | None:
     rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:
         return None
-    cols = np.flatnonzero(mask.any(axis=0))
+    cols = np.flatnonzero(mask[rows[0] : rows[-1] + 1].any(axis=0))
     return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
@@ -207,15 +207,6 @@ def shape_stats(contour) -> ShapeStats:
     by0 = int(pts[:, 1].min())
     bbox = (bx0, by0, int(pts[:, 0].max()) - bx0 + 1, int(pts[:, 1].max()) - by0 + 1)
     return ShapeStats(bbox=bbox, area_px=area, perimeter_px=perimeter)
-
-
-def mask_bbox(mask) -> tuple[int, int, int, int]:
-    """Tight (x, y, w, h) bounding box of the foreground pixels."""
-    box = foreground_slices(as_mask(mask))
-    if box is None:
-        raise EmptyComponent("mask has no foreground pixels")
-    ys, xs = box
-    return (xs.start, ys.start, xs.stop - xs.start, ys.stop - ys.start)
 
 
 def write_pgm(path, mask) -> None:

@@ -407,7 +407,9 @@ class LinearModel(Regressor):
         return cls(X.shape[1], beta[:-1], beta[-1])
 
     def predict(self, X):
-        return X @ self.coef + self.intercept
+        # an elementwise product summed per row, unlike a BLAS gemv, gives
+        # each row the same bits whatever the batch it comes in
+        return (X * self.coef).sum(axis=1) + self.intercept
 
     def to_state(self):
         return {"coef": self.coef.tolist(), "intercept": self.intercept}

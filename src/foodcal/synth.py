@@ -326,16 +326,20 @@ def _jitter_field(rng, amplitude):
     return f
 
 
-def _rasterize(shape: _Shape, height, width, jitter=None) -> np.ndarray:
-    mask = np.zeros((height, width), dtype=np.uint8)
+def _window(shape: _Shape, height, width) -> tuple[slice, slice]:
+    """Row and column slices of the frame box that holds every pixel the
+    shape can cover, boundary jitter included."""
     reach = shape.max_radius() * 1.2 + 2.0
-    x0 = max(0, int(math.floor(shape.cx - reach)))
-    x1 = min(width - 1, int(math.ceil(shape.cx + reach)))
     y0 = max(0, int(math.floor(shape.cy - reach)))
-    y1 = min(height - 1, int(math.ceil(shape.cy + reach)))
-    if x1 < x0 or y1 < y0:
-        return mask
-    ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
+    y1 = min(height, int(math.ceil(shape.cy + reach)) + 1)
+    x0 = max(0, int(math.floor(shape.cx - reach)))
+    x1 = min(width, int(math.ceil(shape.cx + reach)) + 1)
+    return slice(y0, max(y0, y1)), slice(x0, max(x0, x1))
+
+
+def _rasterize(shape: _Shape, height, width, jitter=None) -> np.ndarray:
+    """Boolean raster of the shape over its ``_window`` of the frame."""
+    ys, xs = np.mgrid[_window(shape, height, width)]
     dx = xs - shape.cx
     dy = ys - shape.cy
     if jitter is not None:
@@ -343,8 +347,7 @@ def _rasterize(shape: _Shape, height, width, jitter=None) -> np.ndarray:
         scale = 1.0 / (1.0 + jitter(phi))
         dx = dx * scale
         dy = dy * scale
-    mask[y0 : y1 + 1, x0 : x1 + 1] = shape.contains(dx, dy).astype(np.uint8)
-    return mask
+    return shape.contains(dx, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -362,26 +365,43 @@ def generate_scene(
     rng = np.random.default_rng((cfg.seed, seed))
 
     occupancy = np.zeros((cfg.height, cfg.width), dtype=bool)
+    instances: list[DetectionInstance] = []
+    truths: list[InstanceTruth] = []
 
-    def place(build_shape, reach_hint):
+    def place(label, build_shape, reach, min_confidence, item=None):
+        """Draw centres until the shape lands clear of the frame edge and of
+        every earlier instance, then append its detection and its truth."""
+        margin = min(reach + 2.0, (min(cfg.width, cfg.height) - 2) / 2.0)
         for _ in range(cfg.max_placement_tries):
-            margin = min(reach_hint + 2.0, (min(cfg.width, cfg.height) - 2) / 2.0)
             cx = float(rng.uniform(margin, cfg.width - margin))
             cy = float(rng.uniform(margin, cfg.height - margin))
             shape, jitter = build_shape(cx, cy)
-            mask = _rasterize(shape, cfg.height, cfg.width, jitter)
-            if not mask.any():
+            window = _window(shape, cfg.height, cfg.width)
+            inside = _rasterize(shape, cfg.height, cfg.width, jitter)
+            box = maskgeom.foreground_slices(inside)
+            if box is None:
                 continue
-            ys, xs = np.nonzero(mask)
-            touches_edge = (
-                ys.min() == 0 or xs.min() == 0 or ys.max() == cfg.height - 1 or xs.max() == cfg.width - 1
+            y0, y1 = window[0].start + box[0].start, window[0].start + box[0].stop
+            x0, x1 = window[1].start + box[1].start, window[1].start + box[1].stop
+            touches_edge = y0 == 0 or x0 == 0 or y1 == cfg.height or x1 == cfg.width
+            if touches_edge or (occupancy[window] & inside).any():
+                continue
+            occupancy[window] |= inside
+            mask = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
+            mask[window] = inside
+            confidence = round(float(rng.uniform(min_confidence, 1.0)), 6)
+            instances.append(DetectionInstance(label, (x0, y0, x1 - x0, y1 - y0), confidence, mask))
+            truths.append(
+                InstanceTruth(
+                    label,
+                    *shape.truth(),
+                    weight_g=None if item is None else item.weight_g,
+                    calories_kcal=None if item is None else item.calories_kcal,
+                )
             )
-            if touches_edge or (occupancy & (mask != 0)).any():
-                continue
-            occupancy[mask != 0] = True
-            return shape, mask
+            return
         raise PlacementFailure(
-            f"could not place an item of reach {reach_hint:.0f}px in a "
+            f"could not place an item of reach {reach:.0f}px in a "
             f"{cfg.width}x{cfg.height} scene after {cfg.max_placement_tries} tries"
         )
 
@@ -394,25 +414,7 @@ def generate_scene(
     def build_coin(cx, cy):
         return _Disk(math.floor(cx) + 0.5, math.floor(cy) + 0.5, radius), None
 
-    _, coin_mask = place(build_coin, radius)
-
-    instances = [
-        DetectionInstance(
-            label=ClassLabel.COIN,
-            bbox=maskgeom.mask_bbox(coin_mask),
-            confidence=round(float(rng.uniform(0.9, 1.0)), 6),
-            mask=coin_mask,
-        )
-    ]
-    truths = [
-        InstanceTruth(
-            label=ClassLabel.COIN,
-            area_px=math.pi * radius * radius,
-            perimeter_px=2 * math.pi * radius,
-            bbox_w_px=float(diameter),
-            bbox_h_px=float(diameter),
-        )
-    ]
+    place(ClassLabel.COIN, build_coin, radius, 0.9)
 
     if items is None:
         labels = [FOOD_CLASSES[i] for i in rng.integers(0, len(FOOD_CLASSES), cfg.items_per_scene)]
@@ -422,33 +424,13 @@ def generate_scene(
         rotation = float(rng.uniform(0.0, math.pi))
         extent_px = item.extent_mm / mm_per_px
 
-        def build_food(cx, cy, item=item, rotation=rotation, extent_px=extent_px):
+        def build_food(cx, cy):
             shape = _shape_for(
                 item.label, extent_px, item.aspect, item.height_ratio, rotation, cx, cy
             )
             return shape, _jitter_field(rng, cfg.boundary_noise)
 
-        shape, mask = place(build_food, extent_px / 2.0 * 1.2)
-        area_px, perim_px, bw, bh = shape.truth()
-        instances.append(
-            DetectionInstance(
-                label=item.label,
-                bbox=maskgeom.mask_bbox(mask),
-                confidence=round(float(rng.uniform(0.75, 1.0)), 6),
-                mask=mask,
-            )
-        )
-        truths.append(
-            InstanceTruth(
-                label=item.label,
-                area_px=area_px,
-                perimeter_px=perim_px,
-                bbox_w_px=bw,
-                bbox_h_px=bh,
-                weight_g=item.weight_g,
-                calories_kcal=item.calories_kcal,
-            )
-        )
+        place(item.label, build_food, extent_px / 2.0 * 1.2, 0.75, item)
 
     return Scene(
         width=cfg.width,

@@ -6,8 +6,6 @@ intentionally self-contained (plain loops, no reuse of library internals).
 
 import itertools
 import math
-import subprocess
-import sys
 from collections import deque
 from pathlib import Path
 
@@ -19,6 +17,8 @@ from foodcal.measurement import ClassLabel
 from foodcal.nnblocks import blocks, flops
 from foodcal.nnblocks.gradcheck import BLOCK_NAMES, gradcheck
 from foodcal.regress import ModelSpec
+
+from cli_child import run_foodcal
 
 
 def _pass(criterion, detail):
@@ -338,19 +338,8 @@ def test_c7_preprocessing():
 # C8: end-to-end determinism
 
 
-def _run_cli(args, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    result = subprocess.run(
-        [sys.executable, "-m", "foodcal.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
+def _run_cli(args):
+    result = run_foodcal(*args, timeout=300)
     assert result.returncode == 0, f"{args}: {result.stderr}"
     return result.stdout
 

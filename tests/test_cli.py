@@ -3,8 +3,6 @@ import contextlib
 import io
 import json
 import shutil
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +15,8 @@ from foodcal import cli, manifests, maskgeom, preprocess, regress, synth
 from foodcal.cli import SCENE_OPTIONS, main
 from foodcal.errors import DataError
 from foodcal.measurement import ClassLabel, DetectionInstance
+
+from cli_child import run_foodcal
 
 GEN_ARGS = ["gen", "--seed", "7", "--records", "24", "--views-per-item", "4"]
 
@@ -222,12 +222,8 @@ def test_eval_records_the_seed_it_split_with(gen_dir, lr_bundle, tmp_path):
 def test_gen_stops_once_it_has_its_records(tmp_path):
     # gen once rendered no more scenes after the last record but still ran
     # through every remaining view, hence the child process and its timeout
-    result = subprocess.run(
-        [sys.executable, "-m", "foodcal.cli", "gen", "--records", "1", "--views-per-item", "1000000000",
-         "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        timeout=30,
+    result = run_foodcal(
+        "gen", "--records", "1", "--views-per-item", "1000000000", "--out", str(tmp_path), timeout=30
     )
     assert result.returncode == 0, result.stderr
     assert len(preprocess.read_csv(tmp_path / "dataset.csv")) == 1
@@ -274,6 +270,37 @@ def test_detmetrics_rejects_images_of_different_size(tmp_path, capsys, with_mask
     pred, gt = manifest("pred", 300), manifest("gt", 320)
     assert run_cli("detmetrics", "--pred", str(pred), "--gt", str(gt), "--out", str(tmp_path / "dm")) == 2
     assert f"{pred}: image scene_0004 is 300x300, but 320x320 in {gt}" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "gt_names, message",
+    [
+        (["scene_0000", "scene_0002"], "image 1 is 'scene_0001', but 'scene_0002' in"),
+        (["scene_0000"], "image 1 is 'scene_0001', but None in"),
+        (["scene_0000", "scene_0001", "scene_0002"], "image 2 is None, but 'scene_0002' in"),
+    ],
+    ids=["renamed", "fewer", "more"],
+)
+def test_detmetrics_names_the_first_image_that_differs(tmp_path, capsys, gt_names, message):
+    def manifest(name, images):
+        inst = DetectionInstance(label=ClassLabel.PURI, bbox=(10, 10, 10, 10), confidence=0.9)
+        imgs = [manifests.ImageAnnotations(name=n, width=64, height=64, instances=[inst]) for n in images]
+        return manifests.write_manifest(tmp_path / name / "annotations.json", imgs)
+
+    pred, gt = manifest("pred", ["scene_0000", "scene_0001"]), manifest("gt", gt_names)
+    assert run_cli("detmetrics", "--pred", str(pred), "--gt", str(gt), "--out", str(tmp_path / "dm")) == 2
+    assert f"error: {pred}: {message} {gt}\n" == _one_error_line(capsys)
+
+
+def test_write_manifest_rejects_calories_not_aligned_with_instances(tmp_path):
+    # zip once cut the instances to the calorie list, so a third instance
+    # went missing from the manifest without a word
+    inst = DetectionInstance(label=ClassLabel.PURI, bbox=(10, 10, 10, 10))
+    img = manifests.ImageAnnotations(name="scene_0003", width=64, height=64, instances=[inst] * 3,
+                                     calories=[None, 12.5])
+    with pytest.raises(ValueError, match="image scene_0003: 2 calorie labels for 3 instances"):
+        manifests.write_manifest(tmp_path / "annotations.json", [img])
+    assert not (tmp_path / "annotations.json").exists()
 
 
 def test_usage_error_exits_1():
@@ -584,12 +611,7 @@ def test_bundle_with_cyclic_tree_exits_2(gen_dir, tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(bundle))
     data = gen_dir / "dataset.csv"
-    result = subprocess.run(
-        [sys.executable, "-m", "foodcal.cli", "eval", "--model", str(model), "--data", str(data)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = run_foodcal("eval", "--model", str(model), "--data", str(data), timeout=60)
     assert result.returncode == 2
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "right child 0" in result.stderr

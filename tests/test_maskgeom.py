@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foodcal import maskgeom
@@ -139,6 +139,39 @@ def random_mask(rng, max_side=32):
     h = int(rng.integers(1, max_side + 1))
     w = int(rng.integers(1, max_side + 1))
     return (rng.random((h, w)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# foreground_slices
+
+
+@st.composite
+def sparse_masks(draw):
+    """A few foreground pixels, often none, in frames down to 1 x N and
+    N x 1, as uint8 or bool."""
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    m = np.zeros((h, w), draw(st.sampled_from([np.uint8, np.bool_])))
+    for _ in range(draw(st.integers(0, 4))):
+        m[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = 1
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sparse_masks())
+@example(np.zeros((5, 7), np.uint8))
+@example(np.ones((1, 9), np.uint8))
+@example(np.ones((9, 1), np.uint8))
+@example(np.pad(np.zeros((4, 6), np.uint8), 1, constant_values=1))
+@example(np.eye(6, 4, k=-2, dtype=np.uint8))
+def test_foreground_slices_match_nonzero_box(m):
+    ys, xs = np.nonzero(m)
+    box = maskgeom.foreground_slices(m)
+    if ys.size == 0:
+        assert box is None
+    else:
+        assert box == (slice(int(ys.min()), int(ys.max()) + 1), slice(int(xs.min()), int(xs.max()) + 1))
+        assert all(type(v) is int for sl in box for v in (sl.start, sl.stop))
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,17 @@ def test_linear_handles_collinear_columns_via_ridge():
     assert np.abs(pred - (3.0 * x + 2.0)).max() < 1e-5
 
 
+def test_linear_predicts_each_row_alike_in_any_batch():
+    # a BLAS gemv once gave some rows different last bits when they were
+    # predicted one at a time rather than in one batch
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-50.0, 500.0, size=(400, 9))
+    model = regress.LinearModel.fit(X, X @ rng.normal(size=9) + rng.normal(size=400))
+    batch = model.predict(X)
+    singles = np.concatenate([model.predict(X[r : r + 1]) for r in range(len(X))])
+    assert np.array_equal(batch, singles)
+
+
 def test_knn_k1_single_row():
     model = regress.KnnModel.fit(np.array([[0.3, 0.4]]), np.array([42.0]), k=1)
     assert model.predict(np.array([[100.0, -5.0]]))[0] == 42.0

@@ -61,6 +61,75 @@ def test_placement_failure_when_too_crowded():
 
 
 # ---------------------------------------------------------------------------
+# placement, checked against np.nonzero on the full-frame masks
+
+
+def assert_placed_apart(scene):
+    """Every bbox is the np.nonzero box of its full-frame mask, no mask
+    touches the frame edge or another mask, and the coin's truth box is its
+    diameter."""
+    h, w = scene.height, scene.width
+    assert [i.label for i in scene.instances] == [t.label for t in scene.truth.instances]
+    covered = np.zeros((h, w), np.int32)
+    for inst in scene.instances:
+        assert inst.mask.shape == (h, w)
+        ys, xs = np.nonzero(inst.mask)
+        assert inst.bbox == (xs.min(), ys.min(), xs.max() - xs.min() + 1, ys.max() - ys.min() + 1)
+        assert 0 < xs.min() and xs.max() < w - 1 and 0 < ys.min() and ys.max() < h - 1
+        covered += inst.mask
+    assert covered.max() == 1
+    coin, coin_truth = scene.instances[0], scene.truth.instances[0]
+    assert coin.label is ClassLabel.COIN
+    assert coin_truth.bbox_w_px == coin_truth.bbox_h_px == coin.bbox[2] == coin.bbox[3]
+    assert coin_truth.bbox_w_px == pytest.approx(measurement.COIN_DIAMETER_MM / scene.truth.mm_per_px, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        synth.SceneConfig(),
+        synth.SceneConfig(width=400, height=256, boundary_noise=0.0),
+        synth.SceneConfig(width=240, height=320, items_per_scene=2, boundary_noise=0.06),
+    ],
+    ids=["default", "wide-noiseless", "tall-noisy"],
+)
+def test_scenes_place_instances_inside_the_frame_and_apart(cfg):
+    for seed in range(40):
+        assert_placed_apart(synth.generate_scene(cfg, seed))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        synth.SceneConfig(width=150, height=90, items_per_scene=4, coin_radius_range=(8.0, 12.0),
+                          max_placement_tries=15, boundary_noise=0.05),
+        # the margin is clamped to the strip's height, so triangles whose apex
+        # points down or right overhang only the far edge
+        synth.SceneConfig(width=160, height=32, items_per_scene=2, coin_radius_range=(8.0, 10.0),
+                          max_placement_tries=30, boundary_noise=0.05),
+    ],
+    ids=["crowded", "strip"],
+)
+def test_small_scenes_retry_and_reseed_yet_place_apart(monkeypatch, cfg):
+    rasters = []
+    real = synth._rasterize
+    monkeypatch.setattr(synth, "_rasterize", lambda *a: rasters.append(a) or real(*a))
+    rng = np.random.default_rng(11)
+    retried = reseeded = 0
+    for seed in range(40):
+        items = [synth.draw_item(rng, FOOD_CLASSES[(seed + k) % 5], cfg) for k in range(cfg.items_per_scene)]
+        try:
+            synth.generate_scene(cfg, seed, items)
+        except PlacementFailure:
+            reseeded += 1
+        before = len(rasters)
+        scene = synth._scene_with_retries(cfg, seed, items)
+        retried += len(rasters) - before > len(scene.instances)
+        assert_placed_apart(scene)
+    assert retried > 5 and reseeded > 0
+
+
+# ---------------------------------------------------------------------------
 # coin scale recovery
 
 
