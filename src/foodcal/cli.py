@@ -299,6 +299,8 @@ def cmd_eval(args, parser):
     else:
         train, valid, test = preprocess.split(dataset, fractions=fractions, seed=seed)
         part = {"train": train, "valid": valid, "test": test}[args.split]
+    if len(part) == 0:
+        raise DataError(f"{args.data}: the {args.split} split of its {len(dataset)} rows is empty")
     part_n = preprocess.minmax_apply(params, part)
     pred = regress.predict_matrix(model, part_n.X)
     report = metrics.regression_metrics(pred, part_n.y)

@@ -23,6 +23,7 @@ from foodcal.errors import (
     EmptyDataset,
     SingularSystem,
     ZeroTotalWeight,
+    is_number,
 )
 from foodcal.preprocess import RegressionDataset
 
@@ -66,57 +67,58 @@ class ModelSpec:
 # relative slack under which two candidate scores count as tied
 _TIE_REL = 1e-10
 
+# (node, feature, row) cells that one call of the split search scores at most
+_CHUNK_CELLS = 2**13
 
-def _best_split(X, y, feat_ids, min_leaf):
-    """Split search over one node's rows: the (feature, threshold)
-    minimizing the summed left/right squared error.
 
-    Candidate thresholds sit at midpoints between consecutive distinct
-    sorted values; ties resolve to the lowest feature index, then the lowest
-    threshold. Scores within ``_TIE_REL`` of each other count as tied, so
-    exact-arithmetic ties cannot be reordered by float rounding (this keeps
-    tree structure stable under, e.g., target translation). Returns
-    (feature, threshold, split_sse, parent_sse); feature is -1 when no
-    candidate satisfies the leaf-size constraint.
+def _split_search(Xp, ranks, yp, rows, n_rows, feats, min_leaf):
+    """Each node's (feature, threshold) minimizing the summed left/right
+    squared error, for a batch of nodes: ``rows`` (nodes, R) lists each
+    node's ``n_rows`` rows, then ``_columns``' padding row, and ``feats``
+    (nodes, F) the features to search. Sorted (dense rank, position) keys
+    order a node's rows as a stable sort of its values, padding last.
+
+    Thresholds sit at midpoints between consecutive distinct values; ties
+    go to the first feature in ``feats``, then the lowest threshold. Scores
+    within ``_TIE_REL`` count as tied, so float rounding cannot reorder
+    exact ties (tree structure stays stable under target translation).
+    Returns (feature, threshold, split_sse, parent_sse) per node, parent_sse
+    summed in the last feature's order; feature -1 means no valid split.
     """
-    n = X.shape[0]
-    best_feat = -1
-    best_thr = 0.0
-    best_score = np.inf
-    parent_sse = np.inf
-    nl = np.arange(1, n, dtype=np.int64)
-    nr = n - nl
-    for f in feat_ids:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        vs = col[order]
-        ys = y[order]
-        cum = np.cumsum(ys)
-        cumsq = np.cumsum(ys * ys)
-        total = cum[-1]
-        total_sq = cumsq[-1]
-        parent_sse = total_sq - total * total / n
-        tol = _TIE_REL * (1.0 + abs(parent_sse))
-        valid = (vs[1:] > vs[:-1]) & (nl >= min_leaf) & (nr >= min_leaf)
-        if not valid.any():
-            continue
-        sl = cum[:-1]
-        sql = cumsq[:-1]
-        sse_l = sql - sl * sl / nl
-        sr = total - sl
-        sqr = total_sq - sql
-        sse_r = sqr - sr * sr / nr
-        score = np.where(valid, sse_l + sse_r, np.inf)
-        min_score = score.min()
-        i = int(np.argmax(score <= min_score + tol))  # first tied candidate
-        if score[i] < best_score - tol:
-            best_score = float(score[i])
-            best_feat = int(f)
-            thr = (vs[i] + vs[i + 1]) / 2.0
-            if thr == vs[i + 1]:
-                thr = vs[i]
-            best_thr = float(thr)
-    return best_feat, best_thr, best_score, parent_sse
+    nodes, n_feats = feats.shape
+    width = rows.shape[1]
+    shift = width.bit_length()
+    g = np.arange(nodes * n_feats)[:, None]  # one line per (node, feature)
+    line_rows = rows[g[:, 0] // n_feats]
+    f = feats.reshape(-1, 1)
+    srt = np.sort((np.take(ranks, line_rows * ranks.shape[1] + f) << shift) | np.arange(width), axis=1)
+    upper = srt[:, 1:] >> shift  # each candidate's upper rank; as a float comparison would, skip NaN
+    valid = (upper > srt[:, :-1] >> shift) & (upper < ranks[-1, 0])
+    srt = np.take(line_rows, g * width + (srt & ((1 << shift) - 1)))  # each line's rows in value order
+    ys = yp[srt]
+    cum, cumsq = np.cumsum(ys, 1), np.cumsum(ys * ys, 1)
+    k = n_rows.repeat(n_feats)[:, None]
+    total, total_sq = cum[g, k - 1], cumsq[g, k - 1]
+    parent_sse = total_sq - total * total / k
+    tol = _TIE_REL * (1.0 + np.abs(parent_sse))
+    nl = np.arange(1.0, width)  # float counts divide as the integers would
+    valid &= (nl >= min_leaf) & (nl <= k - max(min_leaf, 1))
+    sl, sql, sr = cum[:, :-1], cumsq[:, :-1], total - cum[:, :-1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # no rows right of the padding; -inf + inf
+        score = np.where(valid, (sql - sl * sl / nl) + (total_sq - sql - sr * sr / (k - nl)), np.inf)
+        i = np.argmax(score <= score.min(1, keepdims=True) + tol, 1)[:, None]  # first tied candidate
+        lo, hi = Xp[srt[g, i], f], Xp[srt[g, i + 1], f]
+        thr = (lo + hi) / 2.0
+    thr = np.where(thr == hi, lo, thr).reshape(nodes, n_feats)
+    score, tol = score[g, i].reshape(nodes, n_feats), tol.reshape(nodes, n_feats)
+    best, pick = np.full(nodes, np.inf), np.full(nodes, -1)  # score and column of each node's choice
+    for j in range(n_feats):
+        better = score[:, j] < best - tol[:, j]
+        best = np.where(better, score[:, j], best)
+        pick[better] = j
+    at, found = (np.arange(nodes), np.maximum(pick, 0)), pick >= 0
+    feature, threshold = np.where(found, feats[at], -1), np.where(found, thr[at], 0.0)
+    return feature, threshold, best, parent_sse[n_feats - 1 :: n_feats, 0]
 
 
 _BLOCK_ROWS = 1024  # rows that _Trees walks at once
@@ -298,45 +300,106 @@ def _ints(values, name) -> np.ndarray:
     return a
 
 
-def _grow_tree(X, y, *, max_depth=None, min_samples_leaf=1, rng=None, n_subset=None) -> _Trees:
-    """Iterative preorder CART growth (explicit stack, so depth is unbounded)
-    into a one-tree pack."""
-    p = X.shape[1]
-    all_feats = np.arange(p, dtype=np.int64)
-    feature, split, right = [], [], []
-    stack = [(np.arange(len(y), dtype=np.int64), 0, -1)]  # rows, depth, node whose right child this is
-    while stack:
-        idx, depth, right_of = stack.pop()
-        ys = y[idx]
-        node = len(feature)
-        feature.append(-1)
-        split.append(float(ys.mean()))
-        right.append(-1)
-        if right_of >= 0:
-            right[right_of] = node
-        if len(idx) < max(2, 2 * min_samples_leaf):
-            continue
-        if max_depth is not None and depth >= max_depth:
-            continue
-        if np.all(ys == ys[0]):
-            continue
-        if n_subset is None:
-            feats = all_feats
+def _numbers(values, name, ndim=1, kind=(int, float)) -> np.ndarray:
+    """``values`` as a float array: one finite number of ``kind`` (``ndim``
+    0), a list of them (1) or a list of such lists (2)."""
+    lines = values if ndim == 2 and isinstance(values, list) else [values] if ndim else [[values]]
+    if not all(isinstance(line, list) and all(map(is_number, line, [kind] * len(line))) for line in lines):
+        what = "an integer" if kind is int else "finite numbers"
+        raise DataError(f"{name} must be {what}, not {values!r:.50}")
+    return np.asarray(values, dtype=np.float64)
+
+
+def _columns(X):
+    """``X`` and the dense ranks of its values, each with a padding row
+    that sorts after every other row: +inf and the highest rank, which NaN shares."""
+    ranks = np.where(np.isnan(X), X.size, np.unique(X, return_inverse=True)[1].reshape(X.shape))
+    return np.vstack([X, np.full(X.shape[1], np.inf)]), np.vstack([ranks, np.full(X.shape[1], X.size)])
+
+
+def _grow(cols, y, rows=None, *, max_depth=None, min_samples_leaf=1, rngs=None, n_subset=None) -> _Trees:
+    """CART trees on ``cols = _columns(X)`` and ``y``, one per line of
+    ``rows`` (default: every row once), packed in preorder. A node's rows
+    are a segment of its tree's line, split in place by a stable partition.
+    Each round scores its nodes through one batched split search, in chunks
+    of at most ``_CHUNK_CELLS`` cells. Without ``rngs`` a round takes every
+    whole frontier; with them, each tree pops one node off its preorder
+    stack and draws its ``n_subset`` features from its own generator, so
+    its draws do not depend on the trees grown beside it.
+    """
+    Xp, ranks = cols
+    rows = np.arange(len(y))[None] if rows is None else rows
+    n_trees, n = rows.shape
+    p, pad = Xp.shape[1], len(Xp) - 1
+    n_feats = p if rngs is None else min(n_subset, p)
+    flat = rows.reshape(-1)  # tree t's rows are flat[t * n : t * n + n]
+    yp = np.append(y, 0.0)
+    min_rows, depth_cap = max(2, 2 * min_samples_leaf), np.inf if max_depth is None else max_depth
+    stacks = [[(t * n, t * n + n, 0, -1, 0)] for t in range(n_trees)]  # start, stop, depth, parent, is right
+    done, count = [], 0
+    while any(stacks):
+        if rngs is None:
+            batch, stacks = [node for stack in stacks for node in stack], [[] for _ in stacks]
         else:
-            feats = np.sort(rng.choice(p, size=min(n_subset, p), replace=False)).astype(np.int64)
-        f, thr, score, parent_sse = _best_split(X[idx], ys, feats, min_samples_leaf)
-        if f < 0 or not parent_sse - score > 0:
-            continue
-        go_left = X[idx, f] <= thr
-        li = idx[go_left]
-        ri = idx[~go_left]
-        if len(li) == 0 or len(ri) == 0:
-            continue
-        feature[node] = int(f)
-        split[node] = float(thr)
-        stack.append((ri, depth + 1, node))
-        stack.append((li, depth + 1, -1))  # popped next, so it is node + 1
-    return _Trees(feature, split, right, [0])
+            batch = [stack.pop() for stack in stacks if stack]
+        nodes = np.array(batch, dtype=np.int32)
+        feature, value = np.full(len(nodes), -1, dtype=np.int32), np.zeros(len(nodes))
+        start, stop, depth = nodes[:, :3].T
+        size = stop - start
+        todo = np.flatnonzero((size >= min_rows) & (depth < depth_cap))
+        todo = todo[np.argsort(-size[todo], kind="stable")]
+        while todo.size:
+            k = max(1, _CHUNK_CELLS // (n_feats * int(size[todo[0]])))
+            c, todo = todo[:k], todo[k:]
+            m = size[c]
+            real = np.arange(m[0]) < m[:, None]
+            r = np.where(real, flat[np.minimum(start[c, None] + np.arange(m[0]), flat.size - 1)], pad)
+            ys = yp[r]
+            live = ~np.all((ys == ys[:, :1]) | ~real, axis=1)  # constant targets make a leaf
+            c, m, real, r = c[live], m[live], real[live], r[live]
+            if not c.size:
+                continue
+            if rngs is None:
+                feats = np.arange(p)[None].repeat(len(c), 0)
+            else:
+                feats = np.sort([rngs[a // n].choice(p, size=n_feats, replace=False) for a in start[c]], axis=1)
+            f, thr, score, parent_sse = _split_search(Xp, ranks, yp, r, m, feats, min_samples_leaf)
+            go_left = (Xp[r, f[:, None]] <= thr[:, None]) & real
+            nl = go_left.sum(1)
+            split = (f >= 0) & (parent_sse - score > 0) & (nl > 0) & (nl < m)
+            c, real, r, nl = c[split], real[split], r[split], nl[split]
+            feature[c], value[c] = f[split], thr[split]
+            order = np.argsort(np.where(real, ~go_left[split], 2), axis=1, kind="stable")  # left, right, padding
+            flat[(start[c, None] + np.arange(r.shape[1]))[real]] = np.take_along_axis(r, order, 1)[real]
+            kids = (start[c], start[c] + nl, stop[c], depth[c] + 1, count + c)
+            for a, b, e, d, i in zip(*(v.tolist() for v in kids)):
+                stacks[a // n] += [(b, e, d, i, 1), (a, b, d, i, 0)]  # the left child pops first
+        done.append((nodes, feature, value))
+        count += len(batch)
+    nodes, feature, value = (np.concatenate(a) for a in zip(*done))
+    del done
+    start, stop, depth, parent, is_right = nodes.T
+    leaves = np.flatnonzero(feature < 0)
+    leaves = leaves[np.argsort(stop[leaves] - start[leaves], kind="stable")]
+    for at in np.split(leaves, np.flatnonzero(np.diff(stop[leaves] - start[leaves])) + 1):
+        # the row-wise means of equal-length rows are each row's ys.mean()
+        value[at] = y[flat[start[at, None] + np.arange(stop[at[0]] - start[at[0]])]].mean(axis=1)
+    size = np.ones(count, dtype=np.int32)  # of each node's subtree
+    for d in range(depth.max(), 0, -1):
+        kid = np.flatnonzero(depth == d)
+        np.add.at(size, parent[kid], size[kid])
+    roots = np.flatnonzero(parent < 0)
+    pos = np.empty_like(size)  # in preorder
+    pos[roots] = np.cumsum(size[roots]) - size[roots]
+    for d in range(1, depth.max() + 1):  # a right child follows its left sibling's subtree
+        kid = np.flatnonzero(depth == d)
+        up = parent[kid]
+        pos[kid] = pos[up] + 1 + is_right[kid] * (size[up] - 1 - size[kid])
+    right, kid = np.full(count, -1), np.flatnonzero(is_right)
+    right[pos[parent[kid]]] = pos[kid]
+    packed_feature, packed_value = np.empty(count, dtype=np.intp), np.empty(count)
+    packed_feature[pos], packed_value[pos] = feature, value
+    return _Trees(packed_feature, packed_value, right, pos[roots])
 
 
 def weighted_median(values, weights) -> float:
@@ -416,7 +479,8 @@ class LinearModel(Regressor):
 
     @classmethod
     def from_state(cls, n_features, state):
-        model = cls(n_features, state["coef"], state["intercept"])
+        intercept = _numbers(state["intercept"], "linear intercept", 0)
+        model = cls(n_features, _numbers(state["coef"], "linear coef"), intercept)
         if model.coef.shape != (n_features,):
             raise DataError(f"linear coef has shape {model.coef.shape}, expected ({n_features},)")
         return model
@@ -449,7 +513,8 @@ class KnnModel(Regressor):
 
     @classmethod
     def from_state(cls, n_features, state):
-        model = cls(n_features, state["X"], state["y"], state["k"])
+        X, y = _numbers(state["X"], "knn X", ndim=2), _numbers(state["y"], "knn y")
+        model = cls(n_features, X, y, _numbers(state["k"], "knn k", 0, int))
         m = len(model.y)
         if m < 1 or model.y.shape != (m,) or model.X.shape != (m, n_features):
             raise DataError(
@@ -469,7 +534,7 @@ class TreeModel(Regressor):
 
     @classmethod
     def fit(cls, X, y, *, max_depth=None, min_samples_leaf=1, **_):
-        return cls(X.shape[1], _grow_tree(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf))
+        return cls(X.shape[1], _grow(_columns(X), y, max_depth=max_depth, min_samples_leaf=min_samples_leaf))
 
     def predict(self, X):
         return self.tree.predict(X)
@@ -495,21 +560,11 @@ class ForestModel(Regressor):
     @classmethod
     def fit(cls, X, y, *, seed=0, n_trees=100, max_depth=None, min_samples_leaf=1, **_):
         n, p = X.shape
-        n_subset = max(1, p // 3)
-
-        def fit_tree(t):
-            rng = np.random.default_rng((seed, t))
-            idx = rng.integers(0, n, size=n)
-            return _grow_tree(
-                X[idx],
-                y[idx],
-                max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
-                rng=rng,
-                n_subset=n_subset,
-            )
-
-        return cls(p, [fit_tree(t) for t in range(n_trees)])
+        rngs = [np.random.default_rng((seed, t)) for t in range(n_trees)]
+        boot = np.array([rng.integers(0, n, size=n) for rng in rngs], dtype=np.int32).reshape(n_trees, n)
+        trees = _grow(_columns(X), y, boot, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                      rngs=rngs, n_subset=max(1, p // 3))
+        return cls(p, [trees])
 
     def predict(self, X):
         # cumsum adds the trees in order for any row count; mean's pairwise
@@ -537,10 +592,11 @@ class BoostModel(Regressor):
     def fit(cls, X, y, *, n_rounds=100, learning_rate=0.1, max_depth=3, **_):
         init = float(y.mean())
         current = np.full(len(y), init)
+        cols = _columns(X)  # shared by every round's tree
         trees = []
         for _round in range(n_rounds):
             residual = y - current
-            tree = _grow_tree(X, residual, max_depth=max_depth)
+            tree = _grow(cols, residual, max_depth=max_depth)
             current = current + learning_rate * tree.predict(X)
             trees.append(tree)
         return cls(X.shape[1], init, learning_rate, trees)
@@ -558,7 +614,8 @@ class BoostModel(Regressor):
     @classmethod
     def from_state(cls, n_features, state):
         trees = _Trees.from_state(state, n_features, min_trees=0)  # zero rounds predict the mean
-        return cls(n_features, state["init"], state["learning_rate"], [trees])
+        init, rate = (_numbers(state[key], f"gboost {key}", 0) for key in ("init", "learning_rate"))
+        return cls(n_features, init, rate, [trees])
 
 
 class AdaBoostModel(Regressor):
@@ -576,11 +633,12 @@ class AdaBoostModel(Regressor):
         n = len(y)
         rng = np.random.default_rng(seed)
         w = np.full(n, 1.0 / n)
+        cols = _columns(X)  # shared by every round's tree
         trees = []
         log_weights = []
         for _round in range(max_rounds):
             idx = rng.choice(n, size=n, replace=True, p=w)
-            tree = _grow_tree(X[idx], y[idx], max_depth=max_depth)
+            tree = _grow(cols, y, idx[None], max_depth=max_depth)
             err = np.abs(tree.predict(X) - y)
             err_max = err.max()
             loss = err / err_max if err_max > 0 else np.zeros(n)
@@ -611,10 +669,10 @@ class AdaBoostModel(Regressor):
     @classmethod
     def from_state(cls, n_features, state):
         trees = _Trees.from_state(state, n_features)
-        model = cls(n_features, [trees], state["log_weights"])
-        if model.log_weights.shape != (len(trees),) or not np.all(np.isfinite(model.log_weights)):
-            raise DataError(f"{len(trees)} trees need as many finite log_weights")
-        return model
+        weights = _numbers(state["log_weights"], "adaboost log_weights")
+        if weights.shape != (len(trees),) or np.any(weights < 0) or not weights.sum() > 0:
+            raise DataError(f"{len(trees)} trees need as many log_weights, each >= 0, with a positive sum")
+        return cls(n_features, [trees], weights)
 
 
 _MODEL_CLASSES = {

@@ -397,6 +397,32 @@ def test_bad_linear_or_knn_state_exits_2(gen_dir, tmp_path, capsys, model, corru
     assert "model.json: " in _one_error_line(capsys)
 
 
+def test_adaboost_bundle_with_negative_weights_exits_2(gen_dir, tmp_path):
+    # weights of -1 once loaded and then failed inside the weighted median
+    # with a traceback, hence the child process
+    path = tmp_path / "m" / "model.json"
+    assert run_cli("train", "--data", str(gen_dir / "dataset.csv"), "--model", "ada",
+                   "--out", str(path.parent)) == 0
+    bundle = json.loads(path.read_text())
+    state = bundle["regressor"]["state"]
+    state["log_weights"] = [-1.0] * len(state["log_weights"])
+    path.write_text(json.dumps(bundle))
+    result = run_foodcal("eval", "--model", str(path), "--data", str(gen_dir / "dataset.csv"), timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "log_weights" in result.stderr
+
+
+def test_eval_on_an_empty_split_names_it(tmp_path, capsys):
+    data, model = tmp_path / "d" / "dataset.csv", tmp_path / "m" / "model.json"
+    assert run_cli("gen", "--seed", "2", "--records", "8", "--out", str(data.parent)) == 0
+    assert run_cli("train", "--data", str(data), "--model", "rf", "--out", str(model.parent)) == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--model", str(model), "--data", str(data)) == 2
+    line = _one_error_line(capsys)
+    assert "dataset.csv" in line and "test split" in line and "8 rows" in line
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run_cli("train", "--data", str(tmp_path / "nope.csv"), "--model", "rf",
                    "--out", str(tmp_path / "m")) == 2

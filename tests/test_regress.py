@@ -1,6 +1,8 @@
 import base64
 import copy
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,215 @@ def toy_dataset(rng, n=120, noise=0.0):
         + noise * rng.standard_normal(n)
     )
     return RegressionDataset(X, y)
+
+
+# ---------------------------------------------------------------------------
+# per-node CART: the split search and growth that the batched kernel
+# replaced, kept as its oracle
+
+
+def _best_split(X, y, feat_ids, min_leaf):
+    """(feature, threshold, split_sse, parent_sse) of one node's rows, a
+    feature at a time; feature is -1 when no candidate satisfies the
+    leaf-size constraint."""
+    n = X.shape[0]
+    best_feat = -1
+    best_thr = 0.0
+    best_score = np.inf
+    parent_sse = np.inf
+    nl = np.arange(1, n, dtype=np.int64)
+    nr = n - nl
+    for f in feat_ids:
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        vs = col[order]
+        ys = y[order]
+        cum = np.cumsum(ys)
+        cumsq = np.cumsum(ys * ys)
+        total = cum[-1]
+        total_sq = cumsq[-1]
+        parent_sse = total_sq - total * total / n
+        tol = regress._TIE_REL * (1.0 + abs(parent_sse))
+        valid = (vs[1:] > vs[:-1]) & (nl >= min_leaf) & (nr >= min_leaf)
+        if not valid.any():
+            continue
+        sl = cum[:-1]
+        sql = cumsq[:-1]
+        sse_l = sql - sl * sl / nl
+        sr = total - sl
+        sqr = total_sq - sql
+        sse_r = sqr - sr * sr / nr
+        score = np.where(valid, sse_l + sse_r, np.inf)
+        min_score = score.min()
+        i = int(np.argmax(score <= min_score + tol))  # first tied candidate
+        if score[i] < best_score - tol:
+            best_score = float(score[i])
+            best_feat = int(f)
+            thr = (vs[i] + vs[i + 1]) / 2.0
+            if thr == vs[i + 1]:
+                thr = vs[i]
+            best_thr = float(thr)
+    return best_feat, best_thr, best_score, parent_sse
+
+
+def _grow_tree(X, y, *, max_depth=None, min_samples_leaf=1, rng=None, n_subset=None):
+    """One tree grown a node at a time in preorder, into a one-tree pack."""
+    p = X.shape[1]
+    all_feats = np.arange(p, dtype=np.int64)
+    feature, split, right = [], [], []
+    stack = [(np.arange(len(y), dtype=np.int64), 0, -1)]  # rows, depth, node whose right child this is
+    while stack:
+        idx, depth, right_of = stack.pop()
+        ys = y[idx]
+        node = len(feature)
+        feature.append(-1)
+        split.append(float(ys.mean()))
+        right.append(-1)
+        if right_of >= 0:
+            right[right_of] = node
+        if len(idx) < max(2, 2 * min_samples_leaf):
+            continue
+        if max_depth is not None and depth >= max_depth:
+            continue
+        if np.all(ys == ys[0]):
+            continue
+        if n_subset is None:
+            feats = all_feats
+        else:
+            feats = np.sort(rng.choice(p, size=min(n_subset, p), replace=False)).astype(np.int64)
+        f, thr, score, parent_sse = _best_split(X[idx], ys, feats, min_samples_leaf)
+        if f < 0 or not parent_sse - score > 0:
+            continue
+        go_left = X[idx, f] <= thr
+        li = idx[go_left]
+        ri = idx[~go_left]
+        if len(li) == 0 or len(ri) == 0:
+            continue
+        feature[node] = int(f)
+        split[node] = float(thr)
+        stack.append((ri, depth + 1, node))
+        stack.append((li, depth + 1, -1))  # popped next, so it is node + 1
+    return regress._Trees(feature, split, right, [0])
+
+
+def oracle_grow(cols, y, rows=None, *, max_depth=None, min_samples_leaf=1, rngs=None, n_subset=None):
+    """``regress._grow`` through the oracle: each tree grown alone, in turn."""
+    X = cols[0][:-1]
+    rows = np.arange(len(y))[None] if rows is None else rows
+    return regress._Trees.concat([
+        _grow_tree(X[line], y[line], max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                   rng=None if rngs is None else rngs[t], n_subset=n_subset)
+        for t, line in enumerate(rows)
+    ])
+
+
+def packed_bytes(model):
+    trees = model.tree if model.algorithm == "dtree" else model.trees
+    return {key: getattr(trees, key).tobytes() for key in ("feature", "right", "roots", "split")}
+
+
+VALUES = (-1.0, 0.0, 0.5, 1.0, 2.5, np.inf, np.nan)  # a small grid, so that values tie often
+TARGETS = (0.0, 1.0, 3.0, -7.25, 10.0)
+
+
+@st.composite
+def cart_cases(draw):
+    """A small dataset whose ties, duplicate rows, constant columns and
+    constant targets are common, with growth settings and a few nodes."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 9))
+    X = np.array(draw(st.lists(st.sampled_from(VALUES), min_size=n * p, max_size=n * p))).reshape(n, p)
+    target = st.sampled_from(TARGETS) | st.floats(-100.0, 100.0, allow_nan=False)
+    y = np.array(draw(st.lists(target, min_size=n, max_size=n)))
+    growth = {
+        "max_depth": draw(st.sampled_from([None, 0, 1, 2, 3, 4])),
+        "min_samples_leaf": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 2**16)),
+        "n_trees": draw(st.integers(2, 5)),
+        "rounds": draw(st.integers(1, 4)),
+    }
+    node = st.lists(st.integers(0, n - 1), min_size=2, max_size=max(2, n))  # rows may repeat, as in a bootstrap
+    feats = st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True).map(sorted)
+    nodes = draw(st.lists(st.tuples(node, feats), min_size=1, max_size=4))
+    return X, y, growth, nodes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cart_cases())
+def test_batched_growth_matches_the_per_node_oracle(case):
+    X, y, growth, nodes = case
+    leaf, depth = growth["min_samples_leaf"], growth["max_depth"]
+    fits = [
+        lambda: regress.TreeModel.fit(X, y, max_depth=depth, min_samples_leaf=leaf),
+        lambda: regress.ForestModel.fit(X, y, seed=growth["seed"], n_trees=growth["n_trees"], max_depth=depth,
+                                        min_samples_leaf=leaf),
+        lambda: regress.BoostModel.fit(X, y, n_rounds=growth["rounds"], max_depth=depth),
+        lambda: regress.AdaBoostModel.fit(X, y, seed=growth["seed"], max_rounds=growth["rounds"],
+                                          max_depth=depth),
+    ]
+    for fit in fits:
+        batched = fit()
+        with mock.patch.object(regress, "_grow", oracle_grow):
+            assert packed_bytes(batched) == packed_bytes(fit())
+
+    # the kernel on its own, for nodes of any sizes in one padded batch
+    Xp, ranks = regress._columns(X)
+    width = max(len(rows) for rows, _ in nodes)
+    rows = np.full((len(nodes), width), len(X))
+    for b, (node_rows, _) in enumerate(nodes):
+        rows[b, : len(node_rows)] = node_rows
+    n_rows = np.array([len(node_rows) for node_rows, _ in nodes])
+    for n_feats in {1, min(len(f) for _, f in nodes)}:
+        feats = np.array([f[:n_feats] for _, f in nodes])
+        got = regress._split_search(Xp, ranks, np.append(y, 0.0), rows, n_rows, feats, leaf)
+        for b, (node_rows, _) in enumerate(nodes):
+            want = _best_split(X[node_rows], y[node_rows], feats[b], leaf)
+            assert [np.float64(v[b]).tobytes() for v in got] == [np.float64(v).tobytes() for v in want]
+
+
+@pytest.mark.parametrize("algorithm", ["dtree", "rforest", "gboost", "adaboost"])
+def test_batched_growth_matches_the_oracle_on_larger_nodes(algorithm):
+    # leaves of 8 rows and more take numpy's pairwise sum, and rounds of
+    # many nodes take several chunks of padded rows
+    rng = np.random.default_rng(19)
+    ds = toy_dataset(rng, n=150, noise=1.0)
+    spec = ModelSpec(algorithm, seed=3, hyperparameters={"n_trees": 20} if algorithm == "rforest" else {})
+    batched = packed_bytes(regress.fit(spec, ds))
+    with mock.patch.object(regress, "_grow", oracle_grow):
+        assert batched == packed_bytes(regress.fit(spec, ds))
+
+
+def test_forest_trees_do_not_depend_on_the_trees_beside_them():
+    rng = np.random.default_rng(16)
+    ds = toy_dataset(rng, n=80, noise=1.0)
+    full = regress.ForestModel.fit(ds.X, ds.y, seed=5, n_trees=100).trees
+    for k in (1, 7):
+        first = regress.ForestModel(N_FEATURES, [full[t] for t in range(k)])
+        assert packed_bytes(regress.ForestModel.fit(ds.X, ds.y, seed=5, n_trees=k)) == packed_bytes(first)
+
+
+@pytest.mark.parametrize("algorithm", ["dtree", "rforest", "gboost", "adaboost"])
+def test_trees_do_not_depend_on_the_chunk_size(algorithm, monkeypatch):
+    rng = np.random.default_rng(17)
+    ds = toy_dataset(rng, n=90, noise=1.0)
+    spec = ModelSpec(algorithm, seed=2, hyperparameters={"n_trees": 12} if algorithm == "rforest" else {})
+    whole = packed_bytes(regress.fit(spec, ds))
+    monkeypatch.setattr(regress, "_CHUNK_CELLS", 1)  # one node per split search
+    assert packed_bytes(regress.fit(spec, ds)) == whole
+
+
+def test_forest_fit_memory_stays_bounded():
+    # 507 rows, as in the paper-sized training split; an uncapped batch of
+    # every tree's frontier peaked near 24 MB
+    rng = np.random.default_rng(18)
+    ds = toy_dataset(rng, n=507, noise=1.0)
+    tracemalloc.start()
+    try:
+        regress.ForestModel.fit(ds.X, ds.y, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +270,13 @@ def test_split_tie_prefers_lower_threshold():
     # y symmetric around the middle: splitting at 0.5 or 1.5 gives equal SSE
     X = np.array([[0.0], [1.0], [2.0]])
     assert root_split(X, [0.0, 5.0, 10.0]) == (0, 0.5)
+
+
+def test_split_threshold_never_rounds_onto_the_upper_value():
+    # the midpoint of 1 + 2**-52 and 1 + 2**-51 rounds to the upper value,
+    # which would send both rows left; the lower value splits them
+    lo, hi = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+    assert root_split(np.array([[lo], [hi]]), [0.0, 10.0]) == (0, lo)
 
 
 def test_split_constant_feature_gives_none():
@@ -170,7 +388,7 @@ def test_dtree_respects_max_depth():
 def test_rforest_of_identical_trees_equals_single_tree():
     X = np.array([[0.0], [1.0]])
     y = np.array([0.0, 10.0])
-    tree = regress._grow_tree(X, y)
+    tree = _grow_tree(X, y)
     forest = regress.ForestModel(1, [tree] * 25)
     q = np.array([[0.2], [0.9]])
     assert np.array_equal(forest.predict(q), tree.predict(q))
@@ -307,18 +525,42 @@ def test_model_file_layout():
     assert "state" in payload and "hyperparameters" in payload
 
 
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda p: p.update(algorithm="xgb"),
-        lambda p: p.pop("state"),
-        lambda p: p["state"].pop("coef"),
-    ],
-    ids=["unknown-algorithm", "no-state", "no-coef"],
-)
-def test_from_dict_rejects_malformed_payload(corrupt):
+def _set_state(**values):
+    return lambda p: p["state"].update(values)
+
+
+def _map_state(key, convert):
+    return lambda p: p["state"].update({key: convert(p["state"][key])})
+
+
+# corruption of a fitted model's payload: the algorithm fitted, and the edit
+MALFORMED = {
+    "unknown-algorithm": ("linear", lambda p: p.update(algorithm="xgb")),
+    "no-state": ("linear", lambda p: p.pop("state")),
+    "no-coef": ("linear", lambda p: p["state"].pop("coef")),
+    "linear-string-intercept": ("linear", _set_state(intercept="1")),
+    "linear-bool-coef": ("linear", _map_state("coef", lambda c: [True] * len(c))),
+    "knn-string-k": ("knn", _set_state(k="3")),
+    "knn-fractional-k": ("knn", _set_state(k=2.5)),
+    "knn-bool-k": ("knn", _set_state(k=True)),
+    "knn-string-X": ("knn", _map_state("X", lambda X: [[str(v) for v in row] for row in X])),
+    "knn-bool-X": ("knn", _map_state("X", lambda X: [[bool(v) for v in row] for row in X])),
+    "knn-string-y": ("knn", _map_state("y", lambda y: [str(v) for v in y])),
+    "knn-bool-y": ("knn", _map_state("y", lambda y: [True] * len(y))),
+    "gboost-string-rate": ("gboost", _set_state(learning_rate="0.1")),
+    "gboost-bool-rate": ("gboost", _set_state(learning_rate=True)),
+    "gboost-bool-init": ("gboost", _set_state(init=False)),
+    "adaboost-bool-weights": ("adaboost", _map_state("log_weights", lambda w: [True] * len(w))),
+    "adaboost-negative-weights": ("adaboost", _map_state("log_weights", lambda w: [-1.0] * len(w))),
+    "adaboost-zero-weights": ("adaboost", _map_state("log_weights", lambda w: [0.0] * len(w))),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_from_dict_rejects_malformed_payload(case):
+    algorithm, corrupt = MALFORMED[case]
     rng = np.random.default_rng(9)
-    payload = regress.to_dict(regress.fit(ModelSpec("linear"), toy_dataset(rng, n=20)))
+    payload = regress.to_dict(regress.fit(ModelSpec(algorithm), toy_dataset(rng, n=20)))
     corrupt(payload)
     with pytest.raises(DataError):
         regress.from_dict(payload)
