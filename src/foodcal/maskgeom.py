@@ -8,7 +8,7 @@ perimeter is the arc length of the closed vertex loop, so a filled w x h
 rectangle measures (w-1)(h-1) and 2(w-1)+2(h-1).
 
 Masks are exchanged on disk as binary PGM (P5): 0 background, 255 foreground;
-any value >= 128 reads back as foreground.
+a pixel v reads back as foreground when 2v > maxval, so v >= 128 at 255.
 """
 
 from dataclasses import dataclass
@@ -219,7 +219,7 @@ def write_pgm(path, mask) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5) as a 0/1 mask (pixel >= 128 is foreground)."""
+    """Read a binary PGM (P5) as a 0/1 mask (pixel v is foreground if 2v > maxval)."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P5"):
@@ -242,9 +242,11 @@ def read_pgm(path) -> np.ndarray:
         w, h, maxval = (int(v) for v in fields)
     except ValueError as exc:
         raise DataError(f"{path}: malformed PGM header") from exc
-    if maxval > 255 or w < 1 or h < 1:
+    if not 1 <= maxval <= 255 or w < 1 or h < 1:
         raise DataError(f"{path}: unsupported PGM header (w={w} h={h} maxval={maxval})")
     if len(data) - pos < w * h:
         raise DataError(f"{path}: truncated PGM raster")
-    raster = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
-    return (raster.reshape(h, w) >= 128).astype(np.uint8)
+    raster = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w)
+    if maxval < 255 and raster.max() > maxval:
+        raise DataError(f"{path}: a pixel is above the PGM maxval {maxval}")
+    return (raster > maxval // 2).astype(np.uint8)

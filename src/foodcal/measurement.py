@@ -52,12 +52,14 @@ DEFAULT_DENSITIES = {
 @dataclass(frozen=True)
 class DetectionInstance:
     """One detector output: class, optional confidence, bbox (x, y, w, h)
-    in pixels, and an instance mask with the full image dimensions."""
+    in pixels, and an instance mask: a crop holding all of its foreground
+    with its top-left pixel at ``origin`` (x, y), or the frame at (0, 0)."""
 
     label: ClassLabel
     bbox: tuple[int, int, int, int]
     confidence: float | None = None
     mask: np.ndarray | None = None
+    origin: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
         if self.confidence is not None and not (is_number(self.confidence) and 0.0 <= self.confidence <= 1.0):

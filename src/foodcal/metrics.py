@@ -9,7 +9,8 @@ predictions at IoU 0.5 (no confidence cutoff) unless one is supplied.
 As in COCO's reference evaluator, the sweep computes the IoU of each
 same-class (prediction, ground truth) pair of an image once and matches at
 every threshold from it. Mask IoU counts the intersection on the overlap of
-the two masks' foreground windows only.
+the two masks' windows only: each mask is the crop at its instance's origin,
+as the manifest reader gives it, or a whole frame at (0, 0).
 """
 
 import math
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from foodcal import maskgeom
 from foodcal.errors import (
     DegenerateTarget,
     LengthMismatch,
@@ -76,39 +76,36 @@ def box_iou(a, b) -> float:
 def mask_iou(a, b) -> float:
     """Intersection over union of two equal-shape 2-D masks (non-zero is
     foreground); 0 when the union is empty."""
-    return _window_iou(_MaskWindow.of(a), _MaskWindow.of(b))
+    a, b = _MaskWindow.of((0, 0), a), _MaskWindow.of((0, 0), b)
+    if a.crop.shape != b.crop.shape:
+        raise ShapeMismatch(f"mask dimensions differ: {a.crop.shape} vs {b.crop.shape}")
+    return _window_iou(a, b)
 
 
 @dataclass(frozen=True)
 class _MaskWindow:
-    """A mask's foreground bounding box: its top-left corner in the frame,
-    the boolean crop inside it and its pixel count. An empty mask has an
-    empty crop."""
+    """A mask as a boolean crop with its top-left corner in the frame and
+    its pixel count. The crop need not be tight: the IoU is exact for any
+    window that holds all of a mask's foreground."""
 
-    shape: tuple[int, int]
     top: int
     left: int
     crop: np.ndarray
     area: int
 
     @classmethod
-    def of(cls, mask) -> "_MaskWindow":
+    def of(cls, origin, mask) -> "_MaskWindow":
         m = np.asarray(mask)
         if m.ndim != 2:
             raise ShapeMismatch(f"a mask must be 2-D, got shape {m.shape}")
-        box = maskgeom.foreground_slices(m)
-        if box is None:
-            return cls(m.shape, 0, 0, np.zeros((0, 0), dtype=bool), 0)
-        crop = m[box] != 0
-        return cls(m.shape, box[0].start, box[1].start, crop, int(np.count_nonzero(crop)))
+        crop = m != 0
+        return cls(origin[1], origin[0], crop, int(np.count_nonzero(crop)))
 
 
 def _window_iou(a: _MaskWindow, b: _MaskWindow) -> float:
     """Mask IoU with the intersection counted on the overlap of the two
     windows only; union = |A| + |B| - |A n B|, the same integers as a
     full-frame count."""
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"mask dimensions differ: {a.shape} vs {b.shape}")
     top, left = max(a.top, b.top), max(a.left, b.left)
     bottom = min(a.top + a.crop.shape[0], b.top + b.crop.shape[0])
     right = min(a.left + a.crop.shape[1], b.left + b.crop.shape[1])
@@ -132,11 +129,12 @@ def _check_kind(kind: str) -> None:
 def _match_candidates(preds, gts, kind) -> list[list[tuple[float, int]]]:
     """For each prediction, the (IoU, ground-truth index) of every same-class
     ground truth it overlaps, highest IoU first and ties to the lower index.
-    Each pair's IoU is computed once; a mask is cropped to its window once."""
+    Each pair's IoU is computed once, a mask's on the window it is stored in."""
     if kind == "box":
         iou, pk, gk = box_iou, [p.bbox for p in preds], [g.bbox for g in gts]
     else:
-        iou, pk, gk = _window_iou, [_MaskWindow.of(p.mask) for p in preds], [_MaskWindow.of(g.mask) for g in gts]
+        iou = _window_iou
+        pk, gk = ([_MaskWindow.of(d.origin, d.mask) for d in dets] for dets in (preds, gts))
     candidates = []
     for pred, a in zip(preds, pk):
         pairs = ((iou(a, b), j) for j, (gt, b) in enumerate(zip(gts, gk)) if gt.label is pred.label)

@@ -13,6 +13,7 @@ the bytes of the packed arrays, so a reloaded model predicts bit-identically.
 """
 
 import base64
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,27 @@ DEFAULT_HYPERPARAMETERS = {
     "adaboost": {"max_rounds": 50, "max_depth": 3},
 }
 
+# The range of each hyperparameter: (int or float, the least value, whether the
+# least value itself is allowed). A bool is neither; max_depth may also be None.
+HYPERPARAMETER_RANGES = {
+    "n_trees": (int, 1, True), "k": (int, 1, True), "max_rounds": (int, 1, True), "min_samples_leaf": (int, 1, True),
+    "n_rounds": (int, 0, True), "max_depth": (int, 0, True),  # gboost's zero rounds predict the mean
+    "learning_rate": (float, 0, False), "ridge": (float, 0, True),
+}
+
+
+def check_hyperparameters(**params) -> None:
+    """Raise ``ValueError`` naming the first hyperparameter out of its range."""
+    for name, value in params.items():
+        kind, least, closed = HYPERPARAMETER_RANGES[name]
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):  # NumPy scalars as Python numbers
+            value = int(value) if isinstance(value, numbers.Integral) else float(value)
+        in_range = is_number(value, (int, kind)) and (value >= least if closed else value > least)
+        if not (in_range or (name == "max_depth" and value is None)):
+            what = ("None or " if name == "max_depth" else "") + ("an int" if kind is int else "a finite number")
+            raise ValueError(f"hyperparameter {name} must be {what} {'>=' if closed else '>'} {least}, got {value!r}")
+
+
 MODEL_FORMAT = "foodcal-regressor"
 MODEL_VERSION = 2
 
@@ -56,6 +78,7 @@ class ModelSpec:
         unknown = set(self.hyperparameters) - set(DEFAULT_HYPERPARAMETERS[self.algorithm])
         if unknown:
             raise ValueError(f"unknown hyperparameters for {self.algorithm}: {sorted(unknown)}")
+        check_hyperparameters(**self.hyperparameters)
 
     def resolved(self) -> dict:
         return {**DEFAULT_HYPERPARAMETERS[self.algorithm], **self.hyperparameters}
@@ -447,6 +470,7 @@ class LinearModel(Regressor):
 
     @classmethod
     def fit(cls, X, y, *, ridge=1e-8, **_):
+        check_hyperparameters(ridge=ridge)
         A = np.column_stack([X, np.ones(len(y))])
         G = A.T @ A
         b = A.T @ y
@@ -497,6 +521,7 @@ class KnnModel(Regressor):
 
     @classmethod
     def fit(cls, X, y, *, k=5, **_):
+        check_hyperparameters(k=k)
         return cls(X.shape[1], X.copy(), y.copy(), k)
 
     def predict(self, X):
@@ -534,6 +559,7 @@ class TreeModel(Regressor):
 
     @classmethod
     def fit(cls, X, y, *, max_depth=None, min_samples_leaf=1, **_):
+        check_hyperparameters(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
         return cls(X.shape[1], _grow(_columns(X), y, max_depth=max_depth, min_samples_leaf=min_samples_leaf))
 
     def predict(self, X):
@@ -559,6 +585,7 @@ class ForestModel(Regressor):
 
     @classmethod
     def fit(cls, X, y, *, seed=0, n_trees=100, max_depth=None, min_samples_leaf=1, **_):
+        check_hyperparameters(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
         n, p = X.shape
         rngs = [np.random.default_rng((seed, t)) for t in range(n_trees)]
         boot = np.array([rng.integers(0, n, size=n) for rng in rngs], dtype=np.int32).reshape(n_trees, n)
@@ -590,6 +617,7 @@ class BoostModel(Regressor):
 
     @classmethod
     def fit(cls, X, y, *, n_rounds=100, learning_rate=0.1, max_depth=3, **_):
+        check_hyperparameters(n_rounds=n_rounds, learning_rate=learning_rate, max_depth=max_depth)
         init = float(y.mean())
         current = np.full(len(y), init)
         cols = _columns(X)  # shared by every round's tree
@@ -630,6 +658,7 @@ class AdaBoostModel(Regressor):
 
     @classmethod
     def fit(cls, X, y, *, seed=0, max_rounds=50, max_depth=3, **_):
+        check_hyperparameters(max_rounds=max_rounds, max_depth=max_depth)
         n = len(y)
         rng = np.random.default_rng(seed)
         w = np.full(n, 1.0 / n)

@@ -17,6 +17,7 @@ from foodcal.errors import DataError
 from foodcal.measurement import ClassLabel, DetectionInstance
 
 from cli_child import run_foodcal
+from test_manifests import paste
 
 GEN_ARGS = ["gen", "--seed", "7", "--records", "24", "--views-per-item", "4"]
 
@@ -446,9 +447,16 @@ def test_config_file_precedence(tmp_path):
 
 
 def test_manifest_round_trip(gen_dir):
+    # every crop pasted at its origin is synth's full-frame mask of the instance
+    _, scenes = synth.generate_regression_dataset(synth.SceneConfig(views_per_item=4), 24, 7)
     images = manifests.read_manifest(gen_dir / "annotations.json")
-    assert images and images[0].instances[0].mask is not None
-    assert images[0].instances[0].mask.shape == (images[0].height, images[0].width)
+    assert len(images) == len(scenes)
+    for img, scene in zip(images, scenes):
+        assert len(img.instances) == len(scene.instances)
+        for inst, truth in zip(img.instances, scene.instances):
+            assert inst.mask.shape != (img.height, img.width)  # stored as a crop
+            assert np.array_equal(paste(inst.mask, inst.origin, img.height, img.width), truth.mask)
+            assert (inst.label, inst.bbox, inst.confidence) == (truth.label, truth.bbox, truth.confidence)
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foodcal import maskgeom
 from foodcal.cli import MODEL_NAMES, main
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True)
@@ -147,3 +148,40 @@ def test_corrupted_bundle_exits_cleanly(base, model):
         lambda r: ["pipeline", "--annotations", str(r / "annotations.json"),
                    "--model", str(r / model / "model.json")],
     ])
+
+
+# v2 mask origins a reader must refuse, made from the valid (x, y), the
+# width of the crop and the width of the frame; None drops the field
+BAD_ORIGINS = {
+    "missing": None,
+    "negative": lambda x, y, crop_w, frame_w: [x, -1],
+    "bool": lambda x, y, crop_w, frame_w: [True, y],
+    "float": lambda x, y, crop_w, frame_w: [x, 3.0],
+    "three-values": lambda x, y, crop_w, frame_w: [x, y, 0],
+    "one-value": lambda x, y, crop_w, frame_w: [x],
+    "object": lambda x, y, crop_w, frame_w: {"x": x, "y": y},
+    "spills-past-frame": lambda x, y, crop_w, frame_w: [frame_w - crop_w + 1, y],
+}
+
+
+@pytest.mark.parametrize("case", BAD_ORIGINS)
+@pytest.mark.parametrize("command", ["extract", "pipeline", "detmetrics"])
+def test_bad_mask_origin_exits_2(base, tmp_path, case, command):
+    root = tmp_path / "in"
+    shutil.copytree(base, root)
+    doc = json.loads((root / "annotations.json").read_text())
+    image = doc["images"][0]
+    rec = image["instances"][1]  # the first food; instance 0 is the coin
+    x, y = rec.pop("mask_origin")
+    if BAD_ORIGINS[case] is not None:
+        rec["mask_origin"] = BAD_ORIGINS[case](x, y, maskgeom.read_pgm(root / rec["mask"]).shape[1], image["width"])
+    (root / "annotations.json").write_text(json.dumps(doc))
+    manifest = str(root / "annotations.json")
+    argv = {
+        "extract": ["extract", "--annotations", manifest],
+        "pipeline": ["pipeline", "--annotations", manifest, "--model", str(root / "dt" / "model.json")],
+        "detmetrics": ["detmetrics", "--pred", manifest, "--gt", str(base / "annotations.json")],
+    }[command]
+    code, err = _run(*argv, "--out", str(tmp_path / "out"))
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+    assert "image scene_0000: mask" in err

@@ -1,0 +1,203 @@
+"""Manifest v2 stores each mask as its foreground crop and origin.
+
+Oracles: a crop pasted at its origin is the frame that was written, and
+every computation on crops (mask IoU, the detection report, the features)
+equals the same computation on full frames. A v1 manifest with full-size
+PGMs reads to the same crops, and a v2 manifest written again is the same
+bytes.
+"""
+
+import json
+from dataclasses import asdict
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from foodcal import manifests, maskgeom, measurement, metrics
+from foodcal.cli import main
+from foodcal.errors import DataError
+from foodcal.measurement import ClassLabel, DetectionInstance
+
+LABELS = (ClassLabel.PURI, ClassLabel.BEGUNI)  # two classes, so some pairs never match
+
+
+def paste(mask, origin, height, width):
+    """The height x width frame of a mask cropped at ``origin`` (x, y)."""
+    frame = np.zeros((height, width), np.uint8)
+    (x, y), (h, w) = origin, mask.shape
+    frame[y : y + h, x : x + w] = mask
+    return frame
+
+
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@st.composite
+def frame_masks(draw, h, w):
+    """A 0/1 frame: empty, one pixel, a pixel on every frame edge, a few
+    separate blocks, or random pixels."""
+    kind = draw(st.sampled_from(["empty", "pixel", "edges", "blocks", "random"]))
+    m = np.zeros((h, w), np.uint8)
+    if kind == "pixel":
+        m[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = 1
+    elif kind == "edges":
+        m[0, draw(st.integers(0, w - 1))] = m[h - 1, draw(st.integers(0, w - 1))] = 1
+        m[draw(st.integers(0, h - 1)), 0] = m[draw(st.integers(0, h - 1)), w - 1] = 1
+    elif kind == "blocks":
+        for _ in range(draw(st.integers(2, 4))):
+            y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+            m[y0 : y0 + draw(st.integers(1, 4)), x0 : x0 + draw(st.integers(1, 4))] = 1
+    elif kind == "random":
+        m = draw(arrays(np.uint8, (h, w), elements=st.sampled_from([0, 1])))
+    return m
+
+
+def instances(draw, h, w, with_confidence):
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(frame_masks(h, w))
+        box = maskgeom.foreground_slices(m)
+        bbox = (0, 0, 1, 1) if box is None else (
+            box[1].start, box[0].start, box[1].stop - box[1].start, box[0].stop - box[0].start)
+        conf = draw(st.floats(0.0, 1.0)) if with_confidence else None
+        out.append(DetectionInstance(draw(st.sampled_from(LABELS)), bbox, conf, m))
+    return out
+
+
+@st.composite
+def scenes(draw):
+    """Images of 1..24 px sides, each with full-frame predictions and
+    ground truth."""
+    images = []
+    for i in range(draw(st.integers(1, 3))):
+        h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+        images.append((f"img_{i}", h, w, instances(draw, h, w, True), instances(draw, h, w, False)))
+    return images
+
+
+def write_read(path, images, which):
+    anns = [manifests.ImageAnnotations(name, w, h, (preds, gts)[which]) for name, h, w, preds, gts in images]
+    manifests.write_manifest(path, anns)
+    return manifests.read_manifest(path)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scenes())
+def test_crops_give_the_full_frame_results(tmp_path_factory, images):
+    root = tmp_path_factory.mktemp("crops")
+    preds = write_read(root / "pred" / "annotations.json", images, 0)
+    gts = write_read(root / "gt" / "annotations.json", images, 1)
+    scale = measurement.ScaleFactor(0.5, 0.75, 0.625)
+    for (name, h, w, full_preds, full_gts), pimg, gimg in zip(images, preds, gts):
+        for full, read in ((full_preds, pimg.instances), (full_gts, gimg.instances)):
+            for f, r in zip(full, read):
+                assert np.array_equal(paste(r.mask, r.origin, h, w), f.mask)
+                assert r.mask.dtype == np.uint8 and (r.mask.shape == (1, 1) or maskgeom.foreground_slices(
+                    r.mask) == (slice(0, r.mask.shape[0]), slice(0, r.mask.shape[1])))  # tight
+            assert measurement.extract_features(read, scale) == measurement.extract_features(full, scale)
+        for p, fp in zip(pimg.instances, full_preds):
+            for g, fg in zip(gimg.instances, full_gts):
+                crop_iou = metrics._window_iou(metrics._MaskWindow.of(p.origin, p.mask),
+                                               metrics._MaskWindow.of(g.origin, g.mask))
+                assert crop_iou == metrics.mask_iou(fp.mask, fg.mask)
+    on_crops = metrics.detection_report([i.instances for i in preds], [i.instances for i in gts])
+    on_frames = metrics.detection_report([i[3] for i in images], [i[4] for i in images])
+    assert asdict(on_crops) == asdict(on_frames)
+    # a manifest read and written again is the same bytes
+    again = root / "again" / "annotations.json"
+    manifests.write_manifest(again, preds)
+    assert tree_bytes(again.parent) == tree_bytes(root / "pred")
+
+
+def test_empty_mask_is_one_background_pixel_at_the_frame_corner(tmp_path):
+    inst = DetectionInstance(ClassLabel.PURI, (3, 4, 2, 2), 0.5, np.zeros((9, 7), np.uint8), origin=(2, 1))
+    path = manifests.write_manifest(tmp_path / "annotations.json", [manifests.ImageAnnotations("a", 20, 20, [inst])])
+    rec = json.loads(path.read_text())["images"][0]["instances"][0]
+    assert rec["mask_origin"] == [0, 0]
+    assert (tmp_path / rec["mask"]).read_bytes() == b"P5\n1 1\n255\n\x00"
+
+
+def test_a_crop_with_an_origin_is_cut_to_its_window(tmp_path):
+    crop = np.zeros((6, 8), np.uint8)
+    crop[2:4, 3:7] = 1
+    inst = DetectionInstance(ClassLabel.PURI, (8, 7, 4, 2), 0.5, crop, origin=(5, 5))
+    path = manifests.write_manifest(tmp_path / "annotations.json", [manifests.ImageAnnotations("a", 20, 20, [inst])])
+    (read,) = manifests.read_manifest(path)[0].instances
+    assert read.origin == (8, 7) and read.mask.tolist() == [[1] * 4] * 2
+
+
+@pytest.mark.parametrize("mask", [np.full((4, 4), 2, np.uint8), np.ones(4, np.uint8), np.zeros((0, 3), np.uint8)],
+                         ids=["value-2", "1d", "no-pixels"])
+def test_write_rejects_what_is_not_a_mask(tmp_path, mask):
+    inst = DetectionInstance(ClassLabel.PURI, (0, 0, 1, 1), 0.5, mask)
+    with pytest.raises(ValueError, match="exactly 0 or 1|2D and non-empty"):
+        manifests.write_manifest(tmp_path / "annotations.json", [manifests.ImageAnnotations("a", 20, 20, [inst])])
+
+
+# ---------------------------------------------------------------------------
+# v1 manifests and byte-identical outputs
+
+
+@pytest.fixture(scope="module")
+def gen_v2(tmp_path_factory):
+    root = tmp_path_factory.mktemp("gen")
+    assert main(["gen", "--seed", "5", "--records", "30", "--views-per-item", "3", "--out", str(root / "v2")]) == 0
+    assert main(["train", "--data", str(root / "v2" / "dataset.csv"), "--model", "rf", "--out",
+                 str(root / "model")]) == 0
+    return root
+
+
+def write_v1(v2_dir: Path, out: Path) -> Path:
+    """The v2 manifest in ``v2_dir`` as a hand-written v1 manifest: no
+    ``mask_origin``, and every PGM the size of its image."""
+    doc = json.loads((v2_dir / "annotations.json").read_text())
+    (out / "masks").mkdir(parents=True)
+    for image in doc["images"]:
+        for rec in image["instances"]:
+            crop = maskgeom.read_pgm(v2_dir / rec["mask"])
+            frame = paste(crop, rec.pop("mask_origin"), image["height"], image["width"])
+            maskgeom.write_pgm(out / rec["mask"], frame)
+    doc["version"] = 1
+    (out / "annotations.json").write_text(json.dumps(doc))
+    return out / "annotations.json"
+
+
+def test_v1_manifest_gives_the_same_outputs_as_v2(gen_v2, tmp_path):
+    v2 = gen_v2 / "v2" / "annotations.json"
+    v1 = write_v1(gen_v2 / "v2", tmp_path / "v1")
+    assert maskgeom.read_pgm(tmp_path / "v1" / "masks" / "scene_0000_i00.pgm").shape == (320, 320)
+    for a, b in zip(manifests.read_manifest(v1), manifests.read_manifest(v2)):
+        for p, q in zip(a.instances, b.instances):
+            assert p.origin == q.origin and np.array_equal(p.mask, q.mask)
+    outputs = {}
+    for name, manifest in (("v1", v1), ("v2", v2)):
+        out = tmp_path / f"out_{name}"
+        assert main(["detmetrics", "--pred", str(manifest), "--gt", str(manifest), "--out", str(out / "det")]) == 0
+        assert main(["pipeline", "--annotations", str(manifest), "--model", str(gen_v2 / "model" / "model.json"),
+                     "--out", str(out / "pipe")]) == 0
+        assert main(["extract", "--annotations", str(manifest), "--out", str(out / "extract")]) == 0
+        outputs[name] = [(out / f).read_bytes() for f in ("det/detmetrics.json", "pipe/estimates.json",
+                                                         "extract/features.csv")]
+    assert outputs["v1"] == outputs["v2"]
+    assert outputs["v2"][2] == (gen_v2 / "v2" / "dataset.csv").read_bytes()
+
+
+def test_v2_manifest_read_and_written_again_is_byte_identical(gen_v2, tmp_path):
+    again = tmp_path / "again" / "annotations.json"
+    manifests.write_manifest(again, manifests.read_manifest(gen_v2 / "v2" / "annotations.json"))
+    written = tree_bytes(again.parent)
+    original = {k: v for k, v in tree_bytes(gen_v2 / "v2").items() if k == "annotations.json" or
+                k.startswith("masks/")}
+    assert written == original
+
+
+def test_v1_mask_that_is_not_the_image_size_is_a_data_error(gen_v2, tmp_path):
+    v1 = write_v1(gen_v2 / "v2", tmp_path / "v1")
+    maskgeom.write_pgm(tmp_path / "v1" / "masks" / "scene_0000_i01.pgm", np.ones((10, 10), np.uint8))
+    with pytest.raises(DataError, match=r"scene_0000: mask masks/scene_0000_i01.pgm is \(10, 10\)"):
+        manifests.read_manifest(v1)

@@ -445,6 +445,31 @@ def test_pgm_threshold_on_read(tmp_path):
     assert maskgeom.read_pgm(p).tolist() == [[0, 0, 1]]
 
 
+@pytest.mark.parametrize(
+    "maxval, pixels, expected",
+    [(1, [0, 1, 1], [0, 1, 1]), (100, [50, 51, 100], [0, 1, 1]), (3, [1, 2, 3], [0, 1, 1]),
+     (255, [127, 128, 255], [0, 1, 1])],
+    ids=["maxval-1", "maxval-100", "maxval-3", "maxval-255"],
+)
+def test_pgm_foreground_is_above_half_of_maxval(tmp_path, maxval, pixels, expected):
+    p = tmp_path / "low.pgm"
+    p.write_bytes(f"P5\n3 1\n{maxval}\n".encode() + bytes(pixels))
+    assert maskgeom.read_pgm(p).tolist() == [expected]
+
+
+@pytest.mark.parametrize(
+    "header, pixels, message",
+    [(b"P5\n3 1\n0\n", [0, 0, 0], "maxval=0"), (b"P5\n3 1\n100\n", [0, 200, 1], "above the PGM maxval 100"),
+     (b"P5\n2 1\n1\n", [1, 2], "above the PGM maxval 1")],
+    ids=["maxval-0", "200-over-100", "2-over-1"],
+)
+def test_pgm_rejects_maxval_0_and_pixels_above_maxval(tmp_path, header, pixels, message):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(header + bytes(pixels))
+    with pytest.raises(DataError, match=message):
+        maskgeom.read_pgm(p)
+
+
 def test_pgm_rejects_other_formats(tmp_path):
     p = tmp_path / "bad.pgm"
     p.write_bytes(b"P2\n1 1\n255\n0")

@@ -449,6 +449,38 @@ def test_spec_rejects_unknown_hyperparameter():
         ModelSpec("knn", hyperparameters={"bogus": 3})
 
 
+OUT_OF_RANGE = [
+    ("linear", "ridge", -1e-8), ("linear", "ridge", float("inf")), ("linear", "ridge", "0.1"),
+    ("knn", "k", 0), ("knn", "k", True), ("knn", "k", 2.0),
+    ("dtree", "max_depth", -1), ("dtree", "max_depth", 2.5), ("dtree", "min_samples_leaf", 0),
+    ("rforest", "n_trees", 0), ("rforest", "n_trees", False), ("rforest", "min_samples_leaf", -3),
+    ("gboost", "n_rounds", -1), ("gboost", "learning_rate", 0.0), ("gboost", "learning_rate", float("nan")),
+    ("gboost", "learning_rate", True), ("gboost", "learning_rate", 10**400), ("adaboost", "max_rounds", 0),
+    ("adaboost", "max_depth", "3"),
+]
+
+
+@pytest.mark.parametrize("algorithm, name, value", OUT_OF_RANGE, ids=[f"{a}-{n}-{v!r}" for a, n, v in OUT_OF_RANGE])
+def test_hyperparameter_out_of_range_is_named_before_any_work(algorithm, name, value):
+    with pytest.raises(ValueError, match=f"hyperparameter {name} must be"):
+        ModelSpec(algorithm, hyperparameters={name: value})
+    # no array is touched before the check: X and y are not arrays at all
+    with pytest.raises(ValueError, match=f"hyperparameter {name} must be"):
+        regress._MODEL_CLASSES[algorithm].fit(None, None, **{name: value})
+
+
+def test_hyperparameters_in_range_fit():
+    rng = np.random.default_rng(6)
+    ds = toy_dataset(rng, n=30)
+    for algorithm, hyper in [
+        ("rforest", {"n_trees": np.int64(2), "max_depth": None, "min_samples_leaf": 1}),
+        ("gboost", {"n_rounds": 0, "learning_rate": np.float32(0.5), "max_depth": 0}),
+        ("linear", {"ridge": 0}),
+        ("knn", {"k": 1}),
+    ]:
+        regress.fit(ModelSpec(algorithm, hyperparameters=hyper), ds)
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(4)
     ds = toy_dataset(rng, n=60, noise=1.0)
