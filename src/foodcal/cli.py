@@ -47,11 +47,12 @@ GRADCHECK_TOLERANCE = 1e-4
 SCENE_OPTIONS = ("width", "height", "items_per_scene", "views_per_item", "boundary_noise", "weight_noise")
 
 # [low, high) of the options whose other values fail a run; a weight noise
-# of 1 or more can draw a negative weight
+# of 1 or more can draw a negative weight, and a boundary noise of 1 or more
+# a radius of zero or less
 _OPTION_RANGES = {
     **dict.fromkeys(("records", "width", "height", "items_per_scene", "views_per_item"), (1, math.inf)),
     "seed": (0, math.inf),
-    "weight_noise": (0.0, 1.0),
+    **dict.fromkeys(("boundary_noise", "weight_noise"), (0.0, 1.0)),
 }
 
 

@@ -13,6 +13,14 @@ grid, making its rasterized bounding box exactly the nominal diameter, so
 true mm/px = 25.5 / diameter_px. Weight model: weight_g = nominal area_mm2
 * class thickness (g/mm^2) * (1 + u), u uniform in +-weight_noise, drawn
 once per item; calories = weight * class density.
+
+Each shape is rasterized only over its window: the pixels within
+``max_radius * (1 + a) + 2`` of its centre, where a < 1 is the boundary
+jitter's amplitude, because a jittered offset p is inside when
+p / (1 + j(phi)) is inside the nominal shape and |j| <= a. Every shape is
+star-convex about its centre (each family is convex and holds it), so the
+jitter can only change the pixels of a thin band around the nominal
+boundary; the angle and the jitter are evaluated there alone.
 """
 
 import math
@@ -88,7 +96,7 @@ class SceneConfig:
     items_per_scene: int = 3
     area_ranges_mm2: dict = field(default_factory=_default_area_ranges)
     views_per_item: int = 10
-    boundary_noise: float = 0.02  # radial perturbation, fraction of radius
+    boundary_noise: float = 0.02  # radial perturbation, fraction of radius, in [0, 1)
     weight_noise: float = 0.05
     seed: int = 0
     max_placement_tries: int = 200
@@ -142,9 +150,10 @@ class Scene:
 
 
 class _Shape:
-    """Star-convex shape centered at (cx, cy) with an exact inside test on
-    centered offsets; ``truth`` gives the analytic geometry of the nominal
-    (unjittered) boundary."""
+    """Shape star-convex about its centre (cx, cy), with an exact inside
+    test on centered offsets; ``truth`` gives the analytic geometry of the
+    nominal (unjittered) boundary. ``_rasterize`` relies on the star
+    convexity: ``contains(p * s)`` can only turn false as s grows."""
 
     def __init__(self, cx, cy, rotation=0.0):
         self.cx = cx
@@ -309,27 +318,37 @@ def draw_item(rng, label: ClassLabel, cfg: SceneConfig) -> FoodItem:
     )
 
 
+class _Jitter:
+    """Radial perturbation r(phi) *= 1 + j(phi), with j = amplitude * f(phi)
+    and f a unit-bounded two-harmonic wave, so |j| <= amplitude."""
+
+    def __init__(self, rng, amplitude):
+        weights = rng.uniform(0.3, 1.0, size=2)
+        self.weights = weights / weights.sum()
+        self.phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        self.amplitude = amplitude
+
+    def __call__(self, phi):
+        w, p = self.weights, self.phases
+        return self.amplitude * (w[0] * np.sin(2 * phi + p[0]) + w[1] * np.sin(3 * phi + p[1]))
+
+
 def _jitter_field(rng, amplitude):
-    """Radial perturbation r(phi) *= 1 + amplitude * f(phi) with f a unit-
-    bounded two-harmonic wave; None when the amplitude is zero."""
-    if amplitude <= 0:
-        return None
-    weights = rng.uniform(0.3, 1.0, size=2)
-    weights = weights / weights.sum()
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
-
-    def f(phi):
-        return amplitude * (
-            weights[0] * np.sin(2 * phi + phases[0]) + weights[1] * np.sin(3 * phi + phases[1])
-        )
-
-    return f
+    """The boundary jitter of one placement try; None when the amplitude is
+    zero. At 1 or more, 1 + j could reach 0 and turn the shape inside out."""
+    if not 0.0 <= amplitude < 1.0:
+        raise ValueError(f"boundary noise must be in [0, 1), got {amplitude!r}")
+    return _Jitter(rng, amplitude) if amplitude > 0 else None
 
 
-def _window(shape: _Shape, height, width) -> tuple[slice, slice]:
+def _window(shape: _Shape, height, width, amplitude) -> tuple[slice, slice]:
     """Row and column slices of the frame box that holds every pixel the
-    shape can cover, boundary jitter included."""
-    reach = shape.max_radius() * 1.2 + 2.0
+    shape can cover, boundary jitter of ``amplitude`` included.
+
+    A jittered offset p is inside when p / (1 + j) is inside the nominal
+    shape and |j| <= amplitude, so it lies within ``max_radius * (1 +
+    amplitude)`` of the centre; 2 px more keep rounding off the edge."""
+    reach = shape.max_radius() * (1.0 + amplitude) + 2.0
     y0 = max(0, int(math.floor(shape.cy - reach)))
     y1 = min(height, int(math.ceil(shape.cy + reach)) + 1)
     x0 = max(0, int(math.floor(shape.cx - reach)))
@@ -337,17 +356,29 @@ def _window(shape: _Shape, height, width) -> tuple[slice, slice]:
     return slice(y0, max(y0, y1)), slice(x0, max(x0, x1))
 
 
-def _rasterize(shape: _Shape, height, width, jitter=None) -> np.ndarray:
-    """Boolean raster of the shape over its ``_window`` of the frame."""
-    ys, xs = np.mgrid[_window(shape, height, width)]
-    dx = xs - shape.cx
-    dy = ys - shape.cy
-    if jitter is not None:
-        phi = np.arctan2(dy, dx)
-        scale = 1.0 / (1.0 + jitter(phi))
-        dx = dx * scale
-        dy = dy * scale
-    return shape.contains(dx, dy)
+def _rasterize(shape: _Shape, height, width, jitter=None) -> tuple[tuple[slice, slice], np.ndarray]:
+    """The shape's ``_window`` of the frame and its boolean raster there.
+
+    With a the jitter's amplitude, the jittered test is ``contains(p * s)``
+    with s = 1 / (1 + j) in [1 / (1 + a), 1 / (1 - a)], and
+    ``contains(p * s)`` can only turn false as s grows: a pixel inside at
+    the largest s is inside, one outside at the smallest s is outside, and
+    only the band in between needs the angle and the jitter. The 1e-9 pad
+    keeps both bounds clear of rounding."""
+    amplitude = 0.0 if jitter is None else jitter.amplitude
+    window = _window(shape, height, width, amplitude)
+    dx = np.arange(window[1].start, window[1].stop) - shape.cx
+    dy = (np.arange(window[0].start, window[0].stop) - shape.cy)[:, None]
+    if jitter is None:
+        return window, shape.contains(dx, dy)
+    s_hi = (1.0 + 1e-9) / (1.0 - amplitude)
+    s_lo = (1.0 - 1e-9) / (1.0 + amplitude)
+    inside = shape.contains(dx * s_hi, dy * s_hi)
+    ys, xs = np.nonzero(shape.contains(dx * s_lo, dy * s_lo) & ~inside)
+    bx, by = dx[xs], dy[ys, 0]
+    scale = 1.0 / (1.0 + jitter(np.arctan2(by, bx)))
+    inside[ys, xs] = shape.contains(bx * scale, by * scale)
+    return window, inside
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +407,7 @@ def generate_scene(
             cx = float(rng.uniform(margin, cfg.width - margin))
             cy = float(rng.uniform(margin, cfg.height - margin))
             shape, jitter = build_shape(cx, cy)
-            window = _window(shape, cfg.height, cfg.width)
-            inside = _rasterize(shape, cfg.height, cfg.width, jitter)
+            window, inside = _rasterize(shape, cfg.height, cfg.width, jitter)
             box = maskgeom.foreground_slices(inside)
             if box is None:
                 continue

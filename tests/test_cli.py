@@ -513,13 +513,14 @@ def test_bad_config_file_exits_2(tmp_path, capsys, content):
         ("gen", {"seed": True}, "seed must be an integer, got True"),
         ("gen", {"boundary_noise": "0.1"}, "boundary_noise must be a number, got '0.1'"),
         ("gen", {"weight_noise": 1}, "weight_noise must be in [0.0, 1.0), got 1.0"),
+        ("gen", {"boundary_noise": 1.5}, "boundary_noise must be in [0.0, 1.0), got 1.5"),
         ("train", {"zscore_threshold": None}, "zscore_threshold must be a number, got None"),
         ("train", {"zscore_threshold": 10**400}, "zscore_threshold overflows a float"),
         ("train", {"seed": [1]}, "seed must be an integer, got [1]"),
     ],
     ids=["str-int", "float-int", "zero-records", "zero-items", "negative-views", "negative-width",
-         "negative-seed", "bool-int", "str-float", "weight-noise-1", "null-float", "huge-float",
-         "list-int"],
+         "negative-seed", "bool-int", "str-float", "weight-noise-1", "boundary-noise-1.5", "null-float",
+         "huge-float", "list-int"],
 )
 def test_bad_config_value_exits_2(gen_dir, tmp_path, capsys, command, config, message):
     cfg = tmp_path / "cfg.json"
@@ -536,9 +537,12 @@ def test_bad_config_value_exits_2(gen_dir, tmp_path, capsys, command, config, me
         (["gen", "--seed", "-1", "--out", "o"], "--seed must be >= 0, got -1"),
         (["gen", "--height", "0", "--out", "o"], "--height must be >= 1, got 0"),
         (["gen", "--weight-noise", "1.5", "--out", "o"], "--weight-noise must be in [0.0, 1.0), got 1.5"),
+        (["gen", "--boundary-noise", "1", "--out", "o"], "--boundary-noise must be in [0.0, 1.0), got 1.0"),
+        (["gen", "--boundary-noise", "-0.1", "--out", "o"], "--boundary-noise must be in [0.0, 1.0), got -0.1"),
         (["gradcheck", "--block", "conv", "--seeds", "0"], "--seeds must be >= 1, got 0"),
     ],
-    ids=["records", "seed", "height", "weight-noise", "gradcheck-seeds"],
+    ids=["records", "seed", "height", "weight-noise", "boundary-noise-1", "boundary-noise-negative",
+         "gradcheck-seeds"],
 )
 def test_out_of_range_flag_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foodcal import maskgeom, measurement, preprocess, synth
 from foodcal.errors import PlacementFailure
@@ -156,7 +158,7 @@ def test_ellipse_raster_pixel_area_within_3_percent():
         b = float(rng.uniform(20, a + 1))
         theta = float(rng.uniform(0, math.pi))
         e = synth._Ellipse(120.3, 119.7, a, b, theta)
-        mask = synth._rasterize(e, 260, 260)
+        _, mask = synth._rasterize(e, 260, 260)
         assert abs(int(mask.sum()) - math.pi * a * b) / (math.pi * a * b) < 0.03
 
 
@@ -168,10 +170,99 @@ def test_ellipse_contour_area_matches_half_pixel_inset():
         a = float(rng.uniform(20, 55))
         b = float(rng.uniform(20, a + 1))
         e = synth._Ellipse(120.0, 120.0, a, b, float(rng.uniform(0, math.pi)))
-        mask = synth._rasterize(e, 260, 260)
-        st = maskgeom.shape_stats(maskgeom.trace_contour(mask))
+        _, mask = synth._rasterize(e, 260, 260)
+        stats = maskgeom.shape_stats(maskgeom.trace_contour(mask))
         area, perim, _, _ = e.truth()
-        assert st.area_px == pytest.approx(area - perim / 2.0, rel=0.05)
+        assert stats.area_px == pytest.approx(area - perim / 2.0, rel=0.05)
+
+
+def full_frame_raster(shape, height, width, jitter=None):
+    """The oracle: the angle and the jitter on every pixel of the frame."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    dx = xs - shape.cx
+    dy = ys - shape.cy
+    if jitter is not None:
+        phi = np.arctan2(dy, dx)
+        scale = 1.0 / (1.0 + jitter(phi))
+        dx = dx * scale
+        dy = dy * scale
+    return shape.contains(dx, dy)
+
+
+def framed_raster(shape, height, width, jitter=None):
+    frame = np.zeros((height, width), dtype=bool)
+    window, inside = synth._rasterize(shape, height, width, jitter)
+    frame[window] = inside
+    return frame
+
+
+ORACLE_H, ORACLE_W = 96, 112
+
+
+@st.composite
+def shapes(draw):
+    """A shape of any family, up to most of the frame's size, centred
+    anywhere from just outside the frame to just inside its far edge."""
+    family = draw(st.sampled_from(["disk", "ellipse", "rectangle", "triangle"]))
+    size = draw(st.floats(1.5, 48.0))
+    aspect = draw(st.floats(0.3, 1.0))
+    rotation = draw(st.floats(0.0, 2.0 * math.pi))
+    cx = draw(st.floats(-6.0, ORACLE_W + 6.0))
+    cy = draw(st.floats(-6.0, ORACLE_H + 6.0))
+    if family == "disk":
+        return synth._Disk(cx, cy, size)
+    if family == "ellipse":
+        return synth._Ellipse(cx, cy, size, size * aspect, rotation)
+    if family == "rectangle":
+        return synth._Rectangle(cx, cy, size, size * aspect)
+    return synth._Triangle(cx, cy, 2 * size, 2 * size * aspect, rotation)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.02, 0.05, 0.3, 0.9])
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(shape=shapes(), seed=st.integers(0, 2**32))
+# at 0.3 this wave pushes the disk's edge past 1.2 times its radius plus 2 px,
+# so a window of that fixed size would clip it
+@example(shape=synth._Disk(56.0, 48.0, 40.0), seed=8)
+def test_window_raster_equals_the_full_frame_oracle(amplitude, shape, seed):
+    jitter = synth._jitter_field(np.random.default_rng(seed), amplitude)
+    got = framed_raster(shape, ORACLE_H, ORACLE_W, jitter)
+    assert np.array_equal(got, full_frame_raster(shape, ORACLE_H, ORACLE_W, jitter))
+
+
+class CountingJitter:
+    def __init__(self, jitter):
+        self.jitter = jitter
+        self.amplitude = jitter.amplitude
+        self.pixels = 0
+
+    def __call__(self, phi):
+        self.pixels += phi.size
+        return self.jitter(phi)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        synth._Disk(100.5, 100.5, 25.0),
+        synth._Ellipse(100.3, 99.8, 40.0, 24.0, 0.7),
+        synth._Rectangle(100.2, 100.6, 30.0, 18.0),
+        synth._Triangle(99.6, 100.1, 60.0, 50.0, 2.1),
+    ],
+    ids=["disk", "ellipse", "rectangle", "triangle"],
+)
+def test_jitter_runs_only_on_the_boundary_band(shape):
+    for seed in range(5):
+        jitter = CountingJitter(synth._jitter_field(np.random.default_rng(seed), 0.02))
+        (rows, cols), inside = synth._rasterize(shape, 200, 200, jitter)
+        assert np.array_equal(inside, full_frame_raster(shape, 200, 200, jitter.jitter)[rows, cols])
+        assert 0 < jitter.pixels <= 0.25 * inside.size
+
+
+@pytest.mark.parametrize("amplitude", [-0.1, 1.0, 1.5, math.nan])
+def test_boundary_noise_outside_unit_interval_is_rejected(amplitude):
+    with pytest.raises(ValueError, match="boundary noise must be in"):
+        synth.generate_scene(synth.SceneConfig(boundary_noise=amplitude), 0)
 
 
 # ---------------------------------------------------------------------------
