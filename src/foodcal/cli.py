@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands:
-  gen        synthetic scenes + regression dataset (masks, manifest, CSV)
-  extract    annotation manifest + masks -> features CSV (coin scaling)
+  gen        synthetic scenes + regression dataset (manifest with masks, CSV)
+  extract    annotation manifest -> features CSV (coin scaling)
   train      features CSV -> model bundle JSON (split/filter/normalize/fit)
   eval       model bundle + CSV -> MAE/MSE/RMSE/R^2 report
   pipeline   scene manifest + model bundle -> per-item kcal estimates
@@ -172,7 +172,7 @@ def cmd_gen(args, parser):
         },
         seed=seed,
         inputs=[],
-        outputs=["annotations.json", "dataset.csv", "masks/"],
+        outputs=["annotations.json", "dataset.csv"],
     )
     print(f"wrote {len(recs)} records from {len(scenes)} scenes to {out}")
     return 0

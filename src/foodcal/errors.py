@@ -1,10 +1,14 @@
 """Exception types raised across the toolkit, the JSON-file reader that
 turns a file it cannot parse into a ``DataError``, the type test for the
-numbers it returns, and the one JSON-file writer."""
+numbers it returns, the one JSON-file writer, and the base64 codec for the
+arrays that JSON files store as strings."""
 
+import base64
 import json
 import math
 import sys
+
+import numpy as np
 
 
 class FoodcalError(Exception):
@@ -108,3 +112,23 @@ def write_json(path, payload, indent=None) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=indent)
         f.write("\n")
+
+
+def encode_array(a, dtype) -> str:
+    """The bytes of ``a`` as ``dtype``, base64-encoded for a JSON string."""
+    return base64.b64encode(np.asarray(a, dtype=dtype).tobytes()).decode("ascii")
+
+
+def decode_array(text, dtype, name) -> np.ndarray:
+    """The read-only ``dtype`` array that ``encode_array`` made. What is not a
+    base64 string of a whole number of values is a ``DataError`` naming
+    ``name``."""
+    if not isinstance(text, str):
+        raise DataError(f"{name} must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise DataError(f"{name}: invalid base64") from exc
+    if len(raw) % np.dtype(dtype).itemsize:
+        raise DataError(f"{name}: {len(raw)} bytes is not a whole number of {np.dtype(dtype).name} values")
+    return np.frombuffer(raw, dtype=dtype)

@@ -2,23 +2,32 @@
 
 A manifest is a JSON document listing images and their instances:
 
-    {"format": "foodcal-annotations", "version": 2,
+    {"format": "foodcal-annotations", "version": 3,
      "images": [{"image": "scene_0000", "width": 320, "height": 320,
                  "instances": [{"class": "Coin", "bbox": [x, y, w, h],
-                                "confidence": 0.99,          # optional
-                                "mask": "masks/scene_0000_i00.pgm",  # optional, relative
-                                "mask_origin": [x, y],       # with "mask"
-                                "calories_kcal": 210.5}]}]}  # optional
+                                "confidence": 0.99,                      # optional
+                                "mask": {"size": [h, w], "bits": "..."},  # optional
+                                "mask_origin": [x, y],                   # with "mask"
+                                "calories_kcal": 210.5}]}]}              # optional
 
-A mask is a PGM, relative to the manifest, of the instance's tight foreground
-window with its top-left corner at image pixel "mask_origin"; an empty mask is
-one background pixel at [0, 0]. Version 1 manifests (image-sized PGMs, no
-origin) still load, cut to the same windows. Ground truth omits "confidence";
-synthetic ground truth may carry per-instance calorie labels. "image" is a
-string; "width", "height", the bbox values and the origin are JSON integers,
-the origin >= 0 with its mask inside the image; "confidence" is a number in
-[0, 1], null or absent; "calories_kcal" is a finite number, null or absent.
-Any other value is a ``DataError`` naming the image.
+A mask is the instance's tight foreground window, h rows of w pixels, with
+its top-left corner at image pixel "mask_origin"; an empty mask is one
+background pixel at [0, 0]. "bits" is the base64 of ``np.packbits`` of the
+window: one bit per pixel in row-major order, the first pixel in the high
+bit of the first byte, and zero bits after the last pixel up to a whole
+byte. Versions 1 and 2 store each mask as a PGM file named by its path
+relative to the manifest: version 2 the same window, version 1 the whole
+image and no origin. Both still load, a v1 mask cut to the window that v3
+stores.
+
+Ground truth omits "confidence"; synthetic ground truth may carry
+per-instance calorie labels. "image" is a string; "width" and "height" are
+JSON integers >= 1; the bbox values and the origin are JSON integers, the
+origin >= 0 with its mask inside the image; "size" is two JSON integers
+>= 1 and "bits" holds exactly ceil(h * w / 8) bytes with no pad bit set;
+"confidence" is a number in [0, 1], null or absent; "calories_kcal" is a
+finite number, null or absent. Any other value is a ``DataError`` naming
+the image.
 """
 
 from dataclasses import dataclass, field
@@ -27,11 +36,11 @@ from pathlib import Path
 import numpy as np
 
 from foodcal import maskgeom
-from foodcal.errors import DataError, is_number, read_json, write_json
+from foodcal.errors import DataError, decode_array, encode_array, is_number, read_json, write_json
 from foodcal.measurement import ClassLabel, DetectionInstance
 
 MANIFEST_FORMAT = "foodcal-annotations"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 
 @dataclass
@@ -44,27 +53,26 @@ class ImageAnnotations:
 
 
 def write_manifest(path, images: list[ImageAnnotations]) -> Path:
-    """Write the manifest and the referenced PGM masks, which land in
-    ``masks/`` next to the manifest. Returns the manifest path."""
+    """Write the manifest, each mask inline as its packed foreground window.
+    Returns the manifest path."""
     path = Path(path)
     for img in images:
         if img.calories and len(img.calories) != len(img.instances):
             raise ValueError(
                 f"image {img.name}: {len(img.calories)} calorie labels for {len(img.instances)} instances"
             )
-    (path.parent / "masks").mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, "images": []}
     for img in images:
         entry = {"image": img.name, "width": img.width, "height": img.height, "instances": []}
         calories = img.calories if img.calories else [None] * len(img.instances)
-        for k, (inst, cal) in enumerate(zip(img.instances, calories)):
+        for inst, cal in zip(img.instances, calories):
             rec = {"class": inst.label.value, "bbox": [int(v) for v in inst.bbox]}
             if inst.confidence is not None:
                 rec["confidence"] = inst.confidence
             if inst.mask is not None:
-                rec["mask"] = f"masks/{img.name}_i{k:02d}.pgm"
                 crop, origin = _window(inst.mask, inst.origin)
-                maskgeom.write_pgm(path.parent / rec["mask"], crop)
+                rec["mask"] = {"size": list(crop.shape), "bits": encode_array(np.packbits(crop), np.uint8)}
                 rec["mask_origin"] = [int(v) for v in origin]
             if cal is not None:
                 rec["calories_kcal"] = cal
@@ -75,16 +83,58 @@ def write_manifest(path, images: list[ImageAnnotations]) -> Path:
 
 
 def _window(mask, origin):
-    """A mask at ``origin`` cut to its foreground window, and the window's
-    origin; an empty mask is one background pixel at (0, 0). What is not a
-    2-D array of pixels comes back whole, for ``write_pgm`` to reject."""
+    """A mask at ``origin`` cut to its foreground window as 0/1 ``uint8``, and
+    the window's origin; an empty mask is one background pixel at (0, 0).
+    What is not a 2-D array of 0/1 pixels raises ``ValueError``."""
     mask = np.asarray(mask)
-    if mask.ndim != 2 or mask.size == 0:
-        return mask, origin
-    box = maskgeom.foreground_slices(mask)
-    if box is None:
-        return np.zeros((1, 1), np.uint8), (0, 0)
-    return mask[box], (origin[0] + box[1].start, origin[1] + box[0].start)
+    if mask.ndim == 2 and mask.size:
+        box = maskgeom.foreground_slices(mask)
+        if box is None:
+            return np.zeros((1, 1), np.uint8), (0, 0)
+        mask, origin = mask[box], (origin[0] + box[1].start, origin[1] + box[0].start)
+    return maskgeom.as_mask(mask), origin
+
+
+def _unpack(bits, h, w, where) -> np.ndarray:
+    """The h x w mask that ``write_manifest`` packed into ``bits``."""
+    packed = decode_array(bits, np.uint8, f"{where}: mask bits")
+    n = h * w
+    nbytes = -(-n // 8)
+    if packed.size != nbytes:
+        raise DataError(f"{where}: mask bits hold {packed.size} bytes, a {h}x{w} mask packs into {nbytes}")
+    if n % 8 and packed[-1] & (0xFF >> n % 8):
+        raise DataError(f"{where}: mask bits set past the last of its {n} pixels")
+    return np.unpackbits(packed, count=n).reshape(h, w)
+
+
+def _read_mask(rec, version, img, where, root):
+    """The mask and origin of instance record ``rec``: unpacked from the
+    record in version 3, read from the PGM it names in versions 1 and 2."""
+    mask = rec["mask"]
+    origin = rec.get("mask_origin") if version > 1 else [0, 0]
+    if not (isinstance(origin, list) and len(origin) == 2 and all(is_number(v, int) and v >= 0 for v in origin)):
+        raise DataError(f"{where}: mask_origin {origin!r} is not [x, y] of integers >= 0")
+    if version == 3:
+        if not isinstance(mask, dict):
+            raise DataError(f'{where}: a version 3 mask is an object {{"size": [h, w], "bits": ...}}, '
+                            f"not {type(mask).__name__}")
+        shape, what = mask["size"], "mask"
+        if not (isinstance(shape, list) and len(shape) == 2 and all(is_number(v, int) and v >= 1 for v in shape)):
+            raise DataError(f"{where}: mask size {shape!r} is not [h, w] of integers >= 1")
+    else:
+        if not isinstance(mask, str):
+            raise DataError(f"{where}: a version {version} mask is a PGM path, not {type(mask).__name__}")
+        pixels = maskgeom.read_pgm(root / mask)
+        shape, what = pixels.shape, f"mask {mask}"
+    (x, y), (h, w) = origin, shape
+    inside = x + w <= img.width and y + h <= img.height
+    if not ((h, w) == (img.height, img.width) if version == 1 else inside):
+        raise DataError(f"{where}: {what} is {(h, w)} at {origin}, image is ({img.height}, {img.width})")
+    if version == 3:
+        return _unpack(mask["bits"], h, w, where), origin
+    if version == 1:  # an image-sized mask: keep the window that v2 and v3 store
+        return _window(pixels, origin)
+    return pixels, origin
 
 
 def _list(value, what):
@@ -99,7 +149,7 @@ def read_manifest(path) -> list[ImageAnnotations]:
     if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
         raise DataError(f"{path}: not a {MANIFEST_FORMAT} file")
     version = payload.get("version")
-    if not (is_number(version, int) and version in (1, MANIFEST_VERSION)):
+    if not (is_number(version, int) and version in (1, 2, MANIFEST_VERSION)):
         raise DataError(f"{path}: unsupported manifest version {version!r}")
     images = []
     for entry in _list(payload.get("images", []), f"{path}: images"):
@@ -110,6 +160,8 @@ def read_manifest(path) -> list[ImageAnnotations]:
             img = ImageAnnotations(name=entry["image"], width=entry["width"], height=entry["height"])
             if not (is_number(img.width, int) and is_number(img.height, int)):
                 raise DataError(f"{where}: width and height must be integers, got {img.width!r}, {img.height!r}")
+            if img.width < 1 or img.height < 1:
+                raise DataError(f"{where}: width and height must be >= 1, got {img.width}, {img.height}")
             for rec in _list(entry.get("instances", []), f"{where}: instances"):
                 bbox = rec["bbox"]
                 if not (isinstance(bbox, list) and len(bbox) == 4 and all(is_number(v, int) for v in bbox)
@@ -118,20 +170,7 @@ def read_manifest(path) -> list[ImageAnnotations]:
                 calories = rec.get("calories_kcal")
                 if calories is not None and not is_number(calories):
                     raise DataError(f"{where}: calories_kcal must be a finite number or null, got {calories!r}")
-                mask, origin = None, (0, 0)
-                if "mask" in rec:
-                    origin = rec.get("mask_origin") if version == 2 else [0, 0]
-                    if not (isinstance(origin, list) and len(origin) == 2
-                            and all(is_number(v, int) and v >= 0 for v in origin)):
-                        raise DataError(f"{where}: mask_origin {origin!r} is not [x, y] of integers >= 0")
-                    mask = maskgeom.read_pgm(path.parent / rec["mask"])
-                    (x, y), (h, w) = origin, mask.shape
-                    inside = x + w <= img.width and y + h <= img.height
-                    if not ((h, w) == (img.height, img.width) if version == 1 else inside):
-                        raise DataError(f"{where}: mask {rec['mask']} is {mask.shape} at {origin}, image is "
-                                        f"({img.height}, {img.width})")
-                    if version == 1:  # an image-sized mask: keep the window that v2 stores
-                        mask, origin = _window(mask, origin)
+                mask, origin = _read_mask(rec, version, img, where, path.parent) if "mask" in rec else (None, (0, 0))
                 img.instances.append(
                     DetectionInstance(
                         label=ClassLabel.from_name(rec["class"]),

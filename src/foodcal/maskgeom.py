@@ -7,8 +7,9 @@ pixel. Area is the shoelace polygon area over the contour vertices and the
 perimeter is the arc length of the closed vertex loop, so a filled w x h
 rectangle measures (w-1)(h-1) and 2(w-1)+2(h-1).
 
-Masks are exchanged on disk as binary PGM (P5): 0 background, 255 foreground;
-a pixel v reads back as foreground when 2v > maxval, so v >= 128 at 255.
+Masks of version 1 and 2 annotation manifests are binary PGM (P5) files: 0
+background, 255 foreground; a pixel v reads back as foreground when
+2v > maxval, so v >= 128 at 255. Version 3 stores masks in the manifest.
 """
 
 from dataclasses import dataclass

@@ -31,11 +31,13 @@ class ClassLabel(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "ClassLabel":
-        for label in cls:
-            if label.value == name:
-                return label
-        raise ValueError(f"unknown class name {name!r}")
+        try:
+            return _LABELS_BY_NAME[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name, such as a list
+            raise ValueError(f"unknown class name {name!r}") from None
 
+
+_LABELS_BY_NAME = {label.value: label for label in ClassLabel}
 
 FOOD_CLASSES = tuple(label for label in ClassLabel if label is not ClassLabel.COIN)
 

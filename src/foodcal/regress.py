@@ -12,7 +12,6 @@ v2; v1 files still load) that stores floats exactly, as JSON reprs or as
 the bytes of the packed arrays, so a reloaded model predicts bit-identically.
 """
 
-import base64
 import numbers
 from dataclasses import dataclass, field
 
@@ -24,6 +23,8 @@ from foodcal.errors import (
     EmptyDataset,
     SingularSystem,
     ZeroTotalWeight,
+    decode_array,
+    encode_array,
     is_number,
 )
 from foodcal.preprocess import RegressionDataset
@@ -236,8 +237,8 @@ class _Trees:
         return {
             "roots": self.roots.tolist(),
             "feature": self.feature.tolist(),
-            "right": _encode(self.right, "<i4"),
-            "split": _encode(self.split, "<f8"),
+            "right": encode_array(self.right, "<i4"),
+            "split": encode_array(self.split, "<f8"),
         }
 
     @classmethod
@@ -246,8 +247,8 @@ class _Trees:
         not walk to a leaf."""
         trees = cls(
             _ints(state["feature"], "feature"),
-            _decode(state["split"], "<f8", "split"),
-            _decode(state["right"], "<i4", "right"),
+            decode_array(state["split"], "<f8", "split"),
+            decode_array(state["right"], "<i4", "right"),
             _ints(state["roots"], "roots"),
         )
         feature, right, roots = trees.feature, trees.right, trees.roots
@@ -298,22 +299,6 @@ class _Trees:
 
 def _cat(arrays):
     return np.concatenate(arrays) if arrays else np.zeros(0)
-
-
-def _encode(a, dtype) -> str:
-    return base64.b64encode(np.asarray(a, dtype=dtype).tobytes()).decode("ascii")
-
-
-def _decode(text, dtype, name) -> np.ndarray:
-    if not isinstance(text, str):
-        raise DataError(f"{name} must be a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise DataError(f"{name}: invalid base64") from exc
-    if len(raw) % np.dtype(dtype).itemsize:
-        raise DataError(f"{name}: {len(raw)} bytes is not a whole number of {np.dtype(dtype).name} values")
-    return np.frombuffer(raw, dtype=dtype)
 
 
 def _ints(values, name) -> np.ndarray:

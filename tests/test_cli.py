@@ -17,7 +17,7 @@ from foodcal.errors import DataError
 from foodcal.measurement import ClassLabel, DetectionInstance
 
 from cli_child import run_foodcal
-from test_manifests import paste
+from pgm_manifests import paste, write_pgm_manifest
 
 GEN_ARGS = ["gen", "--seed", "7", "--records", "24", "--views-per-item", "4"]
 
@@ -45,7 +45,7 @@ def test_gen_writes_expected_tree(gen_dir):
     assert (gen_dir / "dataset.csv").exists()
     assert (gen_dir / "annotations.json").exists()
     assert (gen_dir / "run_manifest.json").exists()
-    assert any((gen_dir / "masks").iterdir())
+    assert not (gen_dir / "masks").exists()  # masks are inside annotations.json
     records = preprocess.read_csv(gen_dir / "dataset.csv")
     assert len(records) == 24
 
@@ -64,9 +64,10 @@ def test_extract_reproduces_gen_dataset(gen_dir, tmp_path):
 
 def test_extract_keeps_labels_when_a_mask_is_blank(gen_dir, tmp_path):
     # extract skips a food instance with an empty mask; the items after it in
-    # the same image must keep their own calorie labels
+    # the same image must keep their own calorie labels. The mask is blanked
+    # in a version 2 copy, whose masks are PGM files.
     data = tmp_path / "data"
-    shutil.copytree(gen_dir, data)
+    write_pgm_manifest(data / "annotations.json", manifests.read_manifest(gen_dir / "annotations.json"))
     first_food = manifests.read_manifest(data / "annotations.json")[0].instances[1]
     maskgeom.write_pgm(data / "masks" / "scene_0000_i01.pgm", np.zeros_like(first_food.mask))
     out = tmp_path / "x"
@@ -481,6 +482,15 @@ def test_run_manifest_contents(gen_dir):
     assert "dataset.csv" in manifest["outputs"]
 
 
+def test_gen_stores_masks_inside_the_manifest(gen_644):
+    # gen_644 also holds x/, the output of extract
+    assert sorted(p.name for p in gen_644.iterdir() if p.name != "x") == [
+        "annotations.json", "dataset.csv", "run_manifest.json"]
+    assert (gen_644 / "annotations.json").stat().st_size <= 1_000_000
+    manifest = json.loads((gen_644 / "run_manifest.json").read_text())
+    assert manifest["outputs"] == ["annotations.json", "dataset.csv"]
+
+
 def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -713,6 +723,18 @@ def test_manifest_field_types_exit_2(gen_dir, tmp_path, capsys, field, value, me
     assert run_cli("extract", "--annotations", str(data / "annotations.json"), "--out", str(tmp_path / "x")) == 2
     line = _one_error_line(capsys)
     assert "annotations.json: image scene_0000: " in line and message in line
+
+
+@pytest.mark.parametrize("width, height", [(0, -3), (0, 10), (10, -1)])
+def test_image_size_below_one_pixel_exits_2(tmp_path, capsys, width, height):
+    # box-only instances, so no mask check catches the size
+    instances = [{"class": "Coin", "bbox": [0, 0, 4, 4], "confidence": 0.9},
+                 {"class": "Puri", "bbox": [5, 5, 3, 3], "confidence": 0.8}]
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps({"format": "foodcal-annotations", "version": 2, "images": [
+        {"image": "scene_0002", "width": width, "height": height, "instances": instances}]}))
+    assert run_cli("detmetrics", "--pred", str(path), "--gt", str(path), "--out", str(tmp_path / "dm")) == 2
+    assert f"image scene_0002: width and height must be >= 1, got {width}, {height}" in _one_error_line(capsys)
 
 
 def test_error_line_escapes_a_line_break_from_the_input(tmp_path, capsys):

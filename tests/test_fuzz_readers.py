@@ -1,7 +1,8 @@
 """Corrupted inputs never end a command in a traceback.
 
-Each property corrupts one input of a working run: the annotation manifest,
-a PGM mask it references, the dataset CSV or a model bundle. The
+Each property corrupts one input of a working run: the annotation manifest
+(with its inline masks), a PGM mask that a version 2 manifest references,
+the dataset CSV or a model bundle. The
 corruptions are truncation, byte flips and, in JSON files, leaves swapped
 for values of another type. A corrupted file either still holds a valid
 input (a CSV cut at a row boundary, a flipped raster byte), and the command
@@ -9,6 +10,7 @@ succeeds, or the command exits 2 with one "error: " line on stderr.
 Examples are derandomised, so every run tries the same inputs.
 """
 
+import base64
 import contextlib
 import io
 import json
@@ -20,8 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodcal import maskgeom
+from foodcal import manifests
 from foodcal.cli import MODEL_NAMES, main
+
+from pgm_manifests import write_pgm_manifest
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -125,9 +129,17 @@ def test_corrupted_manifest_exits_cleanly(base):
     ])
 
 
-def test_corrupted_mask_exits_cleanly(base):
+@pytest.fixture(scope="module")
+def base_v2(base, tmp_path_factory):
+    """``base``'s manifest as version 2, its masks as PGM files."""
+    root = tmp_path_factory.mktemp("fuzz_v2")
+    write_pgm_manifest(root / "annotations.json", manifests.read_manifest(base / "annotations.json"))
+    return root
+
+
+def test_corrupted_mask_exits_cleanly(base_v2):
     # the first food instance of the first scene; instance 0 is its coin
-    _fuzz(base, "masks/scene_0000_i01.pgm", False, [
+    _fuzz(base_v2, "masks/scene_0000_i01.pgm", False, [
         lambda r: ["extract", "--annotations", str(r / "annotations.json")],
         lambda r: ["detmetrics", "--pred", str(r / "annotations.json"), "--gt", str(r / "annotations.json")],
     ])
@@ -174,7 +186,7 @@ def test_bad_mask_origin_exits_2(base, tmp_path, case, command):
     rec = image["instances"][1]  # the first food; instance 0 is the coin
     x, y = rec.pop("mask_origin")
     if BAD_ORIGINS[case] is not None:
-        rec["mask_origin"] = BAD_ORIGINS[case](x, y, maskgeom.read_pgm(root / rec["mask"]).shape[1], image["width"])
+        rec["mask_origin"] = BAD_ORIGINS[case](x, y, rec["mask"]["size"][1], image["width"])
     (root / "annotations.json").write_text(json.dumps(doc))
     manifest = str(root / "annotations.json")
     argv = {
@@ -185,3 +197,73 @@ def test_bad_mask_origin_exits_2(base, tmp_path, case, command):
     code, err = _run(*argv, "--out", str(tmp_path / "out"))
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
     assert "image scene_0000: mask" in err
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+# version 3 masks a reader must refuse, made from the valid mask object of the
+# first food, and the message each must give; None drops the field
+BAD_MASKS = {
+    "size-missing": (lambda m: {"bits": m["bits"]}, "'size'"),
+    "size-string": (lambda m: {**m, "size": "3x4"}, "mask size '3x4' is not [h, w] of integers >= 1"),
+    "size-one-value": (lambda m: {**m, "size": m["size"][:1]}, "is not [h, w] of integers >= 1"),
+    "size-three-values": (lambda m: {**m, "size": m["size"] + [1]}, "is not [h, w] of integers >= 1"),
+    "size-zero": (lambda m: {**m, "size": [0, m["size"][1]]}, "is not [h, w] of integers >= 1"),
+    "size-negative": (lambda m: {**m, "size": [m["size"][0], -1]}, "is not [h, w] of integers >= 1"),
+    "size-float": (lambda m: {**m, "size": [m["size"][0], float(m["size"][1])]}, "is not [h, w] of integers >= 1"),
+    "size-bool": (lambda m: {**m, "size": [True, m["size"][1]]}, "is not [h, w] of integers >= 1"),
+    "bits-missing": (lambda m: {"size": m["size"]}, "'bits'"),
+    "bits-number": (lambda m: {**m, "bits": 5}, "mask bits must be a base64 string"),
+    "bits-list": (lambda m: {**m, "bits": [255, 0]}, "mask bits must be a base64 string"),
+    "bits-bad-character": (lambda m: {**m, "bits": "!~" + m["bits"][2:]}, "mask bits: invalid base64"),
+    "bits-not-ascii": (lambda m: {**m, "bits": "é" + m["bits"][1:]}, "mask bits: invalid base64"),
+    "bits-cut-padding": (lambda m: {**m, "bits": m["bits"] + "A"}, "mask bits: invalid base64"),
+    "bytes-too-few": (lambda m: {**m, "bits": _b64(base64.b64decode(m["bits"])[:-1])}, "mask bits hold"),
+    "bytes-too-many": (lambda m: {**m, "bits": _b64(base64.b64decode(m["bits"]) + b"\0")}, "mask bits hold"),
+    "bytes-of-another-size": (lambda m: {"size": [3, 3], "bits": m["bits"]}, "a 3x3 mask packs into 2"),
+    "pad-bit-set": (lambda m: {"size": [3, 3], "bits": _b64(bytes([0xFF, 0x81]))},
+                    "mask bits set past the last of its 9 pixels"),
+    "string-mask": (lambda m: "masks/scene_0000_i01.pgm", "a version 3 mask is an object"),
+    "null-mask": (lambda m: None, "a version 3 mask is an object"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MASKS)
+@pytest.mark.parametrize("command", ["extract", "pipeline", "detmetrics"])
+def test_bad_v3_mask_exits_2(base, tmp_path, case, command):
+    doc = json.loads((base / "annotations.json").read_text())
+    rec = doc["images"][0]["instances"][1]  # the first food; instance 0 is the coin
+    make, message = BAD_MASKS[case]
+    rec["mask"] = make(rec["mask"])
+    manifest = tmp_path / "annotations.json"  # a version 3 manifest needs no other file
+    manifest.write_text(json.dumps(doc))
+    argv = {
+        "extract": ["extract", "--annotations", str(manifest)],
+        "pipeline": ["pipeline", "--annotations", str(manifest), "--model", str(base / "dt" / "model.json")],
+        "detmetrics": ["detmetrics", "--pred", str(manifest), "--gt", str(base / "annotations.json")],
+    }[command]
+    code, err = _run(*argv, "--out", str(tmp_path / "out"))
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+    assert "image scene_0000: " in err and message in err, err
+
+
+def test_the_pad_bit_case_is_otherwise_a_valid_mask(base, tmp_path):
+    doc = json.loads((base / "annotations.json").read_text())
+    doc["images"][0]["instances"][1]["mask"] = {"size": [3, 3], "bits": _b64(bytes([0xFF, 0x80]))}
+    (tmp_path / "annotations.json").write_text(json.dumps(doc))
+    food = manifests.read_manifest(tmp_path / "annotations.json")[0].instances[1]
+    assert food.mask.tolist() == [[1, 1, 1]] * 3
+
+
+def test_object_mask_in_a_v2_manifest_exits_2(base, base_v2, tmp_path):
+    root = tmp_path / "in"
+    shutil.copytree(base_v2, root)
+    doc = json.loads((root / "annotations.json").read_text())
+    v3 = json.loads((base / "annotations.json").read_text())
+    doc["images"][0]["instances"][1]["mask"] = v3["images"][0]["instances"][1]["mask"]
+    (root / "annotations.json").write_text(json.dumps(doc))
+    code, err = _run("extract", "--annotations", str(root / "annotations.json"), "--out", str(tmp_path / "out"))
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+    assert "image scene_0000: a version 2 mask is a PGM path, not dict" in err

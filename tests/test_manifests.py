@@ -1,10 +1,11 @@
-"""Manifest v2 stores each mask as its foreground crop and origin.
+"""Manifest v3 stores each mask inline as its packed foreground crop and
+origin.
 
 Oracles: a crop pasted at its origin is the frame that was written, and
 every computation on crops (mask IoU, the detection report, the features)
-equals the same computation on full frames. A v1 manifest with full-size
-PGMs reads to the same crops, and a v2 manifest written again is the same
-bytes.
+equals the same computation on full frames. A v2 manifest of PGM crops and
+a v1 manifest of full-size PGMs read to the same crops, and a v3 manifest
+written again is the same bytes.
 """
 
 import json
@@ -22,15 +23,9 @@ from foodcal.cli import main
 from foodcal.errors import DataError
 from foodcal.measurement import ClassLabel, DetectionInstance
 
+from pgm_manifests import paste, write_pgm_manifest
+
 LABELS = (ClassLabel.PURI, ClassLabel.BEGUNI)  # two classes, so some pairs never match
-
-
-def paste(mask, origin, height, width):
-    """The height x width frame of a mask cropped at ``origin`` (x, y)."""
-    frame = np.zeros((height, width), np.uint8)
-    (x, y), (h, w) = origin, mask.shape
-    frame[y : y + h, x : x + w] = mask
-    return frame
 
 
 def tree_bytes(root: Path) -> dict:
@@ -119,7 +114,7 @@ def test_empty_mask_is_one_background_pixel_at_the_frame_corner(tmp_path):
     path = manifests.write_manifest(tmp_path / "annotations.json", [manifests.ImageAnnotations("a", 20, 20, [inst])])
     rec = json.loads(path.read_text())["images"][0]["instances"][0]
     assert rec["mask_origin"] == [0, 0]
-    assert (tmp_path / rec["mask"]).read_bytes() == b"P5\n1 1\n255\n\x00"
+    assert rec["mask"] == {"size": [1, 1], "bits": "AA=="}
 
 
 def test_a_crop_with_an_origin_is_cut_to_its_window(tmp_path):
@@ -140,64 +135,73 @@ def test_write_rejects_what_is_not_a_mask(tmp_path, mask):
 
 
 # ---------------------------------------------------------------------------
-# v1 manifests and byte-identical outputs
+# v1 and v2 manifests and byte-identical outputs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(scenes(), st.sampled_from([1, 2]))
+def test_pgm_manifests_read_as_the_v3_manifest(tmp_path_factory, images, version):
+    root = tmp_path_factory.mktemp("versions")
+    for which in (0, 1):  # predictions, then ground truth
+        anns = [manifests.ImageAnnotations(name, w, h, (preds, gts)[which]) for name, h, w, preds, gts in images]
+        v3 = manifests.read_manifest(manifests.write_manifest(root / f"v3_{which}" / "annotations.json", anns))
+        old = manifests.read_manifest(write_pgm_manifest(root / f"v{version}_{which}" / "annotations.json", anns,
+                                                         version))
+        for a, b in zip(old, v3, strict=True):
+            assert (a.name, a.width, a.height, a.calories) == (b.name, b.width, b.height, b.calories)
+            for p, q in zip(a.instances, b.instances, strict=True):
+                assert (p.label, p.bbox, p.confidence, p.origin) == (q.label, q.bbox, q.confidence, q.origin)
+                assert p.mask.dtype == q.mask.dtype == np.uint8
+                assert p.mask.shape == q.mask.shape and p.mask.tobytes() == q.mask.tobytes()
 
 
 @pytest.fixture(scope="module")
-def gen_v2(tmp_path_factory):
+def gen_v3(tmp_path_factory):
     root = tmp_path_factory.mktemp("gen")
-    assert main(["gen", "--seed", "5", "--records", "30", "--views-per-item", "3", "--out", str(root / "v2")]) == 0
-    assert main(["train", "--data", str(root / "v2" / "dataset.csv"), "--model", "rf", "--out",
+    assert main(["gen", "--seed", "5", "--records", "30", "--views-per-item", "3", "--out", str(root / "v3")]) == 0
+    assert main(["train", "--data", str(root / "v3" / "dataset.csv"), "--model", "rf", "--out",
                  str(root / "model")]) == 0
     return root
 
 
-def write_v1(v2_dir: Path, out: Path) -> Path:
-    """The v2 manifest in ``v2_dir`` as a hand-written v1 manifest: no
-    ``mask_origin``, and every PGM the size of its image."""
-    doc = json.loads((v2_dir / "annotations.json").read_text())
-    (out / "masks").mkdir(parents=True)
-    for image in doc["images"]:
-        for rec in image["instances"]:
-            crop = maskgeom.read_pgm(v2_dir / rec["mask"])
-            frame = paste(crop, rec.pop("mask_origin"), image["height"], image["width"])
-            maskgeom.write_pgm(out / rec["mask"], frame)
-    doc["version"] = 1
-    (out / "annotations.json").write_text(json.dumps(doc))
-    return out / "annotations.json"
+def write_old(v3_dir: Path, out: Path, version: int) -> Path:
+    """The v3 manifest in ``v3_dir`` as a v1 or v2 manifest with PGM masks."""
+    return write_pgm_manifest(out / "annotations.json", manifests.read_manifest(v3_dir / "annotations.json"), version)
 
 
-def test_v1_manifest_gives_the_same_outputs_as_v2(gen_v2, tmp_path):
-    v2 = gen_v2 / "v2" / "annotations.json"
-    v1 = write_v1(gen_v2 / "v2", tmp_path / "v1")
+def test_v1_manifest_gives_the_same_outputs_as_v2(gen_v3, tmp_path):
+    """And the same as v3: each version of one manifest reads to the same
+    crops and gives the same detmetrics, pipeline and extract outputs."""
+    paths = {"v3": gen_v3 / "v3" / "annotations.json"}
+    for version in (1, 2):
+        paths[f"v{version}"] = write_old(gen_v3 / "v3", tmp_path / f"v{version}", version)
     assert maskgeom.read_pgm(tmp_path / "v1" / "masks" / "scene_0000_i00.pgm").shape == (320, 320)
-    for a, b in zip(manifests.read_manifest(v1), manifests.read_manifest(v2)):
-        for p, q in zip(a.instances, b.instances):
-            assert p.origin == q.origin and np.array_equal(p.mask, q.mask)
+    assert maskgeom.read_pgm(tmp_path / "v2" / "masks" / "scene_0000_i00.pgm").shape != (320, 320)
+    for name in ("v1", "v2"):
+        for a, b in zip(manifests.read_manifest(paths[name]), manifests.read_manifest(paths["v3"])):
+            for p, q in zip(a.instances, b.instances):
+                assert p.origin == q.origin and np.array_equal(p.mask, q.mask)
     outputs = {}
-    for name, manifest in (("v1", v1), ("v2", v2)):
+    for name, manifest in paths.items():
         out = tmp_path / f"out_{name}"
         assert main(["detmetrics", "--pred", str(manifest), "--gt", str(manifest), "--out", str(out / "det")]) == 0
-        assert main(["pipeline", "--annotations", str(manifest), "--model", str(gen_v2 / "model" / "model.json"),
+        assert main(["pipeline", "--annotations", str(manifest), "--model", str(gen_v3 / "model" / "model.json"),
                      "--out", str(out / "pipe")]) == 0
         assert main(["extract", "--annotations", str(manifest), "--out", str(out / "extract")]) == 0
         outputs[name] = [(out / f).read_bytes() for f in ("det/detmetrics.json", "pipe/estimates.json",
                                                          "extract/features.csv")]
-    assert outputs["v1"] == outputs["v2"]
-    assert outputs["v2"][2] == (gen_v2 / "v2" / "dataset.csv").read_bytes()
+    assert outputs["v1"] == outputs["v2"] == outputs["v3"]
+    assert outputs["v3"][2] == (gen_v3 / "v3" / "dataset.csv").read_bytes()
 
 
-def test_v2_manifest_read_and_written_again_is_byte_identical(gen_v2, tmp_path):
+def test_v3_manifest_read_and_written_again_is_byte_identical(gen_v3, tmp_path):
     again = tmp_path / "again" / "annotations.json"
-    manifests.write_manifest(again, manifests.read_manifest(gen_v2 / "v2" / "annotations.json"))
-    written = tree_bytes(again.parent)
-    original = {k: v for k, v in tree_bytes(gen_v2 / "v2").items() if k == "annotations.json" or
-                k.startswith("masks/")}
-    assert written == original
+    manifests.write_manifest(again, manifests.read_manifest(gen_v3 / "v3" / "annotations.json"))
+    assert tree_bytes(again.parent) == {"annotations.json": (gen_v3 / "v3" / "annotations.json").read_bytes()}
 
 
-def test_v1_mask_that_is_not_the_image_size_is_a_data_error(gen_v2, tmp_path):
-    v1 = write_v1(gen_v2 / "v2", tmp_path / "v1")
+def test_v1_mask_that_is_not_the_image_size_is_a_data_error(gen_v3, tmp_path):
+    v1 = write_old(gen_v3 / "v3", tmp_path / "v1", 1)
     maskgeom.write_pgm(tmp_path / "v1" / "masks" / "scene_0000_i01.pgm", np.ones((10, 10), np.uint8))
     with pytest.raises(DataError, match=r"scene_0000: mask masks/scene_0000_i01.pgm is \(10, 10\)"):
         manifests.read_manifest(v1)

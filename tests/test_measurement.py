@@ -16,6 +16,23 @@ def disk_mask(shape, cx, cy, r):
 
 
 # ---------------------------------------------------------------------------
+# class names
+
+
+def test_every_class_reads_back_from_its_name():
+    assert [ClassLabel.from_name(label.value) for label in ClassLabel] == list(ClassLabel)
+
+
+@pytest.mark.parametrize("name", ["coin", "Coin ", "", "COIN", 5, 1.5, None, True, ["Coin"], {"Coin": 1}, ("Coin",)],
+                         ids=["lower", "space", "empty", "upper", "int", "float", "none", "bool", "list", "dict",
+                              "tuple"])
+def test_unknown_class_name_raises_value_error(name):
+    with pytest.raises(ValueError) as info:
+        ClassLabel.from_name(name)
+    assert str(info.value) == f"unknown class name {name!r}"
+
+
+# ---------------------------------------------------------------------------
 # select_reference
 
 
