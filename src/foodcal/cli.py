@@ -46,6 +46,9 @@ GRADCHECK_TOLERANCE = 1e-4
 # type of its default; run_manifest.json records them
 SCENE_OPTIONS = ("width", "height", "items_per_scene", "views_per_item", "boundary_noise", "weight_noise")
 
+# the keys that gen and train read from a --config file
+_CONFIG_KEYS = ("seed", "records", *SCENE_OPTIONS, "zscore_threshold")
+
 # [low, high) of the options whose other values fail a run; a weight noise
 # of 1 or more can draw a negative weight, and a boundary noise of 1 or more
 # a radius of zero or less
@@ -92,11 +95,17 @@ def _default_out():
 
 
 def _load_config(path):
+    """The ``--config`` object. Every command that takes one accepts the
+    keys of all of them, so one file serves both; any other key, such as a
+    misspelt one, is a ``DataError``."""
     if path is None:
         return {}
     cfg = read_json(path, "config")
     if not isinstance(cfg, dict):
         raise DataError(f"{path}: config must be a JSON object")
+    for key in cfg:
+        if key not in _CONFIG_KEYS:
+            raise DataError(f"{path}: unknown key {key!r}; the keys are {', '.join(_CONFIG_KEYS)}")
     return cfg
 
 

@@ -108,10 +108,12 @@ def is_number(value, kind=(int, float)) -> bool:
 
 
 def write_json(path, payload, indent=None) -> None:
-    """Write ``payload`` to ``path`` as JSON with a trailing newline."""
+    """Write ``payload`` to ``path`` as JSON with a trailing newline. The
+    bytes are those of ``json.dump``, but ``json.dumps`` encodes without
+    indent in C, where ``json.dump`` always runs the Python encoder."""
+    text = json.dumps(payload, indent=indent) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=indent)
-        f.write("\n")
+        f.write(text)
 
 
 def encode_array(a, dtype) -> str:

@@ -94,6 +94,11 @@ def read_csv(path) -> list[FeatureRecord]:
             if reader.fieldnames != list(CSV_FIELDS):
                 raise DataError(f"{path}: expected header {','.join(CSV_FIELDS)}")
             for row in reader:
+                if None in row:  # DictReader files the fields past the header under None
+                    raise DataError(
+                        f"{path}: line {reader.line_num}: {len(CSV_FIELDS) + len(row[None])} fields,"
+                        f" but the header has {len(CSV_FIELDS)}"
+                    )
                 try:
                     rec = FeatureRecord(
                         label=ClassLabel.from_name(row["class"]),

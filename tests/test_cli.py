@@ -329,6 +329,20 @@ def test_non_finite_csv_exits_2(tmp_path, capsys):
     assert "line 3: non-finite height_mm, calories_kcal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_csv_row_with_more_fields_than_the_header_exits_2(lr_bundle, tmp_path, capsys, command):
+    # a decimal comma in "1,5" splits one field in two
+    data = tmp_path / "comma.csv"
+    data.write_text(",".join(preprocess.CSV_FIELDS) + "\nPuri,10.0,20.0,30.0,40.0,50.0\nPuri,10,1,5,20,30,40\n")
+    argv = {
+        "train": ["train", "--data", str(data), "--model", "lr", "--out", str(tmp_path / "m")],
+        "eval": ["eval", "--model", str(lr_bundle), "--data", str(data), "--split", "all"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert "comma.csv: line 3: 7 fields, but the header has 6" in _one_error_line(capsys)
+
+
 def _set_split(**values):
     return lambda b: b["preprocessing"]["split"].update(values)
 
@@ -527,10 +541,12 @@ def test_bad_config_file_exits_2(tmp_path, capsys, content):
         ("train", {"zscore_threshold": None}, "zscore_threshold must be a number, got None"),
         ("train", {"zscore_threshold": 10**400}, "zscore_threshold overflows a float"),
         ("train", {"seed": [1]}, "seed must be an integer, got [1]"),
+        ("gen", {"seed": 3, "boundry_noise": 0.2}, "unknown key 'boundry_noise'"),
+        ("train", {"zscore_treshold": 3.0}, "unknown key 'zscore_treshold'"),
     ],
     ids=["str-int", "float-int", "zero-records", "zero-items", "negative-views", "negative-width",
          "negative-seed", "bool-int", "str-float", "weight-noise-1", "boundary-noise-1.5", "null-float",
-         "huge-float", "list-int"],
+         "huge-float", "list-int", "misspelt-gen-key", "misspelt-train-key"],
 )
 def test_bad_config_value_exits_2(gen_dir, tmp_path, capsys, command, config, message):
     cfg = tmp_path / "cfg.json"
@@ -538,6 +554,20 @@ def test_bad_config_value_exits_2(gen_dir, tmp_path, capsys, command, config, me
     data = ["--data", str(gen_dir / "dataset.csv"), "--model", "lr"] if command == "train" else []
     assert run_cli(command, *data, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
     assert f"cfg.json: {message}" in _one_error_line(capsys)
+
+
+def test_one_config_serves_gen_and_train(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    scene = synth.SceneConfig()
+    cfg.write_text(json.dumps({"seed": 3, "records": 12, **{key: getattr(scene, key) for key in SCENE_OPTIONS},
+                               "zscore_threshold": 2.5}))
+    assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "g")) == 0
+    assert len(preprocess.read_csv(tmp_path / "g" / "dataset.csv")) == 12
+    assert run_cli("train", "--data", str(tmp_path / "g" / "dataset.csv"), "--model", "lr",
+                   "--config", str(cfg), "--out", str(tmp_path / "m")) == 0
+    bundle = json.loads((tmp_path / "m" / "model.json").read_text())
+    assert bundle["preprocessing"]["zscore_threshold"] == 2.5
+    assert bundle["preprocessing"]["split"]["seed"] == 3
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foodcal import maskgeom
+from foodcal import maskgeom, measurement, synth
 from foodcal.errors import DataError, EmptyComponent
 
 
@@ -139,6 +139,74 @@ def random_mask(rng, max_side=32):
     h = int(rng.integers(1, max_side + 1))
     w = int(rng.integers(1, max_side + 1))
     return (rng.random((h, w)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# per-pixel labelling: the union-find that run labelling replaced, kept as
+# its oracle
+
+
+def pixel_label(mask):
+    """8-connected labelling by vectorised union-find over pixels. Every
+    pixel starts out pointing at the first pixel of its horizontal run; each
+    round then min-hooks the roots of the run pairs that still straddle two
+    trees and pointer-jumps until every pixel points at its root. Returns
+    int64 labels, 0 for background; ids are arbitrary, only the partition
+    matters.
+    """
+    fg = mask != 0
+    h, w = mask.shape
+    idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
+    run_start = fg.copy()
+    run_start[:, 1:] &= ~fg[:, :-1]
+    parent = np.maximum.accumulate(np.where(run_start, idx, 0), axis=1).ravel()
+    # Pairs (y, x)-(y + 1, x + dx). A pair that follows one at (y, x - 1)
+    # joins the same two runs, so only the first pair of each streak is kept.
+    a, b = [], []
+    for dx in (-1, 0, 1):
+        x0, x1 = max(0, -dx), w - max(0, dx)
+        both = fg[:-1, x0:x1] & fg[1:, x0 + dx : x1 + dx]
+        both[:, 1:] &= ~both[:, :-1]
+        src = idx[:-1, x0:x1][both]
+        a.append(src)
+        b.append(src + w + dx)
+    a = np.concatenate(a)
+    b = np.concatenate(b)
+    while a.size:
+        ra = parent[a]
+        rb = parent[b]
+        open_ = ra != rb
+        a, b, ra, rb = a[open_], b[open_], ra[open_], rb[open_]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    return np.where(fg, parent.reshape(h, w) + 1, 0)
+
+
+def pixel_components(mask):
+    """connected_components as computed from ``pixel_label``: full-size
+    masks in (min-y, min-x, first pixel) order."""
+    m = maskgeom.as_mask(mask)
+    box = maskgeom.foreground_slices(m)
+    if box is None:
+        return []
+    sub = m[box]
+    w = sub.shape[1]
+    labels = pixel_label(sub).ravel()
+    fg = np.flatnonzero(labels)
+    ids, first, inverse = np.unique(labels[fg], return_index=True, return_inverse=True)
+    first = fg[first]
+    min_x = np.full(ids.size, w, dtype=np.int64)
+    np.minimum.at(min_x, inverse, fg % w)
+    out = []
+    for k in np.lexsort((first, min_x, first // w)):
+        comp = np.zeros_like(m)
+        comp[box] = (labels == ids[k]).reshape(sub.shape)
+        out.append(comp)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +354,129 @@ def test_single_row_and_column_masks(line):
     row = np.array([line], np.uint8)
     check_against_oracles(row)
     check_against_oracles(row.T.copy())
+
+
+def tiled_copies(rng):
+    """Copies of one random tile, each flipped or transposed at random, in
+    the cells of a grid with a background gap between cells: components of
+    equal size in every arrangement, so the first of them in the documented
+    order is the one ``max(..., key=sum)`` keeps."""
+    side = int(rng.integers(1, 6))
+    tile = (rng.random((side, side)) < rng.uniform(0.3, 1.0)).astype(np.uint8)
+    tile[rng.integers(side), rng.integers(side)] = 1
+    rows, cols = (int(v) for v in rng.integers(1, 5, 2))
+    cell = side + 1 + int(rng.integers(0, 3))
+    m = np.zeros((rows * cell, cols * cell), np.uint8)
+    for r in range(rows):
+        for c in range(cols):
+            t = tile[:: rng.choice([-1, 1]), :: rng.choice([-1, 1])]
+            t = t.T if rng.random() < 0.5 else t
+            if rng.random() < 0.8:
+                oy, ox = (int(v) for v in rng.integers(0, cell - side, 2))
+                m[r * cell + oy : r * cell + oy + side, c * cell + ox : c * cell + ox + side] = t
+    return m
+
+
+def checkerboard(rng):
+    h, w = (int(v) for v in rng.integers(1, 40, 2))
+    return (np.indices((h, w)).sum(axis=0) % 2 == rng.integers(2)).astype(np.uint8)
+
+
+def comb(rng):
+    """One-pixel teeth a gap apart, with or without a spine, either way up."""
+    h, w = (int(v) for v in rng.integers(1, 40, 2))
+    m = np.zeros((h, w), np.uint8)
+    m[:, rng.integers(2) :: int(rng.integers(2, 4))] = 1
+    if rng.random() < 0.5:
+        m[rng.choice([0, h - 1])] = 1
+    return m.T.copy() if rng.random() < 0.5 else m
+
+
+def diagonal_steps(rng):
+    """One run per row, each placed so it touches the run above only at a
+    corner, misses it by one pixel, or overlaps it."""
+    h = int(rng.integers(1, 30))
+    w = 48
+    m = np.zeros((h, w), np.uint8)
+    x0, x1 = 20, 20 + int(rng.integers(1, 4))
+    for y in range(h):
+        m[y, x0:x1] = 1
+        length = int(rng.integers(1, 4))
+        step = rng.choice(["right corner", "left corner", "right gap", "left gap", "overlap"])
+        if step == "right corner":
+            x0 = x1
+        elif step == "left corner":
+            x0 = x0 - 1 - length
+        elif step == "right gap":
+            x0 = x1 + 1
+        elif step == "left gap":
+            x0 = x0 - 2 - length
+        x0 = min(max(x0, 0), w - length)
+        x1 = x0 + length
+    return m
+
+
+MASK_KINDS = {
+    "random": lambda rng: random_mask(rng, max_side=40),
+    "tied": tiled_copies,
+    "checkerboard": checkerboard,
+    "comb": comb,
+    "diagonal": diagonal_steps,
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(MASK_KINDS)), st.integers(0, 2**32 - 1), st.integers(0, 3), st.booleans())
+def test_run_labels_match_the_pixel_oracle(kind, seed, pad, as_bool):
+    rng = np.random.default_rng(seed)
+    m = np.pad(MASK_KINDS[kind](rng), ((pad, 0), (0, pad)))
+    m = m.astype(bool) if as_bool else m
+    got = maskgeom.connected_components(m)
+    want = pixel_components(m)
+    assert len(got) == len(want)
+    for g, e in zip(got, want):
+        assert g.dtype == np.uint8 and g.shape == m.shape
+        assert np.array_equal(g, e)
+
+
+def _tie_on_min_x():
+    # A (12 px): column x=5 with a foot to x=1; B (12 px): block at x 2-3.
+    # Both start on row 0 and B's first pixel comes first, but A reaches
+    # further left, so A is first.
+    m = np.zeros((9, 7), np.uint8)
+    m[0:8, 5] = 1
+    m[7, 1:5] = 1
+    m[0:6, 2:4] = 1
+    return m, (0, 5)
+
+
+def _tie_on_first_pixel():
+    # A (8 px): block at x 1-2; B (8 px): column x=4 with a foot to x=1.
+    # Same min-y and min-x, so the first pixel decides: A's (0, 1).
+    m = np.zeros((7, 6), np.uint8)
+    m[0:4, 1:3] = 1
+    m[0:5, 4] = 1
+    m[5, 1:4] = 1
+    return m, (0, 1)
+
+
+@pytest.mark.parametrize("case", [_tie_on_min_x, _tie_on_first_pixel], ids=["min-x", "first-pixel"])
+def test_largest_of_tied_components_is_the_first_in_order(case):
+    m, winner = case()
+    comps = maskgeom.connected_components(m)
+    assert len(comps) == 2 and comps[0].sum() == comps[1].sum()
+    assert max(comps, key=lambda c: int(c.sum()))[winner] == 1
+    assert all(np.array_equal(g, e) for g, e in zip(comps, pixel_components(m)))
+
+
+def test_measurements_match_with_the_pixel_oracle(monkeypatch):
+    _, scenes = synth.generate_regression_dataset(synth.SceneConfig(), 180, 7)
+    calories = [[t.calories_kcal for t in s.truth.instances] for s in scenes]
+    got = [measurement.image_records(s.instances, c) for s, c in zip(scenes, calories)]
+    monkeypatch.setattr(maskgeom, "connected_components", pixel_components)
+    want = [measurement.image_records(s.instances, c) for s, c in zip(scenes, calories)]
+    assert sum(map(len, got)) == 180
+    assert [[(r, r.instance) for r in recs] for recs in got] == [[(r, r.instance) for r in recs] for recs in want]
 
 
 @pytest.mark.parametrize(

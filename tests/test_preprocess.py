@@ -279,6 +279,15 @@ def test_csv_rejects_short_row(tmp_path):
         pp.read_csv(path)
 
 
+def test_csv_rejects_long_row(tmp_path):
+    # a decimal comma in "1,5" adds a field; read by name, the row would be
+    # width 1, area 5, perimeter 20 and 30 kcal
+    path = tmp_path / "d.csv"
+    path.write_text(",".join(pp.CSV_FIELDS) + "\nPuri,10.0,20.0,30.0,40.0,50.0\nPuri,10,1,5,20,30,40\n")
+    with pytest.raises(DataError, match="line 3: 7 fields, but the header has 6"):
+        pp.read_csv(path)
+
+
 def test_dataset_from_records_layout():
     rec = FeatureRecord(ClassLabel.PURI, 10.0, 20.0, 30.0, 40.0, calories_kcal=50.0)
     ds = pp.RegressionDataset.from_records([rec])
