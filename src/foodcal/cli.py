@@ -25,7 +25,7 @@ from pathlib import Path
 
 import foodcal
 from foodcal import manifests, measurement, metrics, preprocess, regress, synth
-from foodcal.errors import DataError, FoodcalError, is_number, read_json, write_json
+from foodcal.errors import DataError, FoodcalError, number_array, read_json, write_json
 from foodcal.nnblocks.gradcheck import BLOCK_NAMES, gradcheck
 
 MODEL_NAMES = {
@@ -65,8 +65,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _record_run(args, out: Path, t0: float, *, config, seed, inputs, outputs) -> None:
-    """Write ``run_manifest.json`` for the running subcommand into ``out``."""
+def _record_run(args, out: Path, *, config, seed, inputs, outputs) -> None:
+    """Write ``run_manifest.json`` for the running subcommand into ``out``,
+    timed from the start of ``main``."""
     manifest = {
         "command": args.command,
         "argv": args.argv,
@@ -75,23 +76,19 @@ def _record_run(args, out: Path, t0: float, *, config, seed, inputs, outputs) ->
         "inputs": inputs,
         "outputs": outputs,
         "version": foodcal.__version__,
-        "wall_clock_s": round(time.perf_counter() - t0, 3),
+        "wall_clock_s": round(time.perf_counter() - args.t0, 3),
     }
     write_json(out / "run_manifest.json", manifest, indent=1)
 
 
-def _write_report(args, t0: float, name: str, payload, *, config, seed, inputs, indent=None) -> None:
+def _write_report(args, name: str, payload, *, config, seed, inputs, indent=None) -> None:
     """With ``--out``, write ``payload`` there as JSON file ``name``, then
     ``run_manifest.json``; without it, write nothing."""
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / name, payload, indent=indent)
-        _record_run(args, out, t0, config=config, seed=seed, inputs=inputs, outputs=[name])
-
-
-def _default_out():
-    return os.environ.get("FOODCAL_OUT_DIR")
+        _record_run(args, out, config=config, seed=seed, inputs=inputs, outputs=[name])
 
 
 def _load_config(path):
@@ -138,7 +135,7 @@ def _data_error(message):
 
 
 def _require_out(args, parser):
-    out = args.out or _default_out()
+    out = args.out or os.environ.get("FOODCAL_OUT_DIR")
     if out is None:
         parser.error("--out is required (or set FOODCAL_OUT_DIR)")
     return Path(out)
@@ -155,7 +152,6 @@ def cmd_gen(args, parser):
     records = _option(args, parser, config, "records", 100)
     base = synth.SceneConfig()
     cfg = replace(base, **{key: _option(args, parser, config, key, getattr(base, key)) for key in SCENE_OPTIONS})
-    t0 = time.perf_counter()
     recs, scenes = synth.generate_regression_dataset(cfg, records, seed)
     out.mkdir(parents=True, exist_ok=True)
     images = [
@@ -173,7 +169,6 @@ def cmd_gen(args, parser):
     _record_run(
         args,
         out,
-        t0,
         config={
             "records": records,
             **{key: getattr(cfg, key) for key in SCENE_OPTIONS},
@@ -205,13 +200,12 @@ def _manifest_rows(path):
 
 def cmd_extract(args, parser):
     out = _require_out(args, parser)
-    t0 = time.perf_counter()
     images, rows = _manifest_rows(args.annotations)
     records = [rec for _, rec in rows]
     out.mkdir(parents=True, exist_ok=True)
     preprocess.write_csv(out / "features.csv", records)
     _record_run(
-        args, out, t0, config={}, seed=None, inputs=[str(args.annotations)], outputs=["features.csv"]
+        args, out, config={}, seed=None, inputs=[str(args.annotations)], outputs=["features.csv"]
     )
     print(f"extracted {len(records)} records from {len(images)} images to {out / 'features.csv'}")
     return 0
@@ -222,10 +216,11 @@ def cmd_train(args, parser):
     out = _require_out(args, parser)
     seed = _option(args, parser, config, "seed", 0)
     threshold = _option(args, parser, config, "zscore_threshold", 2.0)
-    t0 = time.perf_counter()
     dataset = preprocess.RegressionDataset.from_records(preprocess.read_csv(args.data))
     train, _, _ = preprocess.split(dataset, seed=seed)
-    params, train_n = preprocess.minmax_fit_apply(preprocess.zscore_filter(train, threshold))
+    train = preprocess.zscore_filter(train, threshold)
+    params = preprocess.minmax_fit(train)
+    train_n = preprocess.minmax_apply(params, train)
     algorithm = MODEL_NAMES[args.model]
     model = regress.fit(regress.ModelSpec(algorithm, seed=seed), train_n)
     bundle = {
@@ -244,7 +239,6 @@ def cmd_train(args, parser):
     _record_run(
         args,
         out,
-        t0,
         config={"model": args.model, "zscore_threshold": threshold},
         seed=seed,
         inputs=[str(args.data)],
@@ -254,19 +248,11 @@ def cmd_train(args, parser):
     return 0
 
 
-def _numbers(path, what, values, count):
-    """``values`` as a tuple of floats when it is a list of ``count`` finite
-    JSON numbers, never bools; otherwise a ``DataError`` naming the file."""
-    if not (isinstance(values, list) and len(values) == count and all(map(is_number, values))):
-        raise DataError(f"{path}: {what} must be {count} finite numbers, got {values!r}")
-    return tuple(float(v) for v in values)
-
-
 def _load_bundle(path):
-    """(regressor, normalization, (split fractions, split seed)) of a bundle.
-    The normalization holds one finite min and max per numeric feature, the
-    split three non-negative fractions summing to 1 and an integer seed
-    >= 0."""
+    """(regressor, normalization, (split fractions, split seed)) of a bundle,
+    with finite normalization mins and maxs and z-score threshold, three
+    non-negative split fractions summing to 1, an integer split seed >= 0,
+    and a regressor that takes the columns of the feature layout."""
     bundle = read_json(path, "model bundle")
     if (
         not isinstance(bundle, dict)
@@ -274,32 +260,35 @@ def _load_bundle(path):
         or bundle.get("version") != BUNDLE_VERSION
     ):
         raise DataError(f"{path}: not a {BUNDLE_FORMAT} v{BUNDLE_VERSION} file")
+    number_array(bundle["version"], f"{path}: bundle version", int, ndim=0)  # true and 1.0 equal 1
     try:
         pre = bundle["preprocessing"]
         mins, maxs = pre["normalization"]["mins"], pre["normalization"]["maxs"]
         fractions, seed = pre["split"]["fractions"], pre["split"]["seed"]
+        number_array(pre["zscore_threshold"], f"{path}: zscore_threshold", ndim=0)  # recorded, not applied
         regressor = bundle["regressor"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed model bundle: missing or bad {exc}") from exc
     n_numeric = len(preprocess.NUMERIC_NAMES)
     params = preprocess.NormalizationParams(
-        mins=_numbers(path, "normalization mins", mins, n_numeric),
-        maxs=_numbers(path, "normalization maxs", maxs, n_numeric),
+        mins=tuple(number_array(mins, f"{path}: normalization mins", count=n_numeric).tolist()),
+        maxs=tuple(number_array(maxs, f"{path}: normalization maxs", count=n_numeric).tolist()),
     )
-    fractions = _numbers(path, "split fractions", fractions, 3)
+    fractions = tuple(number_array(fractions, f"{path}: split fractions", count=3).tolist())
     if min(fractions) < 0 or not math.isclose(sum(fractions), 1.0, abs_tol=1e-9):
         raise DataError(f"{path}: split fractions must be non-negative and sum to 1, got {list(fractions)}")
-    if not is_number(seed, int) or seed < 0:
-        raise DataError(f"{path}: split seed must be an integer >= 0, got {seed!r}")
+    seed = int(number_array(seed, f"{path}: split seed", int, ndim=0, least=0))
     try:
         model = regress.from_dict(regressor)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    if model.n_features != preprocess.N_FEATURES:
+        raise DataError(f"{path}: the regressor takes {model.n_features} features, not the "
+                        f"{preprocess.N_FEATURES} of the feature layout")
     return model, params, (fractions, seed)
 
 
 def cmd_eval(args, parser):
-    t0 = time.perf_counter()
     seed = _option(args, parser, {}, "seed", None)
     model, params, (fractions, split_seed) = _load_bundle(args.model)
     seed = split_seed if seed is None else seed
@@ -320,13 +309,12 @@ def cmd_eval(args, parser):
     )
     print(line)
     payload = {"n": len(part_n), "split": args.split, **asdict(report)}
-    _write_report(args, t0, "eval.json", payload, config={"split": args.split}, seed=seed,
+    _write_report(args, "eval.json", payload, config={"split": args.split}, seed=seed,
                   inputs=[str(args.model), str(args.data)])
     return 0
 
 
 def cmd_pipeline(args, parser):
-    t0 = time.perf_counter()
     model, params, _ = _load_bundle(args.model)
     _, scored = _manifest_rows(args.annotations)
     dataset = preprocess.RegressionDataset.from_records([rec for _, rec in scored])
@@ -335,7 +323,7 @@ def cmd_pipeline(args, parser):
     for (name, rec), kcal in zip(scored, preds):
         rows.append({"image": name, "class": rec.label.value, "kcal": float(kcal)})
         print(f"{name}  {rec.label.value:<8} {kcal:8.2f} kcal")
-    _write_report(args, t0, "estimates.json", rows, config={}, seed=None,
+    _write_report(args, "estimates.json", rows, config={}, seed=None,
                   inputs=[str(args.annotations), str(args.model)], indent=1)
     return 0
 
@@ -354,7 +342,8 @@ def cmd_gradcheck(args, parser):
 
 
 def cmd_detmetrics(args, parser):
-    t0 = time.perf_counter()
+    if args.conf_threshold is not None and not 0 <= args.conf_threshold <= 1:  # NaN fails both
+        parser.error(f"--conf-threshold must be in [0, 1], got {args.conf_threshold}")
     preds = manifests.read_manifest(args.pred)
     gts = manifests.read_manifest(args.gt)
     names_p = [img.name for img in preds]
@@ -377,7 +366,7 @@ def cmd_detmetrics(args, parser):
     print(metrics.summary_text(report.box, title="boxes"))
     if report.mask is not None:
         print(metrics.summary_text(report.mask, title="masks"))
-    _write_report(args, t0, "detmetrics.json", asdict(report), config={"conf_threshold": args.conf_threshold},
+    _write_report(args, "detmetrics.json", asdict(report), config={"conf_threshold": args.conf_threshold},
                   seed=None, inputs=[str(args.pred), str(args.gt)], indent=1)
     return 0
 
@@ -447,7 +436,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    args.argv = argv  # recorded in run_manifest.json
+    args.argv, args.t0 = argv, time.perf_counter()  # recorded in run_manifest.json
     try:
         return args.func(args, parser)
     except (FoodcalError, OSError) as exc:

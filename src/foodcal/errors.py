@@ -1,5 +1,5 @@
 """Exception types raised across the toolkit, the JSON-file reader that
-turns a file it cannot parse into a ``DataError``, the type test for the
+turns a file it cannot parse into a ``DataError``, the checks of the
 numbers it returns, the one JSON-file writer, and the base64 codec for the
 arrays that JSON files store as strings."""
 
@@ -7,6 +7,8 @@ import base64
 import json
 import math
 import sys
+from contextlib import suppress
+from itertools import chain
 
 import numpy as np
 
@@ -105,6 +107,35 @@ def is_number(value, kind=(int, float)) -> bool:
     """Whether a value ``read_json`` returned is a number of ``kind`` (``int``
     for a JSON integer) that converts to a finite float. A bool is not."""
     return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def number_array(values, name, kind=(int, float), ndim=1, count=None, least=None) -> np.ndarray:
+    """``values`` as an int64 array for ``kind`` ``int``, else a float64 one:
+    one number (``ndim`` 0), a list of them (1) or a list of such lists of
+    one length (2), ``count`` long when given. Each number must pass
+    ``is_number(value, kind)``, be ``>= least`` when given and, if a JSON
+    integer, fit int64; anything else is a ``DataError`` naming ``name``.
+    A list is checked by its set of types and converted by one
+    ``np.fromiter``, not a call per value."""
+    a, dtype = None, np.int64 if kind is int else np.float64
+    if ndim == 0:
+        if is_number(values, kind) and (type(values) is float or -2**63 <= values < 2**63) and count is None:
+            a = np.array(values, dtype) if least is None or values >= least else None
+    elif type(values) is list and (ndim == 1 or set(map(type, values)) == {list} and len(set(map(len, values))) == 1):
+        flat = values if ndim == 1 else list(chain.from_iterable(values))
+        types = set(map(type, flat))
+        with suppress(OverflowError):  # raised by an int outside int64
+            if types == {int, float}:  # a float64 conversion would not range-check the ints
+                np.fromiter([v for v in flat if type(v) is int], np.int64)
+            if types <= ({int} if kind is int else {int, float}) and count in (None, len(values)):
+                b = np.fromiter(flat, np.float64 if float in types else np.int64, len(flat)).astype(dtype, copy=False)
+                if (float not in types or np.isfinite(b).all()) and (least is None or not (b < least).any()):
+                    a = b.reshape(len(values), len(values[0])) if ndim == 2 else b
+    if a is None:
+        one, many = ("an integer", "integers") if kind is int else ("a finite number", "finite numbers")
+        what = [one, f"{count or 'a list of'} {many}", f"a list of lists of {many}"][ndim]
+        raise DataError(f"{name} must be {what}{'' if least is None else f' >= {least}'}, got {values!r:.50}")
+    return a
 
 
 def write_json(path, payload, indent=None) -> None:

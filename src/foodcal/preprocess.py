@@ -65,9 +65,6 @@ class RegressionDataset:
             y[i] = r.calories_kcal if r.calories_kcal is not None else np.nan
         return cls(X, y)
 
-    def labels(self) -> list[ClassLabel]:
-        return [FOOD_CLASSES[int(np.argmax(row))] for row in self.X[:, : len(FOOD_CLASSES)]]
-
 
 def write_csv(path, records: list[FeatureRecord]) -> None:
     """Write records with full float round-trip precision."""
@@ -147,11 +144,6 @@ def minmax_apply(params: NormalizationParams, data: RegressionDataset) -> Regres
     cols = X[:, NUMERIC]
     X[:, NUMERIC] = np.where(span > 0, (cols - mins) / np.where(span > 0, span, 1.0), 0.0)
     return RegressionDataset(X, data.y.copy())
-
-
-def minmax_fit_apply(train: RegressionDataset) -> tuple[NormalizationParams, RegressionDataset]:
-    params = minmax_fit(train)
-    return params, minmax_apply(params, train)
 
 
 def zscore_keep_mask(data: RegressionDataset, threshold: float = 2.0) -> np.ndarray:

@@ -26,6 +26,7 @@ from foodcal.errors import (
     decode_array,
     encode_array,
     is_number,
+    number_array,
 )
 from foodcal.preprocess import RegressionDataset
 
@@ -246,10 +247,10 @@ class _Trees:
         """Packed trees of a v2 state, rejecting any tree that predict could
         not walk to a leaf."""
         trees = cls(
-            _ints(state["feature"], "feature"),
+            number_array(state["feature"], "feature", int),
             decode_array(state["split"], "<f8", "split"),
             decode_array(state["right"], "<i4", "right"),
-            _ints(state["roots"], "roots"),
+            number_array(state["roots"], "roots", int),
         )
         feature, right, roots = trees.feature, trees.right, trees.roots
         n = len(feature)
@@ -282,11 +283,8 @@ class _Trees:
         value each); ``from_state`` checks the result."""
         packs = []
         for t, tree in enumerate(trees):
-            feature = _ints(tree["feature"], "feature")
-            left = _ints(tree["left"], "left")
-            right = _ints(tree["right"], "right")
-            threshold = np.asarray(tree["threshold"], dtype=np.float64)
-            value = np.asarray(tree["value"], dtype=np.float64)
+            feature, left, right = (number_array(tree[k], f"tree {t} {k}", int) for k in ("feature", "left", "right"))
+            threshold, value = (number_array(tree[k], f"tree {t} {k}") for k in ("threshold", "value"))
             n = len(feature)
             if not len(left) == len(right) == len(threshold) == len(value) == n:
                 raise DataError(f"tree {t}: node lists differ in length")
@@ -299,23 +297,6 @@ class _Trees:
 
 def _cat(arrays):
     return np.concatenate(arrays) if arrays else np.zeros(0)
-
-
-def _ints(values, name) -> np.ndarray:
-    a = np.asarray(values)
-    if a.ndim != 1 or (a.size and a.dtype.kind != "i"):
-        raise DataError(f"{name} must be a list of integers")
-    return a
-
-
-def _numbers(values, name, ndim=1, kind=(int, float)) -> np.ndarray:
-    """``values`` as a float array: one finite number of ``kind`` (``ndim``
-    0), a list of them (1) or a list of such lists (2)."""
-    lines = values if ndim == 2 and isinstance(values, list) else [values] if ndim else [[values]]
-    if not all(isinstance(line, list) and all(map(is_number, line, [kind] * len(line))) for line in lines):
-        what = "an integer" if kind is int else "finite numbers"
-        raise DataError(f"{name} must be {what}, not {values!r:.50}")
-    return np.asarray(values, dtype=np.float64)
 
 
 def _columns(X):
@@ -488,11 +469,8 @@ class LinearModel(Regressor):
 
     @classmethod
     def from_state(cls, n_features, state):
-        intercept = _numbers(state["intercept"], "linear intercept", 0)
-        model = cls(n_features, _numbers(state["coef"], "linear coef"), intercept)
-        if model.coef.shape != (n_features,):
-            raise DataError(f"linear coef has shape {model.coef.shape}, expected ({n_features},)")
-        return model
+        intercept = number_array(state["intercept"], "linear intercept", ndim=0)
+        return cls(n_features, number_array(state["coef"], "linear coef", count=n_features), intercept)
 
 
 class KnnModel(Regressor):
@@ -523,15 +501,10 @@ class KnnModel(Regressor):
 
     @classmethod
     def from_state(cls, n_features, state):
-        X, y = _numbers(state["X"], "knn X", ndim=2), _numbers(state["y"], "knn y")
-        model = cls(n_features, X, y, _numbers(state["k"], "knn k", 0, int))
-        m = len(model.y)
-        if m < 1 or model.y.shape != (m,) or model.X.shape != (m, n_features):
-            raise DataError(
-                f"knn X {model.X.shape} and y {model.y.shape} must be (m, {n_features}) and (m,), m >= 1"
-            )
-        if model.k < 1:
-            raise DataError(f"knn k must be at least 1, got {model.k}")
+        X, y = number_array(state["X"], "knn X", ndim=2), number_array(state["y"], "knn y")
+        model = cls(n_features, X, y, number_array(state["k"], "knn k", int, ndim=0, least=1))
+        if not 1 <= len(y) == len(X) or X.shape[1] != n_features:
+            raise DataError(f"knn X {X.shape} and y {y.shape} must be (m, {n_features}) and (m,), m >= 1")
         return model
 
 
@@ -627,7 +600,7 @@ class BoostModel(Regressor):
     @classmethod
     def from_state(cls, n_features, state):
         trees = _Trees.from_state(state, n_features, min_trees=0)  # zero rounds predict the mean
-        init, rate = (_numbers(state[key], f"gboost {key}", 0) for key in ("init", "learning_rate"))
+        init, rate = (number_array(state[key], f"gboost {key}", ndim=0) for key in ("init", "learning_rate"))
         return cls(n_features, init, rate, [trees])
 
 
@@ -683,9 +656,9 @@ class AdaBoostModel(Regressor):
     @classmethod
     def from_state(cls, n_features, state):
         trees = _Trees.from_state(state, n_features)
-        weights = _numbers(state["log_weights"], "adaboost log_weights")
-        if weights.shape != (len(trees),) or np.any(weights < 0) or not weights.sum() > 0:
-            raise DataError(f"{len(trees)} trees need as many log_weights, each >= 0, with a positive sum")
+        weights = number_array(state["log_weights"], "adaboost log_weights", count=len(trees), least=0)
+        if not weights.sum() > 0:
+            raise DataError(f"adaboost log_weights must have a positive sum, got {weights.tolist()!r:.50}")
         return cls(n_features, [trees], weights)
 
 
@@ -741,6 +714,7 @@ def from_dict(payload: dict) -> Regressor:
     version = payload.get("version")
     if version not in (1, MODEL_VERSION):
         raise DataError(f"unsupported model version {version!r}")
+    number_array(version, "model version", int, ndim=0)  # true and 1.0 equal 1
     algorithm = payload.get("algorithm")
     if not isinstance(algorithm, str) or algorithm not in _MODEL_CLASSES:
         raise DataError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -750,17 +724,18 @@ def from_dict(payload: dict) -> Regressor:
     try:
         if version == 1:
             state = _state_from_v1(algorithm, state)
-        model = _MODEL_CLASSES[algorithm].from_state(payload["n_features"], state)
+        n_features = int(number_array(payload["n_features"], "n_features", int, ndim=0, least=0))
+        model = _MODEL_CLASSES[algorithm].from_state(n_features, state)
         model.spec = ModelSpec(
             algorithm,
-            seed=payload.get("seed", 0),
+            seed=int(number_array(payload.get("seed", 0), "seed", int, ndim=0, least=0)),
             hyperparameters={
                 k: v
                 for k, v in payload.get("hyperparameters", {}).items()
                 if DEFAULT_HYPERPARAMETERS[algorithm].get(k) != v
             },
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: hyperparameters not an object
         raise DataError(f"malformed {MODEL_FORMAT} payload: {exc!r}") from exc
     return model
 

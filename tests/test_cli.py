@@ -259,6 +259,23 @@ def test_detmetrics_self_comparison(gen_dir, tmp_path, capsys):
     assert report["mask"]["map50"] == 1.0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "2", "1.0000001", "-1", "-0.5"])
+def test_detmetrics_conf_threshold_outside_0_1_is_a_usage_error(gen_dir, capsys, value):
+    # each of these once exited 0: nan, inf and 2 with an all-zero report,
+    # -1 as though no threshold were set
+    manifest = str(gen_dir / "annotations.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["detmetrics", "--pred", manifest, "--gt", manifest, f"--conf-threshold={value}"])
+    assert exc.value.code == 1
+    assert f"--conf-threshold must be in [0, 1], got {float(value)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "1", "0.5"])
+def test_detmetrics_takes_conf_thresholds_from_0_to_1(gen_dir, capsys, value):
+    manifest = str(gen_dir / "annotations.json")
+    assert run_cli("detmetrics", "--pred", manifest, "--gt", manifest, f"--conf-threshold={value}") == 0
+
+
 @pytest.mark.parametrize("with_masks", [False, True], ids=["boxes", "masks"])
 def test_detmetrics_rejects_images_of_different_size(tmp_path, capsys, with_masks):
     def manifest(name, size):
@@ -351,6 +368,30 @@ def _set_min(value):
     return lambda b: b["preprocessing"]["normalization"]["mins"].__setitem__(1, value)
 
 
+def _set_regressor(**values):
+    return lambda b: b["regressor"].update(values)
+
+
+def _bool_feature(b):
+    """Put the bool of the same value in place of the first split feature
+    that is 0 or 1."""
+    features = b["regressor"]["state"]["feature"]
+    k = next(k for k, f in enumerate(features) if f in (0, 1))
+    features[k] = bool(features[k])
+
+
+def _v1_tree(key, k, value):
+    """Swap in a v1 tree regressor of the feature layout, with ``value`` at
+    node ``k`` of its ``key`` list."""
+    def corrupt(b):
+        tree = {"feature": [1, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+                "right": [2, -1, -1], "value": [0.0, 1.0, 2.0]}
+        tree[key][k] = value
+        b["regressor"] = {"format": "foodcal-regressor", "version": 1, "algorithm": "dtree", "seed": 0,
+                          "hyperparameters": {}, "n_features": 9, "state": {"tree": tree}}
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -371,10 +412,38 @@ def _set_min(value):
         (_set_split(seed=1.5), "split seed must be an integer >= 0, got 1.5"),
         (_set_split(seed=-3), "split seed must be an integer >= 0, got -3"),
         (_set_split(seed=True), "split seed must be an integer >= 0, got True"),
+        # each of these once loaded, except the bool right child: a bool read
+        # as 1 or 0, a float as an int, a string as a number
+        (lambda b: b.update(version=True), "bundle version must be an integer, got True"),
+        (_set_regressor(version=True), "model version must be an integer, got True"),
+        (_set_regressor(version=1.0), "model version must be an integer, got 1.0"),
+        (_set_regressor(n_features=9.0), "n_features must be an integer >= 0, got 9.0"),
+        (_set_regressor(n_features=10**30), f"n_features must be an integer >= 0, got {10**30}"),
+        (_set_regressor(seed="abc"), "seed must be an integer >= 0, got 'abc'"),
+        (_set_regressor(seed=[1]), "seed must be an integer >= 0, got [1]"),
+        (_set_regressor(seed=-5), "seed must be an integer >= 0, got -5"),
+        (_bool_feature, "feature must be a list of integers"),
+        (_v1_tree("threshold", 0, "0.5"), "tree 0 threshold must be a list of finite numbers"),
+        (_v1_tree("value", 1, True), "tree 0 value must be a list of finite numbers"),
+        (_v1_tree("feature", 0, True), "tree 0 feature must be a list of integers"),
+        (_v1_tree("left", 0, True), "tree 0 left must be a list of integers"),
+        (_v1_tree("right", 1, True), "tree 0 right must be a list of integers"),
+        (lambda b: b["preprocessing"].update(zscore_threshold="abc"), "zscore_threshold must be a finite number"),
+        (lambda b: b["preprocessing"].pop("zscore_threshold"),
+         "malformed model bundle: missing or bad 'zscore_threshold'"),
+        # a list of hyperparameters once ended in a traceback
+        (_set_regressor(hyperparameters=[]), "malformed foodcal-regressor payload: AttributeError"),
+        # a regressor of another width once loaded and failed only in predict,
+        # with a message that named neither the bundle nor the cause
+        (_set_regressor(n_features=10), "the regressor takes 10 features, not the 9 of the feature layout"),
     ],
     ids=["no-preprocessing", "unknown-algorithm", "list-algorithm", "line-break-version", "short-normalization",
          "string-min", "nested-min", "bool-min", "huge-max", "string-fractions", "two-fractions",
-         "negative-fraction", "fractions-sum", "float-seed", "negative-seed", "bool-seed"],
+         "negative-fraction", "fractions-sum", "float-seed", "negative-seed", "bool-seed",
+         "bool-bundle-version", "bool-model-version", "float-model-version", "float-n-features",
+         "huge-n-features", "string-model-seed", "list-model-seed", "negative-model-seed", "bool-v2-feature",
+         "string-v1-threshold", "bool-v1-value", "bool-v1-feature", "bool-v1-left", "bool-v1-right",
+         "string-zscore-threshold", "no-zscore-threshold", "list-hyperparameters", "other-feature-layout"],
 )
 def test_malformed_bundle_exits_2(gen_dir, tmp_path, capsys, corrupt, message):
     model = tmp_path / "m" / "model.json"

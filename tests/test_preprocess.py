@@ -55,13 +55,13 @@ def test_one_hot_rejects_coin():
 
 def test_minmax_simple_column():
     ds = make_dataset([0.0, 5.0, 10.0])
-    _, out = pp.minmax_fit_apply(ds)
+    out = pp.minmax_apply(pp.minmax_fit(ds), ds)
     assert out.X[:, 5].tolist() == [0.0, 0.5, 1.0]
 
 
 def test_minmax_constant_column_maps_to_zero():
     ds = make_dataset([7.0, 7.0])
-    _, out = pp.minmax_fit_apply(ds)
+    out = pp.minmax_apply(pp.minmax_fit(ds), ds)
     assert out.X[:, 5].tolist() == [0.0, 0.0]
 
 
@@ -76,7 +76,7 @@ def test_minmax_no_clipping_beyond_train_range():
 def test_minmax_leaves_one_hot_untouched():
     rng = np.random.default_rng(0)
     ds = pp.RegressionDataset.from_records(random_records(rng, 30))
-    _, out = pp.minmax_fit_apply(ds)
+    out = pp.minmax_apply(pp.minmax_fit(ds), ds)
     assert np.array_equal(out.X[:, :5], ds.X[:, :5])
     assert out.X[:, pp.NUMERIC].min() >= 0.0
     assert out.X[:, pp.NUMERIC].max() <= 1.0

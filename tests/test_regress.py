@@ -1,6 +1,7 @@
 import base64
 import copy
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -565,36 +566,53 @@ def _map_state(key, convert):
     return lambda p: p["state"].update({key: convert(p["state"][key])})
 
 
-# corruption of a fitted model's payload: the algorithm fitted, and the edit
+def _bool_for_first_bit(values):
+    """Put the bool of the same value in place of the first 0 or 1."""
+    k = next(k for k, v in enumerate(values) if v in (0, 1))
+    values[k] = bool(values[k])
+
+
+# corruption of a fitted model's payload: the algorithm fitted, the edit,
+# and text the error must contain
 MALFORMED = {
-    "unknown-algorithm": ("linear", lambda p: p.update(algorithm="xgb")),
-    "no-state": ("linear", lambda p: p.pop("state")),
-    "no-coef": ("linear", lambda p: p["state"].pop("coef")),
-    "linear-string-intercept": ("linear", _set_state(intercept="1")),
-    "linear-bool-coef": ("linear", _map_state("coef", lambda c: [True] * len(c))),
-    "knn-string-k": ("knn", _set_state(k="3")),
-    "knn-fractional-k": ("knn", _set_state(k=2.5)),
-    "knn-bool-k": ("knn", _set_state(k=True)),
-    "knn-string-X": ("knn", _map_state("X", lambda X: [[str(v) for v in row] for row in X])),
-    "knn-bool-X": ("knn", _map_state("X", lambda X: [[bool(v) for v in row] for row in X])),
-    "knn-string-y": ("knn", _map_state("y", lambda y: [str(v) for v in y])),
-    "knn-bool-y": ("knn", _map_state("y", lambda y: [True] * len(y))),
-    "gboost-string-rate": ("gboost", _set_state(learning_rate="0.1")),
-    "gboost-bool-rate": ("gboost", _set_state(learning_rate=True)),
-    "gboost-bool-init": ("gboost", _set_state(init=False)),
-    "adaboost-bool-weights": ("adaboost", _map_state("log_weights", lambda w: [True] * len(w))),
-    "adaboost-negative-weights": ("adaboost", _map_state("log_weights", lambda w: [-1.0] * len(w))),
-    "adaboost-zero-weights": ("adaboost", _map_state("log_weights", lambda w: [0.0] * len(w))),
+    "unknown-algorithm": ("linear", lambda p: p.update(algorithm="xgb"), "unknown algorithm 'xgb'"),
+    "no-state": ("linear", lambda p: p.pop("state"), "state must be an object"),
+    "no-coef": ("linear", lambda p: p["state"].pop("coef"), "'coef'"),
+    "linear-string-intercept": ("linear", _set_state(intercept="1"), "linear intercept"),
+    "linear-bool-coef": ("linear", _map_state("coef", lambda c: [True] * len(c)), "linear coef"),
+    "knn-string-k": ("knn", _set_state(k="3"), "knn k"),
+    "knn-fractional-k": ("knn", _set_state(k=2.5), "knn k"),
+    "knn-bool-k": ("knn", _set_state(k=True), "knn k"),
+    "knn-string-X": ("knn", _map_state("X", lambda X: [[str(v) for v in row] for row in X]), "knn X"),
+    "knn-bool-X": ("knn", _map_state("X", lambda X: [[bool(v) for v in row] for row in X]), "knn X"),
+    "knn-string-y": ("knn", _map_state("y", lambda y: [str(v) for v in y]), "knn y"),
+    "knn-bool-y": ("knn", _map_state("y", lambda y: [True] * len(y)), "knn y"),
+    "gboost-string-rate": ("gboost", _set_state(learning_rate="0.1"), "gboost learning_rate"),
+    "gboost-bool-rate": ("gboost", _set_state(learning_rate=True), "gboost learning_rate"),
+    "gboost-bool-init": ("gboost", _set_state(init=False), "gboost init"),
+    "adaboost-bool-weights": ("adaboost", _map_state("log_weights", lambda w: [True] * len(w)), "log_weights"),
+    "adaboost-negative-weights": ("adaboost", _map_state("log_weights", lambda w: [-1.0] * len(w)), "log_weights"),
+    "adaboost-zero-weights": ("adaboost", _map_state("log_weights", lambda w: [0.0] * len(w)), "log_weights"),
+    # true and 1.0 equal 1; a tree model of version 1.0 went to the v1 reader
+    "bool-version": ("linear", lambda p: p.update(version=True), "model version must be an integer"),
+    "float-version": ("dtree", lambda p: p.update(version=1.0), "model version must be an integer"),
+    "float-n-features": ("linear", lambda p: p.update(n_features=9.0), "n_features must be an integer"),
+    "huge-n-features": ("rforest", lambda p: p.update(n_features=10**30), "n_features must be an integer"),
+    "string-seed": ("linear", lambda p: p.update(seed="abc"), "seed must be an integer >= 0"),
+    "list-seed": ("linear", lambda p: p.update(seed=[1]), "seed must be an integer >= 0"),
+    "negative-seed": ("linear", lambda p: p.update(seed=-5), "seed must be an integer >= 0"),
+    "list-hyperparameters": ("linear", lambda p: p.update(hyperparameters=[]), "malformed foodcal-regressor payload"),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_from_dict_rejects_malformed_payload(case):
-    algorithm, corrupt = MALFORMED[case]
+    algorithm, corrupt, message = MALFORMED[case]
     rng = np.random.default_rng(9)
-    payload = regress.to_dict(regress.fit(ModelSpec(algorithm), toy_dataset(rng, n=20)))
+    spec = ModelSpec(algorithm, hyperparameters={"n_trees": 3} if algorithm == "rforest" else {})
+    payload = regress.to_dict(regress.fit(spec, toy_dataset(rng, n=20)))
     corrupt(payload)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=re.escape(message)):
         regress.from_dict(payload)
 
 
@@ -839,6 +857,7 @@ V2_CORRUPTIONS = {
     "feature-too-large": (lambda s: _set(s["feature"], 0, N_FEATURES), "feature index"),
     "feature-below-leaf": (lambda s: _set(s["feature"], s["feature"].index(-1), -2), "feature index"),
     "float-feature": (lambda s: _set(s["feature"], 0, 0.5), "list of integers"),
+    "bool-feature": (lambda s: _bool_for_first_bit(s["feature"]), "feature must be a list of integers"),
     "nan-threshold": (lambda s: _recode(s, "split", lambda a, s: _set(a, 0, np.nan)), "non-finite"),
     "infinite-leaf": (
         lambda s: _recode(s, "split", lambda a, s: _set(a, s["feature"].index(-1), np.inf)), "non-finite"
@@ -881,6 +900,15 @@ V1_CORRUPTIONS = {
     "ragged-node-lists": (lambda s: s["trees"][0]["value"].pop(), "differ in length"),
     "feature-too-large": (lambda s: _set(s["trees"][0]["feature"], 0, 2), "feature index"),
     "no-trees": (lambda s: s.update(trees=[]), "0 trees"),
+    # a string or a bool read as the number it spells: each of these loaded,
+    # except a right child, which a bool turned into 1 or 0
+    "string-threshold": (lambda s: _set(s["trees"][0]["threshold"], 0, "0.5"), "tree 0 threshold must be"),
+    "bool-threshold": (lambda s: _set(s["trees"][1]["threshold"], 1, True), "tree 1 threshold must be"),
+    "string-value": (lambda s: _set(s["trees"][0]["value"], 1, "9.0"), "tree 0 value must be"),
+    "bool-value": (lambda s: _set(s["trees"][0]["value"], 1, True), "tree 0 value must be"),
+    "bool-feature": (lambda s: _set(s["trees"][0]["feature"], 0, True), "tree 0 feature must be a list of int"),
+    "bool-left": (lambda s: _set(s["trees"][0]["left"], 0, True), "tree 0 left must be a list of int"),
+    "bool-right": (lambda s: _set(s["trees"][0]["right"], 1, False), "tree 0 right must be a list of int"),
 }
 
 
