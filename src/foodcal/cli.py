@@ -155,13 +155,7 @@ def cmd_gen(args, parser):
     recs, scenes = synth.generate_regression_dataset(cfg, records, seed)
     out.mkdir(parents=True, exist_ok=True)
     images = [
-        manifests.ImageAnnotations(
-            name=f"scene_{i:04d}",
-            width=s.width,
-            height=s.height,
-            instances=s.instances,
-            calories=[t.calories_kcal for t in s.truth.instances],
-        )
+        manifests.ImageAnnotations(name=f"scene_{i:04d}", width=s.width, height=s.height, instances=s.instances)
         for i, s in enumerate(scenes)
     ]
     manifests.write_manifest(out / "annotations.json", images)
@@ -191,7 +185,7 @@ def _manifest_rows(path):
     rows = []
     for img in images:
         try:
-            records = measurement.image_records(img.instances, img.calories)
+            records = measurement.extract_features(img.instances, measurement.scale_from_detections(img.instances))
         except FoodcalError as exc:
             raise DataError(f"{path}: image {img.name}: {exc}") from exc
         rows.extend((img.name, rec) for rec in records)
@@ -262,12 +256,13 @@ def _load_bundle(path):
         raise DataError(f"{path}: not a {BUNDLE_FORMAT} v{BUNDLE_VERSION} file")
     number_array(bundle["version"], f"{path}: bundle version", int, ndim=0)  # true and 1.0 equal 1
     try:
-        pre = bundle["preprocessing"]
-        mins, maxs = pre["normalization"]["mins"], pre["normalization"]["maxs"]
-        fractions, seed = pre["split"]["fractions"], pre["split"]["seed"]
+        pre = _object(bundle["preprocessing"], f"{path}: preprocessing")
+        norm = _object(pre["normalization"], f"{path}: preprocessing.normalization")
+        split = _object(pre["split"], f"{path}: preprocessing.split")
+        mins, maxs, fractions, seed = norm["mins"], norm["maxs"], split["fractions"], split["seed"]
         number_array(pre["zscore_threshold"], f"{path}: zscore_threshold", ndim=0)  # recorded, not applied
         regressor = bundle["regressor"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise DataError(f"{path}: malformed model bundle: missing or bad {exc}") from exc
     n_numeric = len(preprocess.NUMERIC_NAMES)
     params = preprocess.NormalizationParams(
@@ -286,6 +281,12 @@ def _load_bundle(path):
         raise DataError(f"{path}: the regressor takes {model.n_features} features, not the "
                         f"{preprocess.N_FEATURES} of the feature layout")
     return model, params, (fractions, seed)
+
+
+def _object(value, name):
+    if not isinstance(value, dict):
+        raise DataError(f"{name} must be an object, got {value!r}")
+    return value
 
 
 def cmd_eval(args, parser):

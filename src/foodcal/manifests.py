@@ -21,7 +21,8 @@ image and no origin. Both still load, a v1 mask cut to the window that v3
 stores.
 
 Ground truth omits "confidence"; synthetic ground truth may carry
-per-instance calorie labels. "image" is a string; "width" and "height" are
+per-instance calorie labels, which read onto each instance's
+``calories_kcal``. "image" is a string; "width" and "height" are
 JSON integers >= 1; the bbox values and the origin are JSON integers, the
 origin >= 0 with its mask inside the image; "size" is two JSON integers
 >= 1 and "bits" holds exactly ceil(h * w / 8) bytes with no pad bit set;
@@ -49,24 +50,17 @@ class ImageAnnotations:
     width: int
     height: int
     instances: list[DetectionInstance] = field(default_factory=list)
-    calories: list[float | None] = field(default_factory=list)  # aligned with instances
 
 
 def write_manifest(path, images: list[ImageAnnotations]) -> Path:
     """Write the manifest, each mask inline as its packed foreground window.
     Returns the manifest path."""
     path = Path(path)
-    for img in images:
-        if img.calories and len(img.calories) != len(img.instances):
-            raise ValueError(
-                f"image {img.name}: {len(img.calories)} calorie labels for {len(img.instances)} instances"
-            )
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, "images": []}
     for img in images:
         entry = {"image": img.name, "width": img.width, "height": img.height, "instances": []}
-        calories = img.calories if img.calories else [None] * len(img.instances)
-        for inst, cal in zip(img.instances, calories):
+        for inst in img.instances:
             rec = {"class": inst.label.value, "bbox": [int(v) for v in inst.bbox]}
             if inst.confidence is not None:
                 rec["confidence"] = inst.confidence
@@ -74,8 +68,8 @@ def write_manifest(path, images: list[ImageAnnotations]) -> Path:
                 crop, origin = _window(inst.mask, inst.origin)
                 rec["mask"] = {"size": list(crop.shape), "bits": encode_array(np.packbits(crop), np.uint8)}
                 rec["mask_origin"] = [int(v) for v in origin]
-            if cal is not None:
-                rec["calories_kcal"] = cal
+            if inst.calories_kcal is not None:
+                rec["calories_kcal"] = inst.calories_kcal
             entry["instances"].append(rec)
         payload["images"].append(entry)
     write_json(path, payload, indent=1)
@@ -167,9 +161,6 @@ def read_manifest(path) -> list[ImageAnnotations]:
                 if not (isinstance(bbox, list) and len(bbox) == 4 and all(is_number(v, int) for v in bbox)
                         and bbox[2] > 0 and bbox[3] > 0):
                     raise DataError(f"{where}: bbox {bbox!r} is not [x, y, w, h] of integers with w, h > 0")
-                calories = rec.get("calories_kcal")
-                if calories is not None and not is_number(calories):
-                    raise DataError(f"{where}: calories_kcal must be a finite number or null, got {calories!r}")
                 mask, origin = _read_mask(rec, version, img, where, path.parent) if "mask" in rec else (None, (0, 0))
                 img.instances.append(
                     DetectionInstance(
@@ -178,9 +169,9 @@ def read_manifest(path) -> list[ImageAnnotations]:
                         confidence=rec.get("confidence"),
                         mask=mask,
                         origin=tuple(origin),
+                        calories_kcal=rec.get("calories_kcal"),
                     )
                 )
-                img.calories.append(calories)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{where}: malformed entry: {exc}") from exc
         images.append(img)

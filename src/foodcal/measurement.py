@@ -54,18 +54,22 @@ DEFAULT_DENSITIES = {
 @dataclass(frozen=True)
 class DetectionInstance:
     """One detector output: class, optional confidence, bbox (x, y, w, h)
-    in pixels, and an instance mask: a crop holding all of its foreground
-    with its top-left pixel at ``origin`` (x, y), or the frame at (0, 0)."""
+    in pixels, an instance mask (a crop holding all of its foreground with
+    its top-left pixel at ``origin`` (x, y), or the frame at (0, 0)), and
+    the item's calorie label where ground truth has one."""
 
     label: ClassLabel
     bbox: tuple[int, int, int, int]
     confidence: float | None = None
     mask: np.ndarray | None = None
     origin: tuple[int, int] = (0, 0)
+    calories_kcal: float | None = None
 
     def __post_init__(self):
         if self.confidence is not None and not (is_number(self.confidence) and 0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence must be a number in [0, 1], got {self.confidence!r}")
+        if self.calories_kcal is not None and not is_number(self.calories_kcal):
+            raise ValueError(f"calories_kcal must be a finite number or null, got {self.calories_kcal!r}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,8 @@ class ScaleFactor:
 class FeatureRecord:
     """One regression row: food class, mm-scaled geometry, kcal target.
 
-    ``instance`` is the index of the detection the row was extracted from,
-    so labels attach by identity rather than by list position; it is not
-    part of the CSV row and does not take part in equality.
+    ``instance`` is the index of the detection the row was extracted from;
+    it is not part of the CSV row and does not take part in equality.
     """
 
     label: ClassLabel
@@ -111,17 +114,15 @@ def select_reference(detections: list[DetectionInstance]) -> DetectionInstance:
     return best
 
 
-def scale_factor(
-    coin_bbox_h_px: float, coin_bbox_w_px: float, coin_diameter_mm: float = COIN_DIAMETER_MM
-) -> ScaleFactor:
+def scale_factor(coin_bbox_h_px: float, coin_bbox_w_px: float) -> ScaleFactor:
     """mm/px factors from the coin's bounding-box pixel dimensions:
-    s_h = d/h, s_w = d/w, s_f = (s_h + s_w) / 2."""
+    s_h = d/h, s_w = d/w, s_f = (s_h + s_w) / 2, with d = COIN_DIAMETER_MM."""
     if coin_bbox_h_px <= 0 or coin_bbox_w_px <= 0:
         raise InvalidDimension(
             f"coin bbox must be positive, got {coin_bbox_h_px} x {coin_bbox_w_px}"
         )
-    s_h = coin_diameter_mm / coin_bbox_h_px
-    s_w = coin_diameter_mm / coin_bbox_w_px
+    s_h = COIN_DIAMETER_MM / coin_bbox_h_px
+    s_w = COIN_DIAMETER_MM / coin_bbox_w_px
     return ScaleFactor(s_h=s_h, s_w=s_w, s_f=(s_h + s_w) / 2.0)
 
 
@@ -134,7 +135,8 @@ def scale_from_detections(detections: list[DetectionInstance]) -> ScaleFactor:
 def extract_features(
     detections: list[DetectionInstance], scale: ScaleFactor
 ) -> list[FeatureRecord]:
-    """mm-scaled geometry for each food instance, in input order.
+    """mm-scaled geometry and the calorie label of each food instance, in
+    input order.
 
     Coin instances are excluded. Instances with an empty or missing mask are
     skipped with a warning, so each record carries the index of its detection
@@ -164,20 +166,10 @@ def extract_features(
                 width_mm=det.bbox[2] * scale.s_f,
                 area_mm2=stats.area_px * scale.s_f**2,
                 perimeter_mm=stats.perimeter_px * scale.s_f,
+                calories_kcal=det.calories_kcal,
                 instance=i,
             )
         )
-    return records
-
-
-def image_records(detections: list[DetectionInstance], calories: list[float | None]) -> list[FeatureRecord]:
-    """The regression rows of one image: the scale from its coin, then
-    ``extract_features``. ``calories``, aligned with ``detections``, gives
-    each row its target by ``rec.instance``, so a row keeps the label of the
-    detection it came from when an instance before it is skipped."""
-    records = extract_features(detections, scale_from_detections(detections))
-    for rec in records:
-        rec.calories_kcal = calories[rec.instance]
     return records
 
 

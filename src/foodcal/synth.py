@@ -24,7 +24,7 @@ boundary; the angle and the jitter are evaluated there alone.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,17 +84,12 @@ THICKNESS_G_PER_MM2 = {
 }
 
 
-def _default_area_ranges():
-    return dict(_AREA_BANDS_MM2)
-
-
 @dataclass(frozen=True)
 class SceneConfig:
     width: int = 320
     height: int = 320
     coin_radius_range: tuple[float, float] = (20.0, 30.0)  # px; diameter forced even
     items_per_scene: int = 3
-    area_ranges_mm2: dict = field(default_factory=_default_area_ranges)
     views_per_item: int = 10
     boundary_noise: float = 0.02  # radial perturbation, fraction of radius, in [0, 1)
     weight_noise: float = 0.05
@@ -119,7 +114,7 @@ class FoodItem:
 @dataclass(frozen=True)
 class InstanceTruth:
     """Per-view analytic geometry in pixels (unperturbed shape) plus the
-    item's physical label data."""
+    item's weight; its calorie label is on the scene's instance."""
 
     label: ClassLabel
     area_px: float
@@ -127,7 +122,6 @@ class InstanceTruth:
     bbox_w_px: float
     bbox_h_px: float
     weight_g: float | None = None
-    calories_kcal: float | None = None
 
 
 @dataclass(frozen=True)
@@ -141,7 +135,7 @@ class Scene:
     width: int
     height: int
     seed: int
-    instances: list[DetectionInstance]  # coin first, then foods, masks attached
+    instances: list[DetectionInstance]  # coin first, then foods, masks and calorie labels attached
     truth: SceneTruth
 
 
@@ -294,7 +288,7 @@ def draw_item(rng, label: ClassLabel, cfg: SceneConfig) -> FoodItem:
 
     The top-view area is uniform over the class's band and the extent is
     derived from it, so the pooled size distribution stays light-tailed."""
-    lo, hi = cfg.area_ranges_mm2[label]
+    lo, hi = _AREA_BANDS_MM2[label]
     target_area = float(rng.uniform(lo, hi))
     aspect = float(rng.uniform(0.55, 0.9))
     height_ratio = float(rng.uniform(0.75, 1.0))
@@ -420,15 +414,10 @@ def generate_scene(
             mask = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
             mask[window] = inside
             confidence = round(float(rng.uniform(min_confidence, 1.0)), 6)
-            instances.append(DetectionInstance(label, (x0, y0, x1 - x0, y1 - y0), confidence, mask))
-            truths.append(
-                InstanceTruth(
-                    label,
-                    *shape.truth(),
-                    weight_g=None if item is None else item.weight_g,
-                    calories_kcal=None if item is None else item.calories_kcal,
-                )
-            )
+            bbox = (x0, y0, x1 - x0, y1 - y0)
+            calories = None if item is None else item.calories_kcal
+            instances.append(DetectionInstance(label, bbox, confidence, mask, calories_kcal=calories))
+            truths.append(InstanceTruth(label, *shape.truth(), weight_g=None if item is None else item.weight_g))
             return
         raise PlacementFailure(
             f"could not place an item of reach {reach:.0f}px in a "
@@ -471,14 +460,17 @@ def generate_scene(
     )
 
 
-def _scene_with_retries(cfg: SceneConfig, seed: int, items, attempts: int = 20) -> Scene:
+_SCENE_ATTEMPTS = 20
+
+
+def _scene_with_retries(cfg: SceneConfig, seed: int, items) -> Scene:
     """Crowded draws can fail placement; retry under derived sub-seeds so the
     result stays a pure function of (cfg, seed, items)."""
-    for attempt in range(attempts):
+    for attempt in range(_SCENE_ATTEMPTS):
         try:
             return generate_scene(replace(cfg, seed=(cfg.seed + 7919 * attempt)), seed, items)
         except PlacementFailure:
-            if attempt == attempts - 1:
+            if attempt == _SCENE_ATTEMPTS - 1:
                 raise
     raise AssertionError("unreachable")
 
@@ -516,7 +508,7 @@ def generate_regression_dataset(
     # scene k renders group k % len(groups) in view k // len(groups)
     for scene_idx in range(views * len(groups)):
         scene = _scene_with_retries(cfg, scene_idx, groups[scene_idx % len(groups)])
-        records += measurement.image_records(scene.instances, [t.calories_kcal for t in scene.truth.instances])
+        records += measurement.extract_features(scene.instances, measurement.scale_from_detections(scene.instances))
         surplus = {rec.instance for rec in records[n_records:]}
         if surplus:
             keep = [k for k in range(len(scene.instances)) if k not in surplus]

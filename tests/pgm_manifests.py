@@ -31,8 +31,7 @@ def write_pgm_manifest(path, images, version=2) -> Path:
     doc = {"format": "foodcal-annotations", "version": version, "images": []}
     for img in images:
         entry = {"image": img.name, "width": img.width, "height": img.height, "instances": []}
-        calories = img.calories or [None] * len(img.instances)
-        for k, (inst, cal) in enumerate(zip(img.instances, calories)):
+        for k, inst in enumerate(img.instances):
             rec = {"class": inst.label.value, "bbox": [int(v) for v in inst.bbox]}
             if inst.confidence is not None:
                 rec["confidence"] = inst.confidence
@@ -47,8 +46,8 @@ def write_pgm_manifest(path, images, version=2) -> Path:
                         frame[box], (box[1].start, box[0].start))
                     maskgeom.write_pgm(path.parent / rec["mask"], crop)
                     rec["mask_origin"] = [int(v) for v in origin]
-            if cal is not None:
-                rec["calories_kcal"] = cal
+            if inst.calories_kcal is not None:
+                rec["calories_kcal"] = inst.calories_kcal
             entry["instances"].append(rec)
         doc["images"].append(entry)
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

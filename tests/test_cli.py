@@ -311,17 +311,6 @@ def test_detmetrics_names_the_first_image_that_differs(tmp_path, capsys, gt_name
     assert f"error: {pred}: {message} {gt}\n" == _one_error_line(capsys)
 
 
-def test_write_manifest_rejects_calories_not_aligned_with_instances(tmp_path):
-    # zip once cut the instances to the calorie list, so a third instance
-    # went missing from the manifest without a word
-    inst = DetectionInstance(label=ClassLabel.PURI, bbox=(10, 10, 10, 10))
-    img = manifests.ImageAnnotations(name="scene_0003", width=64, height=64, instances=[inst] * 3,
-                                     calories=[None, 12.5])
-    with pytest.raises(ValueError, match="image scene_0003: 2 calorie labels for 3 instances"):
-        manifests.write_manifest(tmp_path / "annotations.json", [img])
-    assert not (tmp_path / "annotations.json").exists()
-
-
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--data", "x.csv"])  # missing --model
@@ -431,6 +420,11 @@ def _v1_tree(key, k, value):
         (lambda b: b["preprocessing"].update(zscore_threshold="abc"), "zscore_threshold must be a finite number"),
         (lambda b: b["preprocessing"].pop("zscore_threshold"),
          "malformed model bundle: missing or bad 'zscore_threshold'"),
+        # each of these once gave a message that named no field
+        (lambda b: b["preprocessing"].update(split=5), "preprocessing.split must be an object, got 5"),
+        (lambda b: b["preprocessing"].update(normalization=[]),
+         "preprocessing.normalization must be an object, got []"),
+        (lambda b: b.update(preprocessing=[]), "preprocessing must be an object, got []"),
         # a list of hyperparameters once ended in a traceback
         (_set_regressor(hyperparameters=[]), "malformed foodcal-regressor payload: AttributeError"),
         # a regressor of another width once loaded and failed only in predict,
@@ -443,7 +437,8 @@ def _v1_tree(key, k, value):
          "bool-bundle-version", "bool-model-version", "float-model-version", "float-n-features",
          "huge-n-features", "string-model-seed", "list-model-seed", "negative-model-seed", "bool-v2-feature",
          "string-v1-threshold", "bool-v1-value", "bool-v1-feature", "bool-v1-left", "bool-v1-right",
-         "string-zscore-threshold", "no-zscore-threshold", "list-hyperparameters", "other-feature-layout"],
+         "string-zscore-threshold", "no-zscore-threshold", "int-split", "list-normalization", "list-preprocessing",
+         "list-hyperparameters", "other-feature-layout"],
 )
 def test_malformed_bundle_exits_2(gen_dir, tmp_path, capsys, corrupt, message):
     model = tmp_path / "m" / "model.json"

@@ -32,10 +32,7 @@ def report():
 def manifest(tmp_path):
     _, scenes = synth.generate_regression_dataset(synth.SceneConfig(), 6, 3)
     images = [
-        manifests.ImageAnnotations(
-            name=f"ছবি_{i} – Pūri", width=s.width, height=s.height, instances=s.instances,
-            calories=[t.calories_kcal for t in s.truth.instances],
-        )
+        manifests.ImageAnnotations(name=f"ছবি_{i} – Pūri", width=s.width, height=s.height, instances=s.instances)
         for i, s in enumerate(scenes)
     ]
     manifests.write_manifest(tmp_path / "annotations.json", images)

@@ -117,6 +117,25 @@ def test_empty_mask_is_one_background_pixel_at_the_frame_corner(tmp_path):
     assert rec["mask"] == {"size": [1, 1], "bits": "AA=="}
 
 
+def test_calorie_labels_read_back_onto_their_own_instances(tmp_path):
+    # a null label between two labelled foods, and a box-only food
+    block = np.ones((2, 2), np.uint8)
+    insts = [
+        DetectionInstance(ClassLabel.COIN, (0, 0, 2, 2), None, block),
+        DetectionInstance(ClassLabel.PURI, (3, 0, 2, 2), None, block, origin=(3, 0), calories_kcal=41.25),
+        DetectionInstance(ClassLabel.PURI, (6, 0, 2, 2), None, block, origin=(6, 0)),
+        DetectionInstance(ClassLabel.BEGUNI, (9, 0, 2, 2), None, block, origin=(9, 0), calories_kcal=0),
+        DetectionInstance(ClassLabel.BEGUNI, (0, 4, 3, 2), calories_kcal=12.5),
+    ]
+    path = manifests.write_manifest(tmp_path / "annotations.json", [manifests.ImageAnnotations("a", 12, 8, insts)])
+    recs = json.loads(path.read_text())["images"][0]["instances"]
+    assert [rec.get("calories_kcal") for rec in recs] == [None, 41.25, None, 0, 12.5]
+    assert ["calories_kcal" in rec for rec in recs] == [False, True, False, True, True]
+    (img,) = manifests.read_manifest(path)
+    assert [(i.bbox, i.calories_kcal) for i in img.instances] == [(i.bbox, i.calories_kcal) for i in insts]
+    assert img.instances[-1].mask is None
+
+
 def test_a_crop_with_an_origin_is_cut_to_its_window(tmp_path):
     crop = np.zeros((6, 8), np.uint8)
     crop[2:4, 3:7] = 1
@@ -148,9 +167,10 @@ def test_pgm_manifests_read_as_the_v3_manifest(tmp_path_factory, images, version
         old = manifests.read_manifest(write_pgm_manifest(root / f"v{version}_{which}" / "annotations.json", anns,
                                                          version))
         for a, b in zip(old, v3, strict=True):
-            assert (a.name, a.width, a.height, a.calories) == (b.name, b.width, b.height, b.calories)
+            assert (a.name, a.width, a.height) == (b.name, b.width, b.height)
             for p, q in zip(a.instances, b.instances, strict=True):
-                assert (p.label, p.bbox, p.confidence, p.origin) == (q.label, q.bbox, q.confidence, q.origin)
+                assert (p.label, p.bbox, p.confidence, p.origin, p.calories_kcal) == (
+                    q.label, q.bbox, q.confidence, q.origin, q.calories_kcal)
                 assert p.mask.dtype == q.mask.dtype == np.uint8
                 assert p.mask.shape == q.mask.shape and p.mask.tobytes() == q.mask.tobytes()
 

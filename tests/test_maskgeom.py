@@ -471,10 +471,12 @@ def test_largest_of_tied_components_is_the_first_in_order(case):
 
 def test_measurements_match_with_the_pixel_oracle(monkeypatch):
     _, scenes = synth.generate_regression_dataset(synth.SceneConfig(), 180, 7)
-    calories = [[t.calories_kcal for t in s.truth.instances] for s in scenes]
-    got = [measurement.image_records(s.instances, c) for s, c in zip(scenes, calories)]
+    def records(s):
+        return measurement.extract_features(s.instances, measurement.scale_from_detections(s.instances))
+
+    got = [records(s) for s in scenes]
     monkeypatch.setattr(maskgeom, "connected_components", pixel_components)
-    want = [measurement.image_records(s.instances, c) for s, c in zip(scenes, calories)]
+    want = [records(s) for s in scenes]
     assert sum(map(len, got)) == 180
     assert [[(r, r.instance) for r in recs] for recs in got] == [[(r, r.instance) for r in recs] for recs in want]
 

@@ -102,6 +102,23 @@ def test_doubling_coin_pixels_halves_s_f():
 
 
 # ---------------------------------------------------------------------------
+# calorie labels
+
+
+@pytest.mark.parametrize("value", [True, "12", float("inf"), float("nan"), [1.0]],
+                         ids=["bool", "string", "inf", "nan", "list"])
+def test_instance_rejects_a_calorie_label_that_is_not_a_finite_number(value):
+    with pytest.raises(ValueError) as info:
+        DetectionInstance(ClassLabel.PURI, (0, 0, 1, 1), calories_kcal=value)
+    assert str(info.value) == f"calories_kcal must be a finite number or null, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [None, 0, 12.5])
+def test_instance_keeps_a_calorie_label_that_is_a_finite_number_or_none(value):
+    assert DetectionInstance(ClassLabel.PURI, (0, 0, 1, 1), calories_kcal=value).calories_kcal == value
+
+
+# ---------------------------------------------------------------------------
 # extract_features
 
 
@@ -133,13 +150,12 @@ def test_only_coin_gives_empty_features():
 
 
 def test_empty_mask_skipped_with_warning(caplog):
-    good = det(
-        ClassLabel.PEAJU, 0.9, bbox=(0, 0, 3, 3), mask=np.ones((5, 5), np.uint8)
-    )
-    bad = det(ClassLabel.PURI, 0.9, bbox=(0, 0, 3, 3), mask=np.zeros((5, 5), np.uint8))
+    # a row after a skipped instance keeps the calorie label of its own instance
+    good = DetectionInstance(ClassLabel.PEAJU, (0, 0, 3, 3), 0.9, np.ones((5, 5), np.uint8), calories_kcal=30.0)
+    bad = DetectionInstance(ClassLabel.PURI, (0, 0, 3, 3), 0.9, np.zeros((5, 5), np.uint8), calories_kcal=10.0)
     with caplog.at_level("WARNING"):
         recs = meas.extract_features([bad, good], meas.ScaleFactor(1.0, 1.0, 1.0))
-    assert [r.label for r in recs] == [ClassLabel.PEAJU]
+    assert [(r.label, r.instance, r.calories_kcal) for r in recs] == [(ClassLabel.PEAJU, 1, 30.0)]
     assert "empty mask" in caplog.text
 
 

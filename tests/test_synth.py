@@ -319,11 +319,12 @@ def test_dataset_calories_positive_and_linear_in_weight():
     records, scenes = synth.generate_regression_dataset(cfg, 120, seed=1)
     assert all(r.calories_kcal > 0 for r in records)
     for scene in scenes[:10]:
-        for t in scene.truth.instances:
+        for det, t in zip(scene.instances, scene.truth.instances, strict=True):
             if t.label is ClassLabel.COIN:
+                assert det.calories_kcal is None
                 continue
             rate = measurement.DEFAULT_DENSITIES[t.label]
-            assert t.calories_kcal == pytest.approx(t.weight_g * rate, rel=1e-12)
+            assert det.calories_kcal == pytest.approx(t.weight_g * rate, rel=1e-12)
 
 
 def test_dataset_regeneration_bit_identical(tmp_path):
@@ -362,7 +363,7 @@ def test_blank_mask_does_not_shift_calorie_labels(monkeypatch):
 
     monkeypatch.setattr(synth, "generate_scene", blank_first_food)
     records, scenes = synth.generate_regression_dataset(synth.SceneConfig(views_per_item=1), 6, seed=3)
-    expected = [t.calories_kcal for s in scenes for t in s.truth.instances[1:]]
+    expected = [det.calories_kcal for s in scenes for det in s.instances[1:]]
     del expected[0]  # the blanked item
     assert [r.calories_kcal for r in records] == expected
 
