@@ -28,7 +28,7 @@ origin >= 0 with its mask inside the image; "size" is two JSON integers
 >= 1 and "bits" holds exactly ceil(h * w / 8) bytes with no pad bit set;
 "confidence" is a number in [0, 1], null or absent; "calories_kcal" is a
 finite number, null or absent. Any other value is a ``DataError`` naming
-the image.
+the image, and the instance's index when it is in an instance record.
 """
 
 from dataclasses import dataclass, field
@@ -131,6 +131,25 @@ def _read_mask(rec, version, img, where, root):
     return pixels, origin
 
 
+def _instance(rec, version, img, where, root) -> DetectionInstance:
+    """The instance that record ``rec`` of image ``img`` describes."""
+    if not isinstance(rec, dict):
+        raise DataError(f"{where}: an instance record must be an object, not {type(rec).__name__}")
+    bbox = rec["bbox"]
+    if not (isinstance(bbox, list) and len(bbox) == 4 and all(is_number(v, int) for v in bbox)
+            and bbox[2] > 0 and bbox[3] > 0):
+        raise DataError(f"{where}: bbox {bbox!r} is not [x, y, w, h] of integers with w, h > 0")
+    mask, origin = _read_mask(rec, version, img, where, root) if "mask" in rec else (None, (0, 0))
+    return DetectionInstance(
+        label=ClassLabel.from_name(rec["class"]),
+        bbox=tuple(bbox),
+        confidence=rec.get("confidence"),
+        mask=mask,
+        origin=tuple(origin),
+        calories_kcal=rec.get("calories_kcal"),
+    )
+
+
 def _list(value, what):
     if not isinstance(value, list):
         raise DataError(f"{what} must be a list, not {type(value).__name__}")
@@ -156,22 +175,13 @@ def read_manifest(path) -> list[ImageAnnotations]:
                 raise DataError(f"{where}: width and height must be integers, got {img.width!r}, {img.height!r}")
             if img.width < 1 or img.height < 1:
                 raise DataError(f"{where}: width and height must be >= 1, got {img.width}, {img.height}")
-            for rec in _list(entry.get("instances", []), f"{where}: instances"):
-                bbox = rec["bbox"]
-                if not (isinstance(bbox, list) and len(bbox) == 4 and all(is_number(v, int) for v in bbox)
-                        and bbox[2] > 0 and bbox[3] > 0):
-                    raise DataError(f"{where}: bbox {bbox!r} is not [x, y, w, h] of integers with w, h > 0")
-                mask, origin = _read_mask(rec, version, img, where, path.parent) if "mask" in rec else (None, (0, 0))
-                img.instances.append(
-                    DetectionInstance(
-                        label=ClassLabel.from_name(rec["class"]),
-                        bbox=tuple(bbox),
-                        confidence=rec.get("confidence"),
-                        mask=mask,
-                        origin=tuple(origin),
-                        calories_kcal=rec.get("calories_kcal"),
-                    )
-                )
+            for i, rec in enumerate(_list(entry.get("instances", []), f"{where}: instances")):
+                try:
+                    img.instances.append(_instance(rec, version, img, where, path.parent))
+                except DataError as exc:
+                    raise DataError(f"{exc} (instance {i})") from exc
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DataError(f"{where}: malformed entry: {exc} (instance {i})") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{where}: malformed entry: {exc}") from exc
         images.append(img)

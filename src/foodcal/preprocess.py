@@ -25,12 +25,17 @@ NUMERIC = slice(len(FOOD_CLASSES), N_FEATURES)
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, valid, test
 
 
-def one_hot(label: ClassLabel) -> np.ndarray:
-    """Five-element one-hot vector in class declaration order."""
+def _column(label: ClassLabel) -> int:
+    """The one-hot column of a food class: its place in declaration order."""
     if label is ClassLabel.COIN:
         raise CoinNotEncodable("the coin is not a food class")
+    return FOOD_CLASSES.index(label)
+
+
+def one_hot(label: ClassLabel) -> np.ndarray:
+    """Five-element one-hot vector in class declaration order."""
     v = np.zeros(len(FOOD_CLASSES))
-    v[FOOD_CLASSES.index(label)] = 1.0
+    v[_column(label)] = 1.0
     return v
 
 
@@ -57,12 +62,11 @@ class RegressionDataset:
 
     @classmethod
     def from_records(cls, records: list[FeatureRecord]) -> "RegressionDataset":
-        X = np.empty((len(records), N_FEATURES))
-        y = np.empty(len(records))
-        for i, r in enumerate(records):
-            X[i, : len(FOOD_CLASSES)] = one_hot(r.label)
-            X[i, NUMERIC] = (r.height_mm, r.width_mm, r.area_mm2, r.perimeter_mm)
-            y[i] = r.calories_kcal if r.calories_kcal is not None else np.nan
+        X = np.zeros((len(records), N_FEATURES))
+        X[np.arange(len(records)), [_column(r.label) for r in records]] = 1.0
+        numeric = [(r.height_mm, r.width_mm, r.area_mm2, r.perimeter_mm) for r in records]
+        X[:, NUMERIC] = np.reshape(numeric, (-1, len(NUMERIC_NAMES)))
+        y = [np.nan if r.calories_kcal is None else r.calories_kcal for r in records]
         return cls(X, y)
 
 
@@ -81,31 +85,35 @@ def write_csv(path, records: list[FeatureRecord]) -> None:
 
 
 def read_csv(path) -> list[FeatureRecord]:
-    """Read a dataset CSV; text that is not UTF-8 CSV, a bad class name or
-    number, or a non-finite feature or target raises DataError naming the
-    line."""
+    """Read a dataset CSV; text that is not UTF-8 CSV, a row with more or
+    fewer fields than the header, a bad class name or number, or a
+    non-finite feature or target raises DataError naming the line. Blank
+    lines are skipped."""
     records = []
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
+        reader = csv.reader(f)
         try:
-            if reader.fieldnames != list(CSV_FIELDS):
+            if next(reader, None) != list(CSV_FIELDS):
                 raise DataError(f"{path}: expected header {','.join(CSV_FIELDS)}")
             for row in reader:
-                if None in row:  # DictReader files the fields past the header under None
+                if not row:
+                    continue
+                if len(row) != len(CSV_FIELDS):
                     raise DataError(
-                        f"{path}: line {reader.line_num}: {len(CSV_FIELDS) + len(row[None])} fields,"
-                        f" but the header has {len(CSV_FIELDS)}"
+                        f"{path}: line {reader.line_num}: {len(row)} fields, but the header has {len(CSV_FIELDS)}"
                     )
+                name, height, width, area, perimeter, calories = row
                 try:
                     rec = FeatureRecord(
-                        label=ClassLabel.from_name(row["class"]),
-                        height_mm=float(row["height_mm"]),
-                        width_mm=float(row["width_mm"]),
-                        area_mm2=float(row["area_mm2"]),
-                        perimeter_mm=float(row["perimeter_mm"]),
-                        calories_kcal=float(row["calories_kcal"]) if row["calories_kcal"] else None,
+                        label=ClassLabel.from_name(name),
+                        height_mm=float(height),
+                        width_mm=float(width),
+                        area_mm2=float(area),
+                        perimeter_mm=float(perimeter),
+                        calories_kcal=float(calories) if calories else None,
                     )
-                except (TypeError, ValueError) as exc:
+                except ValueError as exc:
+                    row = dict(zip(CSV_FIELDS, row))
                     raise DataError(f"{path}: line {reader.line_num}: bad row {row}: {exc}") from exc
                 values = (rec.height_mm, rec.width_mm, rec.area_mm2, rec.perimeter_mm, rec.calories_kcal or 0.0)
                 if not all(map(math.isfinite, values)):

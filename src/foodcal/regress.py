@@ -4,6 +4,11 @@ Six algorithms: ordinary least squares, k-nearest neighbours, CART decision
 tree, random forest, gradient boosting, and AdaBoost.R2, all built on the
 same CART split search. Fitting is deterministic given (spec, data, seed):
 random-forest trees draw per-tree generators seeded by (seed, tree_index).
+Each tree's feature subsets are those of one sorted
+``Generator.choice(p, k, replace=False)`` call per searched node, drawn in
+blocks through one ``Generator.integers`` call with an array of bounds,
+which makes the same Lemire-bounded draws as the calls it replaces. This
+holds for up to 10000 features; the feature layout has 9.
 
 Every tree model keeps its trees packed in one set of node arrays
 (``_Trees``) that one level-by-level traversal walks for all rows at once.
@@ -94,6 +99,9 @@ _TIE_REL = 1e-10
 
 # (node, feature, row) cells that one call of the split search scores at most
 _CHUNK_CELLS = 2**13
+
+# feature subsets that a forest tree draws at a time
+_DRAW_BLOCK = 64
 
 
 def _split_search(Xp, ranks, yp, rows, n_rows, feats, min_leaf):
@@ -306,15 +314,46 @@ def _columns(X):
     return np.vstack([X, np.full(X.shape[1], np.inf)]), np.vstack([ranks, np.full(X.shape[1], X.size)])
 
 
+def _feature_subsets(rngs, p, k, m):
+    """``m`` sorted ``k``-of-``p`` feature subsets from each generator of
+    ``rngs``, shape (len(rngs), m, k): for p <= 10000, the sorted results of
+    ``m`` calls ``rng.choice(p, k, replace=False)``, after which each
+    generator is where those calls would leave it.
+
+    Such a call is Floyd's algorithm: for j = p-k, ..., p-1 it draws d in
+    [0, j] and takes d, or j if d is taken already; then its shuffle of the
+    k values draws in [0, i] for i = k-1, ..., 1. Each draw is one
+    Lemire-bounded integer, as is each value of ``Generator.integers`` with
+    an array of bounds, so one ``integers`` call with the bounds p-k+1, ...,
+    p, k, ..., 2, repeated m times, makes the same draws in the same order.
+    The shuffle's draws are consumed, and sorting drops its outcome. Above
+    10000 items ``choice`` shuffles a tail of ``arange(p)`` instead, which
+    this does not reproduce.
+    """
+    j = np.arange(p - k, p)
+    highs = np.tile(np.concatenate([j + 1, np.arange(k, 1, -1)]), m)
+    draws = np.concatenate([rng.integers(0, highs) for rng in rngs]).reshape(-1, 2 * k - 1)
+    out = np.empty((len(draws), k), dtype=np.min_scalar_type(p))
+    for i in range(k):  # a value taken already becomes j
+        d = draws[:, i]
+        out[:, i] = np.where((out[:, :i] == d[:, None]).any(1), j[i], d)
+    out.sort(axis=1)
+    return out.reshape(len(rngs), m, k)
+
+
 def _grow(cols, y, rows=None, *, max_depth=None, min_samples_leaf=1, rngs=None, n_subset=None) -> _Trees:
     """CART trees on ``cols = _columns(X)`` and ``y``, one per line of
     ``rows`` (default: every row once), packed in preorder. A node's rows
     are a segment of its tree's line, split in place by a stable partition.
     Each round scores its nodes through one batched split search, in chunks
     of at most ``_CHUNK_CELLS`` cells. Without ``rngs`` a round takes every
-    whole frontier; with them, each tree pops one node off its preorder
-    stack and draws its ``n_subset`` features from its own generator, so
-    its draws do not depend on the trees grown beside it.
+    whole frontier. With them, each tree pops nodes off its preorder stack
+    up to the next one that may be searched (the ones before it are leaves
+    by size or depth), and each node it searches takes the next of the
+    ``n_subset``-feature subsets that ``_feature_subsets`` draws from the
+    tree's own generator, ``_DRAW_BLOCK`` at a time: the subsets of
+    ``rng.choice`` per searched node in preorder, so a tree's draws do not
+    depend on the trees grown beside it.
     """
     Xp, ranks = cols
     rows = np.arange(len(y))[None] if rows is None else rows
@@ -325,12 +364,19 @@ def _grow(cols, y, rows=None, *, max_depth=None, min_samples_leaf=1, rngs=None, 
     yp = np.append(y, 0.0)
     min_rows, depth_cap = max(2, 2 * min_samples_leaf), np.inf if max_depth is None else max_depth
     stacks = [[(t * n, t * n + n, 0, -1, 0)] for t in range(n_trees)]  # start, stop, depth, parent, is right
+    if rngs is not None:  # each tree's block of subsets, and how many of it are used
+        subsets, used = np.empty((n_trees, _DRAW_BLOCK, n_feats), np.min_scalar_type(p)), np.full(n_trees, _DRAW_BLOCK)
     done, count = [], 0
     while any(stacks):
         if rngs is None:
             batch, stacks = [node for stack in stacks for node in stack], [[] for _ in stacks]
         else:
-            batch = [stack.pop() for stack in stacks if stack]
+            batch = []
+            for stack in stacks:
+                while stack:
+                    batch.append(node := stack.pop())
+                    if node[1] - node[0] >= min_rows and node[2] < depth_cap:
+                        break
         nodes = np.array(batch, dtype=np.int32)
         feature, value = np.full(len(nodes), -1, dtype=np.int32), np.zeros(len(nodes))
         start, stop, depth = nodes[:, :3].T
@@ -350,8 +396,13 @@ def _grow(cols, y, rows=None, *, max_depth=None, min_samples_leaf=1, rngs=None, 
                 continue
             if rngs is None:
                 feats = np.arange(p)[None].repeat(len(c), 0)
-            else:
-                feats = np.sort([rngs[a // n].choice(p, size=n_feats, replace=False) for a in start[c]], axis=1)
+            else:  # a round searches at most one node per tree
+                t = start[c] // n
+                spent = t[used[t] == _DRAW_BLOCK]
+                if spent.size:
+                    subsets[spent], used[spent] = _feature_subsets([rngs[i] for i in spent], p, n_feats, _DRAW_BLOCK), 0
+                feats = subsets[t, used[t]].astype(np.intp)
+                used[t] += 1
             f, thr, score, parent_sse = _split_search(Xp, ranks, yp, r, m, feats, min_samples_leaf)
             go_left = (Xp[r, f[:, None]] <= thr[:, None]) & real
             nl = go_left.sum(1)
@@ -543,6 +594,13 @@ class ForestModel(Regressor):
 
     @classmethod
     def fit(cls, X, y, *, seed=0, n_trees=100, max_depth=None, min_samples_leaf=1, **_):
+        """Tree t draws its bootstrap rows, then the k = ``max(1, p // 3)``
+        features of each node it searches, from ``default_rng((seed, t))``.
+        The features are drawn ``_DRAW_BLOCK`` subsets ahead; the generators
+        live only in this call, so drawing ahead changes no tree, and each
+        subset is the sorted ``choice(p, k, replace=False)`` that the node
+        would have drawn itself (see ``_feature_subsets``; p <= 10000).
+        """
         check_hyperparameters(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
         n, p = X.shape
         rngs = [np.random.default_rng((seed, t)) for t in range(n_trees)]

@@ -225,3 +225,38 @@ def test_v1_mask_that_is_not_the_image_size_is_a_data_error(gen_v3, tmp_path):
     maskgeom.write_pgm(tmp_path / "v1" / "masks" / "scene_0000_i01.pgm", np.ones((10, 10), np.uint8))
     with pytest.raises(DataError, match=r"scene_0000: mask masks/scene_0000_i01.pgm is \(10, 10\)"):
         manifests.read_manifest(v1)
+
+
+def _manifest_with(tmp_path, instances) -> Path:
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps({"format": "foodcal-annotations", "version": 3, "images": [
+        {"image": "a", "width": 8, "height": 8, "instances": instances}]}))
+    return path
+
+
+PURI = {"class": "Puri", "bbox": [1, 1, 2, 2]}
+
+
+@pytest.mark.parametrize("record, kind", [(5, "int"), ([1, 2], "list"), ("Puri", "str"), (None, "NoneType")],
+                         ids=["int", "list", "str", "null"])
+def test_an_instance_record_that_is_not_an_object_is_a_data_error(tmp_path, record, kind):
+    path = _manifest_with(tmp_path, [PURI, record])
+    with pytest.raises(DataError) as err:
+        manifests.read_manifest(path)
+    assert str(err.value) == f"{path}: image a: an instance record must be an object, not {kind} (instance 1)"
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"bbox": [1, 1, 2, 2]}, "image a: malformed entry: 'class' (instance 2)"),
+    ({**PURI, "bbox": [1, 1, 0, 2]},
+     "image a: bbox [1, 1, 0, 2] is not [x, y, w, h] of integers with w, h > 0 (instance 2)"),
+    ({**PURI, "class": "Pizza"}, "image a: malformed entry: unknown class name 'Pizza' (instance 2)"),
+    ({**PURI, "mask": {"size": [2, 2]}, "mask_origin": [0, 0]}, "image a: malformed entry: 'bits' (instance 2)"),
+    ({**PURI, "mask": {"size": [2, 2], "bits": "8A=="}, "mask_origin": [7, 7]},
+     "image a: mask is (2, 2) at [7, 7], image is (8, 8) (instance 2)"),
+], ids=["no-class", "empty-bbox", "unknown-class", "no-bits", "mask-outside"])
+def test_an_instance_error_names_the_instance(tmp_path, record, message):
+    path = _manifest_with(tmp_path, [PURI, PURI, record])
+    with pytest.raises(DataError) as err:
+        manifests.read_manifest(path)
+    assert str(err.value) == f"{path}: {message}"

@@ -288,6 +288,46 @@ def test_csv_rejects_long_row(tmp_path):
         pp.read_csv(path)
 
 
+@pytest.mark.parametrize("row, fields", [("Singara,1.0,2.0,3.0,4.0", 5), ("Singara,1.0,2.0,3.0", 4), ("Puri", 1)])
+def test_csv_short_row_gives_its_field_count(tmp_path, row, fields):
+    # read by name, a missing calorie field made an unlabelled row, and a
+    # missing perimeter a float(None) error
+    path = tmp_path / "d.csv"
+    path.write_text(",".join(pp.CSV_FIELDS) + f"\nPuri,10.0,20.0,30.0,40.0,50.0\n{row}\n")
+    with pytest.raises(DataError, match=f"line 3: {fields} fields, but the header has 6"):
+        pp.read_csv(path)
+
+
+def test_csv_skips_blank_lines_and_reads_a_coin_row(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(",".join(pp.CSV_FIELDS) + "\n\nPuri,10.0,20.0,30.0,40.0,50.0\n\nCoin,1.0,2.0,3.0,4.0,\n")
+    records = pp.read_csv(path)
+    assert records == [
+        FeatureRecord(ClassLabel.PURI, 10.0, 20.0, 30.0, 40.0, calories_kcal=50.0),
+        FeatureRecord(ClassLabel.COIN, 1.0, 2.0, 3.0, 4.0),
+    ]
+    with pytest.raises(CoinNotEncodable):
+        pp.RegressionDataset.from_records(records)
+
+
+def test_csv_bad_number_names_the_line_and_its_fields(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(",".join(pp.CSV_FIELDS) + "\nPuri,10.0,x,30.0,40.0,50.0\n")
+    with pytest.raises(DataError, match=r"line 2: bad row \{'class': 'Puri', 'height_mm': '10.0', 'width_mm': 'x'"):
+        pp.read_csv(path)
+
+
+def test_dataset_from_records_matches_one_hot_rows():
+    rng = np.random.default_rng(4)
+    records = random_records(rng, 25) + [FeatureRecord(ClassLabel.BEGUNI, 1.5, 2.5, 3.5, 4.5)]
+    ds = pp.RegressionDataset.from_records(records)
+    for row, y, r in zip(ds.X, ds.y, records):
+        assert row.tolist() == pp.one_hot(r.label).tolist() + [r.height_mm, r.width_mm, r.area_mm2, r.perimeter_mm]
+        assert y == r.calories_kcal or (np.isnan(y) and r.calories_kcal is None)
+    empty = pp.RegressionDataset.from_records([])
+    assert empty.X.shape == (0, pp.N_FEATURES) and empty.y.shape == (0,)
+
+
 def test_dataset_from_records_layout():
     rec = FeatureRecord(ClassLabel.PURI, 10.0, 20.0, 30.0, 40.0, calories_kcal=50.0)
     ds = pp.RegressionDataset.from_records([rec])

@@ -227,6 +227,44 @@ def test_trees_do_not_depend_on_the_chunk_size(algorithm, monkeypatch):
     assert packed_bytes(regress.fit(spec, ds)) == whole
 
 
+def test_forest_trees_do_not_depend_on_the_draw_block(monkeypatch):
+    rng = np.random.default_rng(20)
+    ds = toy_dataset(rng, n=90, noise=1.0)
+    spec = ModelSpec("rforest", seed=4, hyperparameters={"n_trees": 12, "min_samples_leaf": 2})
+    whole = packed_bytes(regress.fit(spec, ds))
+    monkeypatch.setattr(regress, "_DRAW_BLOCK", 1)  # one subset per draw
+    assert packed_bytes(regress.fit(spec, ds)) == whole
+
+
+def _assert_subsets_are_choice_calls(seed, n, p, k, m):
+    """A block of ``m`` subsets equals ``m`` sorted ``choice`` calls, drawn
+    after an ``n``-row bootstrap as ``ForestModel.fit`` draws them, and
+    leaves the generator where the calls leave it."""
+    calls, blocks = ([np.random.default_rng((seed, t)) for t in range(2)] for _ in range(2))
+    for rng in calls + blocks:
+        rng.integers(0, n, size=n)
+    want = [[np.sort(rng.choice(p, size=k, replace=False)) for _ in range(m)] for rng in calls]
+    got = regress._feature_subsets(blocks, p, k, m)
+    assert got.shape == (2, m, k)
+    assert got.tolist() == np.array(want).tolist()
+    assert [rng.integers(0, 2**40) for rng in blocks] == [rng.integers(0, 2**40) for rng in calls]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_feature_subsets_are_the_choice_calls_they_replace(data):
+    p = data.draw(st.integers(1, 64))
+    k = data.draw(st.integers(1, p))
+    _assert_subsets_are_choice_calls(data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 700)), p, k,
+                                     data.draw(st.integers(1, 9)))
+
+
+@pytest.mark.parametrize("k", [1, 3, 500, 3333])
+def test_feature_subsets_are_choice_calls_up_to_ten_thousand_features(k):
+    # above 10000 items, choice shuffles a tail of arange(p) instead
+    _assert_subsets_are_choice_calls(8, 644, 10000, k, 2)
+
+
 def test_forest_fit_memory_stays_bounded():
     # 507 rows, as in the paper-sized training split; an uncapped batch of
     # every tree's frontier peaked near 24 MB
