@@ -178,17 +178,19 @@ def cmd_gen(args, parser):
 
 def _manifest_rows(path):
     """The images of a manifest and the (image name, feature record) of
-    every food instance in them, in order. An image that cannot be measured,
-    such as one without a coin, is a ``DataError`` naming the manifest and
-    the image."""
+    every food instance in them, in order. Every image's scale comes first:
+    an image without a coin is a ``DataError`` naming the manifest and the
+    image. Then the food instances of all images are measured in one
+    batch."""
     images = manifests.read_manifest(path)
-    rows = []
+    scales = []
     for img in images:
         try:
-            records = measurement.extract_features(img.instances, measurement.scale_from_detections(img.instances))
+            scales.append(measurement.scale_from_detections(img.instances))
         except FoodcalError as exc:
             raise DataError(f"{path}: image {img.name}: {exc}") from exc
-        rows.extend((img.name, rec) for rec in records)
+    per_image = measurement.extract_batch([(img.instances, scale) for img, scale in zip(images, scales)])
+    rows = [(img.name, rec) for img, records in zip(images, per_image) for rec in records]
     return images, rows
 
 
@@ -322,8 +324,8 @@ def cmd_pipeline(args, parser):
     preds = regress.predict_matrix(model, preprocess.minmax_apply(params, dataset).X)
     rows = []
     for (name, rec), kcal in zip(scored, preds):
-        rows.append({"image": name, "class": rec.label.value, "kcal": float(kcal)})
-        print(f"{name}  {rec.label.value:<8} {kcal:8.2f} kcal")
+        rows.append({"image": name, "instance": rec.instance, "class": rec.label.value, "kcal": float(kcal)})
+        print(f"{name}  instance {rec.instance:<3} {rec.label.value:<8} {kcal:8.2f} kcal")
     _write_report(args, "estimates.json", rows, config={}, seed=None,
                   inputs=[str(args.annotations), str(args.model)], indent=1)
     return 0

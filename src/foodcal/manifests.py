@@ -53,8 +53,8 @@ class ImageAnnotations:
 
 
 def write_manifest(path, images: list[ImageAnnotations]) -> Path:
-    """Write the manifest, each mask inline as its packed foreground window.
-    Returns the manifest path."""
+    """Write the manifest, each mask inline as its packed foreground window,
+    as compact JSON with no indent. Returns the manifest path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, "images": []}
@@ -72,7 +72,7 @@ def write_manifest(path, images: list[ImageAnnotations]) -> Path:
                 rec["calories_kcal"] = inst.calories_kcal
             entry["instances"].append(rec)
         payload["images"].append(entry)
-    write_json(path, payload, indent=1)
+    write_json(path, payload)
     return path
 
 

@@ -5,6 +5,16 @@ width give two mm/px scale factors whose average converts pixel geometry
 into millimetres: linear features scale with the factor, areas with its
 square. Calorie targets are weight (grams) times a per-class caloric
 density (kcal per gram).
+
+Area and perimeter come from the outer contour of the largest 8-connected
+component of each food mask. ``extract_batch`` measures the masks of many
+images at once: it cuts each mask to its foreground crop, and
+``maskgeom.largest_component_stats`` stacks the crops into one canvas, with
+a background row between crops and a background column on each side,
+labels its runs once and walks each contour through a 256 x 8 table of
+moves indexed by (8-neighbour code, back direction). Of components of
+equal size, the first in ``maskgeom.connected_components``' order (min-y,
+then min-x, then first pixel) is measured.
 """
 
 import logging
@@ -142,35 +152,61 @@ def extract_features(
     skipped with a warning, so each record carries the index of its detection
     in ``instance``. Height/width come from the instance bbox, area
     and perimeter from the traced contour of the mask's largest component;
-    linear features scale with s_f and area with s_f squared. The mask is
-    cropped to its foreground rows and columns first: area and perimeter do
-    not change under translation, and both sums are exact on integer points.
+    linear features scale with s_f and area with s_f squared. This is
+    ``extract_batch`` of one image.
     """
-    records = []
-    for i, det in enumerate(detections):
-        if det.label is ClassLabel.COIN:
-            continue
-        if det.mask is None or not det.mask.any():
-            logger.warning("skipping instance %d (%s): empty mask", i, det.label.value)
-            continue
-        mask = det.mask
-        if mask.ndim == 2:  # anything else goes on whole, for as_mask to reject
-            mask = mask[maskgeom.foreground_slices(mask)]
-        comps = maskgeom.connected_components(mask)
-        largest = max(comps, key=lambda c: int(c.sum()))
-        stats = maskgeom.shape_stats(maskgeom.trace_contour(largest))
-        records.append(
+    return extract_batch([(detections, scale)])[0]
+
+
+def extract_batch(
+    images: list[tuple[list[DetectionInstance], ScaleFactor]],
+) -> list[list[FeatureRecord]]:
+    """``extract_features`` of each (detections, scale) pair, with the masks
+    of every image measured in one batch.
+
+    Each mask is cut to its foreground rows and columns, and
+    ``maskgeom.largest_component_stats`` measures all the crops at once on
+    one canvas, or a few when they are many: area and perimeter do not
+    change under translation, and both sums are exact on integer points.
+    """
+    crops, owners = [], []
+    for j, (detections, _) in enumerate(images):
+        for i, det in enumerate(detections):
+            if det.label is ClassLabel.COIN:
+                continue
+            crop = _foreground(det.mask)
+            if crop is None:
+                logger.warning("skipping instance %d (%s): empty mask", i, det.label.value)
+                continue
+            crops.append(crop)
+            owners.append((j, i))
+    records = [[] for _ in images]
+    for (j, i), stats in zip(owners, maskgeom.largest_component_stats(crops)):
+        det, s_f = images[j][0][i], images[j][1].s_f
+        records[j].append(
             FeatureRecord(
                 label=det.label,
-                height_mm=det.bbox[3] * scale.s_f,
-                width_mm=det.bbox[2] * scale.s_f,
-                area_mm2=stats.area_px * scale.s_f**2,
-                perimeter_mm=stats.perimeter_px * scale.s_f,
+                height_mm=det.bbox[3] * s_f,
+                width_mm=det.bbox[2] * s_f,
+                area_mm2=stats.area_px * s_f**2,
+                perimeter_mm=stats.perimeter_px * s_f,
                 calories_kcal=det.calories_kcal,
                 instance=i,
             )
         )
     return records
+
+
+def _foreground(mask) -> np.ndarray | None:
+    """A 2-D mask cut to its foreground box; None when the mask is missing
+    or has no foreground. Any other non-empty array is passed on whole, for
+    ``maskgeom.as_mask`` to reject."""
+    if mask is None:
+        return None
+    if mask.ndim != 2:
+        return mask if mask.any() else None
+    box = maskgeom.foreground_slices(mask)
+    return None if box is None else mask[box]
 
 
 def calorie_label(weight_g: float, label: ClassLabel) -> float:

@@ -32,13 +32,6 @@ def _column(label: ClassLabel) -> int:
     return FOOD_CLASSES.index(label)
 
 
-def one_hot(label: ClassLabel) -> np.ndarray:
-    """Five-element one-hot vector in class declaration order."""
-    v = np.zeros(len(FOOD_CLASSES))
-    v[_column(label)] = 1.0
-    return v
-
-
 @dataclass
 class RegressionDataset:
     """Feature matrix (n, 9) and calorie targets (n,), both float64."""

@@ -487,6 +487,13 @@ def generate_regression_dataset(
     truth) whose records are cut, so a manifest written from the scenes
     measures to the same rows. Deterministic per (cfg, n_records, seed),
     including the bytes of any files written from the result.
+
+    Rendering stops at the first scene that brings the records to
+    ``n_records``. The scenes are measured in batches of
+    ``measurement.extract_batch``: each batch renders scenes until their
+    food instances could fill the records still missing, so it ends at that
+    scene or before it, and only an empty mask, which gives no record,
+    makes a second batch.
     """
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
@@ -503,21 +510,28 @@ def generate_regression_dataset(
         items.append(draw_item(item_rng, cycle.pop(0), cfg))
 
     groups = [items[i : i + group_size] for i in range(0, len(items), group_size)]
+    n_scenes = views * len(groups)
     records: list[FeatureRecord] = []
     scenes: list[Scene] = []
-    # scene k renders group k % len(groups) in view k // len(groups)
-    for scene_idx in range(views * len(groups)):
-        scene = _scene_with_retries(cfg, scene_idx, groups[scene_idx % len(groups)])
-        records += measurement.extract_features(scene.instances, measurement.scale_from_detections(scene.instances))
-        surplus = {rec.instance for rec in records[n_records:]}
-        if surplus:
-            keep = [k for k in range(len(scene.instances)) if k not in surplus]
-            scene = replace(
-                scene,
-                instances=[scene.instances[k] for k in keep],
-                truth=replace(scene.truth, instances=[scene.truth.instances[k] for k in keep]),
-            )
-        scenes.append(scene)
-        if len(records) >= n_records:
-            break
+    while len(records) < n_records and len(scenes) < n_scenes:
+        batch = []
+        missing = n_records - len(records)
+        while missing > 0 and len(scenes) + len(batch) < n_scenes:
+            # scene k renders group k % len(groups) in view k // len(groups)
+            k = len(scenes) + len(batch)
+            batch.append(_scene_with_retries(cfg, k, groups[k % len(groups)]))
+            missing -= sum(det.label is not ClassLabel.COIN for det in batch[-1].instances)
+        for recs in measurement.extract_batch([(s.instances, measurement.scale_from_detections(s.instances))
+                                               for s in batch]):
+            records += recs
+        scenes += batch
+    surplus = {rec.instance for rec in records[n_records:]}  # all of the last scene
+    if surplus:
+        last = scenes[-1]
+        keep = [k for k in range(len(last.instances)) if k not in surplus]
+        scenes[-1] = replace(
+            last,
+            instances=[last.instances[k] for k in keep],
+            truth=replace(last.truth, instances=[last.truth.instances[k] for k in keep]),
+        )
     return records[:n_records], scenes

@@ -164,6 +164,35 @@ def test_pipeline_matches_extract_then_predict(gen_644, tmp_path, capsys, model)
     assert [e["kcal"] for e in estimates] == regress.predict_matrix(regressor, ds.X).tolist()
 
 
+def test_estimates_name_their_instance_past_an_empty_mask(gen_dir, tmp_path, capsys):
+    # two Puris with an empty mask between them: without the instance field
+    # the rows could not be told apart or joined to their detections
+    block = np.zeros((40, 40), np.uint8)
+    block[5:25, 8:30] = 1
+    coin = np.zeros((40, 40), np.uint8)
+    coin[30:36, 30:36] = 1
+    instances = [
+        DetectionInstance(ClassLabel.COIN, (30, 30, 6, 6), 0.99, coin),
+        DetectionInstance(ClassLabel.PURI, (8, 5, 22, 20), 0.9, block),
+        DetectionInstance(ClassLabel.PURI, (8, 5, 22, 20), 0.8, np.zeros_like(block)),
+        DetectionInstance(ClassLabel.PURI, (8, 5, 22, 20), 0.7, block),
+    ]
+    images = [manifests.ImageAnnotations(name, 40, 40, instances) for name in ("a", "b")]
+    path = manifests.write_manifest(tmp_path / "annotations.json", images)
+    assert run_cli("train", "--data", str(gen_dir / "dataset.csv"), "--model", "lr",
+                   "--out", str(tmp_path / "m")) == 0
+    capsys.readouterr()
+    assert run_cli("pipeline", "--annotations", str(path), "--model", str(tmp_path / "m" / "model.json"),
+                   "--out", str(tmp_path / "p")) == 0
+    rows = json.loads((tmp_path / "p" / "estimates.json").read_text())
+    assert [(r["image"], r["instance"], r["class"]) for r in rows] == [
+        ("a", 1, "Puri"), ("a", 3, "Puri"), ("b", 1, "Puri"), ("b", 3, "Puri")]
+    assert list(rows[0]) == ["image", "instance", "class", "kcal"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines] == [
+        ["a", "instance", "1"], ["a", "instance", "3"], ["b", "instance", "1"], ["b", "instance", "3"]]
+
+
 def test_pipeline_on_coin_only_images_estimates_nothing(gen_dir, tmp_path, capsys):
     coin = {"class": "Coin", "bbox": [0, 0, 4, 4]}
     path = tmp_path / "annotations.json"

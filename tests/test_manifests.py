@@ -220,6 +220,21 @@ def test_v3_manifest_read_and_written_again_is_byte_identical(gen_v3, tmp_path):
     assert tree_bytes(again.parent) == {"annotations.json": (gen_v3 / "v3" / "annotations.json").read_bytes()}
 
 
+def test_compact_manifest_reads_as_the_indented_one(gen_v3, tmp_path):
+    # write_manifest encodes without indent; whitespace is all that differs
+    compact = gen_v3 / "v3" / "annotations.json"
+    text = compact.read_text(encoding="utf-8")
+    assert "\n" not in text.rstrip("\n") and text.startswith('{"format": "foodcal-annotations", "version": 3')
+    indented = tmp_path / "annotations.json"
+    indented.write_text(json.dumps(json.loads(text), indent=1) + "\n", encoding="utf-8")
+    for a, b in zip(manifests.read_manifest(compact), manifests.read_manifest(indented), strict=True):
+        assert (a.name, a.width, a.height) == (b.name, b.width, b.height)
+        for p, q in zip(a.instances, b.instances, strict=True):
+            assert (p.label, p.bbox, p.confidence, p.origin, p.calories_kcal) == (
+                q.label, q.bbox, q.confidence, q.origin, q.calories_kcal)
+            assert p.mask.dtype == q.mask.dtype and np.array_equal(p.mask, q.mask)
+
+
 def test_v1_mask_that_is_not_the_image_size_is_a_data_error(gen_v3, tmp_path):
     v1 = write_old(gen_v3 / "v3", tmp_path / "v1", 1)
     maskgeom.write_pgm(tmp_path / "v1" / "masks" / "scene_0000_i01.pgm", np.ones((10, 10), np.uint8))

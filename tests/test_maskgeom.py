@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from foodcal import maskgeom, measurement, synth
 from foodcal.errors import DataError, EmptyComponent
 
+import mask_oracles
+from mask_oracles import pixel_components
+
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -139,74 +142,6 @@ def random_mask(rng, max_side=32):
     h = int(rng.integers(1, max_side + 1))
     w = int(rng.integers(1, max_side + 1))
     return (rng.random((h, w)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
-
-
-# ---------------------------------------------------------------------------
-# per-pixel labelling: the union-find that run labelling replaced, kept as
-# its oracle
-
-
-def pixel_label(mask):
-    """8-connected labelling by vectorised union-find over pixels. Every
-    pixel starts out pointing at the first pixel of its horizontal run; each
-    round then min-hooks the roots of the run pairs that still straddle two
-    trees and pointer-jumps until every pixel points at its root. Returns
-    int64 labels, 0 for background; ids are arbitrary, only the partition
-    matters.
-    """
-    fg = mask != 0
-    h, w = mask.shape
-    idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    run_start = fg.copy()
-    run_start[:, 1:] &= ~fg[:, :-1]
-    parent = np.maximum.accumulate(np.where(run_start, idx, 0), axis=1).ravel()
-    # Pairs (y, x)-(y + 1, x + dx). A pair that follows one at (y, x - 1)
-    # joins the same two runs, so only the first pair of each streak is kept.
-    a, b = [], []
-    for dx in (-1, 0, 1):
-        x0, x1 = max(0, -dx), w - max(0, dx)
-        both = fg[:-1, x0:x1] & fg[1:, x0 + dx : x1 + dx]
-        both[:, 1:] &= ~both[:, :-1]
-        src = idx[:-1, x0:x1][both]
-        a.append(src)
-        b.append(src + w + dx)
-    a = np.concatenate(a)
-    b = np.concatenate(b)
-    while a.size:
-        ra = parent[a]
-        rb = parent[b]
-        open_ = ra != rb
-        a, b, ra, rb = a[open_], b[open_], ra[open_], rb[open_]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-    return np.where(fg, parent.reshape(h, w) + 1, 0)
-
-
-def pixel_components(mask):
-    """connected_components as computed from ``pixel_label``: full-size
-    masks in (min-y, min-x, first pixel) order."""
-    m = maskgeom.as_mask(mask)
-    box = maskgeom.foreground_slices(m)
-    if box is None:
-        return []
-    sub = m[box]
-    w = sub.shape[1]
-    labels = pixel_label(sub).ravel()
-    fg = np.flatnonzero(labels)
-    ids, first, inverse = np.unique(labels[fg], return_index=True, return_inverse=True)
-    first = fg[first]
-    min_x = np.full(ids.size, w, dtype=np.int64)
-    np.minimum.at(min_x, inverse, fg % w)
-    out = []
-    for k in np.lexsort((first, min_x, first // w)):
-        comp = np.zeros_like(m)
-        comp[box] = (labels == ids[k]).reshape(sub.shape)
-        out.append(comp)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +404,112 @@ def test_largest_of_tied_components_is_the_first_in_order(case):
     assert all(np.array_equal(g, e) for g, e in zip(comps, pixel_components(m)))
 
 
-def test_measurements_match_with_the_pixel_oracle(monkeypatch):
-    _, scenes = synth.generate_regression_dataset(synth.SceneConfig(), 180, 7)
-    def records(s):
-        return measurement.extract_features(s.instances, measurement.scale_from_detections(s.instances))
+def necked_blobs(rng):
+    """Two rectangles joined by a one-pixel-wide neck, straight or through
+    a single corner, or not joined at all, beside a few lone pixels."""
+    h, w = (int(v) for v in rng.integers(8, 30, 2))
+    m = np.zeros((h, w), np.uint8)
+    a = int(rng.integers(2, w // 2 - 1))
+    m[: h // 2, :a] = 1
+    m[h // 2 + 1 :, a + 2 :] = 1
+    neck = rng.choice(["straight", "corner", "none"])
+    if neck == "straight":
+        m[h // 2 - 1 : h // 2 + 2, a] = 1  # down from the first block
+        m[h // 2 + 1, a : a + 2] = 1  # and right into the second
+    elif neck == "corner":
+        m[h // 2, a] = 1  # touches the first block's corner cell and the second's only diagonally
+    for y, x in zip(rng.integers(0, h, 3), rng.integers(0, w, 3)):
+        m[y, x] = 1
+    return m[:: rng.choice([-1, 1]), :: rng.choice([-1, 1])]
 
-    got = [records(s) for s in scenes]
-    monkeypatch.setattr(maskgeom, "connected_components", pixel_components)
-    want = [records(s) for s in scenes]
+
+def lone_pixels(rng):
+    """Pixels a background pixel apart on both axes: every component is one
+    pixel, and all of them tie."""
+    h, w = (int(v) for v in rng.integers(1, 30, 2))
+    m = np.zeros((h, w), np.uint8)
+    m[::2, ::2] = rng.random(m[::2, ::2].shape) < 0.5
+    return m
+
+
+BATCH_KINDS = {**MASK_KINDS, "necked": necked_blobs, "pixels": lone_pixels, "tie": lambda rng: _tie_on_min_x()[0]}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(sorted(BATCH_KINDS)), st.integers(0, 2**32 - 1), st.booleans()),
+             min_size=1, max_size=12),
+    st.sampled_from([1, 64, 700, 5000, None]),
+)
+@example([("tie", 0, False), ("tie", 0, True), ("random", 1, True)], None)
+@example([("necked", 4, True)] * 3 + [("comb", 5, False)], 64)
+@example([("pixels", 6, False), ("pixels", 7, True)], None)
+def test_batch_matches_the_per_mask_oracle(specs, cap):
+    # the largest component of each crop, the first of equal sizes in
+    # component order, traced and measured: bit for bit the per-mask oracle,
+    # on one canvas or, under a small cap, on several
+    crops = []
+    for kind, seed, tight in specs:
+        rng = np.random.default_rng(seed)
+        m = BATCH_KINDS[kind](rng)
+        m[int(rng.integers(m.shape[0])), int(rng.integers(m.shape[1]))] = 1
+        crops.append(m[maskgeom.foreground_slices(m)] if tight else m)  # tight crops touch all four edges
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(maskgeom, "_CANVAS_CELLS", cap)
+        canvases = len(list(maskgeom._batches(crops)))
+        got = maskgeom.largest_component_stats(crops)
+    assert canvases == 1 or cap is not None
+    assert got == [mask_oracles.largest_stats(c) for c in crops]
+
+
+def test_batch_of_masks_crosses_the_canvas_cap(monkeypatch):
+    rng = np.random.default_rng(3)
+    crops = [random_mask(rng, max_side=20) for _ in range(30)]
+    for m in crops:
+        m[-1, 0] = 1
+    monkeypatch.setattr(maskgeom, "_CANVAS_CELLS", 1000)
+    assert len(list(maskgeom._batches(crops))) > 5
+    assert maskgeom.largest_component_stats(crops) == [mask_oracles.largest_stats(c) for c in crops]
+
+
+def test_batch_picks_the_first_of_tied_components_not_the_first_root_run():
+    # B's root run (row 0, x 2) comes before A's (row 0, x 5), but A reaches
+    # further left, so A is first in component order and is the one measured
+    m, _ = _tie_on_min_x()
+    a = np.zeros_like(m)
+    a[0:8, 5] = 1
+    a[7, 1:5] = 1
+    (got,) = maskgeom.largest_component_stats([m])
+    assert got == maskgeom.shape_stats(maskgeom.trace_contour(a))
+    assert got.bbox == (1, 0, 5, 8)
+
+
+def test_batch_rejects_a_mask_without_foreground():
+    with pytest.raises(ValueError, match="every mask must hold foreground"):
+        maskgeom.largest_component_stats([np.ones((2, 2), np.uint8), np.zeros((3, 3), np.uint8)])
+    with pytest.raises(ValueError, match="exactly 0 or 1"):
+        maskgeom.largest_component_stats([np.full((2, 2), 2, np.uint8)])
+    assert maskgeom.largest_component_stats([]) == []
+
+
+def test_trace_matches_the_probing_oracle_on_random_masks():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        m = random_mask(rng, max_side=24)
+        for comp in maskgeom.connected_components(m):
+            assert np.array_equal(maskgeom.trace_contour(comp), mask_oracles.trace(comp))
+
+
+def test_measurements_match_with_the_pixel_oracle():
+    # pixel labelling, the probing trace and per-contour sums, one mask at a time
+    _, scenes = synth.generate_regression_dataset(synth.SceneConfig(), 180, 7)
+    got = measurement.extract_batch([(s.instances, measurement.scale_from_detections(s.instances)) for s in scenes])
+    want = [mask_oracles.scene_records(s) for s in scenes]
     assert sum(map(len, got)) == 180
     assert [[(r, r.instance) for r in recs] for recs in got] == [[(r, r.instance) for r in recs] for recs in want]
+    assert [measurement.extract_features(s.instances, measurement.scale_from_detections(s.instances))
+            for s in scenes] == got
 
 
 @pytest.mark.parametrize(

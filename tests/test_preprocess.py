@@ -36,17 +36,25 @@ def random_records(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# one_hot
+# one-hot class columns
 
 
 def test_one_hot_declaration_order():
-    assert pp.one_hot(ClassLabel.SINGARA).tolist() == [1, 0, 0, 0, 0]
-    assert pp.one_hot(ClassLabel.BEGUNI).tolist() == [0, 0, 0, 0, 1]
+    records = [FeatureRecord(label, 1.0, 2.0, 3.0, 4.0) for label in FOOD_CLASSES]
+    assert [label.value for label in FOOD_CLASSES] == ["Singara", "Somusa", "Puri", "Peaju", "Beguni"]
+    assert pp.RegressionDataset.from_records(records).X[:, :5].tolist() == [
+        [1, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 1],
+    ]
 
 
 def test_one_hot_rejects_coin():
+    records = [FeatureRecord(ClassLabel.PURI, 1.0, 2.0, 3.0, 4.0), FeatureRecord(ClassLabel.COIN, 1.0, 2.0, 3.0, 4.0)]
     with pytest.raises(CoinNotEncodable):
-        pp.one_hot(ClassLabel.COIN)
+        pp.RegressionDataset.from_records(records)
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +82,12 @@ def test_minmax_no_clipping_beyond_train_range():
 
 
 def test_minmax_leaves_one_hot_untouched():
-    rng = np.random.default_rng(0)
-    ds = pp.RegressionDataset.from_records(random_records(rng, 30))
+    records = random_records(np.random.default_rng(0), 30)
+    ds = pp.RegressionDataset.from_records(records)
     out = pp.minmax_apply(pp.minmax_fit(ds), ds)
-    assert np.array_equal(out.X[:, :5], ds.X[:, :5])
+    columns = {label: k for k, label in enumerate(FOOD_CLASSES)}
+    hot = [[1.0 if k == columns[r.label] else 0.0 for k in range(5)] for r in records]
+    assert out.X[:, :5].tolist() == hot
     assert out.X[:, pp.NUMERIC].min() >= 0.0
     assert out.X[:, pp.NUMERIC].max() <= 1.0
 
@@ -321,8 +331,15 @@ def test_dataset_from_records_matches_one_hot_rows():
     rng = np.random.default_rng(4)
     records = random_records(rng, 25) + [FeatureRecord(ClassLabel.BEGUNI, 1.5, 2.5, 3.5, 4.5)]
     ds = pp.RegressionDataset.from_records(records)
+    hot = {
+        ClassLabel.SINGARA: [1, 0, 0, 0, 0],
+        ClassLabel.SOMUSA: [0, 1, 0, 0, 0],
+        ClassLabel.PURI: [0, 0, 1, 0, 0],
+        ClassLabel.PEAJU: [0, 0, 0, 1, 0],
+        ClassLabel.BEGUNI: [0, 0, 0, 0, 1],
+    }
     for row, y, r in zip(ds.X, ds.y, records):
-        assert row.tolist() == pp.one_hot(r.label).tolist() + [r.height_mm, r.width_mm, r.area_mm2, r.perimeter_mm]
+        assert row.tolist() == hot[r.label] + [r.height_mm, r.width_mm, r.area_mm2, r.perimeter_mm]
         assert y == r.calories_kcal or (np.isnan(y) and r.calories_kcal is None)
     empty = pp.RegressionDataset.from_records([])
     assert empty.X.shape == (0, pp.N_FEATURES) and empty.y.shape == (0,)

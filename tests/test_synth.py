@@ -10,6 +10,8 @@ from foodcal import maskgeom, measurement, preprocess, synth
 from foodcal.errors import PlacementFailure
 from foodcal.measurement import FOOD_CLASSES, ClassLabel
 
+import mask_oracles
+
 
 def noiseless_cfg(**kw):
     return synth.SceneConfig(boundary_noise=0.0, **kw)
@@ -335,6 +337,95 @@ def test_dataset_regeneration_bit_identical(tmp_path):
     preprocess.write_csv(pa, a)
     preprocess.write_csv(pb, b)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def per_scene_dataset(cfg, n_records, seed):
+    """``generate_regression_dataset`` as it was before scenes were measured
+    in a batch: each scene measured as it is rendered, one mask at a time,
+    and rendering stopped once the records are there. Also returns how many
+    food instances the last scene dropped."""
+    cfg = replace(cfg, seed=seed)
+    views = max(1, cfg.views_per_item)
+    group_size = max(1, cfg.items_per_scene)
+    item_rng = np.random.default_rng((seed, 0x17E6))
+    cycle, items = [], []
+    for _ in range(-(-n_records // views)):
+        if not cycle:
+            cycle = [FOOD_CLASSES[j] for j in item_rng.permutation(len(FOOD_CLASSES))]
+        items.append(synth.draw_item(item_rng, cycle.pop(0), cfg))
+    groups = [items[i : i + group_size] for i in range(0, len(items), group_size)]
+    records, scenes, surplus = [], [], set()
+    for scene_idx in range(views * len(groups)):
+        scene = synth._scene_with_retries(cfg, scene_idx, groups[scene_idx % len(groups)])
+        records += mask_oracles.scene_records(scene)
+        surplus = {rec.instance for rec in records[n_records:]}
+        if surplus:
+            keep = [k for k in range(len(scene.instances)) if k not in surplus]
+            scene = replace(
+                scene,
+                instances=[scene.instances[k] for k in keep],
+                truth=replace(scene.truth, instances=[scene.truth.instances[k] for k in keep]),
+            )
+        scenes.append(scene)
+        if len(records) >= n_records:
+            break
+    return records[:n_records], scenes, len(surplus)
+
+
+def assert_same_scenes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.width, a.height, a.seed, a.truth) == (b.width, b.height, b.seed, b.truth)
+        assert len(a.instances) == len(b.instances)
+        for da, db in zip(a.instances, b.instances):
+            assert (da.label, da.bbox, da.confidence, da.origin, da.calories_kcal) == (
+                db.label, db.bbox, db.confidence, db.origin, db.calories_kcal)
+            assert np.array_equal(da.mask, db.mask)
+
+
+@pytest.mark.parametrize(
+    "cfg, n_records",
+    [
+        (synth.SceneConfig(), 61),
+        (synth.SceneConfig(width=256, height=288, views_per_item=3, boundary_noise=0.03), 41),
+        (synth.SceneConfig(width=640, height=640), 23),
+    ],
+    ids=["default", "256x288-noisy", "640"],
+)
+def test_dataset_matches_the_per_scene_oracle(cfg, n_records):
+    # every scene rendered first and measured in one batch: the same records,
+    # the same scenes and the same surplus cut as measuring scene by scene
+    records, scenes = synth.generate_regression_dataset(cfg, n_records, seed=5)
+    want_records, want_scenes, cut = per_scene_dataset(cfg, n_records, seed=5)
+    assert len(records) == n_records and cut > 0
+    assert [(r, r.instance) for r in records] == [(r, r.instance) for r in want_records]
+    assert_same_scenes(scenes, want_scenes)
+    assert sum(d.label is not ClassLabel.COIN for s in scenes for d in s.instances) == n_records
+
+
+def test_dataset_with_empty_masks_measures_more_scenes_than_it_first_rendered(monkeypatch):
+    # a blank mask gives no record, so the first batch of scenes falls short
+    # and more are rendered; the result is still the per-scene one
+    real = synth.generate_scene
+
+    def blank_foods(cfg, seed, items=None):
+        scene = real(cfg, seed, items)
+        for k in range(1, len(scene.instances), 2):
+            scene.instances[k] = replace(scene.instances[k], mask=np.zeros_like(scene.instances[k].mask))
+        return scene
+
+    monkeypatch.setattr(synth, "generate_scene", blank_foods)
+    batches = []
+    real_batch = measurement.extract_batch
+    monkeypatch.setattr(measurement, "extract_batch", lambda images: batches.append(len(images)) or real_batch(images))
+    cfg = synth.SceneConfig(views_per_item=4)
+    # 5 items of 4 views, in scenes of 3 and 2: 7 scenes hold the 17 foods
+    # that could fill the records, and the 8th comes in a second batch
+    records, scenes = synth.generate_regression_dataset(cfg, 17, seed=2)
+    want_records, want_scenes, _ = per_scene_dataset(cfg, 17, seed=2)
+    assert batches == [7, 1] and len(records) == 8
+    assert [(r, r.instance) for r in records] == [(r, r.instance) for r in want_records]
+    assert_same_scenes(scenes, want_scenes)
 
 
 def test_multi_view_items_share_calorie_label():
