@@ -107,23 +107,24 @@ def _load_config(path):
 
 
 def _option(args, parser, config, key, default):
-    """Explicit flag > config file > default, of the type of ``default``.
-    A config value must be a JSON integer for an int option and a JSON
-    number for a float one, never a bool. A value out of range is a usage
-    error from a flag and a ``DataError`` from the file."""
+    """Explicit flag > config file > default. Either value goes through one
+    number check: a float option (its default a float) takes any finite
+    number, another option an integer that fits int64, and neither a bool.
+    A value that fails it or its range is a usage error from a flag and a
+    ``DataError`` from the file."""
     value = getattr(args, key, None)
     if value is not None:
         where, fail = f"--{key.replace('_', '-')}", parser.error
     elif key in config:
         where, fail, value = f"{args.config}: {key}", _data_error, config[key]
-        kinds = int if isinstance(default, int) else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            fail(f"{where} must be {'an integer' if kinds is int else 'a number'}, got {value!r}")
-        if kinds is not int and abs(value) > sys.float_info.max:
-            fail(f"{where} overflows a float: {value!r}")
-        value = type(default)(value)
     else:
         return default
+    kind = (int, float) if isinstance(default, float) else int
+    try:
+        value = number_array(value, where, kind, ndim=0).item()
+    except DataError:
+        fail(f"{where} overflows {'int64' if kind is int else 'a float'}: {value!r}" if type(value) is int
+             else f"{where} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     low, high = _OPTION_RANGES.get(key, (-math.inf, math.inf))
     if not low <= value < high:
         fail(f"{where} must be {f'>= {low}' if high == math.inf else f'in [{low}, {high})'}, got {value!r}")

@@ -26,18 +26,33 @@ per-instance calorie labels, which read onto each instance's
 JSON integers >= 1; the bbox values and the origin are JSON integers, the
 origin >= 0 with its mask inside the image; "size" is two JSON integers
 >= 1 and "bits" holds exactly ceil(h * w / 8) bytes with no pad bit set;
-"confidence" is a number in [0, 1], null or absent; "calories_kcal" is a
-finite number, null or absent. Any other value is a ``DataError`` naming
-the image, and the instance's index when it is in an instance record.
+every JSON integer fits int64; "confidence" is a number in [0, 1], null
+or absent; "calories_kcal" is a finite number, null or absent. Any other
+value is a ``DataError`` naming the image, the field and, in an instance
+record, the instance's index.
+
+``read_manifest`` checks and decodes the whole manifest in one set of
+passes: the width/height pairs of every image, every bbox, every
+mask_origin and every mask size each go through one
+``errors.number_array`` call, the other checks are array operations over
+the same numbers, and the bits of every mask are decoded, joined and
+unpacked by one ``np.unpackbits``, each mask a view of that array. Per
+image these passes would cost more than they save, at about four
+instances an image. When a check fails, the manifest is read again one
+image, then one instance, at a time, and the first record at fault in
+document order gives the error: the one a reader that checks one instance
+at a time would raise.
 """
 
+import base64
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from foodcal import maskgeom
-from foodcal.errors import DataError, decode_array, encode_array, is_number, read_json, write_json
+from foodcal.errors import DataError, decode_array, encode_array, is_number, number_array, read_json, write_json
 from foodcal.measurement import ClassLabel, DetectionInstance
 
 MANIFEST_FORMAT = "foodcal-annotations"
@@ -89,71 +104,155 @@ def _window(mask, origin):
     return maskgeom.as_mask(mask), origin
 
 
-def _unpack(bits, h, w, where) -> np.ndarray:
-    """The h x w mask that ``write_manifest`` packed into ``bits``."""
-    packed = decode_array(bits, np.uint8, f"{where}: mask bits")
-    n = h * w
-    nbytes = -(-n // 8)
-    if packed.size != nbytes:
-        raise DataError(f"{where}: mask bits hold {packed.size} bytes, a {h}x{w} mask packs into {nbytes}")
-    if n % 8 and packed[-1] & (0xFF >> n % 8):
-        raise DataError(f"{where}: mask bits set past the last of its {n} pixels")
-    return np.unpackbits(packed, count=n).reshape(h, w)
+def _int_rows(rows, k, fault, least=None, valid=None) -> np.ndarray:
+    """``rows``, lists of ``k`` JSON integers (``>= least`` when given), as
+    one (len(rows), k) int64 array from one ``number_array`` call, every
+    row passing ``valid`` when given. Otherwise raises ``fault(i)`` for the
+    first row i that fails on its own."""
+
+    def ints(rows):
+        try:
+            a = number_array(rows, "", int, ndim=2, least=least) if rows else np.empty((0, k), np.int64)
+        except DataError:
+            return None
+        return a if a.shape[1] == k and (valid is None or valid(a).all()) else None
+
+    a = ints(rows)
+    if a is None:
+        raise fault(next(i for i, row in enumerate(rows) if ints([row]) is None))
+    return a
 
 
-def _read_mask(rec, version, img, where, root):
-    """The mask and origin of instance record ``rec``: unpacked from the
-    record in version 3, read from the PGM it names in versions 1 and 2."""
-    mask = rec["mask"]
-    origin = rec.get("mask_origin") if version > 1 else [0, 0]
-    if not (isinstance(origin, list) and len(origin) == 2 and all(is_number(v, int) and v >= 0 for v in origin)):
-        raise DataError(f"{where}: mask_origin {origin!r} is not [x, y] of integers >= 0")
-    if version == 3:
-        if not isinstance(mask, dict):
-            raise DataError(f'{where}: a version 3 mask is an object {{"size": [h, w], "bits": ...}}, '
+def _raise_first(bad, fault) -> None:
+    """Raise ``fault(i)`` for the first i where the flags ``bad`` are set."""
+    if bad.any():
+        raise fault(int(np.argmax(bad)))
+
+
+def _read(entries, version, path) -> list[ImageAnnotations]:
+    """The images of the manifest entries ``entries``, checked and decoded
+    in one set of passes over all of their instances. Each check is one
+    pass, in the order that one instance is checked in, and raises for the
+    first record that fails it; given one instance, that is its first
+    fault. A ``DataError`` names the image; a missing key or an unknown
+    class raises ``KeyError`` or ``ValueError`` as it is."""
+    root = path.parent
+    if not all(isinstance(e, dict) and isinstance(e.get("image"), str) for e in entries):
+        raise DataError(f'{path}: an image entry is not an object with a string "image" name')
+    wheres = [f"{path}: image {e['image']}" for e in entries]
+    sides = [[e["width"], e["height"]] for e in entries]
+    dims = _int_rows(sides, 2, lambda i: DataError(
+        f"{wheres[i]}: width and height must be integers, got {sides[i][0]!r}, {sides[i][1]!r}"))
+    _raise_first((dims < 1).any(axis=1), lambda i: DataError(
+        f"{wheres[i]}: width and height must be >= 1, got {dims[i, 0]}, {dims[i, 1]}"))
+    lists = [_list(e.get("instances", []), f"{where}: instances") for e, where in zip(entries, wheres)]
+    counts = list(map(len, lists))
+    recs = list(chain.from_iterable(lists))
+    owner = np.repeat(np.arange(len(entries)), counts)  # the image of each instance
+
+    for i, rec in enumerate(recs):
+        if not isinstance(rec, dict):
+            raise DataError(f"{wheres[owner[i]]}: an instance record must be an object, not {type(rec).__name__}")
+    boxes = [rec["bbox"] for rec in recs]
+    _int_rows(boxes, 4, lambda i: DataError(
+        f"{wheres[owner[i]]}: bbox {boxes[i]!r} is not [x, y, w, h] of integers with w, h > 0"),
+        valid=lambda a: (a[:, 2:] > 0).all(axis=1))
+
+    # masks: i below counts the instances that have one
+    masked = [j for j, rec in enumerate(recs) if "mask" in rec]
+    mrecs = [recs[j] for j in masked]
+    mwheres = [wheres[o] for o in owner[masked]]
+    origins = [rec.get("mask_origin") for rec in mrecs] if version > 1 else [[0, 0]] * len(mrecs)
+    xy = _int_rows(origins, 2, lambda i: DataError(
+        f"{mwheres[i]}: mask_origin {origins[i]!r} is not [x, y] of integers >= 0"), least=0)
+    masks = [rec["mask"] for rec in mrecs]
+    for i, mask in enumerate(masks):
+        if version == 3 and not isinstance(mask, dict):
+            raise DataError(f'{mwheres[i]}: a version 3 mask is an object {{"size": [h, w], "bits": ...}}, '
                             f"not {type(mask).__name__}")
-        shape, what = mask["size"], "mask"
-        if not (isinstance(shape, list) and len(shape) == 2 and all(is_number(v, int) and v >= 1 for v in shape)):
-            raise DataError(f"{where}: mask size {shape!r} is not [h, w] of integers >= 1")
-    else:
-        if not isinstance(mask, str):
-            raise DataError(f"{where}: a version {version} mask is a PGM path, not {type(mask).__name__}")
-        pixels = maskgeom.read_pgm(root / mask)
-        shape, what = pixels.shape, f"mask {mask}"
-    (x, y), (h, w) = origin, shape
-    inside = x + w <= img.width and y + h <= img.height
-    if not ((h, w) == (img.height, img.width) if version == 1 else inside):
-        raise DataError(f"{where}: {what} is {(h, w)} at {origin}, image is ({img.height}, {img.width})")
+        if version < 3 and not isinstance(mask, str):
+            raise DataError(f"{mwheres[i]}: a version {version} mask is a PGM path, not {type(mask).__name__}")
     if version == 3:
-        return _unpack(mask["bits"], h, w, where), origin
-    if version == 1:  # an image-sized mask: keep the window that v2 and v3 store
-        return _window(pixels, origin)
-    return pixels, origin
+        sizes = [mask["size"] for mask in masks]
+        hw = _int_rows(sizes, 2, lambda i: DataError(
+            f"{mwheres[i]}: mask size {sizes[i]!r} is not [h, w] of integers >= 1"), least=1)
+    else:
+        pixels = [maskgeom.read_pgm(root / mask) for mask in masks]
+        hw = np.array([p.shape for p in pixels], np.int64).reshape(-1, 2)
+    (x, y), (h, w), (H, W) = xy.T, hw.T, dims[owner[masked]].T[::-1]
+    _raise_first(((h != H) | (w != W)) if version == 1 else (x > W - w) | (y > H - h), lambda i: DataError(
+        f"{mwheres[i]}: {'mask' if version == 3 else f'mask {masks[i]}'} is {tuple(hw[i].tolist())} at "
+        f"{origins[i]}, image is ({H[i]}, {W[i]})"))
+    if version == 1:  # image-sized masks: keep the windows that v2 and v3 store
+        found = (_window(p, (0, 0)) for p in pixels)
+    else:
+        crops = _unpack([mask["bits"] for mask in masks], h, w, mwheres) if version == 3 else pixels
+        found = zip(crops, map(tuple, origins))
+    mask_of = dict(zip(masked, found))
+
+    labels = [ClassLabel.from_name(rec["class"]) for rec in recs]
+    instances = [
+        DetectionInstance(label, tuple(box), rec.get("confidence"), *mask_of.get(j, (None, (0, 0))),
+                          rec.get("calories_kcal"))
+        for j, (label, box, rec) in enumerate(zip(labels, boxes, recs))
+    ]
+    ends = np.cumsum(counts).tolist()
+    return [ImageAnnotations(e["image"], width, height, instances[end - n : end])
+            for e, (width, height), n, end in zip(entries, dims.tolist(), counts, ends)]
 
 
-def _instance(rec, version, img, where, root) -> DetectionInstance:
-    """The instance that record ``rec`` of image ``img`` describes."""
-    if not isinstance(rec, dict):
-        raise DataError(f"{where}: an instance record must be an object, not {type(rec).__name__}")
-    bbox = rec["bbox"]
-    if not (isinstance(bbox, list) and len(bbox) == 4 and all(is_number(v, int) for v in bbox)
-            and bbox[2] > 0 and bbox[3] > 0):
-        raise DataError(f"{where}: bbox {bbox!r} is not [x, y, w, h] of integers with w, h > 0")
-    mask, origin = _read_mask(rec, version, img, where, root) if "mask" in rec else (None, (0, 0))
-    return DetectionInstance(
-        label=ClassLabel.from_name(rec["class"]),
-        bbox=tuple(bbox),
-        confidence=rec.get("confidence"),
-        mask=mask,
-        origin=tuple(origin),
-        calories_kcal=rec.get("calories_kcal"),
-    )
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _unpack(bits, h, w, wheres) -> list[np.ndarray]:
+    """The h x w masks that ``write_manifest`` packed into the strings
+    ``bits``, their byte counts and pad bits checked in one pass each and
+    all of them unpacked by one ``np.unpackbits``: each mask is a view of
+    that one array."""
+    try:
+        raws = [base64.b64decode(b, validate=True) for b in bits]
+    except (TypeError, ValueError):
+        for b, where in zip(bits, wheres):
+            decode_array(b, np.uint8, f"{where}: mask bits")  # raises for the first one at fault
+        raise
+    sizes = np.fromiter(map(len, raws), np.int64, len(raws))
+    n = h * w
+    nbytes = np.where(h <= _INT64_MAX // w, (n + 7) // 8, -1)  # no mask holds 2**63 pixels
+    _raise_first(sizes != nbytes, lambda i: DataError(
+        f"{wheres[i]}: mask bits hold {sizes[i]} bytes, "
+        f"a {h[i]}x{w[i]} mask packs into {-(-int(h[i]) * int(w[i]) // 8)}"))  # Python ints: no overflow
+    packed = np.frombuffer(b"".join(raws), np.uint8)
+    ends = np.cumsum(sizes)
+    _raise_first(packed[ends - 1] & ((1 << (-n % 8)) - 1) != 0, lambda i: DataError(
+        f"{wheres[i]}: mask bits set past the last of its {n[i]} pixels"))
+    flat = np.unpackbits(packed)
+    return [flat[8 * start : 8 * start + size].reshape(rows, cols)
+            for start, size, rows, cols in zip((ends - sizes).tolist(), n.tolist(), h.tolist(), w.tolist())]
 
 
 def _list(value, what):
     if not isinstance(value, list):
         raise DataError(f"{what} must be a list, not {type(value).__name__}")
     return value
+
+
+def _raise_first_fault(entries, version, path) -> None:
+    """Raise the error of the first image or instance of ``entries``, in
+    document order, that ``_read`` rejects on its own: a ``DataError``
+    naming the image and, for an instance, its index."""
+    for entry in entries:
+        try:  # the image's own fields; an entry that is no object raises its DataError here
+            _read([{**entry, "instances": []} if isinstance(entry, dict) else entry], version, path)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: image {entry['image']}: malformed entry: {exc}") from exc
+        where = f"{path}: image {entry['image']}"
+        for i, rec in enumerate(_list(entry.get("instances", []), f"{where}: instances")):
+            try:
+                _read([{**entry, "instances": [rec]}], version, path)
+            except DataError as exc:
+                raise DataError(f"{exc} (instance {i})") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{where}: malformed entry: {exc} (instance {i})") from exc
 
 
 def read_manifest(path) -> list[ImageAnnotations]:
@@ -164,25 +263,9 @@ def read_manifest(path) -> list[ImageAnnotations]:
     version = payload.get("version")
     if not (is_number(version, int) and version in (1, 2, MANIFEST_VERSION)):
         raise DataError(f"{path}: unsupported manifest version {version!r}")
-    images = []
-    for entry in _list(payload.get("images", []), f"{path}: images"):
-        if not isinstance(entry, dict) or not isinstance(entry.get("image"), str):
-            raise DataError(f'{path}: an image entry is not an object with a string "image" name')
-        where = f"{path}: image {entry['image']}"
-        try:
-            img = ImageAnnotations(name=entry["image"], width=entry["width"], height=entry["height"])
-            if not (is_number(img.width, int) and is_number(img.height, int)):
-                raise DataError(f"{where}: width and height must be integers, got {img.width!r}, {img.height!r}")
-            if img.width < 1 or img.height < 1:
-                raise DataError(f"{where}: width and height must be >= 1, got {img.width}, {img.height}")
-            for i, rec in enumerate(_list(entry.get("instances", []), f"{where}: instances")):
-                try:
-                    img.instances.append(_instance(rec, version, img, where, path.parent))
-                except DataError as exc:
-                    raise DataError(f"{exc} (instance {i})") from exc
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise DataError(f"{where}: malformed entry: {exc} (instance {i})") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{where}: malformed entry: {exc}") from exc
-        images.append(img)
-    return images
+    entries = _list(payload.get("images", []), f"{path}: images")
+    try:
+        return _read(entries, version, path)
+    except (DataError, OSError, KeyError, TypeError, ValueError):
+        _raise_first_fault(entries, version, path)
+        raise

@@ -14,6 +14,7 @@ as the manifest reader gives it, or a whole frame at (0, 0).
 """
 
 import math
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -253,7 +254,9 @@ def _class_sweeps(preds_by_image, gts_by_image, kind, conf_threshold, thresholds
     """Pooled confidence-ordered TP flags per class across all images, one
     list per threshold, and the class's ground-truth count.
 
-    Each image is matched once per threshold from one set of pair IoUs. A
+    Each image is matched from one set of pair IoUs, once per distinct set
+    of pairs at or above a threshold: the greedy outcome depends on nothing
+    else, so thresholds that pass the same pairs share one match. A
     prediction only claims ground truth of its own class, so matching all
     classes of an image together gives each class the flags it would get
     alone."""
@@ -265,7 +268,14 @@ def _class_sweeps(preds_by_image, gts_by_image, kind, conf_threshold, thresholds
         num_gt.update(g.label for g in gts)
         order = _confidence_order(preds)
         candidates = _match_candidates(preds, gts, kind)
-        tps = [_greedy_match(order, candidates, len(gts), thr)[0] for thr in thresholds]
+        ious = sorted({iou for cands in candidates for iou, _ in cands})
+        by_passing = {}  # count of distinct IoUs >= threshold -> TP flags
+        tps = []
+        for thr in thresholds:
+            passing = len(ious) - bisect_left(ious, thr)
+            if passing not in by_passing:
+                by_passing[passing] = _greedy_match(order, candidates, len(gts), thr)[0]
+            tps.append(by_passing[passing])
         for rank, i in enumerate(order):
             pooled[preds[i].label].append((-(preds[i].confidence or 0.0), img, i, [tp[rank] for tp in tps]))
     sweeps = {}

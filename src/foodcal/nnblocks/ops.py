@@ -127,9 +127,13 @@ def conv_out_hw(h: int, w: int, p: ConvParams) -> tuple[int, int]:
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """``x`` with ``padding`` zero rows and columns on each side."""
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    return xp
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +226,10 @@ def coordconv_bwd(cache, gy):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no exp
+    overflows; both branches from one e^-|x|, with no masked indexing."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_bwd(y: np.ndarray, gy: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ the bytes of the packed arrays, so a reloaded model predicts bit-identically.
 """
 
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,6 @@ from foodcal.errors import (
     ZeroTotalWeight,
     decode_array,
     encode_array,
-    is_number,
     number_array,
 )
 from foodcal.preprocess import RegressionDataset
@@ -61,10 +61,13 @@ def check_hyperparameters(**params) -> None:
         kind, least, closed = HYPERPARAMETER_RANGES[name]
         if isinstance(value, numbers.Real) and not isinstance(value, bool):  # NumPy scalars as Python numbers
             value = int(value) if isinstance(value, numbers.Integral) else float(value)
-        in_range = is_number(value, (int, kind)) and (value >= least if closed else value > least)
-        if not (in_range or (name == "max_depth" and value is None)):
-            what = ("None or " if name == "max_depth" else "") + ("an int" if kind is int else "a finite number")
-            raise ValueError(f"hyperparameter {name} must be {what} {'>=' if closed else '>'} {least}, got {value!r}")
+        if name == "max_depth" and value is None:
+            continue
+        with suppress(DataError):
+            if number_array(value, name, kind if kind is int else (int, float), ndim=0, least=least) > least or closed:
+                continue
+        what = ("None or " if name == "max_depth" else "") + ("an int" if kind is int else "a finite number")
+        raise ValueError(f"hyperparameter {name} must be {what} {'>=' if closed else '>'} {least}, got {value!r}")
 
 
 MODEL_FORMAT = "foodcal-regressor"

@@ -634,12 +634,13 @@ def test_bad_config_file_exits_2(tmp_path, capsys, content):
         ("train", {"zscore_threshold": None}, "zscore_threshold must be a number, got None"),
         ("train", {"zscore_threshold": 10**400}, "zscore_threshold overflows a float"),
         ("train", {"seed": [1]}, "seed must be an integer, got [1]"),
+        ("train", {"seed": 2**63}, f"seed overflows int64: {2**63}"),
         ("gen", {"seed": 3, "boundry_noise": 0.2}, "unknown key 'boundry_noise'"),
         ("train", {"zscore_treshold": 3.0}, "unknown key 'zscore_treshold'"),
     ],
     ids=["str-int", "float-int", "zero-records", "zero-items", "negative-views", "negative-width",
          "negative-seed", "bool-int", "str-float", "weight-noise-1", "boundary-noise-1.5", "null-float",
-         "huge-float", "list-int", "misspelt-gen-key", "misspelt-train-key"],
+         "huge-float", "list-int", "past-int64", "misspelt-gen-key", "misspelt-train-key"],
 )
 def test_bad_config_value_exits_2(gen_dir, tmp_path, capsys, command, config, message):
     cfg = tmp_path / "cfg.json"
@@ -673,9 +674,12 @@ def test_one_config_serves_gen_and_train(tmp_path):
         (["gen", "--boundary-noise", "1", "--out", "o"], "--boundary-noise must be in [0.0, 1.0), got 1.0"),
         (["gen", "--boundary-noise", "-0.1", "--out", "o"], "--boundary-noise must be in [0.0, 1.0), got -0.1"),
         (["gradcheck", "--block", "conv", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+        # a bundle's split seed is read back as an int64
+        (["train", "--data", "d.csv", "--model", "lr", "--seed", str(2**63), "--out", "o"],
+         f"--seed overflows int64: {2**63}"),
     ],
     ids=["records", "seed", "height", "weight-noise", "boundary-noise-1", "boundary-noise-negative",
-         "gradcheck-seeds"],
+         "gradcheck-seeds", "train-seed-past-int64"],
 )
 def test_out_of_range_flag_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

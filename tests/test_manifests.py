@@ -8,6 +8,8 @@ a v1 manifest of full-size PGMs read to the same crops, and a v3 manifest
 written again is the same bytes.
 """
 
+import base64
+import contextlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -275,3 +277,252 @@ def test_an_instance_error_names_the_instance(tmp_path, record, message):
     with pytest.raises(DataError) as err:
         manifests.read_manifest(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# the whole-manifest reader against the per-instance oracle
+
+
+@st.composite
+def annotated_images(draw):
+    """0..3 images of 1..10 px sides with 0..4 instances each: any class,
+    bbox, confidence and calorie label, and a mask crop at an origin inside
+    the image, or no mask."""
+    images = []
+    for i in range(draw(st.integers(0, 3))):
+        h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+        insts = []
+        for _ in range(draw(st.integers(0, 4))):
+            mask, origin = None, (0, 0)
+            if draw(st.integers(0, 3)):  # most instances have a mask
+                mh, mw = draw(st.integers(1, h)), draw(st.integers(1, w))
+                mask = draw(arrays(np.uint8, (mh, mw), elements=st.sampled_from([0, 1])))
+                origin = (draw(st.integers(0, w - mw)), draw(st.integers(0, h - mh)))
+            insts.append(DetectionInstance(
+                draw(st.sampled_from(list(ClassLabel))),
+                tuple(draw(st.integers(-5, 20)) for _ in range(2)) + tuple(draw(st.integers(1, 9)) for _ in range(2)),
+                draw(st.none() | st.floats(0.0, 1.0)), mask, origin,
+                draw(st.none() | st.floats(0.0, 500.0) | st.integers(0, 500))))
+        images.append(manifests.ImageAnnotations(f"img_{i}", w, h, insts))
+    return images
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _set(d, key, value):
+    return {**d, key: value}
+
+
+def _at(values, i, value):
+    return values[:i] + [value] + values[i + 1 :]
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode()
+
+
+# one fault each, applied to a valid image entry or instance record
+IMAGE_FAULTS = {
+    "entry-number": lambda e: 5, "entry-list": lambda e: [], "entry-null": lambda e: None,
+    "name-number": lambda e: _set(e, "image", 3), "name-missing": lambda e: _without(e, "image"),
+    "width-missing": lambda e: _without(e, "width"), "height-missing": lambda e: _without(e, "height"),
+    "width-float": lambda e: _set(e, "width", 1.5), "width-bool": lambda e: _set(e, "width", True),
+    "height-string": lambda e: _set(e, "height", "3"), "height-null": lambda e: _set(e, "height", None),
+    "width-past-int64": lambda e: _set(e, "width", 2**63), "width-zero": lambda e: _set(e, "width", 0),
+    "height-negative": lambda e: _set(e, "height", -1), "instances-object": lambda e: _set(e, "instances", {}),
+}
+
+# (the versions a fault applies to, whether it needs a mask, the fault of a
+# record of image entry e)
+INSTANCE_FAULTS = {
+    "record-number": ((1, 2, 3), False, lambda r, e: 5), "record-list": ((1, 2, 3), False, lambda r, e: [1, 2]),
+    "bbox-missing": ((1, 2, 3), False, lambda r, e: _without(r, "bbox")),
+    "bbox-short": ((1, 2, 3), False, lambda r, e: _set(r, "bbox", r["bbox"][:3])),
+    "bbox-long": ((1, 2, 3), False, lambda r, e: _set(r, "bbox", r["bbox"] + [1])),
+    "bbox-string": ((1, 2, 3), False, lambda r, e: _set(r, "bbox", "1,1,2,2")),
+    "bbox-float": ((1, 2, 3), False, lambda r, e: _set(r, "bbox", _at(r["bbox"], 0, 1.0))),
+    "bbox-bool": ((1, 2, 3), False, lambda r, e: _set(r, "bbox", _at(r["bbox"], 1, True))),
+    "bbox-null": ((1, 2, 3), False, lambda r, e: _set(r, "bbox", _at(r["bbox"], 1, None))),
+    "bbox-past-int64": ((1, 2, 3), False, lambda r, e: _set(r, "bbox", _at(r["bbox"], 0, -(2**63) - 1))),
+    "bbox-zero-width": ((1, 2, 3), False, lambda r, e: _set(r, "bbox", _at(r["bbox"], 2, 0))),
+    "bbox-negative-height": ((1, 2, 3), False, lambda r, e: _set(r, "bbox", _at(r["bbox"], 3, -2))),
+    "class-missing": ((1, 2, 3), False, lambda r, e: _without(r, "class")),
+    "class-unknown": ((1, 2, 3), False, lambda r, e: _set(r, "class", "Pizza")),
+    "class-list": ((1, 2, 3), False, lambda r, e: _set(r, "class", ["Puri"])),
+    "confidence-above-1": ((1, 2, 3), False, lambda r, e: _set(r, "confidence", 1.5)),
+    "confidence-bool": ((1, 2, 3), False, lambda r, e: _set(r, "confidence", True)),
+    "calories-string": ((1, 2, 3), False, lambda r, e: _set(r, "calories_kcal", "12")),
+    "mask-number": ((1, 2, 3), True, lambda r, e: _set(r, "mask", 5)),
+    "mask-null": ((1, 2, 3), True, lambda r, e: _set(r, "mask", None)),
+    "mask-path-in-v3": ((3,), True, lambda r, e: _set(r, "mask", "masks/a.pgm")),
+    "mask-object-in-v1-v2": ((1, 2), True, lambda r, e: _set(r, "mask", {"size": [1, 1], "bits": "gA=="})),
+    "pgm-missing": ((1, 2), True, lambda r, e: _set(r, "mask", "masks/missing.pgm")),
+    "origin-missing": ((2, 3), True, lambda r, e: _without(r, "mask_origin")),
+    "origin-negative": ((2, 3), True, lambda r, e: _set(r, "mask_origin", [-1, 0])),
+    "origin-float": ((2, 3), True, lambda r, e: _set(r, "mask_origin", [0, 0.5])),
+    "origin-short": ((2, 3), True, lambda r, e: _set(r, "mask_origin", [0])),
+    "origin-past-int64": ((2, 3), True, lambda r, e: _set(r, "mask_origin", [2**63, 0])),
+    "origin-outside": ((2, 3), True, lambda r, e: _set(r, "mask_origin", [10, 10])),
+    "origin-one-past-the-right": ((3,), True, lambda r, e: _set(r, "mask_origin", [
+        e["width"] - r["mask"]["size"][1] + 1, 0])),
+    "origin-one-past-the-bottom": ((3,), True, lambda r, e: _set(r, "mask_origin", [
+        0, e["height"] - r["mask"]["size"][0] + 1])),
+    "size-missing": ((3,), True, lambda r, e: _set(r, "mask", _without(r["mask"], "size"))),
+    "size-zero": ((3,), True, lambda r, e: _set(r, "mask", _set(r["mask"], "size", [0, 1]))),
+    "size-string": ((3,), True, lambda r, e: _set(r, "mask", _set(r["mask"], "size", "1x1"))),
+    "size-bool": ((3,), True, lambda r, e: _set(r, "mask", _set(r["mask"], "size", [1, True]))),
+    "size-past-int64": ((3,), True, lambda r, e: _set(r, "mask", _set(r["mask"], "size", [2**64, 1]))),
+    "size-outside": ((3,), True, lambda r, e: _set(r, "mask", _set(r["mask"], "size", [11, 1]))),
+    "bits-missing": ((3,), True, lambda r, e: _set(r, "mask", _without(r["mask"], "bits"))),
+    "bits-number": ((3,), True, lambda r, e: _set(r, "mask", _set(r["mask"], "bits", 5))),
+    "bits-bad-character": ((3,), True, lambda r, e: _set(r, "mask", _set(r["mask"], "bits",
+                                                                           "!" + r["mask"]["bits"][1:]))),
+    "bits-not-ascii": ((3,), True, lambda r, e: _set(r, "mask", _set(r["mask"], "bits", "é" + r["mask"]["bits"][1:]))),
+    "bits-cut-padding": ((3,), True, lambda r, e: _set(r, "mask", _set(r["mask"], "bits", r["mask"]["bits"] + "A"))),
+    "bytes-too-few": ((3,), True, lambda r, e: _set(r, "mask", _set(r["mask"], "bits", _b64(
+        base64.b64decode(r["mask"]["bits"])[:-1])))),
+    "bytes-too-many": ((3,), True, lambda r, e: _set(r, "mask", _set(r["mask"], "bits", _b64(
+        base64.b64decode(r["mask"]["bits"]) + b"\0")))),
+    "pad-bit-set": ((3,), True, lambda r, e: {**r, "mask_origin": [0, 0], "mask": {"size": [3, 3], "bits": _b64(
+        b"\xff\xff")}}),
+}
+
+
+def _instance_faults(version, rec):
+    return [name for name, (versions, needs_mask, _) in INSTANCE_FAULTS.items()
+            if version in versions and (not needs_mask or "mask" in rec)]
+
+
+def _outcome(read, path):
+    """What ``read`` gives for ``path``: its images, or the type and text of
+    what it raised."""
+    try:
+        images = read(path)
+    except Exception as exc:  # whatever the oracle raises is the expectation
+        return type(exc), str(exc)
+    return [(img.name, img.width, img.height, [
+        (i.label, i.bbox, [type(v) for v in i.bbox], i.confidence, i.origin, [type(v) for v in i.origin],
+         i.calories_kcal, None if i.mask is None else (i.mask.dtype, i.mask.shape, i.mask.tobytes()))
+        for i in img.instances]) for img in images]
+
+
+def _write_version(root, images, version) -> Path:
+    path = root / "annotations.json"
+    if version == 3:
+        return manifests.write_manifest(path, images)
+    return write_pgm_manifest(path, images, version)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(annotated_images(), st.sampled_from([1, 2, 3]), st.integers(0, 3), st.data())
+def test_reader_matches_the_per_instance_oracle(tmp_path_factory, images, version, faults, data):
+    """The same images and instances on a valid manifest; on one with up to
+    three faults, the error of the first in document order, as the oracle
+    raises it, with the same message."""
+    from manifest_oracle import read_manifest as oracle
+
+    root = tmp_path_factory.mktemp("reader")
+    path = _write_version(root, images, version)
+    doc = json.loads(path.read_text())
+    entries = doc["images"]
+    # each fault goes to a record that no fault has touched yet
+    records = [(entry, j) for entry in entries for j in range(len(entry["instances"]))]
+    fresh = list(range(len(entries)))
+    for _ in range(faults):
+        if records and data.draw(st.sampled_from(["instance"] * 4 + ["image"])) == "instance":
+            entry, j = records.pop(data.draw(st.integers(0, len(records) - 1)))
+            rec = entry["instances"][j]
+            entry["instances"][j] = INSTANCE_FAULTS[data.draw(st.sampled_from(_instance_faults(version, rec)))][2](
+                rec, entry)
+        elif fresh:
+            i = fresh.pop(data.draw(st.integers(0, len(fresh) - 1)))
+            records = [(entry, j) for entry, j in records if entry is not entries[i]]
+            entries[i] = IMAGE_FAULTS[data.draw(st.sampled_from(list(IMAGE_FAULTS)))](entries[i])
+    path.write_text(json.dumps(doc))
+    expected = _outcome(oracle, path)
+    assert _outcome(manifests.read_manifest, path) == expected
+    if faults == 0:
+        assert isinstance(expected, list)
+
+
+def _two_images():
+    block = np.ones((2, 3), np.uint8)  # 6 pixels: a packed mask with pad bits
+
+    def instances():
+        return [DetectionInstance(ClassLabel.COIN, (0, 0, 3, 2), None, block),
+                DetectionInstance(ClassLabel.PURI, (4, 4, 3, 2), 0.5, block, origin=(4, 4), calories_kcal=40.0),
+                DetectionInstance(ClassLabel.BEGUNI, (1, 5, 2, 2), 0.25, block, origin=(1, 5))]
+
+    return [manifests.ImageAnnotations("a", 8, 8, instances()), manifests.ImageAnnotations("b", 9, 8, instances())]
+
+
+FAULT_CASES = [(version, "image", name) for version in (1, 2, 3) for name in IMAGE_FAULTS] + [
+    (version, "instance", name) for version in (1, 2, 3) for name in _instance_faults(version, {"mask": None})]
+
+
+@pytest.mark.parametrize("version, level, fault", FAULT_CASES, ids=[f"v{v}-{name}" for v, _, name in FAULT_CASES])
+def test_each_fault_gives_the_oracle_error(tmp_path, version, level, fault):
+    """One fault in the second image, in its middle instance for an
+    instance fault: an error, the oracle's."""
+    from manifest_oracle import read_manifest as oracle
+
+    path = _write_version(tmp_path, _two_images(), version)
+    doc = json.loads(path.read_text())
+    entry = doc["images"][1]
+    if level == "image":
+        doc["images"][1] = IMAGE_FAULTS[fault](entry)
+    else:
+        entry["instances"][1] = INSTANCE_FAULTS[fault][2](entry["instances"][1], entry)
+    path.write_text(json.dumps(doc))
+    expected = _outcome(oracle, path)
+    assert not isinstance(expected, list)
+    assert _outcome(manifests.read_manifest, path) == expected
+
+
+FAULT_PAIRS = [("bbox-zero-width", "class-missing"), ("class-unknown", "bits-number"), ("size-zero", "origin-negative"),
+               ("origin-outside", "bytes-too-few"), ("confidence-above-1", "class-unknown"),
+               ("bits-missing", "size-string"), ("mask-number", "bbox-bool"), ("bbox-missing", "origin-float")]
+
+
+@pytest.mark.parametrize("first, second", FAULT_PAIRS + [pair[::-1] for pair in FAULT_PAIRS])
+def test_two_faults_of_one_instance_give_the_oracle_error(tmp_path, first, second):
+    # the reader's passes check one instance in the oracle's order
+    from manifest_oracle import read_manifest as oracle
+
+    path = _write_version(tmp_path, _two_images(), 3)
+    doc = json.loads(path.read_text())
+    entry = doc["images"][1]
+    entry["instances"][2] = INSTANCE_FAULTS[second][2](INSTANCE_FAULTS[first][2](entry["instances"][2], entry), entry)
+    path.write_text(json.dumps(doc))
+    expected = _outcome(oracle, path)
+    assert not isinstance(expected, list)
+    assert _outcome(manifests.read_manifest, path) == expected
+
+
+def test_a_mask_of_2_to_the_64_pixels_is_a_byte_count_error(tmp_path):
+    # h * w wraps to 0 in int64, and no bits is 0 bytes
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps({"format": "foodcal-annotations", "version": 3, "images": [
+        {"image": "a", "width": 2**40, "height": 2**40, "instances": [
+            {**PURI, "mask": {"size": [2**32, 2**32], "bits": ""}, "mask_origin": [0, 0]}]}]}))
+    with pytest.raises(DataError) as err:
+        manifests.read_manifest(path)
+    assert str(err.value) == (f"{path}: image a: mask bits hold 0 bytes, a {2**32}x{2**32} mask packs into {2**61} "
+                              "(instance 0)")
+
+
+def test_reader_masks_are_views_of_one_unpacked_array(gen_v3):
+    images = manifests.read_manifest(gen_v3 / "v3" / "annotations.json")
+    masks = [inst.mask for img in images for inst in img.instances if inst.mask is not None]
+    assert len(masks) > 10 and len({id(m.base) for m in masks}) == 1
+    assert all(m.flags.c_contiguous for m in masks)
+
+
+def test_faults_of_two_instances_name_the_first_in_document_order(tmp_path):
+    # the later instance's fault is found by an earlier pass over the manifest
+    path = _manifest_with(tmp_path, [PURI, {**PURI, "class": "Pizza"}, {**PURI, "bbox": [1, 1, 0, 2]}])
+    with pytest.raises(DataError) as err:
+        manifests.read_manifest(path)
+    assert str(err.value) == f"{path}: image a: malformed entry: unknown class name 'Pizza' (instance 1)"

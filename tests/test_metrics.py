@@ -409,6 +409,70 @@ def test_map_summary_computes_each_pair_iou_once(monkeypatch, kind, kernel):
     assert len(calls) == pairs
 
 
+def per_threshold_sweeps(preds_by_image, gts_by_image, kind, conf_threshold, thresholds):
+    """``metrics._class_sweeps`` as it was: every image matched once at
+    every threshold."""
+    pooled, num_gt = {}, {}
+    for img, (preds, gts) in enumerate(zip(preds_by_image, gts_by_image)):
+        if conf_threshold is not None:
+            preds = [p for p in preds if (p.confidence or 0.0) >= conf_threshold]
+        for g in gts:
+            num_gt[g.label] = num_gt.get(g.label, 0) + 1
+        order = metrics._confidence_order(preds)
+        candidates = metrics._match_candidates(preds, gts, kind)
+        tps = [metrics._greedy_match(order, candidates, len(gts), thr)[0] for thr in thresholds]
+        for rank, i in enumerate(order):
+            pooled.setdefault(preds[i].label, []).append(
+                (-(preds[i].confidence or 0.0), img, i, [tp[rank] for tp in tps]))
+    return {label: ([[e[3][t] for e in sorted(pooled.get(label, []))] for t in range(len(thresholds))],
+                    num_gt.get(label, 0)) for label in pooled.keys() | num_gt.keys()}
+
+
+LABELS = (ClassLabel.PURI, ClassLabel.BEGUNI)
+
+
+@st.composite
+def straddling_scenes(draw):
+    """Images whose box IoUs fall on the COCO thresholds and between them:
+    a prediction (x, y, 20, h) on a ground truth (x, y, 20, 20) has IoU
+    h / 20 exactly, and a shifted one an IoU in between."""
+    preds_by_image, gts_by_image = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        spots = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=0, max_size=4, unique=True))
+        gts = [det(draw(st.sampled_from(LABELS)), (30 * x, 30 * y, 20, 20)) for x, y in spots]
+        preds = []
+        for _ in range(draw(st.integers(0, 6))):
+            x, y = (30 * v for v in draw(st.sampled_from(spots))) if spots else (0, 0)
+            dx = draw(st.sampled_from([0, 0, 0, 1, 2, 3, 5]))
+            preds.append(det(draw(st.sampled_from(LABELS)), (x + dx, y, 20, draw(st.integers(8, 20))),
+                             draw(st.sampled_from([0.3, 0.5, 0.5, 0.9]))))
+        preds_by_image.append(preds)
+        gts_by_image.append(gts)
+    return preds_by_image, gts_by_image
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(straddling_scenes(), st.sampled_from([None, 0.5]))
+def test_sweeps_equal_matching_at_every_threshold(scene, conf_threshold):
+    preds, gts = scene
+    expected = per_threshold_sweeps(preds, gts, "box", conf_threshold, metrics.COCO_THRESHOLDS)
+    assert metrics._class_sweeps(preds, gts, "box", conf_threshold, metrics.COCO_THRESHOLDS) == expected
+
+
+def test_sweeps_match_an_image_once_per_distinct_set_of_passing_pairs(monkeypatch):
+    calls = []
+    greedy = metrics._greedy_match
+    monkeypatch.setattr(metrics, "_greedy_match", lambda *args: calls.append(args[3]) or greedy(*args))
+    gt = [det(ClassLabel.PURI, (0, 0, 20, 20)), det(ClassLabel.PURI, (40, 0, 20, 20))]
+    # IoUs 1.0 and 0.6: thresholds 0.5..0.6 pass both, 0.65..0.95 only the first, and 1.0 passes at every one
+    metrics._class_sweeps([gt], [gt], "box", None, metrics.COCO_THRESHOLDS)
+    assert calls == [0.5]
+    pred = [det(ClassLabel.PURI, (0, 0, 20, 20), 0.9), det(ClassLabel.PURI, (40, 0, 20, 12), 0.8)]
+    calls.clear()
+    metrics._class_sweeps([pred], [gt], "box", None, metrics.COCO_THRESHOLDS)
+    assert calls == [0.5, 0.65]
+
+
 @pytest.mark.parametrize("kind", ["bogus", "Mask"])
 def test_unknown_iou_kind_is_rejected_up_front(kind):
     gts = [[det(ClassLabel.PURI, (0, 0, 4, 4))]]

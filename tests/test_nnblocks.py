@@ -509,6 +509,43 @@ def test_relu_gradient_exact_in_linear_region():
 
 
 # ---------------------------------------------------------------------------
+# elementwise ops against the formulas they replaced
+
+
+def two_branch_sigmoid(x):
+    """The sigmoid that ``ops.sigmoid`` replaced: each branch computed on
+    its own elements through a boolean mask."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SIGMOID_SPECIALS = [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0, 1.7e308, -1.7e308,
+                    np.finfo(np.float64).tiny, -np.finfo(np.float64).tiny, 5e-324, -5e-324]
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 10.0, 36.0, 300.0])
+def test_sigmoid_has_the_bits_of_the_two_branch_formula(scale):
+    x = np.random.default_rng(int(scale * 1000)).normal(scale=scale, size=(4, 3, 50, 50))
+    x.flat[: len(SIGMOID_SPECIALS)] = SIGMOID_SPECIALS
+    assert ops.sigmoid(x).tobytes() == two_branch_sigmoid(x).tobytes()
+    assert ops.sigmoid(x).shape == x.shape and ops.sigmoid(x).dtype == np.float64
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2, 3])
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 5, 7), (6, 4, 3, 2)], ids=["pixel", "batch", "stacked"])
+def test_pad_equals_np_pad(padding, shape):
+    x = np.random.default_rng(padding).normal(size=shape)
+    padded = ops._pad(x, padding)
+    expected = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    assert padded.dtype == expected.dtype and padded.tobytes() == expected.tobytes()
+    assert padded.shape == expected.shape
+
+
+# ---------------------------------------------------------------------------
 # flops
 
 

@@ -495,7 +495,7 @@ OUT_OF_RANGE = [
     ("rforest", "n_trees", 0), ("rforest", "n_trees", False), ("rforest", "min_samples_leaf", -3),
     ("gboost", "n_rounds", -1), ("gboost", "learning_rate", 0.0), ("gboost", "learning_rate", float("nan")),
     ("gboost", "learning_rate", True), ("gboost", "learning_rate", 10**400), ("adaboost", "max_rounds", 0),
-    ("adaboost", "max_depth", "3"),
+    ("adaboost", "max_depth", "3"), ("rforest", "n_trees", 2**63), ("linear", "ridge", 2**64),
 ]
 
 
