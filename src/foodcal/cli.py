@@ -379,12 +379,7 @@ def cmd_detmetrics(args, parser):
 # parser
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="foodcal", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action="version", version=f"foodcal {foodcal.__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("gen", help="generate synthetic scenes and a regression dataset")
+def _gen_options(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--records", type=int, default=None)
     p.add_argument("--out", default=None)
@@ -392,53 +387,82 @@ def build_parser() -> _Parser:
     scene = synth.SceneConfig()
     for key in SCENE_OPTIONS:
         p.add_argument(f"--{key.replace('_', '-')}", type=type(getattr(scene, key)), default=None)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("extract", help="extract mm-scaled features from an annotation manifest")
+
+def _extract_options(p):
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="train a regression model on a features CSV")
+
+def _train_options(p):
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=sorted(MODEL_NAMES), required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a model bundle on a features CSV")
+
+def _eval_options(p):
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "valid", "test", "all"), default="test")
     p.add_argument("--seed", type=int, default=None, help="override the stored split seed")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("pipeline", help="end-to-end kcal estimates for a scene manifest")
+
+def _pipeline_options(p):
     p.add_argument("--annotations", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of analytic gradients")
+
+def _gradcheck_options(p):
     p.add_argument("--block", choices=BLOCK_NAMES, required=True)
     p.add_argument("--seeds", type=int, default=10)
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("detmetrics", help="detection metrics from manifests")
+
+def _detmetrics_options(p):
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--conf-threshold", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_detmetrics)
+
+
+# name -> (help, options, handler), in the order the usage line lists them
+COMMANDS = {
+    "gen": ("generate synthetic scenes and a regression dataset", _gen_options, cmd_gen),
+    "extract": ("extract mm-scaled features from an annotation manifest", _extract_options, cmd_extract),
+    "train": ("train a regression model on a features CSV", _train_options, cmd_train),
+    "eval": ("evaluate a model bundle on a features CSV", _eval_options, cmd_eval),
+    "pipeline": ("end-to-end kcal estimates for a scene manifest", _pipeline_options, cmd_pipeline),
+    "gradcheck": ("finite-difference check of analytic gradients", _gradcheck_options, cmd_gradcheck),
+    "detmetrics": ("detection metrics from manifests", _detmetrics_options, cmd_detmetrics),
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The parser of every command, or with ``command`` one that parses that
+    command alone. Its usage line still names every command, as
+    ``parser.error`` prints it."""
+    parser = _Parser(prog="foodcal", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--version", action="version", version=f"foodcal {foodcal.__version__}")
+    # the metavar would also name the argument in an invalid-choice error,
+    # which only the full parser can raise
+    every = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, **every)
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_options, func = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # the full parser only for the top level's own help, version and errors
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     args.argv, args.t0 = argv, time.perf_counter()  # recorded in run_manifest.json
     try:

@@ -6,17 +6,23 @@ boxes and masks, greedy confidence-ordered matching, average precision with
 0.50:0.05:0.95 threshold sweep. Precision/recall headline numbers use all
 predictions at IoU 0.5 (no confidence cutoff) unless one is supplied.
 
-As in COCO's reference evaluator, the sweep computes the IoU of each
-same-class (prediction, ground truth) pair of an image once and matches at
-every threshold from it. Mask IoU counts the intersection on the overlap of
-the two masks' windows only: each mask is the crop at its instance's origin,
-as the manifest reader gives it, or a whole frame at (0, 0).
+Detection is scored in array passes, as COCO's reference evaluator
+accumulates one precision array over every class and threshold. Every
+same-class (prediction, ground truth) pair of every image is found with one
+sort and its IoU computed once: all box pairs in one vectorised pass, each
+mask pair on the overlap of the two masks' windows (each mask is the crop at
+its instance's origin, as the manifest reader gives it, or a whole frame at
+(0, 0)). Each image is matched greedily once per distinct set of pairs that
+pass a threshold; the TP flags of all images form one (threshold,
+prediction) array, which one stable sort pools by class and confidence.
+The AP of every (class, threshold) row is one 2-D pass: a cumulative sum,
+the right-to-left precision envelope and a lookup of the 101-point recall
+grid in all rows at once. ``average_precision`` is its one-row case.
 """
 
 import math
-from bisect import bisect_left
-from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +36,8 @@ from foodcal.measurement import ClassLabel, DetectionInstance
 
 COCO_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 _RECALL_GRID = np.linspace(0.0, 1.0, 101)
+# keyed by value: an enum member hashes in Python, its value string in C
+_LABEL_CODE = {label.value: code for code, label in enumerate(ClassLabel)}
 
 
 # ---------------------------------------------------------------------------
@@ -74,52 +82,70 @@ def box_iou(a, b) -> float:
     return inter / union if union > 0 else 0.0
 
 
+def _box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``box_iou`` of each row of two (n, 4) float arrays of boxes, by the
+    same float operations in the same order."""
+    ax, ay, aw, ah = a.T
+    bx, by, bw, bh = b.T
+    ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+    iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+
+
 def mask_iou(a, b) -> float:
     """Intersection over union of two equal-shape 2-D masks (non-zero is
     foreground); 0 when the union is empty."""
-    a, b = _MaskWindow.of((0, 0), a), _MaskWindow.of((0, 0), b)
-    if a.crop.shape != b.crop.shape:
-        raise ShapeMismatch(f"mask dimensions differ: {a.crop.shape} vs {b.crop.shape}")
-    return _window_iou(a, b)
+    a, b = _crop(a), _crop(b)
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"mask dimensions differ: {a.shape} vs {b.shape}")
+    return float(_mask_ious([((0, 0), a)], [((0, 0), b)], [0], [0])[0])
 
 
-@dataclass(frozen=True)
-class _MaskWindow:
-    """A mask as a boolean crop with its top-left corner in the frame and
-    its pixel count. The crop need not be tight: the IoU is exact for any
-    window that holds all of a mask's foreground."""
-
-    top: int
-    left: int
-    crop: np.ndarray
-    area: int
-
-    @classmethod
-    def of(cls, origin, mask) -> "_MaskWindow":
-        m = np.asarray(mask)
-        if m.ndim != 2:
-            raise ShapeMismatch(f"a mask must be 2-D, got shape {m.shape}")
-        crop = m != 0
-        return cls(origin[1], origin[0], crop, int(np.count_nonzero(crop)))
+def _crop(mask) -> np.ndarray:
+    m = np.asarray(mask)
+    if m.ndim != 2:
+        raise ShapeMismatch(f"a mask must be 2-D, got shape {m.shape}")
+    return m
 
 
-def _window_iou(a: _MaskWindow, b: _MaskWindow) -> float:
-    """Mask IoU with the intersection counted on the overlap of the two
-    windows only; union = |A| + |B| - |A n B|, the same integers as a
-    full-frame count."""
-    top, left = max(a.top, b.top), max(a.left, b.left)
-    bottom = min(a.top + a.crop.shape[0], b.top + b.crop.shape[0])
-    right = min(a.left + a.crop.shape[1], b.left + b.crop.shape[1])
-    inter = 0
-    if top < bottom and left < right:
-        inter = int(
-            np.count_nonzero(
-                a.crop[top - a.top : bottom - a.top, left - a.left : right - a.left]
-                & b.crop[top - b.top : bottom - b.top, left - b.left : right - b.left]
-            )
-        )
-    union = a.area + b.area - inter
-    return inter / union if union > 0 else 0.0
+def _crops(masks) -> tuple[list[np.ndarray], np.ndarray]:
+    """The crops of (origin (x, y), mask) pairs, and the (top, left,
+    bottom, right) of each one in the frame."""
+    crops = [_crop(m) for _, m in masks]
+    box = np.array([(y, x, y + c.shape[0], x + c.shape[1]) for ((x, y), _), c in zip(masks, crops)], np.int64)
+    return crops, box.reshape(-1, 4)
+
+
+def _mask_ious(a, b, pair_a, pair_b) -> np.ndarray:
+    """IoU of the masks of each pair (a[pair_a[k]], b[pair_b[k]]), a mask
+    being an (origin (x, y), crop) whose crop holds all of its foreground,
+    the non-zero pixels. The intersection is counted on the overlap of the
+    two crops only, and union = |A| + |B| - |A n B|: the same integers as a
+    full-frame count. Crops that overlap no crop they are paired with are
+    not counted: such a pair has IoU 0 whatever the areas."""
+    (a_crops, a_box), (b_crops, b_box) = _crops(a), _crops(b)
+    pair_a, pair_b = np.asarray(pair_a, dtype=np.int64), np.asarray(pair_b, dtype=np.int64)
+    lo = np.maximum(a_box[pair_a, :2], b_box[pair_b, :2])
+    hi = np.minimum(a_box[pair_a, 2:], b_box[pair_b, 2:])
+    hit = np.flatnonzero((lo < hi).all(axis=1))
+    # the overlap as (top, left, bottom, right) within each crop
+    in_a, in_b = (np.hstack([lo - box[:, :2], hi - box[:, :2]])[hit].tolist()
+                  for box in (a_box[pair_a], b_box[pair_b]))
+    inter = np.zeros(len(pair_a), dtype=np.int64)
+    inter[hit] = [
+        np.count_nonzero(np.logical_and(a_crops[i][t:d, l:r], b_crops[j][u:e, m:s]))
+        for i, j, (t, l, d, r), (u, m, e, s) in zip(pair_a[hit].tolist(), pair_b[hit].tolist(), in_a, in_b)
+    ]
+    area_a, area_b = np.zeros(len(a_crops), dtype=np.int64), np.zeros(len(b_crops), dtype=np.int64)
+    for area, crops, pair in ((area_a, a_crops, pair_a), (area_b, b_crops, pair_b)):
+        used = np.zeros(len(crops), dtype=bool)  # not np.unique: NumPy 2 imports numpy.ma for it
+        used[pair[hit]] = True
+        used = np.flatnonzero(used)
+        area[used] = [np.count_nonzero(crops[i]) for i in used.tolist()]
+    union = area_a[pair_a] + area_b[pair_b] - inter
+    return np.divide(inter, union, out=np.zeros(len(pair_a)), where=union > 0)
 
 
 def _check_kind(kind: str) -> None:
@@ -127,20 +153,40 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"iou kind must be 'box' or 'mask', got {kind!r}")
 
 
-def _match_candidates(preds, gts, kind) -> list[list[tuple[float, int]]]:
-    """For each prediction, the (IoU, ground-truth index) of every same-class
-    ground truth it overlaps, highest IoU first and ties to the lower index.
-    Each pair's IoU is computed once, a mask's on the window it is stored in."""
+def _candidates(preds_by_image, gts_by_image, kind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The match candidates of every prediction, the predictions taken image
+    by image and in the order given within an image, as ``(starts, ious,
+    gts)``: prediction k's candidates are ``ious[starts[k]:starts[k + 1]]``
+    with their ground truths' indices within the image in ``gts``, highest
+    IoU first and ties to the lower index. A candidate is a ground truth of
+    the prediction's class in its image with IoU > 0. Each pair's IoU is
+    computed once: every box pair in one array pass, a mask pair on the
+    windows the two masks are stored in."""
+    preds = [p for ps in preds_by_image for p in ps]
+    gts = [g for gs in gts_by_image for g in gs]
+    n_labels = len(_LABEL_CODE)
+    p_key, g_key = (
+        np.array([i * n_labels + code for i, dets in enumerate(images) for code in _codes(dets)], np.int64)
+        for images in (preds_by_image, gts_by_image)
+    )
+    # every same-class pair of an image, grouped by prediction, ground truths in order
+    g_order = np.argsort(g_key, kind="stable")
+    lo, hi = (np.searchsorted(g_key[g_order], p_key, side) for side in ("left", "right"))
+    count = hi - lo
+    pair_p = np.repeat(np.arange(len(preds)), count)
+    # pair k of a prediction is the ground truth at lo + k in key order
+    pair_g = g_order[np.arange(len(pair_p)) + np.repeat(lo - (np.cumsum(count) - count), count)]
     if kind == "box":
-        iou, pk, gk = box_iou, [p.bbox for p in preds], [g.bbox for g in gts]
+        p_box, g_box = (
+            np.fromiter(chain.from_iterable(d.bbox for d in dets), np.float64).reshape(-1, 4) for dets in (preds, gts)
+        )
+        iou = _box_ious(p_box[pair_p], g_box[pair_g])
     else:
-        iou = _window_iou
-        pk, gk = ([_MaskWindow.of(d.origin, d.mask) for d in dets] for dets in (preds, gts))
-    candidates = []
-    for pred, a in zip(preds, pk):
-        pairs = ((iou(a, b), j) for j, (gt, b) in enumerate(zip(gts, gk)) if gt.label is pred.label)
-        candidates.append(sorted((c for c in pairs if c[0] > 0.0), key=lambda c: (-c[0], c[1])))
-    return candidates
+        iou = _mask_ious(*([(d.origin, d.mask) for d in dets] for dets in (preds, gts)), pair_p, pair_g)
+    keep = np.flatnonzero(iou > 0.0)
+    keep = keep[np.lexsort((-iou[keep], pair_p[keep]))]  # stable: equal IoUs keep ground-truth order
+    g_index = np.array([j for gs in gts_by_image for j in range(len(gs))], np.int64)
+    return np.searchsorted(pair_p[keep], np.arange(len(preds) + 1)), iou[keep], g_index[pair_g[keep]]
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +208,20 @@ def _confidence_order(preds) -> list[int]:
     return sorted(range(len(preds)), key=lambda i: (-(preds[i].confidence or 0.0), i))
 
 
-def _greedy_match(order, candidates, num_gt: int, threshold: float) -> tuple[list[bool], list[bool]]:
-    """TP flag per ordered prediction and matched flag per ground truth:
-    each prediction claims its best unmatched candidate at or above the
-    threshold."""
+def _greedy_match(starts, ious, gts, threshold: float, num_gt: int) -> tuple[list[bool], list[bool]]:
+    """TP flag per prediction and matched flag per ground truth of one image:
+    each prediction in turn claims its best unmatched candidate at or above
+    the threshold. Prediction k's candidates are ``ious[s:e]`` and ``gts[s:e]``
+    for ``s, e = starts[k], starts[k + 1]``, in the order of ``_candidates``."""
     matched = [False] * num_gt
     tp = []
-    for i in order:
+    for k in range(len(starts) - 1):
         hit = False
-        for iou, j in candidates[i]:
-            if iou < threshold:
+        for c in range(starts[k], starts[k + 1]):
+            if ious[c] < threshold:
                 break
-            if not matched[j]:
-                matched[j] = hit = True
+            if not matched[gts[c]]:
+                matched[gts[c]] = hit = True
                 break
         tp.append(hit)
     return tp, matched
@@ -196,8 +243,34 @@ def match_detections(
     """
     _check_kind(iou_kind)
     order = _confidence_order(preds)
-    tp, matched = _greedy_match(order, _match_candidates(preds, gts, iou_kind), len(gts), iou_threshold)
+    starts, ious, gt_index = (a.tolist() for a in _candidates([[preds[i] for i in order]], [gts], iou_kind))
+    tp, matched = _greedy_match(starts, ious, gt_index, iou_threshold, len(gts))
     return MatchResult(order=tuple(order), tp=tuple(tp), gt_matched=tuple(matched))
+
+
+def _average_precisions(tp: np.ndarray, num_gt) -> np.ndarray:
+    """101-point interpolated AP of each row of a (rows, n) array of
+    confidence-ordered TP flags, row r of a class with ``num_gt[r]`` ground
+    truths. A row may end in FP padding: it lowers no precision on the
+    envelope and adds no recall, so it changes no AP."""
+    rows, width = tp.shape
+    if width == 0:
+        tp, width = np.zeros((rows, 1), dtype=bool), 1
+    cum_tp = np.cumsum(tp, axis=1)
+    precision = cum_tp / np.arange(1, width + 1)  # TP + FP is the count so far
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    # the least TP count k whose recall k / n, the float a row's recall
+    # holds, is at least r - 1e-12, for each ground-truth count n and point r
+    steps = {n: np.searchsorted(np.arange(n + 1) / n, _RECALL_GRID - 1e-12, side="left") for n in set(num_gt)}
+    # the first point of each row with at least that many TPs, for all rows
+    # in one search by lifting row r's counts by r * (width + 1); a count
+    # above the width is reached nowhere and lands on the next row's start
+    need = np.minimum([steps[n] for n in num_gt], width + 1)
+    lift = np.arange(rows)[:, None] * (width + 1)
+    idx = np.searchsorted((cum_tp + lift).ravel(), (need + lift).ravel(), side="left").reshape(rows, -1)
+    idx -= np.arange(rows)[:, None] * width
+    sampled = np.where(idx < width, np.take_along_axis(envelope, np.minimum(idx, width - 1), axis=1), 0.0)
+    return sampled.mean(axis=1)
 
 
 def average_precision(tp_sequence, num_gt: int) -> float:
@@ -208,18 +281,7 @@ def average_precision(tp_sequence, num_gt: int) -> float:
     """
     if num_gt < 1:
         raise NoGroundTruth("average precision needs at least one ground-truth instance")
-    tp = np.asarray(tp_sequence, dtype=np.float64)
-    if tp.size == 0:
-        return 0.0
-    cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(1.0 - tp)
-    precision = cum_tp / (cum_tp + cum_fp)
-    recall = cum_tp / num_gt
-    # precision envelope from the right, then sample the recall grid
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    idx = np.searchsorted(recall, _RECALL_GRID - 1e-12, side="left")
-    sampled = np.where(idx < len(envelope), envelope[np.minimum(idx, len(envelope) - 1)], 0.0)
-    return float(sampled.mean())
+    return float(_average_precisions(np.asarray(tp_sequence, dtype=bool).reshape(1, -1), [num_gt])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,48 +312,73 @@ class DetectionReport:
     mask: DetectionSummary | None = None
 
 
-def _class_sweeps(preds_by_image, gts_by_image, kind, conf_threshold, thresholds):
-    """Pooled confidence-ordered TP flags per class across all images, one
-    list per threshold, and the class's ground-truth count.
+def _codes(dets) -> list[int]:
+    return [_LABEL_CODE[d.label._value_] for d in dets]
 
-    Each image is matched from one set of pair IoUs, once per distinct set
-    of pairs at or above a threshold: the greedy outcome depends on nothing
-    else, so thresholds that pass the same pairs share one match. A
+
+def _image_flags(ranked, gts_by_image, kind, thresholds) -> np.ndarray:
+    """The (threshold, prediction) TP flags of every prediction of
+    ``ranked``, each image's predictions in confidence order, all images in
+    a row. ``thresholds`` ascend.
+
+    Each image is matched from one set of pair IoUs, once per distinct
+    non-empty set of pairs at or above a threshold: the greedy outcome
+    depends on nothing else, so thresholds that pass the same pairs share
+    one match, and with no pair passing every prediction is an FP. A
     prediction only claims ground truth of its own class, so matching all
     classes of an image together gives each class the flags it would get
     alone."""
-    pooled = defaultdict(list)  # label -> [(-conf, image, index, tp per threshold)]
-    num_gt = Counter()
-    for img, (preds, gts) in enumerate(zip(preds_by_image, gts_by_image)):
+    n_img, n_thr = len(ranked), len(thresholds)
+    first = np.cumsum([0] + [len(preds) for preds in ranked])  # each image's first prediction
+    starts, ious, gt_index = _candidates(ranked, gts_by_image, kind)
+    # thresholds t and t + 1 pass the same pairs of an image unless one of
+    # them passes exactly t + 1 thresholds, so the least count above t among
+    # the image's pairs names the set that passes t; n_thr + 1 names none
+    passed = np.searchsorted(thresholds, ious, side="right")
+    least = np.full((n_img, n_thr + 1), n_thr + 1)
+    least[np.repeat(np.arange(n_img), np.diff(starts[first])), passed] = passed
+    key = np.minimum.accumulate(least[:, :0:-1], axis=1)[:, ::-1]  # (image, threshold)
+    new = key <= n_thr
+    new[:, 1:] &= key[:, 1:] != key[:, :-1]
+    # one match per set, its flags appended to a run of FPs that stands for
+    # every empty set; at[g] is where match g's flags start
+    flags = [False] * int(np.diff(first).max(initial=0))
+    at = []
+    starts, ious, gt_index, first = starts.tolist(), ious.tolist(), gt_index.tolist(), first.tolist()
+    for i, t in zip(*(a.tolist() for a in np.nonzero(new))):
+        at.append(len(flags))
+        flags += _greedy_match(starts[first[i] : first[i + 1] + 1], ious, gt_index, thresholds[t],
+                               len(gts_by_image[i]))[0]
+    group = np.cumsum(new).reshape(key.shape) - 1  # the last match at or before each (image, threshold)
+    offset = np.where(key <= n_thr, np.array(at + [0])[group], 0)  # + [0]: a valid index when no image matches
+    image = np.repeat(np.arange(n_img), np.diff(first))
+    return np.array(flags, dtype=bool)[offset[image].T + (np.arange(len(image)) - np.array(first)[image])]
+
+
+def _class_sweeps(preds_by_image, gts_by_image, kind, conf_threshold, thresholds):
+    """For each class in the ground truth, in ``ClassLabel`` order: a
+    (threshold, prediction) bool array of the TP flags of its predictions
+    pooled across images in (-confidence, image, index) order, and its
+    ground-truth count. ``thresholds`` ascend."""
+    ranked = []  # each image's predictions in confidence order
+    for preds in preds_by_image:
         if conf_threshold is not None:
             preds = [p for p in preds if (p.confidence or 0.0) >= conf_threshold]
-        num_gt.update(g.label for g in gts)
-        order = _confidence_order(preds)
-        candidates = _match_candidates(preds, gts, kind)
-        ious = sorted({iou for cands in candidates for iou, _ in cands})
-        by_passing = {}  # count of distinct IoUs >= threshold -> TP flags
-        tps = []
-        for thr in thresholds:
-            passing = len(ious) - bisect_left(ious, thr)
-            if passing not in by_passing:
-                by_passing[passing] = _greedy_match(order, candidates, len(gts), thr)[0]
-            tps.append(by_passing[passing])
-        for rank, i in enumerate(order):
-            pooled[preds[i].label].append((-(preds[i].confidence or 0.0), img, i, [tp[rank] for tp in tps]))
-    sweeps = {}
-    for label in pooled.keys() | num_gt.keys():
-        entries = sorted(pooled[label])  # (image, index) is unique, so tp lists are never compared
-        sweeps[label] = ([[e[3][t] for e in entries] for t in range(len(thresholds))], num_gt[label])
-    return sweeps
-
-
-def _class_tp_sequences(preds_by_image, gts_by_image, label, threshold, kind, conf_threshold):
-    """Pooled confidence-ordered TP flags for one class across all images."""
-    sweeps = _class_sweeps(preds_by_image, gts_by_image, kind, conf_threshold, (threshold,))
-    if label not in sweeps:
-        return [], 0
-    (tps,), num_gt = sweeps[label]
-    return tps, num_gt
+        ranked.append([preds[i] for i in _confidence_order(preds)])
+    tp = _image_flags(ranked, gts_by_image, kind, thresholds)
+    # a stable sort on (class, -confidence) keeps (image, index) order among equals
+    flat = [p for preds in ranked for p in preds]
+    codes = np.array(_codes(flat), dtype=np.int64)
+    pooled = tp[:, np.lexsort((np.array([-(p.confidence or 0.0) for p in flat]), codes))]
+    counts = np.bincount(codes, minlength=len(_LABEL_CODE)).tolist()
+    ends = np.cumsum(counts).tolist()
+    num_gt = np.bincount(np.array(_codes(g for gts in gts_by_image for g in gts), dtype=np.int64),
+                         minlength=len(_LABEL_CODE)).tolist()
+    return {
+        label: (pooled[:, ends[c] - counts[c] : ends[c]], num_gt[c])
+        for c, label in enumerate(ClassLabel)
+        if num_gt[c]
+    }
 
 
 def map_summary(
@@ -310,25 +397,26 @@ def map_summary(
     if len(preds_by_image) != len(gts_by_image):
         raise LengthMismatch("prediction and ground-truth image lists differ in length")
     sweeps = _class_sweeps(preds_by_image, gts_by_image, iou_kind, conf_threshold, COCO_THRESHOLDS)
-    labels = sorted(
-        {g.label for gts in gts_by_image for g in gts}, key=lambda l: list(ClassLabel).index(l)
-    )
+    if not sweeps:
+        return DetectionSummary(per_class={}, precision=0.0, recall=0.0, map50=0.0, map50_95=0.0)
+    # every (class, threshold) sweep is one row, padded with FPs to the longest
+    n_thr, width = len(COCO_THRESHOLDS), max(flags.shape[1] for flags, _ in sweeps.values())
+    tps = np.zeros((len(sweeps), n_thr, width), dtype=bool)
+    for row, (flags, _) in zip(tps, sweeps.values()):
+        row[:, : flags.shape[1]] = flags
+    num_gts = [num_gt for _, num_gt in sweeps.values()]
+    aps = _average_precisions(tps.reshape(len(sweeps) * n_thr, width), [n for n in num_gts for _ in range(n_thr)])
     per_class = {}
-    for label in labels:
-        tps_by_threshold, num_gt = sweeps[label]
-        aps = [average_precision(tps, num_gt) for tps in tps_by_threshold]
-        tps50 = tps_by_threshold[0]  # COCO_THRESHOLDS[0] is 0.5
-        n_tp = sum(tps50)
-        n_pred = len(tps50)
+    for (label, (flags, num_gt)), class_aps in zip(sweeps.items(), aps.reshape(-1, n_thr).tolist()):
+        n_tp = int(np.count_nonzero(flags[0]))  # COCO_THRESHOLDS[0] is 0.5
+        n_pred = flags.shape[1]
         per_class[label.value] = ClassDetectionMetrics(
             precision=n_tp / n_pred if n_pred else 0.0,
             recall=n_tp / num_gt,
-            ap50=aps[0],
-            ap50_95=sum(aps) / len(aps),
+            ap50=class_aps[0],
+            ap50_95=sum(class_aps) / len(class_aps),
             num_gt=num_gt,
         )
-    if not per_class:
-        return DetectionSummary(per_class={}, precision=0.0, recall=0.0, map50=0.0, map50_95=0.0)
     vals = list(per_class.values())
     return DetectionSummary(
         per_class=per_class,

@@ -25,8 +25,10 @@ BLOCK_NAMES = ("conv", "coordconv", "cbam", "c2fcd")
 _FD_STEP = 1e-5
 
 # elements perturbed per forward (2x as many stacked copies); bounds the
-# memory of one forward and beat 64 and 256 on c2fcd
-_CHUNK = 16
+# memory of one forward. Seed 0 of all four blocks, medians of 16
+# alternations on 2 CPUs: 108 ms at 16, 97 ms at 32, 95 ms at 64; peak RSS
+# of the four checks 38, 41 and 47 MB
+_CHUNK = 32
 
 
 def _make_case(block: str, seed: int):

@@ -4,6 +4,7 @@ import io
 import json
 import shutil
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodcal import cli, manifests, maskgeom, preprocess, regress, synth
+from foodcal import cli, manifests, maskgeom, metrics, preprocess, regress, synth
 from foodcal.cli import SCENE_OPTIONS, main
-from foodcal.errors import DataError
+from foodcal.errors import DataError, write_json
 from foodcal.measurement import ClassLabel, DetectionInstance
 
+import metric_oracles
 from cli_child import run_foodcal
 from pgm_manifests import paste, write_pgm_manifest
 
@@ -288,6 +290,41 @@ def test_detmetrics_self_comparison(gen_dir, tmp_path, capsys):
     assert report["mask"]["map50"] == 1.0
 
 
+def _perturbed(images, rng):
+    """Predictions made from ground truth: some dropped, some relabelled, the
+    rest moved up to 3 px inside the frame with confidences that often tie."""
+    out = []
+    for img in images:
+        preds = []
+        for d in img.instances:
+            if rng.random() < 0.15:
+                continue
+            (x, y), (h, w) = d.origin, d.mask.shape
+            dx = int(np.clip(rng.integers(-3, 4), -x, img.width - x - w))
+            dy = int(np.clip(rng.integers(-3, 4), -y, img.height - y - h))
+            label = d.label if rng.random() < 0.9 else ClassLabel.SOMUSA
+            conf = float(rng.choice([0.25, 0.5, 0.75, round(float(rng.random()), 3)]))
+            bx, by, bw, bh = d.bbox
+            preds.append(DetectionInstance(label, (bx + dx, by + dy, bw, bh), conf, d.mask, (x + dx, y + dy)))
+        out.append(manifests.ImageAnnotations(name=img.name, width=img.width, height=img.height, instances=preds))
+    return out
+
+
+def test_detmetrics_writes_the_list_based_report_byte_for_byte(gen_dir, tmp_path):
+    gt = gen_dir / "annotations.json"
+    images = manifests.read_manifest(gt)
+    perturbed = manifests.write_manifest(tmp_path / "pred" / "annotations.json",
+                                         _perturbed(images, np.random.default_rng(5)))
+    for name, pred in (("self", gt), ("perturbed", perturbed)):
+        out = tmp_path / name
+        assert run_cli("detmetrics", "--pred", str(pred), "--gt", str(gt), "--out", str(out)) == 0
+        preds = [img.instances for img in manifests.read_manifest(pred)]
+        gts = [img.instances for img in images]
+        report = metrics.DetectionReport(*(metric_oracles.map_summary(preds, gts, kind) for kind in ("box", "mask")))
+        write_json(out / "oracle.json", asdict(report), indent=1)
+        assert (out / "detmetrics.json").read_bytes() == (out / "oracle.json").read_bytes()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "2", "1.0000001", "-1", "-0.5"])
 def test_detmetrics_conf_threshold_outside_0_1_is_a_usage_error(gen_dir, capsys, value):
     # each of these once exited 0: nan, inf and 2 with an all-zero report,
@@ -344,6 +381,40 @@ def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--data", "x.csv"])  # missing --model
     assert exc.value.code == 1
+
+
+PARSER_ARGVS = [
+    *([name, "--help"] for name in cli.COMMANDS),
+    ["--help"],
+    ["--version"],
+    [],
+    ["bogus"],
+    ["--seed", "3"],
+    ["gen", "--seed", "3"],  # no --out
+    ["extract"],
+    ["train", "--data", "x.csv"],
+    ["eval", "--model", "m.json"],
+    ["pipeline", "--annotations", "a.json"],
+    ["gradcheck"],
+    ["detmetrics", "--pred", "p.json"],
+    ["gradcheck", "--block", "conv", "--seeds", "0"],
+    ["detmetrics", "--pred", "p.json", "--gt", "g.json", "--conf-threshold", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, monkeypatch, capsys):
+    monkeypatch.delenv("FOODCAL_OUT_DIR", raising=False)
+
+    def run():
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, *capsys.readouterr()
+
+    one = run()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run() == one
 
 
 def test_data_error_exits_2(tmp_path, capsys):

@@ -99,8 +99,7 @@ def test_crops_give_the_full_frame_results(tmp_path_factory, images):
             assert measurement.extract_features(read, scale) == measurement.extract_features(full, scale)
         for p, fp in zip(pimg.instances, full_preds):
             for g, fg in zip(gimg.instances, full_gts):
-                crop_iou = metrics._window_iou(metrics._MaskWindow.of(p.origin, p.mask),
-                                               metrics._MaskWindow.of(g.origin, g.mask))
+                crop_iou = metrics._mask_ious([(p.origin, p.mask)], [(g.origin, g.mask)], [0], [0])[0]
                 assert crop_iou == metrics.mask_iou(fp.mask, fg.mask)
     on_crops = metrics.detection_report([i.instances for i in preds], [i.instances for i in gts])
     on_frames = metrics.detection_report([i[3] for i in images], [i[4] for i in images])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from foodcal import metrics
 from foodcal.errors import DegenerateTarget, LengthMismatch, NoGroundTruth, ShapeMismatch
 from foodcal.measurement import ClassLabel, DetectionInstance
+
+import metric_oracles
 
 
 def det(label, bbox, conf=None, mask=None):
@@ -386,46 +389,28 @@ def test_map_summary_matches_oracle_on_irregular_masks_at_every_threshold():
         label = ClassLabel.from_name(label_name)
         sweep = [oracle_class_ap(preds, gts, label, t, "mask") for t in metrics.COCO_THRESHOLDS]
         for thr, expected in zip(metrics.COCO_THRESHOLDS, sweep):
-            tps, num_gt = metrics._class_tp_sequences(preds, gts, label, thr, "mask", None)
+            (tps,), num_gt = metrics._class_sweeps(preds, gts, "mask", None, (thr,))[label]
             assert metrics.average_precision(tps, num_gt) == pytest.approx(expected, abs=1e-12)
         assert m.ap50 == pytest.approx(sweep[0], abs=1e-12)
         assert m.ap50_95 == pytest.approx(sum(sweep) / len(sweep), abs=1e-12)
     assert 0.0 < summary.map50_95 < summary.map50 < 1.0
 
 
-@pytest.mark.parametrize("kind, kernel", [("box", "box_iou"), ("mask", "_window_iou")])
+@pytest.mark.parametrize("kind, kernel", [("box", "_box_ious"), ("mask", "_mask_ious")])
 def test_map_summary_computes_each_pair_iou_once(monkeypatch, kind, kernel):
-    # the 10 thresholds of the sweep all read one IoU per same-class pair
+    # the 10 thresholds of the sweep all read one IoU per same-class pair,
+    # and every pair of every image goes through one call
     rng = np.random.default_rng(10)
     scenes = [random_scene(rng, with_masks=True) for _ in range(20)]
     preds = [s[0] for s in scenes]
     gts = [s[1] for s in scenes]
     calls = []
     real = getattr(metrics, kernel)
-    monkeypatch.setattr(metrics, kernel, lambda a, b: calls.append(1) or real(a, b))
+    monkeypatch.setattr(metrics, kernel, lambda *args: calls.append(len(args[-1])) or real(*args))
     metrics.map_summary(preds, gts, iou_kind=kind)
     pairs = sum(p.label is g.label for ps, gs in zip(preds, gts) for p in ps for g in gs)
     assert pairs > 0
-    assert len(calls) == pairs
-
-
-def per_threshold_sweeps(preds_by_image, gts_by_image, kind, conf_threshold, thresholds):
-    """``metrics._class_sweeps`` as it was: every image matched once at
-    every threshold."""
-    pooled, num_gt = {}, {}
-    for img, (preds, gts) in enumerate(zip(preds_by_image, gts_by_image)):
-        if conf_threshold is not None:
-            preds = [p for p in preds if (p.confidence or 0.0) >= conf_threshold]
-        for g in gts:
-            num_gt[g.label] = num_gt.get(g.label, 0) + 1
-        order = metrics._confidence_order(preds)
-        candidates = metrics._match_candidates(preds, gts, kind)
-        tps = [metrics._greedy_match(order, candidates, len(gts), thr)[0] for thr in thresholds]
-        for rank, i in enumerate(order):
-            pooled.setdefault(preds[i].label, []).append(
-                (-(preds[i].confidence or 0.0), img, i, [tp[rank] for tp in tps]))
-    return {label: ([[e[3][t] for e in sorted(pooled.get(label, []))] for t in range(len(thresholds))],
-                    num_gt.get(label, 0)) for label in pooled.keys() | num_gt.keys()}
+    assert calls == [pairs]
 
 
 LABELS = (ClassLabel.PURI, ClassLabel.BEGUNI)
@@ -455,8 +440,73 @@ def straddling_scenes(draw):
 @given(straddling_scenes(), st.sampled_from([None, 0.5]))
 def test_sweeps_equal_matching_at_every_threshold(scene, conf_threshold):
     preds, gts = scene
-    expected = per_threshold_sweeps(preds, gts, "box", conf_threshold, metrics.COCO_THRESHOLDS)
-    assert metrics._class_sweeps(preds, gts, "box", conf_threshold, metrics.COCO_THRESHOLDS) == expected
+    expected = metric_oracles.per_threshold_sweeps(preds, gts, "box", conf_threshold, metrics.COCO_THRESHOLDS)
+    got = metrics._class_sweeps(preds, gts, "box", conf_threshold, metrics.COCO_THRESHOLDS)
+    assert {label: (tps.tolist(), n) for label, (tps, n) in got.items()} == {
+        label: sweep for label, sweep in expected.items() if sweep[1]  # classes of the ground truth
+    }
+
+
+def scored_det(draw, label, box, conf):
+    """A detection whose mask is its box filled, at the box's corner, with
+    some pixels cleared or set to 255 now and then."""
+    x, y, w, h = box
+    mask = np.ones((h, w), np.uint8)
+    for r, c, v in draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1), st.sampled_from([0, 255])),
+                                 max_size=3)):
+        mask[r, c] = v
+    return DetectionInstance(label=label, bbox=box, confidence=conf, mask=mask, origin=(x, y))
+
+
+@st.composite
+def scored_scenes(draw):
+    """Images to score two ways. Ground truths are 20x20 on a grid of step
+    15, so neighbours overlap, boxes and masks alike. A prediction (x + dx,
+    y, 20, h) on one of them has IoU h / 20, exactly a COCO threshold, when
+    dx = 0 and its mask is whole. Confidences tie or are missing; SOMUSA is
+    predicted but never in the ground truth; an image may be empty, or have
+    ground truth but no predictions."""
+    preds_by_image, gts_by_image = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        spots = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4, unique=True))
+        gts = [scored_det(draw, draw(st.sampled_from(LABELS)), (15 * x, 15 * y, 20, 20), None) for x, y in spots]
+        preds = []
+        for _ in range(draw(st.integers(0, 6))):
+            x, y = (15 * v for v in draw(st.sampled_from(spots))) if spots else (0, 0)
+            dx = draw(st.sampled_from([0, 0, 0, 1, 2, 3, 5]))
+            label = draw(st.sampled_from(LABELS + (ClassLabel.SOMUSA,)))
+            box = (x + dx, y, 20, draw(st.integers(8, 20)))
+            preds.append(scored_det(draw, label, box, draw(st.sampled_from([None, 0.3, 0.5, 0.5, 0.9, 1.0]))))
+        preds_by_image.append(preds)
+        gts_by_image.append(gts)
+    return preds_by_image, gts_by_image
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(scored_scenes(), st.sampled_from(["box", "mask"]), st.sampled_from([None, 0.5]))
+def test_map_summary_equals_the_list_based_oracle(scene, kind, conf_threshold):
+    preds, gts = scene
+    got = metrics.map_summary(preds, gts, kind, conf_threshold)
+    want = metric_oracles.map_summary(preds, gts, kind, conf_threshold)
+    # repr tells a NumPy float from a Python one, and the class order apart
+    assert repr(asdict(got)) == repr(asdict(want))
+
+
+def test_ap_rows_equal_the_per_sequence_oracle():
+    rng = np.random.default_rng(11)
+    seqs = [[], [True] * 5, [False] * 4, [True], [False]]
+    num_gts = [1, 5, 3, 1, 2]
+    for n in rng.integers(0, 40, 300).tolist():  # some with more TPs than ground truth
+        seqs.append((rng.random(n) < rng.random()).tolist())
+        num_gts.append(int(rng.integers(1, 50)))
+    rows = np.zeros((len(seqs), max(map(len, seqs))), dtype=bool)
+    for row, seq in zip(rows, seqs):
+        row[: len(seq)] = seq
+    aps = metrics._average_precisions(rows, num_gts).tolist()
+    for seq, num_gt, ap in zip(seqs, num_gts, aps):
+        want = metric_oracles.average_precision(seq, num_gt)
+        assert ap == want
+        assert metrics.average_precision(seq, num_gt) == want
 
 
 def test_sweeps_match_an_image_once_per_distinct_set_of_passing_pairs(monkeypatch):

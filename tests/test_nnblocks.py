@@ -436,17 +436,19 @@ def test_gradcheck_restores_parameters_when_a_forward_raises(monkeypatch):
     x, p, fwd, bwd = _make_case("c2fcd", 0)
     before = _snapshot(x, p)
     calls = []
+    chunk = gradcheck_module._CHUNK
+    before_params = 1 + -(-x.size // chunk)  # the analytic pass, then the input's chunks
 
     def failing(x):
         calls.append(x.shape[0])
-        if len(calls) == 15:  # the analytic pass, the input's chunks, then parameter chunks
+        if calls[before_params:].count(2 * chunk) == 2:  # the second full parameter chunk
             raise RuntimeError("forward failed")
         return fwd(x)
 
     monkeypatch.setattr(gradcheck_module, "_make_case", lambda *_: (x, p, failing, bwd))
     with pytest.raises(RuntimeError, match="forward failed"):
         gradcheck("c2fcd")
-    assert calls[-1] == 2 * gradcheck_module._CHUNK  # raised on a stacked parameter chunk
+    assert len(calls) > before_params and calls[-1] == 2 * chunk  # raised on a stacked parameter chunk
     _assert_unchanged(x, p, before)
 
 
