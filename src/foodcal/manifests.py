@@ -80,7 +80,7 @@ def write_manifest(path, images: list[ImageAnnotations]) -> Path:
             if inst.confidence is not None:
                 rec["confidence"] = inst.confidence
             if inst.mask is not None:
-                crop, origin = _window(inst.mask, inst.origin)
+                crop, origin = _window(inst.mask, inst.origin, inst.window)
                 rec["mask"] = {"size": list(crop.shape), "bits": encode_array(np.packbits(crop), np.uint8)}
                 rec["mask_origin"] = [int(v) for v in origin]
             if inst.calories_kcal is not None:
@@ -91,13 +91,13 @@ def write_manifest(path, images: list[ImageAnnotations]) -> Path:
     return path
 
 
-def _window(mask, origin):
-    """A mask at ``origin`` cut to its foreground window as 0/1 ``uint8``, and
-    the window's origin; an empty mask is one background pixel at (0, 0).
-    What is not a 2-D array of 0/1 pixels raises ``ValueError``."""
+def _window(mask, origin, box):
+    """A mask at ``origin`` cut to ``box``, its ``maskgeom.foreground_slices``,
+    as 0/1 ``uint8``, and the window's origin; an empty mask is one
+    background pixel at (0, 0). What is not a 2-D array of 0/1 pixels raises
+    ``ValueError``."""
     mask = np.asarray(mask)
     if mask.ndim == 2 and mask.size:
-        box = maskgeom.foreground_slices(mask)
         if box is None:
             return np.zeros((1, 1), np.uint8), (0, 0)
         mask, origin = mask[box], (origin[0] + box[1].start, origin[1] + box[0].start)
@@ -184,7 +184,7 @@ def _read(entries, version, path) -> list[ImageAnnotations]:
         f"{mwheres[i]}: {'mask' if version == 3 else f'mask {masks[i]}'} is {tuple(hw[i].tolist())} at "
         f"{origins[i]}, image is ({H[i]}, {W[i]})"))
     if version == 1:  # image-sized masks: keep the windows that v2 and v3 store
-        found = (_window(p, (0, 0)) for p in pixels)
+        found = (_window(p, (0, 0), maskgeom.foreground_slices(p)) for p in pixels)
     else:
         crops = _unpack([mask["bits"] for mask in masks], h, w, mwheres) if version == 3 else pixels
         found = zip(crops, map(tuple, origins))

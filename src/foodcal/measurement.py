@@ -8,18 +8,25 @@ density (kcal per gram).
 
 Area and perimeter come from the outer contour of the largest 8-connected
 component of each food mask. ``extract_batch`` measures the masks of many
-images at once: it cuts each mask to its foreground crop, and
+images at once: it cuts each mask to its instance's ``window``, its
+foreground box, and
 ``maskgeom.largest_component_stats`` stacks the crops into one canvas, with
 a background row between crops and a background column on each side,
 labels its runs once and walks each contour through a 256 x 8 table of
 moves indexed by (8-neighbour code, back direction). Of components of
 equal size, the first in ``maskgeom.connected_components``' order (min-y,
 then min-x, then first pixel) is measured.
+
+An instance that ``synth`` renders is given its window by the placement
+that drew it, so its full-frame mask is not scanned again. Any other
+instance computes its window from its mask on first use, once, and
+``dataclasses.replace`` never carries a window over to a new mask.
 """
 
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +73,14 @@ class DetectionInstance:
     """One detector output: class, optional confidence, bbox (x, y, w, h)
     in pixels, an instance mask (a crop holding all of its foreground with
     its top-left pixel at ``origin`` (x, y), or the frame at (0, 0)), and
-    the item's calorie label where ground truth has one."""
+    the item's calorie label where ground truth has one.
+
+    ``window`` is the tight box of the mask's foreground, as slices of
+    ``mask``. ``synth`` gives it with the mask it renders (``with_window``);
+    any other instance computes it on first use, once. It is no field: it
+    takes no part in equality or repr, and ``dataclasses.replace`` builds
+    an instance without it, which computes its own from its own mask.
+    """
 
     label: ClassLabel
     bbox: tuple[int, int, int, int]
@@ -80,6 +94,23 @@ class DetectionInstance:
             raise ValueError(f"confidence must be a number in [0, 1], got {self.confidence!r}")
         if self.calories_kcal is not None and not is_number(self.calories_kcal):
             raise ValueError(f"calories_kcal must be a finite number or null, got {self.calories_kcal!r}")
+
+    @classmethod
+    def with_window(cls, window, *args, **kwargs) -> "DetectionInstance":
+        """``DetectionInstance(*args, **kwargs)`` whose ``window`` is
+        ``window``, which must be that of its mask."""
+        inst = cls(*args, **kwargs)
+        inst.__dict__["window"] = window  # where cached_property keeps it
+        return inst
+
+    @cached_property
+    def window(self) -> tuple[slice, slice] | None:
+        """Row and column slices of the mask's foreground box; None when the
+        mask is missing, is not 2-D or has no foreground."""
+        if self.mask is None:
+            return None
+        mask = np.asarray(self.mask)
+        return maskgeom.foreground_slices(mask) if mask.ndim == 2 else None
 
 
 @dataclass(frozen=True)
@@ -174,7 +205,7 @@ def extract_batch(
         for i, det in enumerate(detections):
             if det.label is ClassLabel.COIN:
                 continue
-            crop = _foreground(det.mask)
+            crop = _foreground(det)
             if crop is None:
                 logger.warning("skipping instance %d (%s): empty mask", i, det.label.value)
                 continue
@@ -197,15 +228,16 @@ def extract_batch(
     return records
 
 
-def _foreground(mask) -> np.ndarray | None:
-    """A 2-D mask cut to its foreground box; None when the mask is missing
-    or has no foreground. Any other non-empty array is passed on whole, for
-    ``maskgeom.as_mask`` to reject."""
-    if mask is None:
+def _foreground(det: DetectionInstance) -> np.ndarray | None:
+    """The instance's 2-D mask, as an array, cut to its ``window``; None
+    when the mask is missing or has no foreground. Any other non-empty
+    array is passed on whole, for ``maskgeom.as_mask`` to reject."""
+    if det.mask is None:
         return None
+    mask = np.asarray(det.mask)
     if mask.ndim != 2:
         return mask if mask.any() else None
-    box = maskgeom.foreground_slices(mask)
+    box = det.window
     return None if box is None else mask[box]
 
 

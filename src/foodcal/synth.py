@@ -20,7 +20,12 @@ jitter's amplitude, because a jittered offset p is inside when
 p / (1 + j(phi)) is inside the nominal shape and |j| <= a. Every shape is
 star-convex about its centre (each family is convex and holds it), so the
 jitter can only change the pixels of a thin band around the nominal
-boundary; the angle and the jitter are evaluated there alone.
+boundary; the angle and the jitter are evaluated there alone. The pixels
+within the band's inner edge are the sure-inside core, which every
+jittered raster holds, so a placement try whose core overlaps an earlier
+instance is rejected before its band is resolved. An accepted instance
+carries its foreground window, the tight box that placement found, as
+``DetectionInstance.window``.
 """
 
 import math
@@ -350,7 +355,9 @@ def _window(shape: _Shape, height, width, amplitude) -> tuple[slice, slice]:
     return slice(y0, max(y0, y1)), slice(x0, max(x0, x1))
 
 
-def _rasterize(shape: _Shape, height, width, jitter=None) -> tuple[tuple[slice, slice], np.ndarray]:
+def _rasterize(
+    shape: _Shape, height, width, jitter=None, occupied=None
+) -> tuple[tuple[slice, slice], np.ndarray | None]:
     """The shape's ``_window`` of the frame and its boolean raster there.
 
     With a the jitter's amplitude, the jittered test is ``contains(p * s)``
@@ -358,16 +365,24 @@ def _rasterize(shape: _Shape, height, width, jitter=None) -> tuple[tuple[slice, 
     ``contains(p * s)`` can only turn false as s grows: a pixel inside at
     the largest s is inside, one outside at the smallest s is outside, and
     only the band in between needs the angle and the jitter. The 1e-9 pad
-    keeps both bounds clear of rounding."""
+    keeps both bounds clear of rounding.
+
+    The pixels inside at the largest s, the sure-inside core, are inside
+    whatever the jitter (without one, they are the raster). ``occupied``
+    is the boolean frame of pixels that earlier instances cover, none when
+    not given. When the core meets it, the shape would overlap: the raster
+    is None, and its band is never resolved."""
     amplitude = 0.0 if jitter is None else jitter.amplitude
     window = _window(shape, height, width, amplitude)
     dx = np.arange(window[1].start, window[1].stop) - shape.cx
     dy = (np.arange(window[0].start, window[0].stop) - shape.cy)[:, None]
-    if jitter is None:
-        return window, shape.contains(dx, dy)
-    s_hi = (1.0 + 1e-9) / (1.0 - amplitude)
-    s_lo = (1.0 - 1e-9) / (1.0 + amplitude)
+    s_hi = 1.0 if jitter is None else (1.0 + 1e-9) / (1.0 - amplitude)
     inside = shape.contains(dx * s_hi, dy * s_hi)
+    if occupied is not None and (occupied[window] & inside).any():
+        return window, None
+    if jitter is None:
+        return window, inside
+    s_lo = (1.0 - 1e-9) / (1.0 + amplitude)
     ys, xs = np.nonzero(shape.contains(dx * s_lo, dy * s_lo) & ~inside)
     bx, by = dx[xs], dy[ys, 0]
     scale = 1.0 / (1.0 + jitter(np.arctan2(by, bx)))
@@ -401,7 +416,9 @@ def generate_scene(
             cx = float(rng.uniform(margin, cfg.width - margin))
             cy = float(rng.uniform(margin, cfg.height - margin))
             shape, jitter = build_shape(cx, cy)
-            window, inside = _rasterize(shape, cfg.height, cfg.width, jitter)
+            window, inside = _rasterize(shape, cfg.height, cfg.width, jitter, occupancy)
+            if inside is None:  # its sure-inside core overlaps an earlier instance
+                continue
             box = maskgeom.foreground_slices(inside)
             if box is None:
                 continue
@@ -416,7 +433,8 @@ def generate_scene(
             confidence = round(float(rng.uniform(min_confidence, 1.0)), 6)
             bbox = (x0, y0, x1 - x0, y1 - y0)
             calories = None if item is None else item.calories_kcal
-            instances.append(DetectionInstance(label, bbox, confidence, mask, calories_kcal=calories))
+            instances.append(DetectionInstance.with_window(
+                (slice(y0, y1), slice(x0, x1)), label, bbox, confidence, mask, calories_kcal=calories))
             truths.append(InstanceTruth(label, *shape.truth(), weight_g=None if item is None else item.weight_g))
             return
         raise PlacementFailure(

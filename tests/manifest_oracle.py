@@ -56,7 +56,7 @@ def _read_mask(rec, version, img, where, root):
     if version == 3:
         return _unpack(mask["bits"], h, w, where), origin
     if version == 1:
-        return _window(pixels, origin)
+        return _window(pixels, origin, maskgeom.foreground_slices(pixels))
     return pixels, origin
 
 

@@ -220,6 +220,21 @@ def test_malformed_masks_raise(mask, match):
         meas.extract_features([d], meas.ScaleFactor(1.0, 1.0, 1.0))
 
 
+def test_a_mask_of_nested_lists_measures_as_its_array():
+    # write_manifest, detection_report and maskgeom.as_mask take such a mask too
+    shape = blob_with_island()
+    h, w = shape.shape
+    sf = meas.scale_factor(41, 44)
+    coin = det(ClassLabel.COIN, 0.9, (0, 0, 41, 44), np.ones((44, 41), np.uint8))
+    as_array = [coin, det(ClassLabel.SINGARA, 0.9, (0, 0, w, h), shape)]
+    as_lists = [coin, det(ClassLabel.SINGARA, 0.9, (0, 0, w, h), shape.tolist()),
+                det(ClassLabel.PURI, 0.9, mask=[[0, 0], [0, 0]])]
+    expected = meas.extract_features(as_array, sf)
+    assert len(expected) == 1
+    assert meas.extract_features(as_lists, sf) == expected
+    assert meas.extract_batch([(as_lists, sf), (as_array, sf)]) == [expected, expected]
+
+
 def test_all_zero_mask_of_any_shape_is_skipped(caplog):
     dets = [det(ClassLabel.PURI, 0.9, mask=np.zeros(s, np.uint8)) for s in [(640, 640), (4,), (1, 1)]]
     with caplog.at_level("WARNING"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foodcal import maskgeom, measurement, preprocess, synth
+from foodcal import manifests, maskgeom, measurement, preprocess, synth
 from foodcal.errors import PlacementFailure
 from foodcal.measurement import FOOD_CLASSES, ClassLabel
 
@@ -131,6 +131,77 @@ def test_small_scenes_retry_and_reseed_yet_place_apart(monkeypatch, cfg):
         retried += len(rasters) - before > len(scene.instances)
         assert_placed_apart(scene)
     assert retried > 5 and reseeded > 0
+
+
+def test_a_try_whose_core_meets_an_earlier_instance_resolves_no_band(monkeypatch):
+    # the core, the raster at the largest jitter scale s_hi, lies inside
+    # every raster the jitter can give: a try whose core overlaps is
+    # rejected before the jitter is evaluated on any pixel, and every other
+    # try resolves its band as before
+    cfg = synth.SceneConfig(width=150, height=90, items_per_scene=4, coin_radius_range=(8.0, 12.0),
+                            max_placement_tries=15, boundary_noise=0.05)
+    tries, renders = [], []
+    real_raster, real_jitter, real_scene = synth._rasterize, synth._jitter_field, synth.generate_scene
+
+    def rasterize(shape, height, width, jitter=None, occupied=None):
+        window, inside = real_raster(shape, height, width, jitter, occupied)
+        tries.append((shape, jitter, occupied.copy(), inside))
+        return window, inside
+
+    monkeypatch.setattr(synth, "_rasterize", rasterize)
+    monkeypatch.setattr(synth, "_jitter_field", lambda *a: CountingJitter(real_jitter(*a)))
+    monkeypatch.setattr(synth, "generate_scene", lambda *a: renders.append(a) or real_scene(*a))
+    rng = np.random.default_rng(11)
+    for seed in range(20):
+        items = [synth.draw_item(rng, FOOD_CLASSES[(seed + k) % 5], cfg) for k in range(cfg.items_per_scene)]
+        assert_placed_apart(synth._scene_with_retries(cfg, seed, items))
+    ys, xs = np.mgrid[0 : cfg.height, 0 : cfg.width]
+    rejected = 0
+    for shape, jitter, occupied, inside in tries:
+        if jitter is None:  # the coin, placed first
+            assert not occupied.any() and inside is not None
+            continue
+        s_hi = (1.0 + 1e-9) / (1.0 - jitter.amplitude)
+        core = shape.contains((xs - shape.cx) * s_hi, (ys - shape.cy) * s_hi)
+        if (core & occupied).any():
+            rejected += 1
+            assert inside is None and jitter.pixels == 0
+        else:
+            assert inside is not None and jitter.pixels > 0
+    assert rejected > 20 and len(renders) > 20  # some scenes were re-seeded
+
+
+# ---------------------------------------------------------------------------
+# the window each instance carries
+
+
+def test_a_turned_instance_writes_and_measures_its_turned_mask(tmp_path):
+    # synth gives each instance the window of its mask; an instance turned
+    # with replace, as perfbench's rotated_180 makes it, must be cut at the
+    # window of its own mask, as a freshly built one is
+    scene = synth.generate_scene(synth.SceneConfig(), 4)
+    h, w = scene.height, scene.width
+    turned, fresh = [], []
+    for d in scene.instances:
+        assert d.window == maskgeom.foreground_slices(d.mask)
+        same = measurement.DetectionInstance(d.label, d.bbox, d.confidence, d.mask, d.origin, d.calories_kcal)
+        assert d == same and repr(d) == repr(same)  # the window is no field
+        bbox = (w - d.bbox[0] - d.bbox[2], h - d.bbox[1] - d.bbox[3], d.bbox[2], d.bbox[3])
+        mask = np.ascontiguousarray(d.mask[::-1, ::-1])
+        turned.append(replace(d, bbox=bbox, mask=mask))
+        fresh.append(measurement.DetectionInstance(d.label, bbox, d.confidence, mask.copy(),
+                                                   calories_kcal=d.calories_kcal))
+    assert [d.bbox for d in turned] != [d.bbox for d in scene.instances]
+    written = []
+    for name, dets in (("turned", turned), ("fresh", fresh)):
+        path = manifests.write_manifest(tmp_path / name / "annotations.json",
+                                        [manifests.ImageAnnotations("scene", w, h, dets)])
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    scale = measurement.scale_from_detections(fresh)
+    want = measurement.extract_features(fresh, scale)
+    assert len(want) == len(fresh) - 1
+    assert [(r, r.instance) for r in measurement.extract_features(turned, scale)] == [(r, r.instance) for r in want]
 
 
 # ---------------------------------------------------------------------------
