@@ -6,8 +6,9 @@ Wiring of the composite block: a 1x1 coordinate convolution enters, the
 channels split into two halves, a chain of residual 3x3 bottlenecks runs on
 the second half with every intermediate retained, the retained tensors are
 concatenated, CBAM gates the concatenation, and a 1x1 convolution exits.
-Every convolution is followed by SiLU. All forwards have ``*_fwd``/
-``*_bwd`` pairs for the gradient checker.
+Every convolution is followed by SiLU and keeps the spatial size (stride 1,
+a (2 * padding + 1)-square kernel). Each ``*_fwd`` has a ``*_bwd`` for the
+gradient checker that follows the ``(gx, grads)`` protocol of ``ops``.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,18 @@ import numpy as np
 from foodcal.errors import ShapeMismatch
 from foodcal.nnblocks import ops
 from foodcal.nnblocks.ops import ConvParams
+
+
+def _same_size(*convs: ConvParams) -> None:
+    for c in convs:
+        if c.stride != 1 or c.kernel != (2 * c.padding + 1,) * 2:
+            raise ShapeMismatch(f"a block's conv must keep the spatial size (stride 1, a (2 * padding + 1)-square "
+                                f"kernel), got kernel {c.kernel} stride {c.stride} padding {c.padding}")
+
+
+def _under(prefix: str, grads: dict) -> dict:
+    """A sub-block's ``grads`` under ``prefix``, as ``ops.param_arrays`` names them."""
+    return {f"{prefix}.{name}": g for name, g in grads.items()}
 
 
 def _zeroed(params):
@@ -49,9 +62,9 @@ class CbamParams:
         hidden, c = self.w1.shape
         if self.b1.shape != (hidden,) or self.w2.shape != (c, hidden) or self.b2.shape != (c,):
             raise ShapeMismatch("inconsistent channel-attention MLP shapes")
-        sk = self.spatial.weight.shape
-        if sk[0] != 1 or sk[1] != 2 or self.spatial.padding != (sk[2] - 1) // 2:
-            raise ShapeMismatch("spatial attention conv must be 2-in 1-out with same-size padding")
+        if self.spatial.c_out != 1 or self.spatial.c_in != 2:
+            raise ShapeMismatch("spatial attention conv must be 2-in 1-out")
+        _same_size(self.spatial)
 
     @property
     def channels(self) -> int:
@@ -85,19 +98,13 @@ def _mlp_fwd(v, p: CbamParams):
     pre = groups @ w1.transpose(0, 2, 1) + b1[:, None]
     h = ops.relu(pre)
     z = h @ w2.transpose(0, 2, 1) + b2[:, None]
-    return z.reshape(len(v), -1), (v, pre.reshape(len(v), -1), h.reshape(len(v), -1))
+    return z.reshape(len(v), -1), (v, pre.reshape(len(v), -1), h.reshape(len(v), -1), p)
 
 
-def _mlp_bwd(cache, p: CbamParams, gz):
-    v, pre, h = cache
-    gw2 = gz.T @ h
-    gb2 = gz.sum(axis=0)
-    gh = gz @ p.w2
-    gpre = ops.relu_bwd(pre, gh)
-    gw1 = gpre.T @ v
-    gb1 = gpre.sum(axis=0)
-    gv = gpre @ p.w1
-    return gv, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+def _mlp_bwd(cache, gz):
+    v, pre, h, p = cache
+    gpre = ops.relu_bwd(pre, gz @ p.w2)
+    return gpre @ p.w1, {"w1": gpre.T @ v, "b1": gpre.sum(axis=0), "w2": gz.T @ h, "b2": gz.sum(axis=0)}
 
 
 def cbam_channel_attention_fwd(x, p: CbamParams):
@@ -117,14 +124,13 @@ def cbam_channel_attention(x, p: CbamParams) -> np.ndarray:
     return cbam_channel_attention_fwd(x, p)[0]
 
 
-def _channel_attention_bwd(cache, p: CbamParams, gg):
+def _channel_attention_bwd(cache, gg):
     avg_cache, max_cache, mlp_a, mlp_m, gates = cache
     gz = ops.sigmoid_bwd(gates, gg)
-    gavg, grads_a = _mlp_bwd(mlp_a, p, gz)
-    gmx, grads_m = _mlp_bwd(mlp_m, p, gz)
-    grads = {k: grads_a[k] + grads_m[k] for k in grads_a}
+    gavg, grads_a = _mlp_bwd(mlp_a, gz)
+    gmx, grads_m = _mlp_bwd(mlp_m, gz)
     gx = ops.spatial_mean_bwd(avg_cache, gavg) + ops.spatial_max_bwd(max_cache, gmx)
-    return gx, grads
+    return gx, {k: grads_a[k] + grads_m[k] for k in grads_a}
 
 
 def cbam_spatial_attention_fwd(x, p: CbamParams):
@@ -145,11 +151,11 @@ def cbam_spatial_attention(x, p: CbamParams) -> np.ndarray:
 def _spatial_attention_bwd(cache, gg):
     mean_cache, max_cache, conv_cache, gates = cache
     gpre = ops.sigmoid_bwd(gates, gg)
-    gcat, gw, gb = ops.conv2d_bwd(conv_cache, gpre)
+    gcat, conv_grads = ops.conv2d_bwd(conv_cache, gpre)
     gx = ops.channel_mean_bwd(mean_cache, gcat[:, :1]) + ops.channel_max_bwd(
         max_cache, gcat[:, 1:2]
     )
-    return gx, {"spatial.weight": gw, "spatial.bias": gb}
+    return gx, _under("spatial", conv_grads)
 
 
 def cbam_fwd(x, p: CbamParams):
@@ -158,7 +164,7 @@ def cbam_fwd(x, p: CbamParams):
     x1 = x * gc[:, :, None, None]
     gs, sa_cache = cbam_spatial_attention_fwd(x1, p)
     y = x1 * gs
-    return y, (x, gc, x1, gs, ca_cache, sa_cache, p)
+    return y, (x, gc, x1, gs, ca_cache, sa_cache)
 
 
 def cbam(x, p: CbamParams) -> np.ndarray:
@@ -168,16 +174,14 @@ def cbam(x, p: CbamParams) -> np.ndarray:
 
 
 def cbam_bwd(cache, gy):
-    """Input gradient and a parameter-gradient dict keyed like
-    {w1, b1, w2, b2, spatial.weight, spatial.bias}."""
-    x, gc, x1, gs, ca_cache, sa_cache, p = cache
+    x, gc, x1, gs, ca_cache, sa_cache = cache
     ggs = (gy * x1).sum(axis=1, keepdims=True)
     gx1 = gy * gs
     gx1_att, sa_grads = _spatial_attention_bwd(sa_cache, ggs)
     gx1 = gx1 + gx1_att
     ggc = (gx1 * x).sum(axis=(2, 3))
     gx = gx1 * gc[:, :, None, None]
-    gx_att, ca_grads = _channel_attention_bwd(ca_cache, p, ggc)
+    gx_att, ca_grads = _channel_attention_bwd(ca_cache, ggc)
     return gx + gx_att, {**ca_grads, **sa_grads}
 
 
@@ -199,6 +203,7 @@ class C2fCdParams:
         for p1, p2 in self.bottlenecks:
             if p1.c_in != ch or p1.c_out != ch or p2.c_in != ch or p2.c_out != ch:
                 raise ShapeMismatch("bottleneck convs must map the half width onto itself")
+        _same_size(self.entry, *(conv for pair in self.bottlenecks for conv in pair), self.exit)
         cat_ch = (2 + len(self.bottlenecks)) * ch
         if self.cbam.channels != cat_ch:
             raise ShapeMismatch(f"CBAM expects {self.cbam.channels} channels, concat has {cat_ch}")
@@ -245,10 +250,10 @@ def _bottleneck_fwd(x, p1: ConvParams, p2: ConvParams):
 def _bottleneck_bwd(cache, gy):
     a1, c1, a2, c2 = cache
     ga2 = ops.silu_bwd(a2, gy)
-    gh1, gw2, gb2 = ops.conv2d_bwd(c2, ga2)
+    gh1, grads2 = ops.conv2d_bwd(c2, ga2)
     ga1 = ops.silu_bwd(a1, gh1)
-    gx, gw1, gb1 = ops.conv2d_bwd(c1, ga1)
-    return gx + gy, (gw1, gb1, gw2, gb2)
+    gx, grads1 = ops.conv2d_bwd(c1, ga1)
+    return gx + gy, {**_under("0", grads1), **_under("1", grads2)}
 
 
 def c2f_cd_fwd(x, p: C2fCdParams):
@@ -277,27 +282,18 @@ def c2f_cd(x, p: C2fCdParams) -> np.ndarray:
 
 def c2f_cd_bwd(cache, gy):
     a0, e_cache, ch, b_caches, cbam_cache, aN, x_cache, p = cache
-    grads = {}
     gaN = ops.silu_bwd(aN, gy)
-    gatt, gw, gb = ops.conv2d_bwd(x_cache, gaN)
-    grads["exit.weight"] = gw
-    grads["exit.bias"] = gb
+    gatt, exit_grads = ops.conv2d_bwd(x_cache, gaN)
     gcat, cbam_grads = cbam_bwd(cbam_cache, gatt)
-    for k, v in cbam_grads.items():
-        grads[f"cbam.{k}"] = v
+    grads = {**_under("exit", exit_grads), **_under("cbam", cbam_grads)}
     n = len(p.bottlenecks)
     chunks = [gcat[:, i * ch : (i + 1) * ch] for i in range(2 + n)]
     g = chunks[1 + n]  # gradient on the last retained tensor
     for k in range(n - 1, -1, -1):
-        gin, (gw1, gb1, gw2, gb2) = _bottleneck_bwd(b_caches[k], g)
-        grads[f"bottlenecks.{k}.0.weight"] = gw1
-        grads[f"bottlenecks.{k}.0.bias"] = gb1
-        grads[f"bottlenecks.{k}.1.weight"] = gw2
-        grads[f"bottlenecks.{k}.1.bias"] = gb2
+        gin, bottleneck_grads = _bottleneck_bwd(b_caches[k], g)
+        grads.update(_under(f"bottlenecks.{k}", bottleneck_grads))
         g = gin + chunks[1 + k]
     gh0 = np.concatenate([chunks[0], g], axis=1)
     ga0 = ops.silu_bwd(a0, gh0)
-    gx, gw, gb = ops.coordconv_bwd(e_cache, ga0)
-    grads["entry.weight"] = gw
-    grads["entry.bias"] = gb
-    return gx, grads
+    gx, entry_grads = ops.coordconv_bwd(e_cache, ga0)
+    return gx, {**grads, **_under("entry", entry_grads)}

@@ -32,49 +32,25 @@ _CHUNK = 32
 
 
 def _make_case(block: str, seed: int):
-    """Input, params, and fwd/bwd callables for one named block."""
+    """Input, params, and fwd/bwd callables for one named block; the table is
+    built per call, so rebound ``ops`` and ``blocks`` functions are the ones run."""
+    cases = {  # input shape, params constructor, forward, backward
+        "conv": ((2, 3, 6, 5), partial(ops.ConvParams.init, 4, 3, (3, 2), stride=2, padding=1),
+                 ops.conv2d_fwd, ops.conv2d_bwd),
+        "coordconv": ((2, 3, 5, 6), partial(ops.ConvParams.init, 4, 5, 3, padding=1),
+                      ops.coordconv_fwd, ops.coordconv_bwd),
+        "cbam": ((2, 5, 6, 7), partial(blocks.CbamParams.init, 5, reduction=2),
+                 blocks.cbam_fwd, blocks.cbam_bwd),
+        "c2fcd": ((1, 6, 5, 5), partial(blocks.C2fCdParams.init, 6, 8, n=1, reduction=4),
+                  blocks.c2f_cd_fwd, blocks.c2f_cd_bwd),
+    }
+    if block not in cases:
+        raise ValueError(f"unknown block {block!r}; expected one of {BLOCK_NAMES}")
+    shape, init, fwd, bwd = cases[block]
     rng = np.random.default_rng(seed)
-    if block == "conv":
-        x = rng.normal(size=(2, 3, 6, 5))
-        p = ops.ConvParams.init(4, 3, (3, 2), rng, stride=2, padding=1)
-
-        def fwd(x):
-            return ops.conv2d_fwd(x, p)
-
-        def bwd(cache, gy):
-            gx, gw, gb = ops.conv2d_bwd(cache, gy)
-            return gx, {"weight": gw, "bias": gb}
-
-        return x, p, fwd, bwd
-    if block == "coordconv":
-        x = rng.normal(size=(2, 3, 5, 6))
-        p = ops.ConvParams.init(4, 5, 3, rng, padding=1)
-
-        def fwd(x):
-            return ops.coordconv_fwd(x, p)
-
-        def bwd(cache, gy):
-            gx, gw, gb = ops.coordconv_bwd(cache, gy)
-            return gx, {"weight": gw, "bias": gb}
-
-        return x, p, fwd, bwd
-    if block == "cbam":
-        x = rng.normal(size=(2, 5, 6, 7))
-        p = blocks.CbamParams.init(5, reduction=2, rng=rng)
-
-        def fwd(x):
-            return blocks.cbam_fwd(x, p)
-
-        return x, p, fwd, blocks.cbam_bwd
-    if block == "c2fcd":
-        x = rng.normal(size=(1, 6, 5, 5))
-        p = blocks.C2fCdParams.init(6, 8, n=1, reduction=4, rng=rng)
-
-        def fwd(x):
-            return blocks.c2f_cd_fwd(x, p)
-
-        return x, p, fwd, blocks.c2f_cd_bwd
-    raise ValueError(f"unknown block {block!r}; expected one of {BLOCK_NAMES}")
+    x = rng.normal(size=shape)
+    p = init(rng=rng)
+    return x, p, lambda x: fwd(x, p), bwd
 
 
 def _max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:

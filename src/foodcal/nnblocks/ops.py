@@ -4,7 +4,9 @@ activations, and pooling reductions.
 Everything runs in float64 and is inference-oriented: forward functions are
 pure, and each has a ``*_fwd`` variant returning a cache consumed by the
 matching ``*_bwd`` to produce analytic gradients (used by the gradient
-checker). Max reductions route gradient to the first maximal element.
+checker). A backward with parameters maps ``(cache, gy)`` to ``(gx, grads)``,
+``grads`` keyed by the names of ``param_arrays`` (``weight``, ``bias`` for a
+convolution). Max reductions route gradient to the first maximal element.
 """
 
 from dataclasses import dataclass, fields, is_dataclass
@@ -186,7 +188,8 @@ def conv2d_bwd(cache, gy):
     for ky in range(kh):
         for kx in range(kw):
             gxp[:, :, ky : ky + oh * s : s, kx : kx + ow * s : s] += gcols[:, :, ky, kx]
-    return gxp[:, :, p.padding : p.padding + x_shape[2], p.padding : p.padding + x_shape[3]], gw, gb
+    gx = gxp[:, :, p.padding : p.padding + x_shape[2], p.padding : p.padding + x_shape[3]]
+    return gx, {"weight": gw, "bias": gb}
 
 
 def coord_channels(n: int, h: int, w: int) -> np.ndarray:
@@ -217,8 +220,8 @@ def coordconv(x, p: ConvParams) -> np.ndarray:
 
 def coordconv_bwd(cache, gy):
     conv_cache, c = cache
-    gaug, gw, gb = conv2d_bwd(conv_cache, gy)
-    return gaug[:, :c], gw, gb
+    gaug, grads = conv2d_bwd(conv_cache, gy)
+    return gaug[:, :c], grads
 
 
 # ---------------------------------------------------------------------------

@@ -506,12 +506,9 @@ def generate_regression_dataset(
     measures to the same rows. Deterministic per (cfg, n_records, seed),
     including the bytes of any files written from the result.
 
-    Rendering stops at the first scene that brings the records to
-    ``n_records``. The scenes are measured in batches of
-    ``measurement.extract_batch``: each batch renders scenes until their
-    food instances could fill the records still missing, so it ends at that
-    scene or before it, and only an empty mask, which gives no record,
-    makes a second batch.
+    Rendering stops at the first scene that brings the food instances with
+    foreground, each of which gives one record, to ``n_records``. One
+    ``measurement.extract_batch`` call then measures every rendered scene.
     """
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
@@ -529,20 +526,15 @@ def generate_regression_dataset(
 
     groups = [items[i : i + group_size] for i in range(0, len(items), group_size)]
     n_scenes = views * len(groups)
-    records: list[FeatureRecord] = []
     scenes: list[Scene] = []
-    while len(records) < n_records and len(scenes) < n_scenes:
-        batch = []
-        missing = n_records - len(records)
-        while missing > 0 and len(scenes) + len(batch) < n_scenes:
-            # scene k renders group k % len(groups) in view k // len(groups)
-            k = len(scenes) + len(batch)
-            batch.append(_scene_with_retries(cfg, k, groups[k % len(groups)]))
-            missing -= sum(det.label is not ClassLabel.COIN for det in batch[-1].instances)
-        for recs in measurement.extract_batch([(s.instances, measurement.scale_from_detections(s.instances))
-                                               for s in batch]):
-            records += recs
-        scenes += batch
+    foods = 0
+    while foods < n_records and len(scenes) < n_scenes:
+        # scene k renders group k % len(groups) in view k // len(groups)
+        k = len(scenes)
+        scenes.append(_scene_with_retries(cfg, k, groups[k % len(groups)]))
+        foods += sum(det.label is not ClassLabel.COIN and det.window is not None for det in scenes[-1].instances)
+    images = [(s.instances, measurement.scale_from_detections(s.instances)) for s in scenes]
+    records = [rec for recs in measurement.extract_batch(images) for rec in recs]
     surplus = {rec.instance for rec in records[n_records:]}  # all of the last scene
     if surplus:
         last = scenes[-1]

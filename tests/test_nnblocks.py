@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,6 +292,34 @@ def test_c2f_cd_rejects_odd_output_channels():
         blocks.C2fCdParams.init(4, 5, rng=rng)
 
 
+def _with_conv(params, rng, field, *conv_args, **conv_kwargs):
+    """``params`` rebuilt, so checked again, with ``field`` set to a new conv."""
+    conv = ops.ConvParams.init(*conv_args, rng, **conv_kwargs)
+    if field == "bottleneck":
+        return replace(params, bottlenecks=[(conv, params.bottlenecks[0][1])])
+    return replace(params, **{field: conv})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: _with_conv(blocks.CbamParams.init(4, 2, rng), rng, "spatial", 1, 2, (7, 5), padding=3),
+        lambda rng: blocks.CbamParams.init(4, 2, rng, spatial_kernel=6),
+        lambda rng: _with_conv(blocks.CbamParams.init(4, 2, rng), rng, "spatial", 1, 2, 7, stride=2, padding=3),
+        lambda rng: _with_conv(blocks.C2fCdParams.init(3, 4, rng=rng), rng, "entry", 4, 5, 1, stride=2),
+        lambda rng: _with_conv(blocks.C2fCdParams.init(3, 4, rng=rng), rng, "bottleneck", 2, 2, 3),
+        lambda rng: _with_conv(blocks.C2fCdParams.init(3, 4, rng=rng), rng, "exit", 4, 6, 3),
+    ],
+    ids=["non-square-spatial", "even-spatial", "stride-2-spatial", "stride-2-entry", "unpadded-bottleneck",
+         "unpadded-exit"],
+)
+def test_block_params_reject_a_conv_that_changes_the_spatial_size(build):
+    # each of these used to construct; its forward then failed to broadcast, or
+    # (entry, exit) gave an output smaller than its input
+    with pytest.raises(ShapeMismatch, match="must keep the spatial size"):
+        build(np.random.default_rng(30))
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
@@ -315,6 +344,18 @@ def test_gradcheck_catches_a_wrong_exit_gradient(monkeypatch, key, corrupt):
 
     monkeypatch.setattr(blocks, "c2f_cd_bwd", wrong)
     assert gradcheck("c2fcd", seed=0) > GRADCHECK_TOLERANCE
+
+
+def test_gradcheck_runs_the_backward_bound_at_call_time(monkeypatch):
+    right = ops.conv2d_bwd
+
+    def scaled_weight(cache, gy):
+        gx, grads = right(cache, gy)
+        return gx, {**grads, "weight": 2.0 * grads["weight"]}
+
+    monkeypatch.setattr(ops, "conv2d_bwd", scaled_weight)
+    assert gradcheck("conv", seed=0) > GRADCHECK_TOLERANCE
+    assert gradcheck("coordconv", seed=0) > GRADCHECK_TOLERANCE
 
 
 def test_gradcheck_rejects_gradients_it_does_not_check(monkeypatch):
@@ -497,7 +538,7 @@ def test_relu_gradient_exact_in_linear_region():
     p.w2[:] = np.abs(np.random.default_rng(23).normal(size=p.w2.shape)) + 0.5
     x = np.abs(np.random.default_rng(24).normal(size=(1, 2, 4, 4))) + 1.0
     g, cache = blocks.cbam_channel_attention_fwd(x, p)
-    gx, _ = blocks._channel_attention_bwd(cache, p, np.ones_like(g))
+    gx, _ = blocks._channel_attention_bwd(cache, np.ones_like(g))
     step = 1e-6
     i = (0, 0, 1, 2)
     xp = x.copy()

@@ -474,9 +474,10 @@ def test_dataset_matches_the_per_scene_oracle(cfg, n_records):
     assert sum(d.label is not ClassLabel.COIN for s in scenes for d in s.instances) == n_records
 
 
-def test_dataset_with_empty_masks_measures_more_scenes_than_it_first_rendered(monkeypatch):
-    # a blank mask gives no record, so the first batch of scenes falls short
-    # and more are rendered; the result is still the per-scene one
+def test_dataset_with_empty_masks_renders_until_the_masks_fill_the_records(monkeypatch):
+    # a blank mask gives no record, so rendering goes on past the scene whose
+    # food instances could fill the records; the result is still the
+    # per-scene one, measured in one batch
     real = synth.generate_scene
 
     def blank_foods(cfg, seed, items=None):
@@ -490,11 +491,11 @@ def test_dataset_with_empty_masks_measures_more_scenes_than_it_first_rendered(mo
     real_batch = measurement.extract_batch
     monkeypatch.setattr(measurement, "extract_batch", lambda images: batches.append(len(images)) or real_batch(images))
     cfg = synth.SceneConfig(views_per_item=4)
-    # 5 items of 4 views, in scenes of 3 and 2: 7 scenes hold the 17 foods
-    # that could fill the records, and the 8th comes in a second batch
+    # 5 items of 4 views, in scenes of 3 and 2: 7 scenes hold 17 foods, but
+    # their masks do not fill the records, so all 8 scenes are rendered
     records, scenes = synth.generate_regression_dataset(cfg, 17, seed=2)
     want_records, want_scenes, _ = per_scene_dataset(cfg, 17, seed=2)
-    assert batches == [7, 1] and len(records) == 8
+    assert batches == [8] and len(records) == 8
     assert [(r, r.instance) for r in records] == [(r, r.instance) for r in want_records]
     assert_same_scenes(scenes, want_scenes)
 
