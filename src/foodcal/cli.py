@@ -25,7 +25,7 @@ from pathlib import Path
 
 import foodcal
 from foodcal import manifests, measurement, metrics, preprocess, regress, synth
-from foodcal.errors import DataError, FoodcalError, number_array, read_json, write_json
+from foodcal.errors import DataError, FoodcalError, TooFewRows, number_array, read_json, write_json
 from foodcal.nnblocks.gradcheck import BLOCK_NAMES, gradcheck
 
 MODEL_NAMES = {
@@ -215,7 +215,10 @@ def cmd_train(args, parser):
     threshold = _option(args, parser, config, "zscore_threshold", 2.0)
     dataset = preprocess.RegressionDataset.from_records(preprocess.read_csv(args.data))
     train, _, _ = preprocess.split(dataset, seed=seed)
-    train = preprocess.zscore_filter(train, threshold)
+    try:
+        train = preprocess.zscore_filter(train, threshold)
+    except TooFewRows as exc:
+        raise DataError(f"{args.data}: {exc}; the train split of its {len(dataset)} rows has {len(train)}") from exc
     params = preprocess.minmax_fit(train)
     train_n = preprocess.minmax_apply(params, train)
     algorithm = MODEL_NAMES[args.model]

@@ -22,14 +22,15 @@ stores.
 
 Ground truth omits "confidence"; synthetic ground truth may carry
 per-instance calorie labels, which read onto each instance's
-``calories_kcal``. "image" is a string; "width" and "height" are
-JSON integers >= 1; the bbox values and the origin are JSON integers, the
-origin >= 0 with its mask inside the image; "size" is two JSON integers
->= 1 and "bits" holds exactly ceil(h * w / 8) bytes with no pad bit set;
-every JSON integer fits int64; "confidence" is a number in [0, 1], null
-or absent; "calories_kcal" is a finite number, null or absent. Any other
-value is a ``DataError`` naming the image, the field and, in an instance
-record, the instance's index.
+``calories_kcal``. "image" is a string that no other image of the
+manifest has; "width" and "height" are JSON integers >= 1; the bbox values
+and the origin are JSON integers, the origin >= 0 with its mask inside the
+image; "size" is two JSON integers >= 1 and "bits" holds exactly
+ceil(h * w / 8) bytes with no pad bit set; every JSON integer fits int64;
+"confidence" is a number in [0, 1], null or absent; "calories_kcal" is a
+finite number, null or absent. Any other value is a ``DataError`` naming
+the image, the field and, in an instance record, the instance's index; a
+repeated name is one of the later image, naming both indices.
 
 ``read_manifest`` checks and decodes the whole manifest in one set of
 passes: the width/height pairs of every image, every bbox, every
@@ -145,6 +146,10 @@ def _read(entries, version, path) -> list[ImageAnnotations]:
         f"{wheres[i]}: width and height must be integers, got {sides[i][0]!r}, {sides[i][1]!r}"))
     _raise_first((dims < 1).any(axis=1), lambda i: DataError(
         f"{wheres[i]}: width and height must be >= 1, got {dims[i, 0]}, {dims[i, 1]}"))
+    first = {}  # the index of the first image of each name
+    same = [first.setdefault(e["image"], k) for k, e in enumerate(entries)]
+    _raise_first(np.array(same, np.int64) != np.arange(len(entries)), lambda k: DataError(
+        f"{wheres[k]}: images {same[k]} and {k} have the same name"))
     lists = [_list(e.get("instances", []), f"{where}: instances") for e, where in zip(entries, wheres)]
     counts = list(map(len, lists))
     recs = list(chain.from_iterable(lists))
@@ -239,13 +244,17 @@ def _list(value, what):
 def _raise_first_fault(entries, version, path) -> None:
     """Raise the error of the first image or instance of ``entries``, in
     document order, that ``_read`` rejects on its own: a ``DataError``
-    naming the image and, for an instance, its index."""
-    for entry in entries:
+    naming the image and, for an instance, its index. A name that an
+    earlier image has is a fault of the later image, after its own fields."""
+    first = {}  # the index of the first image of each name
+    for k, entry in enumerate(entries):
         try:  # the image's own fields; an entry that is no object raises its DataError here
             _read([{**entry, "instances": []} if isinstance(entry, dict) else entry], version, path)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: image {entry['image']}: malformed entry: {exc}") from exc
         where = f"{path}: image {entry['image']}"
+        if first.setdefault(entry["image"], k) != k:
+            raise DataError(f"{where}: images {first[entry['image']]} and {k} have the same name")
         for i, rec in enumerate(_list(entry.get("instances", []), f"{where}: instances")):
             try:
                 _read([{**entry, "instances": [rec]}], version, path)

@@ -7,17 +7,17 @@ boxes and masks, greedy confidence-ordered matching, average precision with
 predictions at IoU 0.5 (no confidence cutoff) unless one is supplied.
 
 Detection is scored in array passes, as COCO's reference evaluator
-accumulates one precision array over every class and threshold. Every
-same-class (prediction, ground truth) pair of every image is found with one
-sort and its IoU computed once: all box pairs in one vectorised pass, each
-mask pair on the overlap of the two masks' windows (each mask is the crop at
-its instance's origin, as the manifest reader gives it, or a whole frame at
-(0, 0)). Each image is matched greedily once per distinct set of pairs that
-pass a threshold; the TP flags of all images form one (threshold,
-prediction) array, which one stable sort pools by class and confidence.
-The AP of every (class, threshold) row is one 2-D pass: a cumulative sum,
-the right-to-left precision envelope and a lookup of the 101-point recall
-grid in all rows at once. ``average_precision`` is its one-row case.
+accumulates one precision array over every class and threshold, and box and
+mask in one sweep. Once for both kinds, each image's predictions are ranked
+by confidence, every same-class (prediction, ground truth) pair of every
+image is found with one sort, and one stable sort pools the predictions by
+class and confidence. Per kind, each pair's IoU is computed once (box pairs
+in one vectorised pass, a mask pair on the overlap of its masks' windows,
+each mask the crop at its instance's origin or a whole frame at (0, 0)),
+each image is matched greedily once per distinct set of pairs that pass a
+threshold, and the AP of all (class, threshold) rows is one 2-D pass: a
+cumulative sum, the right-to-left precision envelope and a lookup of the
+101-point recall grid. ``average_precision`` is its one-row case.
 """
 
 import math
@@ -153,15 +153,15 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"iou kind must be 'box' or 'mask', got {kind!r}")
 
 
-def _candidates(preds_by_image, gts_by_image, kind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The match candidates of every prediction, the predictions taken image
-    by image and in the order given within an image, as ``(starts, ious,
-    gts)``: prediction k's candidates are ``ious[starts[k]:starts[k + 1]]``
-    with their ground truths' indices within the image in ``gts``, highest
-    IoU first and ties to the lower index. A candidate is a ground truth of
-    the prediction's class in its image with IoU > 0. Each pair's IoU is
-    computed once: every box pair in one array pass, a mask pair on the
-    windows the two masks are stored in."""
+def _candidates(preds_by_image, gts_by_image, kinds) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The match candidates of every prediction by each IoU kind of ``kinds``,
+    the predictions taken image by image and in the order given within an
+    image, as ``{kind: (starts, ious, gts)}``: prediction k's candidates are
+    ``ious[starts[k]:starts[k + 1]]`` with their ground truths' indices within
+    the image in ``gts``, highest IoU first and ties to the lower index. A
+    candidate is a ground truth of the prediction's class in its image with
+    IoU > 0. The pairs are found once, and each one's IoU once per kind: box
+    pairs in one array pass, a mask pair on the windows of its two masks."""
     preds = [p for ps in preds_by_image for p in ps]
     gts = [g for gs in gts_by_image for g in gs]
     n_labels = len(_LABEL_CODE)
@@ -176,17 +176,21 @@ def _candidates(preds_by_image, gts_by_image, kind) -> tuple[np.ndarray, np.ndar
     pair_p = np.repeat(np.arange(len(preds)), count)
     # pair k of a prediction is the ground truth at lo + k in key order
     pair_g = g_order[np.arange(len(pair_p)) + np.repeat(lo - (np.cumsum(count) - count), count)]
-    if kind == "box":
-        p_box, g_box = (
-            np.fromiter(chain.from_iterable(d.bbox for d in dets), np.float64).reshape(-1, 4) for dets in (preds, gts)
-        )
-        iou = _box_ious(p_box[pair_p], g_box[pair_g])
-    else:
-        iou = _mask_ious(*([(d.origin, d.mask) for d in dets] for dets in (preds, gts)), pair_p, pair_g)
-    keep = np.flatnonzero(iou > 0.0)
-    keep = keep[np.lexsort((-iou[keep], pair_p[keep]))]  # stable: equal IoUs keep ground-truth order
     g_index = np.array([j for gs in gts_by_image for j in range(len(gs))], np.int64)
-    return np.searchsorted(pair_p[keep], np.arange(len(preds) + 1)), iou[keep], g_index[pair_g[keep]]
+    candidates = {}
+    for kind in kinds:
+        if kind == "box":
+            p_box, g_box = (
+                np.fromiter(chain.from_iterable(d.bbox for d in dets), np.float64).reshape(-1, 4)
+                for dets in (preds, gts)
+            )
+            iou = _box_ious(p_box[pair_p], g_box[pair_g])
+        else:
+            iou = _mask_ious(*([(d.origin, d.mask) for d in dets] for dets in (preds, gts)), pair_p, pair_g)
+        keep = np.flatnonzero(iou > 0.0)
+        keep = keep[np.lexsort((-iou[keep], pair_p[keep]))]  # stable: equal IoUs keep ground-truth order
+        candidates[kind] = np.searchsorted(pair_p[keep], np.arange(len(preds) + 1)), iou[keep], g_index[pair_g[keep]]
+    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +247,7 @@ def match_detections(
     """
     _check_kind(iou_kind)
     order = _confidence_order(preds)
-    starts, ious, gt_index = (a.tolist() for a in _candidates([[preds[i] for i in order]], [gts], iou_kind))
+    starts, ious, gt_index = (a.tolist() for a in _candidates([[preds[i] for i in order]], [gts], [iou_kind])[iou_kind])
     tp, matched = _greedy_match(starts, ious, gt_index, iou_threshold, len(gts))
     return MatchResult(order=tuple(order), tp=tuple(tp), gt_matched=tuple(matched))
 
@@ -316,10 +320,10 @@ def _codes(dets) -> list[int]:
     return [_LABEL_CODE[d.label._value_] for d in dets]
 
 
-def _image_flags(ranked, gts_by_image, kind, thresholds) -> np.ndarray:
+def _image_flags(ranked, gts_by_image, candidates, thresholds) -> np.ndarray:
     """The (threshold, prediction) TP flags of every prediction of
     ``ranked``, each image's predictions in confidence order, all images in
-    a row. ``thresholds`` ascend.
+    a row, from their ``_candidates`` of one IoU kind. ``thresholds`` ascend.
 
     Each image is matched from one set of pair IoUs, once per distinct
     non-empty set of pairs at or above a threshold: the greedy outcome
@@ -330,7 +334,7 @@ def _image_flags(ranked, gts_by_image, kind, thresholds) -> np.ndarray:
     alone."""
     n_img, n_thr = len(ranked), len(thresholds)
     first = np.cumsum([0] + [len(preds) for preds in ranked])  # each image's first prediction
-    starts, ious, gt_index = _candidates(ranked, gts_by_image, kind)
+    starts, ious, gt_index = candidates
     # thresholds t and t + 1 pass the same pairs of an image unless one of
     # them passes exactly t + 1 thresholds, so the least count above t among
     # the image's pairs names the set that passes t; n_thr + 1 names none
@@ -355,48 +359,37 @@ def _image_flags(ranked, gts_by_image, kind, thresholds) -> np.ndarray:
     return np.array(flags, dtype=bool)[offset[image].T + (np.arange(len(image)) - np.array(first)[image])]
 
 
-def _class_sweeps(preds_by_image, gts_by_image, kind, conf_threshold, thresholds):
-    """For each class in the ground truth, in ``ClassLabel`` order: a
-    (threshold, prediction) bool array of the TP flags of its predictions
-    pooled across images in (-confidence, image, index) order, and its
-    ground-truth count. ``thresholds`` ascend."""
+def _class_sweeps(preds_by_image, gts_by_image, kinds, conf_threshold, thresholds):
+    """For each IoU kind of ``kinds`` and each class in the ground truth, in
+    ``ClassLabel`` order: a (threshold, prediction) bool array of the TP flags
+    of its predictions pooled across images in (-confidence, image, index)
+    order, and its ground-truth count. ``thresholds`` ascend. Only the IoUs
+    and the matching run once per kind; all else is shared."""
+    if len(preds_by_image) != len(gts_by_image):
+        raise LengthMismatch("prediction and ground-truth image lists differ in length")
     ranked = []  # each image's predictions in confidence order
     for preds in preds_by_image:
         if conf_threshold is not None:
             preds = [p for p in preds if (p.confidence or 0.0) >= conf_threshold]
         ranked.append([preds[i] for i in _confidence_order(preds)])
-    tp = _image_flags(ranked, gts_by_image, kind, thresholds)
     # a stable sort on (class, -confidence) keeps (image, index) order among equals
     flat = [p for preds in ranked for p in preds]
     codes = np.array(_codes(flat), dtype=np.int64)
-    pooled = tp[:, np.lexsort((np.array([-(p.confidence or 0.0) for p in flat]), codes))]
-    counts = np.bincount(codes, minlength=len(_LABEL_CODE)).tolist()
-    ends = np.cumsum(counts).tolist()
+    pool = np.lexsort((np.array([-(p.confidence or 0.0) for p in flat]), codes))
+    ends = np.cumsum(np.bincount(codes, minlength=len(_LABEL_CODE)))
     num_gt = np.bincount(np.array(_codes(g for gts in gts_by_image for g in gts), dtype=np.int64),
                          minlength=len(_LABEL_CODE)).tolist()
-    return {
-        label: (pooled[:, ends[c] - counts[c] : ends[c]], num_gt[c])
-        for c, label in enumerate(ClassLabel)
-        if num_gt[c]
-    }
+    # each class of the ground truth, with the columns of its predictions in pooled order
+    classes = [(label, cols, n) for label, cols, n in zip(ClassLabel, np.split(pool, ends[:-1]), num_gt) if n]
+    sweeps = {}
+    for kind, candidates in _candidates(ranked, gts_by_image, kinds).items():
+        flags = _image_flags(ranked, gts_by_image, candidates, thresholds)
+        sweeps[kind] = {label: (flags[:, cols], n) for label, cols, n in classes}
+    return sweeps
 
 
-def map_summary(
-    preds_by_image: list[list[DetectionInstance]],
-    gts_by_image: list[list[DetectionInstance]],
-    iou_kind: str = "box",
-    conf_threshold: float | None = None,
-) -> DetectionSummary:
-    """Per-class and mean precision, recall, AP50, and AP averaged over the
-    0.50:0.05:0.95 IoU sweep.
-
-    Classes are the ones present in the ground truth; predictions for absent
-    classes are ignored. Precision of a class with no predictions is 0.
-    """
-    _check_kind(iou_kind)
-    if len(preds_by_image) != len(gts_by_image):
-        raise LengthMismatch("prediction and ground-truth image lists differ in length")
-    sweeps = _class_sweeps(preds_by_image, gts_by_image, iou_kind, conf_threshold, COCO_THRESHOLDS)
+def _summary(sweeps) -> DetectionSummary:
+    """The summary of one kind's ``_class_sweeps`` over ``COCO_THRESHOLDS``."""
     if not sweeps:
         return DetectionSummary(per_class={}, precision=0.0, recall=0.0, map50=0.0, map50_95=0.0)
     # every (class, threshold) sweep is one row, padded with FPs to the longest
@@ -427,21 +420,38 @@ def map_summary(
     )
 
 
+def map_summary(
+    preds_by_image: list[list[DetectionInstance]],
+    gts_by_image: list[list[DetectionInstance]],
+    iou_kind: str = "box",
+    conf_threshold: float | None = None,
+) -> DetectionSummary:
+    """Per-class and mean precision, recall, AP50, and AP averaged over the
+    0.50:0.05:0.95 IoU sweep.
+
+    Classes are the ones present in the ground truth; predictions for absent
+    classes are ignored. Precision of a class with no predictions is 0.
+    """
+    _check_kind(iou_kind)
+    sweeps = _class_sweeps(preds_by_image, gts_by_image, [iou_kind], conf_threshold, COCO_THRESHOLDS)
+    return _summary(sweeps[iou_kind])
+
+
 def detection_report(
     preds_by_image,
     gts_by_image,
     conf_threshold: float | None = None,
 ) -> DetectionReport:
-    """Box summary always; mask summary when every instance carries a mask."""
-    box = map_summary(preds_by_image, gts_by_image, "box", conf_threshold)
+    """Box summary always; mask summary, from the same sweep, when every instance carries a mask."""
     have_masks = all(
         inst.mask is not None
         for group in (preds_by_image, gts_by_image)
         for img in group
         for inst in img
     )
-    mask = map_summary(preds_by_image, gts_by_image, "mask", conf_threshold) if have_masks else None
-    return DetectionReport(box=box, mask=mask)
+    kinds = ["box", "mask"] if have_masks else ["box"]
+    sweeps = _class_sweeps(preds_by_image, gts_by_image, kinds, conf_threshold, COCO_THRESHOLDS)
+    return DetectionReport(*(_summary(sweeps[kind]) for kind in kinds))
 
 
 def summary_text(summary: DetectionSummary, title: str = "detections") -> str:

@@ -3,8 +3,10 @@
 ``read_manifest`` here checks and decodes one image and one instance at a
 time, with one ``is_number`` call per value and one ``np.unpackbits`` per
 mask, as ``manifests`` did before it read a whole manifest in one set of
-passes. Its one change from that reader: an integer must fit int64, the rule
-of ``errors.number_array`` that the whole-manifest reader goes through.
+passes. Its changes from that reader: an integer must fit int64, the rule of
+``errors.number_array`` that the whole-manifest reader goes through, and an
+image may not have the name of an earlier one, checked after its width and
+height.
 """
 
 from pathlib import Path
@@ -92,8 +94,8 @@ def read_manifest(path) -> list[ImageAnnotations]:
     version = payload.get("version")
     if not (is_number(version, int) and version in (1, 2, MANIFEST_VERSION)):
         raise DataError(f"{path}: unsupported manifest version {version!r}")
-    images = []
-    for entry in _list(payload.get("images", []), f"{path}: images"):
+    images, first = [], {}
+    for k, entry in enumerate(_list(payload.get("images", []), f"{path}: images")):
         if not isinstance(entry, dict) or not isinstance(entry.get("image"), str):
             raise DataError(f'{path}: an image entry is not an object with a string "image" name')
         where = f"{path}: image {entry['image']}"
@@ -103,6 +105,9 @@ def read_manifest(path) -> list[ImageAnnotations]:
                 raise DataError(f"{where}: width and height must be integers, got {img.width!r}, {img.height!r}")
             if img.width < 1 or img.height < 1:
                 raise DataError(f"{where}: width and height must be >= 1, got {img.width}, {img.height}")
+            if img.name in first:
+                raise DataError(f"{where}: images {first[img.name]} and {k} have the same name")
+            first[img.name] = k
             for i, rec in enumerate(_list(entry.get("instances", []), f"{where}: instances")):
                 try:
                     img.instances.append(_instance(rec, version, img, where, path.parent))

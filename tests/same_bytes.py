@@ -11,7 +11,14 @@ relative paths, so that what a command prints does not name the side:
   256 --height 288 --views-per-item 3 --boundary-noise 0.03``;
 - for each of them, ``extract`` of its manifest, ``train`` and ``eval
   --split test`` of all six models on its CSV, ``pipeline`` with the rf
-  bundle, and ``detmetrics`` of the manifest against itself;
+  bundle, and ``detmetrics`` of the manifest against itself, with and
+  without ``--conf-threshold 0.5``;
+- for each of them, a perturbed copy of its manifest, ``pred.json``, made
+  with the standard library alone (``PERTURB``): about one instance in ten
+  dropped, each kept one moved by a (dx, dy) in [-3, 3] that keeps its mask
+  in the image, and a fresh confidence. ``detmetrics`` scores it against
+  the manifest with and without ``--conf-threshold 0.5``, so misses, false
+  positives and IoUs below 1 are scored too;
 - ``gradcheck --seeds 10`` of every block;
 - a SHA-256 over every instance (label, bbox, confidence, origin, calorie
   label, mask shape, dtype and bytes) and every truth of
@@ -75,6 +82,36 @@ for name, cfg in configs.items():
 '''
 
 
+PERTURB = '''
+import json
+import random
+import sys
+
+manifest, out, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+rng = random.Random(seed)
+with open(manifest) as f:
+    doc = json.load(f)
+for image in doc["images"]:
+    kept = []
+    for inst in image["instances"]:
+        if rng.random() < 0.1:
+            continue
+        dx, dy = rng.randint(-3, 3), rng.randint(-3, 3)
+        if "mask" in inst:
+            (x, y), (h, w) = inst["mask_origin"], inst["mask"]["size"]
+            dx = min(max(dx, -x), image["width"] - w - x)
+            dy = min(max(dy, -y), image["height"] - h - y)
+            inst["mask_origin"] = [x + dx, y + dy]
+        bx, by, bw, bh = inst["bbox"]
+        inst["bbox"] = [bx + dx, by + dy, bw, bh]
+        inst["confidence"] = round(rng.random(), 6)
+        kept.append(inst)
+    image["instances"] = kept
+with open(out, "w") as f:
+    json.dump(doc, f)
+'''
+
+
 def cli(*args):
     return ("-m", "foodcal.cli", *args)
 
@@ -95,6 +132,15 @@ def _steps():
                                               "--model", f"{name}/rf/model.json", "--out", f"{name}/pipeline")))
         steps.append((f"{name}-detmetrics", cli("detmetrics", "--pred", manifest, "--gt", manifest,
                                                 "--out", f"{name}/detmetrics")))
+        steps.append((f"{name}-detmetrics-conf", cli("detmetrics", "--pred", manifest, "--gt", manifest,
+                                                     "--conf-threshold", "0.5", "--out", f"{name}/detmetrics-conf")))
+        pred = f"{name}/pred.json"
+        steps.append((f"{name}-perturb", ("-c", PERTURB, manifest, pred, options[options.index("--seed") + 1])))
+        steps.append((f"{name}-detmetrics-pred", cli("detmetrics", "--pred", pred, "--gt", manifest,
+                                                     "--out", f"{name}/detmetrics-pred")))
+        steps.append((f"{name}-detmetrics-pred-conf", cli("detmetrics", "--pred", pred, "--gt", manifest,
+                                                          "--conf-threshold", "0.5",
+                                                          "--out", f"{name}/detmetrics-pred-conf")))
     for block in BLOCKS:
         steps.append((f"gradcheck-{block}", cli("gradcheck", "--block", block, "--seeds", "10")))
     steps.append(("scene-digest", ("-c", SCENE_DIGEST)))

@@ -290,7 +290,7 @@ def test_c6_detection_metrics():
         label = ClassLabel.from_name(label_name)
         for thr in metrics.COCO_THRESHOLDS:
             expected = _naive_class_ap(preds, gts, label, thr)
-            (tps,), num_gt = metrics._class_sweeps(preds, gts, "box", None, (thr,))[label]
+            (tps,), num_gt = metrics._class_sweeps(preds, gts, ["box"], None, (thr,))["box"][label]
             got = metrics.average_precision(tps, num_gt)
             assert got == pytest.approx(expected, abs=1e-12)
             compared += 1

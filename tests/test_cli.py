@@ -230,6 +230,22 @@ def test_coinless_image_is_named_in_the_error(gen_dir, tmp_path, capsys, command
     assert f"{path}: image {image}: no coin instance among detections" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["extract", "pipeline", "detmetrics"])
+def test_a_manifest_that_names_an_image_twice_exits_2(gen_dir, lr_bundle, tmp_path, capsys, command):
+    doc = json.loads((gen_dir / "annotations.json").read_text())
+    name = doc["images"][0]["image"]
+    doc["images"][2]["image"] = name
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps(doc))
+    args = {"extract": ["--annotations", str(path)],
+            "pipeline": ["--annotations", str(path), "--model", str(lr_bundle)],
+            "detmetrics": ["--pred", str(path), "--gt", str(path)]}[command]
+    capsys.readouterr()
+    assert run_cli(command, *args, "--out", str(tmp_path / "o")) == 2
+    assert _one_error_line(capsys) == f"error: {path}: image {name}: images 0 and 2 have the same name\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.fixture(scope="module")
 def lr_bundle(gen_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("lr")
@@ -422,6 +438,14 @@ def test_data_error_exits_2(tmp_path, capsys):
     bad.write_text("not,a,valid,header\n1,2,3,4\n")
     assert run_cli("train", "--data", str(bad), "--model", "rf", "--out", str(tmp_path / "m")) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_too_few_rows_for_the_z_score_filter_names_the_csv(tmp_path, capsys):
+    data = tmp_path / "header_only.csv"
+    data.write_text("class,height_mm,width_mm,area_mm2,perimeter_mm,calories_kcal\n")
+    assert run_cli("train", "--data", str(data), "--model", "lr", "--out", str(tmp_path / "m")) == 2
+    line = _one_error_line(capsys)
+    assert line.startswith(f"error: {data}: ") and "z-score filtering needs at least two rows" in line
 
 
 def test_non_finite_csv_exits_2(tmp_path, capsys):

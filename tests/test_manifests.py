@@ -284,9 +284,9 @@ def test_an_instance_error_names_the_instance(tmp_path, record, message):
 
 @st.composite
 def annotated_images(draw):
-    """0..3 images of 1..10 px sides with 0..4 instances each: any class,
-    bbox, confidence and calorie label, and a mask crop at an origin inside
-    the image, or no mask."""
+    """0..3 images, named "a", "b" and "c", of 1..10 px sides with 0..4
+    instances each: any class, bbox, confidence and calorie label, and a
+    mask crop at an origin inside the image, or no mask."""
     images = []
     for i in range(draw(st.integers(0, 3))):
         h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
@@ -302,7 +302,7 @@ def annotated_images(draw):
                 tuple(draw(st.integers(-5, 20)) for _ in range(2)) + tuple(draw(st.integers(1, 9)) for _ in range(2)),
                 draw(st.none() | st.floats(0.0, 1.0)), mask, origin,
                 draw(st.none() | st.floats(0.0, 500.0) | st.integers(0, 500))))
-        images.append(manifests.ImageAnnotations(f"img_{i}", w, h, insts))
+        images.append(manifests.ImageAnnotations("abc"[i], w, h, insts))
     return images
 
 
@@ -331,6 +331,7 @@ IMAGE_FAULTS = {
     "height-string": lambda e: _set(e, "height", "3"), "height-null": lambda e: _set(e, "height", None),
     "width-past-int64": lambda e: _set(e, "width", 2**63), "width-zero": lambda e: _set(e, "width", 0),
     "height-negative": lambda e: _set(e, "height", -1), "instances-object": lambda e: _set(e, "instances", {}),
+    "name-of-the-first-image": lambda e: _set(e, "image", "a"),
 }
 
 # (the versions a fault applies to, whether it needs a mask, the fault of a

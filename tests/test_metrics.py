@@ -389,7 +389,7 @@ def test_map_summary_matches_oracle_on_irregular_masks_at_every_threshold():
         label = ClassLabel.from_name(label_name)
         sweep = [oracle_class_ap(preds, gts, label, t, "mask") for t in metrics.COCO_THRESHOLDS]
         for thr, expected in zip(metrics.COCO_THRESHOLDS, sweep):
-            (tps,), num_gt = metrics._class_sweeps(preds, gts, "mask", None, (thr,))[label]
+            (tps,), num_gt = metrics._class_sweeps(preds, gts, ["mask"], None, (thr,))["mask"][label]
             assert metrics.average_precision(tps, num_gt) == pytest.approx(expected, abs=1e-12)
         assert m.ap50 == pytest.approx(sweep[0], abs=1e-12)
         assert m.ap50_95 == pytest.approx(sum(sweep) / len(sweep), abs=1e-12)
@@ -441,7 +441,7 @@ def straddling_scenes(draw):
 def test_sweeps_equal_matching_at_every_threshold(scene, conf_threshold):
     preds, gts = scene
     expected = metric_oracles.per_threshold_sweeps(preds, gts, "box", conf_threshold, metrics.COCO_THRESHOLDS)
-    got = metrics._class_sweeps(preds, gts, "box", conf_threshold, metrics.COCO_THRESHOLDS)
+    got = metrics._class_sweeps(preds, gts, ["box"], conf_threshold, metrics.COCO_THRESHOLDS)["box"]
     assert {label: (tps.tolist(), n) for label, (tps, n) in got.items()} == {
         label: sweep for label, sweep in expected.items() if sweep[1]  # classes of the ground truth
     }
@@ -515,11 +515,11 @@ def test_sweeps_match_an_image_once_per_distinct_set_of_passing_pairs(monkeypatc
     monkeypatch.setattr(metrics, "_greedy_match", lambda *args: calls.append(args[3]) or greedy(*args))
     gt = [det(ClassLabel.PURI, (0, 0, 20, 20)), det(ClassLabel.PURI, (40, 0, 20, 20))]
     # IoUs 1.0 and 0.6: thresholds 0.5..0.6 pass both, 0.65..0.95 only the first, and 1.0 passes at every one
-    metrics._class_sweeps([gt], [gt], "box", None, metrics.COCO_THRESHOLDS)
+    metrics._class_sweeps([gt], [gt], ["box"], None, metrics.COCO_THRESHOLDS)
     assert calls == [0.5]
     pred = [det(ClassLabel.PURI, (0, 0, 20, 20), 0.9), det(ClassLabel.PURI, (40, 0, 20, 12), 0.8)]
     calls.clear()
-    metrics._class_sweeps([pred], [gt], "box", None, metrics.COCO_THRESHOLDS)
+    metrics._class_sweeps([pred], [gt], ["box"], None, metrics.COCO_THRESHOLDS)
     assert calls == [0.5, 0.65]
 
 
@@ -540,6 +540,34 @@ def test_detection_report_includes_mask_variant_only_with_masks():
     boxes_only = [random_scene(rng) for _ in range(3)]
     report2 = metrics.detection_report([s[0] for s in boxes_only], [s[1] for s in boxes_only])
     assert report2.mask is None
+
+
+def test_detection_report_ranks_and_pairs_once(monkeypatch):
+    # box and mask share one ranking of each image and one list of pairs,
+    # and each kernel reads every same-class pair in one call
+    rng = np.random.default_rng(12)
+    scenes = [random_scene(rng, with_masks=True) for _ in range(12)]
+    preds = [s[0] for s in scenes]
+    gts = [s[1] for s in scenes]
+    calls = {"_confidence_order": [], "_box_ious": [], "_mask_ious": []}
+    for name, seen in calls.items():
+        real = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name,
+                            lambda *args, real=real, seen=seen: seen.append(len(args[-1])) or real(*args))
+    report = metrics.detection_report(preds, gts)
+    pairs = sum(p.label is g.label for ps, gs in zip(preds, gts) for p in ps for g in gs)
+    assert pairs > 0 and report.mask is not None
+    assert calls == {"_confidence_order": [len(ps) for ps in preds], "_box_ious": [pairs], "_mask_ious": [pairs]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scored_scenes(), st.sampled_from([None, 0.5, 0.9]))
+def test_detection_report_equals_one_map_summary_per_kind(scene, conf_threshold):
+    # scored_scenes has images with no predictions and with no ground truth
+    preds, gts = scene
+    got = metrics.detection_report(preds, gts, conf_threshold)
+    want = metrics.DetectionReport(*(metrics.map_summary(preds, gts, kind, conf_threshold) for kind in ("box", "mask")))
+    assert repr(asdict(got)) == repr(asdict(want))
 
 
 def test_summary_text_renders():
