@@ -10,15 +10,16 @@ A manifest is a JSON document listing images and their instances:
                                 "mask_origin": [x, y],                   # with "mask"
                                 "calories_kcal": 210.5}]}]}              # optional
 
-A mask is the instance's tight foreground window, h rows of w pixels, with
-its top-left corner at image pixel "mask_origin"; an empty mask is one
-background pixel at [0, 0]. "bits" is the base64 of ``np.packbits`` of the
-window: one bit per pixel in row-major order, the first pixel in the high
-bit of the first byte, and zero bits after the last pixel up to a whole
-byte. Versions 1 and 2 store each mask as a PGM file named by its path
-relative to the manifest: version 2 the same window, version 1 the whole
-image and no origin. Both still load, a v1 mask cut to the window that v3
-stores.
+A mask is the instance's ``DetectionInstance.foreground``: its mask cut to
+the tight box of its foreground, h rows of w pixels, with its top-left
+corner at image pixel "mask_origin"; an empty mask is one background pixel
+at [0, 0]. "bits" is the base64 of ``np.packbits`` of the crop: one bit
+per pixel in row-major order, the first pixel in the high bit of the
+first byte, and zero bits after the last pixel up to a whole byte.
+Versions 1 and 2 store each mask as a PGM file named by its path relative
+to the manifest: version 2 the same crop, version 1 the whole image and
+no origin. Both still load, a v1 mask cut by ``maskgeom.foreground`` to
+the crop that v3 stores.
 
 Ground truth omits "confidence"; synthetic ground truth may carry
 per-instance calorie labels, which read onto each instance's
@@ -31,6 +32,7 @@ ceil(h * w / 8) bytes with no pad bit set; every JSON integer fits int64;
 finite number, null or absent. Any other value is a ``DataError`` naming
 the image, the field and, in an instance record, the instance's index; a
 repeated name is one of the later image, naming both indices.
+``write_manifest`` raises ``ValueError`` for what the reader would reject.
 
 ``read_manifest`` checks and decodes the whole manifest in one set of
 passes: the width/height pairs of every image, every bbox, every
@@ -69,40 +71,68 @@ class ImageAnnotations:
 
 
 def write_manifest(path, images: list[ImageAnnotations]) -> Path:
-    """Write the manifest, each mask inline as its packed foreground window,
-    as compact JSON with no indent. Returns the manifest path."""
+    """Write the manifest, each mask inline as its packed foreground crop,
+    as compact JSON with no indent. Returns the manifest path.
+
+    What ``read_manifest`` would reject raises ``ValueError`` naming the
+    image and, for an instance, its index, and nothing is written. A number
+    of integer value that fits int64, such as ``np.int64(2)`` or ``2.0``, is
+    written as a JSON integer; a bool is no integer."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, "images": []}
-    for img in images:
-        entry = {"image": img.name, "width": img.width, "height": img.height, "instances": []}
-        for inst in img.instances:
-            rec = {"class": inst.label.value, "bbox": [int(v) for v in inst.bbox]}
-            if inst.confidence is not None:
-                rec["confidence"] = inst.confidence
-            if inst.mask is not None:
-                crop, origin = _window(inst.mask, inst.origin, inst.window)
-                rec["mask"] = {"size": list(crop.shape), "bits": encode_array(np.packbits(crop), np.uint8)}
-                rec["mask_origin"] = [int(v) for v in origin]
-            if inst.calories_kcal is not None:
-                rec["calories_kcal"] = inst.calories_kcal
-            entry["instances"].append(rec)
-        payload["images"].append(entry)
+    first = {}  # the index of the first image of each name
+    for k, img in enumerate(images):
+        if not isinstance(img.name, str):
+            raise ValueError(f"{path}: image {k}: the name {img.name!r} is not a string")
+        where = f"{path}: image {img.name}"
+        if first.setdefault(img.name, k) != k:
+            raise ValueError(f"{where}: images {first[img.name]} and {k} have the same name")
+        if not (_integer(img.width) and _integer(img.height) and img.width >= 1 and img.height >= 1):
+            raise ValueError(f"{where}: width and height must be integers >= 1, got {img.width!r}, {img.height!r}")
+        width, height = int(img.width), int(img.height)
+        records = []
+        for i, inst in enumerate(img.instances):
+            try:
+                records.append(_record(inst, width, height))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc} (instance {i})") from exc
+        payload["images"].append({"image": img.name, "width": width, "height": height, "instances": records})
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_json(path, payload)
     return path
 
 
-def _window(mask, origin, box):
-    """A mask at ``origin`` cut to ``box``, its ``maskgeom.foreground_slices``,
-    as 0/1 ``uint8``, and the window's origin; an empty mask is one
-    background pixel at (0, 0). What is not a 2-D array of 0/1 pixels raises
-    ``ValueError``."""
-    mask = np.asarray(mask)
-    if mask.ndim == 2 and mask.size:
-        if box is None:
-            return np.zeros((1, 1), np.uint8), (0, 0)
-        mask, origin = mask[box], (origin[0] + box[1].start, origin[1] + box[0].start)
-    return maskgeom.as_mask(mask), origin
+def _integer(v) -> bool:
+    """Whether ``v`` is a number of integer value that fits int64, as the
+    JSON integers of a manifest are. A bool is not one."""
+    if isinstance(v, (np.integer, np.floating)):
+        v = v.item()
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and -(2**63) <= v < 2**63 and v == int(v)
+
+
+def _record(inst: DetectionInstance, width: int, height: int) -> dict:
+    """The manifest record of an instance of a ``width`` x ``height`` image.
+    What ``write_manifest`` rejects raises ``ValueError``."""
+    if not (len(inst.bbox) == 4 and all(map(_integer, inst.bbox)) and inst.bbox[2] > 0 and inst.bbox[3] > 0):
+        raise ValueError(f"bbox {inst.bbox!r} is not [x, y, w, h] of integers with w, h > 0")
+    rec = {"class": inst.label.value, "bbox": [int(v) for v in inst.bbox]}
+    if inst.confidence is not None:
+        rec["confidence"] = inst.confidence
+    if inst.mask is not None:
+        found = inst.foreground
+        if found is None:  # an empty mask: one background pixel at the image corner
+            maskgeom.as_mask(inst.mask)  # a mask of no pixels, or not 2-D, still raises
+            found = np.zeros((1, 1), np.uint8), (0, 0)
+        crop, (x, y) = found
+        crop = maskgeom.as_mask(crop)
+        h, w = crop.shape
+        if not (_integer(x) and _integer(y) and 0 <= x <= width - w and 0 <= y <= height - h):
+            raise ValueError(f"mask foreground is ({h}, {w}) at [{x}, {y}], image is ({height}, {width})")
+        rec["mask"] = {"size": [h, w], "bits": encode_array(np.packbits(crop), np.uint8)}
+        rec["mask_origin"] = [int(x), int(y)]
+    if inst.calories_kcal is not None:
+        rec["calories_kcal"] = inst.calories_kcal
+    return rec
 
 
 def _int_rows(rows, k, fault, least=None, valid=None) -> np.ndarray:
@@ -188,8 +218,8 @@ def _read(entries, version, path) -> list[ImageAnnotations]:
     _raise_first(((h != H) | (w != W)) if version == 1 else (x > W - w) | (y > H - h), lambda i: DataError(
         f"{mwheres[i]}: {'mask' if version == 3 else f'mask {masks[i]}'} is {tuple(hw[i].tolist())} at "
         f"{origins[i]}, image is ({H[i]}, {W[i]})"))
-    if version == 1:  # image-sized masks: keep the windows that v2 and v3 store
-        found = (_window(p, (0, 0), maskgeom.foreground_slices(p)) for p in pixels)
+    if version == 1:  # image-sized masks: keep the crops that v2 and v3 store
+        found = (maskgeom.foreground(p) or (np.zeros((1, 1), np.uint8), (0, 0)) for p in pixels)
     else:
         crops = _unpack([mask["bits"] for mask in masks], h, w, mwheres) if version == 3 else pixels
         found = zip(crops, map(tuple, origins))

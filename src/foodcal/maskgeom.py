@@ -99,6 +99,20 @@ def foreground_slices(mask) -> tuple[slice, slice] | None:
     return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
+def foreground(mask, origin=(0, 0)) -> tuple[np.ndarray, tuple[int, int]] | None:
+    """``(crop, (x, y))``: a mask with its top-left pixel at image pixel
+    ``origin``, cut to its foreground box, and the box's top-left pixel;
+    None when it has no non-zero entry. A mask that is not 2-D but has one
+    comes back whole, for ``as_mask`` to reject. Values are not checked."""
+    mask = np.asarray(mask)
+    if mask.ndim != 2:
+        return (mask, origin) if mask.any() else None
+    box = foreground_slices(mask)
+    if box is None:
+        return None
+    return mask[box], (origin[0] + box[1].start, origin[1] + box[0].start)
+
+
 def _canvas(crops) -> tuple[np.ndarray, int, np.ndarray]:
     """``crops`` stacked into one canvas as the module docstring lays it
     out: its flat cells, its stride and the canvas row of each crop's top

@@ -8,19 +8,18 @@ density (kcal per gram).
 
 Area and perimeter come from the outer contour of the largest 8-connected
 component of each food mask. ``extract_batch`` measures the masks of many
-images at once: it cuts each mask to its instance's ``window``, its
-foreground box, and
-``maskgeom.largest_component_stats`` stacks the crops into one canvas, with
-a background row between crops and a background column on each side,
-labels its runs once and walks each contour through a 256 x 8 table of
-moves indexed by (8-neighbour code, back direction). Of components of
-equal size, the first in ``maskgeom.connected_components``' order (min-y,
-then min-x, then first pixel) is measured.
+images at once: it cuts each mask to its instance's ``foreground`` box,
+and ``maskgeom.largest_component_stats`` stacks the crops into one
+canvas, with a background row between crops and a background column on
+each side, labels its runs once and walks each contour through a 256 x 8
+table of moves indexed by (8-neighbour code, back direction). Of
+components of equal size, the first in ``maskgeom.connected_components``'
+order (min-y, then min-x, then first pixel) is measured.
 
-An instance that ``synth`` renders is given its window by the placement
-that drew it, so its full-frame mask is not scanned again. Any other
-instance computes its window from its mask on first use, once, and
-``dataclasses.replace`` never carries a window over to a new mask.
+An instance that ``synth`` renders is given its foreground by the
+placement that drew it, so its full-frame mask is not scanned again. Any
+other instance cuts its own on first use, once, and
+``dataclasses.replace`` never carries one over to a new mask.
 """
 
 import logging
@@ -75,11 +74,11 @@ class DetectionInstance:
     its top-left pixel at ``origin`` (x, y), or the frame at (0, 0)), and
     the item's calorie label where ground truth has one.
 
-    ``window`` is the tight box of the mask's foreground, as slices of
-    ``mask``. ``synth`` gives it with the mask it renders (``with_window``);
-    any other instance computes it on first use, once. It is no field: it
-    takes no part in equality or repr, and ``dataclasses.replace`` builds
-    an instance without it, which computes its own from its own mask.
+    ``foreground`` is the mask cut to its foreground box, and the box's
+    top-left pixel. ``synth`` gives it with the mask it renders
+    (``with_foreground``); any other instance computes it on first use,
+    once. It is no field: it takes no part in equality or repr, and
+    ``dataclasses.replace`` builds an instance without it.
     """
 
     label: ClassLabel
@@ -96,21 +95,20 @@ class DetectionInstance:
             raise ValueError(f"calories_kcal must be a finite number or null, got {self.calories_kcal!r}")
 
     @classmethod
-    def with_window(cls, window, *args, **kwargs) -> "DetectionInstance":
-        """``DetectionInstance(*args, **kwargs)`` whose ``window`` is
-        ``window``, which must be that of its mask."""
+    def with_foreground(cls, foreground, *args, **kwargs) -> "DetectionInstance":
+        """``DetectionInstance(*args, **kwargs)`` whose ``foreground`` is
+        ``foreground``, which must be that of its mask and origin."""
         inst = cls(*args, **kwargs)
-        inst.__dict__["window"] = window  # where cached_property keeps it
+        inst.__dict__["foreground"] = foreground  # where cached_property keeps it
         return inst
 
     @cached_property
-    def window(self) -> tuple[slice, slice] | None:
-        """Row and column slices of the mask's foreground box; None when the
-        mask is missing, is not 2-D or has no foreground."""
+    def foreground(self) -> tuple[np.ndarray, tuple[int, int]] | None:
+        """``maskgeom.foreground`` of the mask at its origin: ``(crop, (x,
+        y))``, or None when the mask is missing or has no foreground."""
         if self.mask is None:
             return None
-        mask = np.asarray(self.mask)
-        return maskgeom.foreground_slices(mask) if mask.ndim == 2 else None
+        return maskgeom.foreground(self.mask, self.origin)
 
 
 @dataclass(frozen=True)
@@ -205,11 +203,10 @@ def extract_batch(
         for i, det in enumerate(detections):
             if det.label is ClassLabel.COIN:
                 continue
-            crop = _foreground(det)
-            if crop is None:
+            if det.foreground is None:
                 logger.warning("skipping instance %d (%s): empty mask", i, det.label.value)
                 continue
-            crops.append(crop)
+            crops.append(det.foreground[0])
             owners.append((j, i))
     records = [[] for _ in images]
     for (j, i), stats in zip(owners, maskgeom.largest_component_stats(crops)):
@@ -226,19 +223,6 @@ def extract_batch(
             )
         )
     return records
-
-
-def _foreground(det: DetectionInstance) -> np.ndarray | None:
-    """The instance's 2-D mask, as an array, cut to its ``window``; None
-    when the mask is missing or has no foreground. Any other non-empty
-    array is passed on whole, for ``maskgeom.as_mask`` to reject."""
-    if det.mask is None:
-        return None
-    mask = np.asarray(det.mask)
-    if mask.ndim != 2:
-        return mask if mask.any() else None
-    box = det.window
-    return None if box is None else mask[box]
 
 
 def calorie_label(weight_g: float, label: ClassLabel) -> float:

@@ -210,20 +210,15 @@ class _Trees:
         return np.where(self.feature >= 0, self.split, 0.0)
 
     def leaves(self, X) -> np.ndarray:
-        """Leaf value of every tree for every row, shape (n_trees, n_rows)."""
+        """Leaf value of every tree for every row, shape (n_trees, n_rows).
+        The rows are walked in blocks of at most ``_BLOCK_ROWS``, so the
+        walk's work arrays stay bounded by n_trees x _BLOCK_ROWS however
+        many rows ``X`` has."""
         out = np.empty((len(self.roots), X.shape[0]))
-        for rows, values in self.leaf_blocks(X):
-            out[:, rows] = values
-        return out
-
-    def leaf_blocks(self, X):
-        """``(rows, values)`` for consecutive blocks of at most ``_BLOCK_ROWS``
-        rows of ``X``: ``values`` are the leaf values of every tree for
-        ``X[rows]``, shape (n_trees, block), so the walk's work arrays stay
-        bounded by n_trees x _BLOCK_ROWS however many rows ``X`` has."""
         for start in range(0, X.shape[0], _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            yield rows, self._walk(X[rows])
+            out[:, rows] = self._walk(X[rows])
+        return out
 
     def _walk(self, X) -> np.ndarray:
         """Leaf values for ``X``, shape (n_trees, n_rows). All (tree, row)
@@ -649,11 +644,9 @@ class BoostModel(Regressor):
         return cls(X.shape[1], init, learning_rate, trees)
 
     def predict(self, X):
-        out = np.full(X.shape[0], self.init)
-        for rows, leaves in self.trees.leaf_blocks(X):
-            for pred in leaves:
-                out[rows] = out[rows] + self.learning_rate * pred
-        return out
+        # cumsum adds init, then each tree's step, in order for any row count, as rforest's predict does
+        steps = self.learning_rate * self.trees.leaves(X)
+        return np.cumsum(np.vstack([np.full(X.shape[0], self.init), steps]), axis=0)[-1]
 
     def to_state(self):
         return {"init": self.init, "learning_rate": self.learning_rate, **self.trees.to_state()}

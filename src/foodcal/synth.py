@@ -24,8 +24,8 @@ boundary; the angle and the jitter are evaluated there alone. The pixels
 within the band's inner edge are the sure-inside core, which every
 jittered raster holds, so a placement try whose core overlaps an earlier
 instance is rejected before its band is resolved. An accepted instance
-carries its foreground window, the tight box that placement found, as
-``DetectionInstance.window``.
+carries its ``DetectionInstance.foreground``: a view of its frame cut to
+the tight box that placement found, and that box's top-left pixel.
 """
 
 import math
@@ -433,8 +433,8 @@ def generate_scene(
             confidence = round(float(rng.uniform(min_confidence, 1.0)), 6)
             bbox = (x0, y0, x1 - x0, y1 - y0)
             calories = None if item is None else item.calories_kcal
-            instances.append(DetectionInstance.with_window(
-                (slice(y0, y1), slice(x0, x1)), label, bbox, confidence, mask, calories_kcal=calories))
+            instances.append(DetectionInstance.with_foreground(
+                (mask[y0:y1, x0:x1], (x0, y0)), label, bbox, confidence, mask, calories_kcal=calories))
             truths.append(InstanceTruth(label, *shape.truth(), weight_g=None if item is None else item.weight_g))
             return
         raise PlacementFailure(
@@ -532,7 +532,7 @@ def generate_regression_dataset(
         # scene k renders group k % len(groups) in view k // len(groups)
         k = len(scenes)
         scenes.append(_scene_with_retries(cfg, k, groups[k % len(groups)]))
-        foods += sum(det.label is not ClassLabel.COIN and det.window is not None for det in scenes[-1].instances)
+        foods += sum(det.label is not ClassLabel.COIN and det.foreground is not None for det in scenes[-1].instances)
     images = [(s.instances, measurement.scale_from_detections(s.instances)) for s in scenes]
     records = [rec for recs in measurement.extract_batch(images) for rec in recs]
     surplus = {rec.instance for rec in records[n_records:]}  # all of the last scene

@@ -15,7 +15,7 @@ import numpy as np
 
 from foodcal import maskgeom
 from foodcal.errors import DataError, decode_array, is_number, read_json
-from foodcal.manifests import MANIFEST_FORMAT, MANIFEST_VERSION, ImageAnnotations, _window
+from foodcal.manifests import MANIFEST_FORMAT, MANIFEST_VERSION, ImageAnnotations
 from foodcal.measurement import ClassLabel, DetectionInstance
 
 
@@ -57,8 +57,11 @@ def _read_mask(rec, version, img, where, root):
         raise DataError(f"{where}: {what} is {(h, w)} at {origin}, image is ({img.height}, {img.width})")
     if version == 3:
         return _unpack(mask["bits"], h, w, where), origin
-    if version == 1:
-        return _window(pixels, origin, maskgeom.foreground_slices(pixels))
+    if version == 1:  # cut to the box of the foreground pixels
+        ys, xs = np.nonzero(pixels)
+        if ys.size == 0:
+            return np.zeros((1, 1), np.uint8), (0, 0)
+        return pixels[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1], (int(xs.min()), int(ys.min()))
     return pixels, origin
 
 

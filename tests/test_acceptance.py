@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The oracles here are
 intentionally self-contained (plain loops, no reuse of library internals).
 """
 
+import ast
 import itertools
 import math
 from collections import deque
@@ -385,3 +386,38 @@ def test_c8_determinism(tmp_path):
     assert first == second, "repeated runs differ"
     assert first == threaded, "thread count changed the outputs"
     _pass("C8 determinism", "gen+extract+train+eval byte-identical across runs and threads 1/8")
+
+
+# ---------------------------------------------------------------------------
+# the oracle modules stay independent of the code they check
+
+
+def _private_names(path: Path) -> list[str]:
+    """The ``_``-prefixed names, dunders aside, that a module takes from
+    ``foodcal``: imported by name, or read as an attribute of a name it
+    imports from ``foodcal``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = lambda name: name.startswith("_") and not (name.startswith("__") and name.endswith("__"))  # noqa: E731
+    found, bound = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "foodcal":
+            found += [f"{node.module}.{alias.name}" for alias in node.names if private(alias.name)]
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                      if alias.name.split(".")[0] == "foodcal"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_oracles_take_no_private_name_from_foodcal():
+    # an oracle that reuses the internals it checks agrees with them by construction
+    oracles = sorted(Path(__file__).parent.glob("*oracle*.py"))
+    assert len(oracles) >= 3
+    assert {p.name: _private_names(p) for p in oracles} == {p.name: [] for p in oracles}

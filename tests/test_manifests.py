@@ -154,6 +154,112 @@ def test_write_rejects_what_is_not_a_mask(tmp_path, mask):
         manifests.write_manifest(tmp_path / "annotations.json", [manifests.ImageAnnotations("a", 20, 20, [inst])])
 
 
+def _block_at(y, x, h, w, size=30):
+    m = np.zeros((size, size), np.uint8)
+    m[y : y + h, x : x + w] = 1
+    return m
+
+
+# images that the reader would reject, and what the writer's error says
+WRITE_FAULTS = {
+    "foreground-past-the-image": (
+        [("a", [DetectionInstance(ClassLabel.PURI, (3, 18, 2, 4), 0.5, _block_at(18, 3, 4, 2))])],
+        r"image a: mask foreground is \(4, 2\) at \[3, 18\], image is \(20, 20\) \(instance 0\)"),
+    "origin-becomes-negative": (
+        [("a", [DetectionInstance(ClassLabel.PURI, (0, 0, 2, 2), 0.5, _block_at(1, 1, 2, 2, 4), origin=(-3, 0))])],
+        r"image a: mask foreground is \(2, 2\) at \[-2, 1\], image is \(20, 20\) \(instance 0\)"),
+    "bbox-of-no-area": (
+        [("a", []), ("b", [DetectionInstance(ClassLabel.PURI, (0, 0, 1, 1)),
+                           DetectionInstance(ClassLabel.PURI, (1, 2, 0, -3))])],
+        r"image b: bbox \(1, 2, 0, -3\) is not \[x, y, w, h\] of integers with w, h > 0 \(instance 1\)"),
+    "two-images-of-one-name": (
+        [("a", []), ("b", []), ("a", [])], r"image a: images 0 and 2 have the same name"),
+    "non-integral-bbox": (
+        [("a", [DetectionInstance(ClassLabel.PURI, (1.7, 2.2, 3.9, 4.1))])],
+        r"image a: bbox \(1.7, 2.2, 3.9, 4.1\) is not \[x, y, w, h\] of integers .* \(instance 0\)"),
+    "bool-in-bbox": (
+        [("a", [DetectionInstance(ClassLabel.PURI, (True, 2, 3, 4))])],
+        r"image a: bbox \(True, 2, 3, 4\) is not \[x, y, w, h\] of integers .* \(instance 0\)"),
+}
+
+
+@pytest.mark.parametrize("images, message", WRITE_FAULTS.values(), ids=WRITE_FAULTS.keys())
+def test_write_rejects_what_read_would_reject(tmp_path, images, message):
+    path = tmp_path / "out" / "annotations.json"
+    with pytest.raises(ValueError, match=message):
+        manifests.write_manifest(path, [manifests.ImageAnnotations(name, 20, 20, insts) for name, insts in images])
+    assert not path.parent.exists()  # nothing is written
+
+
+def test_integral_values_of_any_number_type_write_as_json_integers(tmp_path):
+    inst = DetectionInstance(ClassLabel.PURI, (np.int64(1), 2.0, np.float32(3), np.uint8(4)), 0.5,
+                             np.ones((2, 2), bool), origin=(np.int32(5), 6))
+    images = [manifests.ImageAnnotations("a", np.int16(20), 20.0, [inst])]
+    path = manifests.write_manifest(tmp_path / "annotations.json", images)
+    (img,) = json.loads(path.read_text())["images"]
+    assert (img["width"], img["height"]) == (20, 20) and img["instances"][0]["bbox"] == [1, 2, 3, 4]
+    assert img["instances"][0]["mask_origin"] == [5, 6]
+    assert all(type(v) is int for v in [img["width"], img["height"], *img["instances"][0]["bbox"]])
+
+
+@st.composite
+def written_images(draw):
+    """Images that the writer may accept or reject, with about one value in
+    ten at fault: a name that an earlier image has, a side of 0, a bbox
+    value that is fractional, a bool or a w or h of 0, a mask that lies
+    partly or wholly outside the image. Integral values come as Python
+    ints, floats or NumPy ints."""
+
+    def at_fault():
+        return draw(st.integers(0, 9)) == 9  # hypothesis draws the low end more often
+
+    images = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = f"img_{len(images)}"
+        if images and at_fault():
+            name = draw(st.sampled_from(images)).name
+        height, width = (0 if at_fault() else draw(st.integers(1, 12)) for _ in range(2))
+        insts = []
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from([int, float, np.int64]))
+            bbox = [kind(draw(st.integers(lo, 20))) for lo in (0, 0, 1, 1)]
+            if at_fault():
+                bbox[draw(st.integers(0, 3))] = draw(st.sampled_from([1.5, True, 0, -1]))
+            mask, origin = None, (0, 0)
+            if draw(st.booleans()):
+                h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+                mask = draw(frame_masks(h, w))
+                if at_fault():
+                    origin = (draw(st.integers(-3, 12)), draw(st.integers(-3, 12)))
+                else:
+                    origin = (draw(st.integers(0, max(0, width - w))), draw(st.integers(0, max(0, height - h))))
+            conf = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+            kcal = draw(st.one_of(st.none(), st.floats(0.0, 1e6)))
+            insts.append(DetectionInstance(draw(st.sampled_from(LABELS)), tuple(bbox), conf, mask, origin, kcal))
+        images.append(manifests.ImageAnnotations(name, width, height, insts))
+    return images
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(written_images())
+def test_what_the_writer_accepts_reads_back_equal(tmp_path_factory, images):
+    path = tmp_path_factory.mktemp("round") / "annotations.json"
+    try:
+        manifests.write_manifest(path, images)
+    except ValueError:
+        return
+    read = manifests.read_manifest(path)
+    assert [(i.name, i.width, i.height, len(i.instances)) for i in read] == [
+        (i.name, i.width, i.height, len(i.instances)) for i in images]
+    for a, b in zip((i for img in images for i in img.instances), (i for img in read for i in img.instances)):
+        assert (a.label, a.bbox, a.confidence, a.calories_kcal) == (b.label, b.bbox, b.confidence, b.calories_kcal)
+        assert (a.mask is None) == (b.mask is None)
+        if a.mask is not None:
+            assert (a.foreground is None) == (b.foreground is None)
+            if a.foreground is not None:
+                assert np.array_equal(a.foreground[0], b.foreground[0]) and a.foreground[1] == b.foreground[1]
+
+
 # ---------------------------------------------------------------------------
 # v1 and v2 manifests and byte-identical outputs
 

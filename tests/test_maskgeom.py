@@ -177,6 +177,50 @@ def test_foreground_slices_match_nonzero_box(m):
         assert all(type(v) is int for sl in box for v in (sl.start, sl.stop))
 
 
+@st.composite
+def masks_at_origins(draw):
+    """A sparse mask, an empty, one-pixel or full one among them, at an
+    origin (x, y) of its image."""
+    kind = draw(st.sampled_from(["sparse", "empty", "pixel", "full"]))
+    m = draw(sparse_masks())
+    if kind != "sparse":
+        m[...] = kind == "full"
+    if kind == "pixel":
+        m[draw(st.integers(0, m.shape[0] - 1)), draw(st.integers(0, m.shape[1] - 1))] = 1
+    return m, (draw(st.integers(0, 40)), draw(st.integers(0, 40)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(masks_at_origins())
+def test_foreground_matches_the_nonzero_crop_and_moves_with_its_origin(case):
+    m, (x, y) = case
+    ys, xs = np.nonzero(m)
+    found = maskgeom.foreground(m, (x, y))
+    if ys.size == 0:
+        assert found is None
+        return
+    crop, origin = found
+    assert np.array_equal(crop, m[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1])
+    assert origin == (x + int(xs.min()), y + int(ys.min())) and all(type(v) is int for v in origin)
+    # the mask pasted into a frame at (0, 0) gives the same crop at the same origin
+    frame = np.zeros((y + m.shape[0] + 3, x + m.shape[1] + 2), m.dtype)
+    frame[y : y + m.shape[0], x : x + m.shape[1]] = m
+    in_frame = maskgeom.foreground(frame)
+    assert np.array_equal(in_frame[0], crop) and in_frame[1] == origin
+
+
+@pytest.mark.parametrize("mask", [np.zeros(4, np.uint8), np.zeros((0, 3), np.uint8), np.zeros((2, 0, 3))],
+                         ids=["1d", "no-rows", "3d"])
+def test_a_mask_without_foreground_of_any_shape_has_none(mask):
+    assert maskgeom.foreground(mask, (2, 5)) is None
+
+
+def test_a_mask_that_is_not_2d_comes_back_whole():
+    m = np.ones((2, 2, 2), np.uint8)
+    crop, origin = maskgeom.foreground(m, (2, 5))
+    assert crop is m and origin == (2, 5)
+
+
 # ---------------------------------------------------------------------------
 # connected_components
 

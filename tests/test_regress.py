@@ -859,9 +859,15 @@ def test_predict_in_row_blocks_is_bit_identical(algorithm, monkeypatch):
     X = rng.uniform(0, 1, size=(10, N_FEATURES))
     whole = model.predict(X)
     monkeypatch.setattr(regress, "_BLOCK_ROWS", 3)
-    trees = model.tree if algorithm == "dtree" else model.trees
-    assert [values.shape[1] for _rows, values in trees.leaf_blocks(X)] == [3, 3, 3, 1]
+    walk, blocks = regress._Trees._walk, []  # the rows of each block walked
+
+    def counted_walk(self, X):
+        blocks.append(X.shape[0])
+        return walk(self, X)
+
+    monkeypatch.setattr(regress._Trees, "_walk", counted_walk)
     assert np.array_equal(model.predict(X), whole)
+    assert blocks == [3, 3, 3, 1]
 
 
 def _recode(state, key, edit):

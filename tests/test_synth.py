@@ -172,18 +172,19 @@ def test_a_try_whose_core_meets_an_earlier_instance_resolves_no_band(monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# the window each instance carries
+# the foreground each instance carries
 
 
 def test_a_turned_instance_writes_and_measures_its_turned_mask(tmp_path):
-    # synth gives each instance the window of its mask; an instance turned
-    # with replace, as perfbench's rotated_180 makes it, must be cut at the
-    # window of its own mask, as a freshly built one is
+    # synth gives each instance the foreground of its mask; an instance
+    # turned with replace, as perfbench's rotated_180 makes it, must be cut
+    # to the foreground of its own mask, as a freshly built one is
     scene = synth.generate_scene(synth.SceneConfig(), 4)
     h, w = scene.height, scene.width
     turned, fresh = [], []
     for d in scene.instances:
-        assert d.window == maskgeom.foreground_slices(d.mask)
+        (crop, origin), (own_crop, own_origin) = d.foreground, maskgeom.foreground(d.mask, d.origin)
+        assert np.array_equal(crop, own_crop) and origin == own_origin
         same = measurement.DetectionInstance(d.label, d.bbox, d.confidence, d.mask, d.origin, d.calories_kcal)
         assert d == same and repr(d) == repr(same)  # the window is no field
         bbox = (w - d.bbox[0] - d.bbox[2], h - d.bbox[1] - d.bbox[3], d.bbox[2], d.bbox[3])
