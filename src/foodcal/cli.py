@@ -213,7 +213,7 @@ def cmd_train(args, parser):
     out = _require_out(args, parser)
     seed = _option(args, parser, config, "seed", 0)
     threshold = _option(args, parser, config, "zscore_threshold", 2.0)
-    dataset = preprocess.RegressionDataset.from_records(preprocess.read_csv(args.data))
+    dataset = preprocess.read_csv(args.data)
     train, _, _ = preprocess.split(dataset, seed=seed)
     try:
         train = preprocess.zscore_filter(train, threshold)
@@ -299,7 +299,7 @@ def cmd_eval(args, parser):
     seed = _option(args, parser, {}, "seed", None)
     model, params, (fractions, split_seed) = _load_bundle(args.model)
     seed = split_seed if seed is None else seed
-    dataset = preprocess.RegressionDataset.from_records(preprocess.read_csv(args.data))
+    dataset = preprocess.read_csv(args.data)
     if args.split == "all":
         part = dataset
     else:

@@ -36,7 +36,7 @@ repeated name is one of the later image, naming both indices.
 
 ``read_manifest`` checks and decodes the whole manifest in one set of
 passes: the width/height pairs of every image, every bbox, every
-mask_origin and every mask size each go through one
+mask_origin, every mask size and every calorie label each go through one
 ``errors.number_array`` call, the other checks are array operations over
 the same numbers, and the bits of every mask are decoded, joined and
 unpacked by one ``np.unpackbits``, each mask a view of that array. Per
@@ -131,6 +131,10 @@ def _record(inst: DetectionInstance, width: int, height: int) -> dict:
         rec["mask"] = {"size": [h, w], "bits": encode_array(np.packbits(crop), np.uint8)}
         rec["mask_origin"] = [int(x), int(y)]
     if inst.calories_kcal is not None:
+        try:
+            number_array(inst.calories_kcal, "calories_kcal", ndim=0)  # an int must fit int64
+        except DataError as exc:
+            raise ValueError(str(exc)) from None
         rec["calories_kcal"] = inst.calories_kcal
     return rec
 
@@ -231,6 +235,12 @@ def _read(entries, version, path) -> list[ImageAnnotations]:
                           rec.get("calories_kcal"))
         for j, (label, box, rec) in enumerate(zip(labels, boxes, recs))
     ]
+    labelled = [j for j, inst in enumerate(instances) if inst.calories_kcal is not None]
+    try:  # a JSON integer that does not fit int64 is what DetectionInstance lets through
+        number_array([instances[j].calories_kcal for j in labelled], "calories_kcal")
+    except DataError:
+        for j in labelled:
+            number_array(instances[j].calories_kcal, f"{wheres[owner[j]]}: calories_kcal", ndim=0)
     ends = np.cumsum(counts).tolist()
     return [ImageAnnotations(e["image"], width, height, instances[end - n : end])
             for e, (width, height), n, end in zip(entries, dims.tolist(), counts, ends)]

@@ -54,13 +54,20 @@ class RegressionDataset:
         return RegressionDataset(self.X[idx], self.y[idx])
 
     @classmethod
-    def from_records(cls, records: list[FeatureRecord]) -> "RegressionDataset":
-        X = np.zeros((len(records), N_FEATURES))
-        X[np.arange(len(records)), [_column(r.label) for r in records]] = 1.0
-        numeric = [(r.height_mm, r.width_mm, r.area_mm2, r.perimeter_mm) for r in records]
+    def from_columns(cls, hot, numeric, y) -> "RegressionDataset":
+        """Rows of one-hot class column ``hot[i]`` and the numeric features
+        ``numeric[i]``, with targets ``y``."""
+        X = np.zeros((len(hot), N_FEATURES))
+        X[np.arange(len(hot)), hot] = 1.0
         X[:, NUMERIC] = np.reshape(numeric, (-1, len(NUMERIC_NAMES)))
-        y = [np.nan if r.calories_kcal is None else r.calories_kcal for r in records]
         return cls(X, y)
+
+    @classmethod
+    def from_records(cls, records: list[FeatureRecord]) -> "RegressionDataset":
+        hot = [_column(r.label) for r in records]
+        numeric = [(r.height_mm, r.width_mm, r.area_mm2, r.perimeter_mm) for r in records]
+        y = [np.nan if r.calories_kcal is None else r.calories_kcal for r in records]
+        return cls.from_columns(hot, numeric, y)
 
 
 def write_csv(path, records: list[FeatureRecord]) -> None:
@@ -77,45 +84,68 @@ def write_csv(path, records: list[FeatureRecord]) -> None:
             )
 
 
-def read_csv(path) -> list[FeatureRecord]:
-    """Read a dataset CSV; text that is not UTF-8 CSV, a row with more or
-    fewer fields than the header, a bad class name or number, or a
-    non-finite feature or target raises DataError naming the line. Blank
-    lines are skipped."""
-    records = []
+# the one-hot column of each food class name; the coin has none
+_FOOD_COLUMNS = {label.value: j for j, label in enumerate(FOOD_CLASSES)}
+
+
+def read_csv(path) -> RegressionDataset:
+    """The dataset of a CSV that ``write_csv`` wrote, every row labelled.
+    Text that is not UTF-8 CSV, a row with more or fewer fields than the
+    header, a bad class name or number, a non-finite feature or target, an
+    empty ``calories_kcal`` or a Coin row raises ``DataError`` naming the
+    line. Blank lines are skipped.
+
+    The rows are parsed by columns: the class names through one dict, each
+    numeric column by one ``np.fromiter`` and finiteness by one array test.
+    When that fails, the rows are walked again one at a time, and the first
+    at fault gives the error."""
+    rows, lines = [], []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             if next(reader, None) != list(CSV_FIELDS):
                 raise DataError(f"{path}: expected header {','.join(CSV_FIELDS)}")
             for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(CSV_FIELDS):
-                    raise DataError(
-                        f"{path}: line {reader.line_num}: {len(row)} fields, but the header has {len(CSV_FIELDS)}"
-                    )
-                name, height, width, area, perimeter, calories = row
-                try:
-                    rec = FeatureRecord(
-                        label=ClassLabel.from_name(name),
-                        height_mm=float(height),
-                        width_mm=float(width),
-                        area_mm2=float(area),
-                        perimeter_mm=float(perimeter),
-                        calories_kcal=float(calories) if calories else None,
-                    )
-                except ValueError as exc:
-                    row = dict(zip(CSV_FIELDS, row))
-                    raise DataError(f"{path}: line {reader.line_num}: bad row {row}: {exc}") from exc
-                values = (rec.height_mm, rec.width_mm, rec.area_mm2, rec.perimeter_mm, rec.calories_kcal or 0.0)
-                if not all(map(math.isfinite, values)):
-                    bad = [name for name in CSV_FIELDS[1:] if not math.isfinite(getattr(rec, name) or 0.0)]
-                    raise DataError(f"{path}: line {reader.line_num}: non-finite {', '.join(bad)}")
-                records.append(rec)
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
         except (UnicodeDecodeError, csv.Error) as exc:
+            _raise_first_fault(path, rows, lines)  # a row read before the fault
             raise DataError(f"{path}: not UTF-8 CSV: {exc}") from exc
-    return records
+    n = len(rows)
+    try:
+        if any(len(row) != len(CSV_FIELDS) for row in rows):
+            raise ValueError
+        names, *columns = list(zip(*rows)) or [()] * len(CSV_FIELDS)
+        hot = [_FOOD_COLUMNS[name] for name in names]
+        values = np.array([np.fromiter(map(float, column), np.float64, n) for column in columns])
+        if not np.isfinite(values).all():
+            raise ValueError
+    except (KeyError, ValueError):
+        _raise_first_fault(path, rows, lines)
+        raise
+    return RegressionDataset.from_columns(hot, values[: len(NUMERIC_NAMES)].T, values[-1])
+
+
+def _raise_first_fault(path, rows, lines) -> None:
+    """Raise the ``DataError`` of the first of ``rows``, found on ``lines``,
+    that ``read_csv`` rejects on its own."""
+    for row, line in zip(rows, lines):
+        where = f"{path}: line {line}"
+        if len(row) != len(CSV_FIELDS):
+            raise DataError(f"{where}: {len(row)} fields, but the header has {len(CSV_FIELDS)}")
+        try:
+            label = ClassLabel.from_name(row[0])
+            values = [float(v) for v in row[1:-1]] + [float(row[-1]) if row[-1] else 0.0]
+        except ValueError as exc:
+            raise DataError(f"{where}: bad row {dict(zip(CSV_FIELDS, row))}: {exc}") from exc
+        if label is ClassLabel.COIN:
+            raise DataError(f"{where}: the coin is not a food class")
+        if not all(map(math.isfinite, values)):
+            bad = [name for name, v in zip(CSV_FIELDS[1:], values) if not math.isfinite(v)]
+            raise DataError(f"{where}: non-finite {', '.join(bad)}")
+        if not row[-1]:
+            raise DataError(f"{where}: calories_kcal is empty")
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ _TIE_REL = 1e-10
 _CHUNK_CELLS = 2**13
 
 # feature subsets that a forest tree draws at a time
-_DRAW_BLOCK = 64
+_DRAW_BLOCK = 256
 
 
 def _split_search(Xp, ranks, yp, rows, n_rows, feats, min_leaf):
@@ -134,7 +134,7 @@ def _split_search(Xp, ranks, yp, rows, n_rows, feats, min_leaf):
     ys = yp[srt]
     cum, cumsq = np.cumsum(ys, 1), np.cumsum(ys * ys, 1)
     k = n_rows.repeat(n_feats)[:, None]
-    total, total_sq = cum[g, k - 1], cumsq[g, k - 1]
+    total, total_sq = cum[:, -1:], cumsq[:, -1:]  # the padding row's target is 0.0
     parent_sse = total_sq - total * total / k
     tol = _TIE_REL * (1.0 + np.abs(parent_sse))
     nl = np.arange(1.0, width)  # float counts divide as the integers would
@@ -146,15 +146,18 @@ def _split_search(Xp, ranks, yp, rows, n_rows, feats, min_leaf):
         lo, hi = Xp[srt[g, i], f], Xp[srt[g, i + 1], f]
         thr = (lo + hi) / 2.0
     thr = np.where(thr == hi, lo, thr).reshape(nodes, n_feats)
-    score, tol = score[g, i].reshape(nodes, n_feats), tol.reshape(nodes, n_feats)
-    best, pick = np.full(nodes, np.inf), np.full(nodes, -1)  # score and column of each node's choice
-    for j in range(n_feats):
-        better = score[:, j] < best - tol[:, j]
-        best = np.where(better, score[:, j], best)
-        pick[better] = j
+    best, pick = [], []  # score and column of each node's choice, picked over Python floats
+    for scores, tols in zip(score[g, i].reshape(nodes, n_feats).tolist(), tol.reshape(nodes, n_feats).tolist()):
+        low, col = np.inf, -1
+        for j, (s, t) in enumerate(zip(scores, tols)):
+            if s < low - t:
+                low, col = s, j
+        best.append(low)
+        pick.append(col)
+    pick = np.array(pick)
     at, found = (np.arange(nodes), np.maximum(pick, 0)), pick >= 0
     feature, threshold = np.where(found, feats[at], -1), np.where(found, thr[at], 0.0)
-    return feature, threshold, best, parent_sse[n_feats - 1 :: n_feats, 0]
+    return feature, threshold, np.array(best), parent_sse[n_feats - 1 :: n_feats, 0]
 
 
 _BLOCK_ROWS = 1024  # rows that _Trees walks at once
@@ -330,8 +333,11 @@ def _feature_subsets(rngs, p, k, m):
     """
     j = np.arange(p - k, p)
     highs = np.tile(np.concatenate([j + 1, np.arange(k, 1, -1)]), m)
-    draws = np.concatenate([rng.integers(0, highs) for rng in rngs]).reshape(-1, 2 * k - 1)
-    out = np.empty((len(draws), k), dtype=np.min_scalar_type(p))
+    draws = np.empty((len(rngs), m, k), dtype=np.min_scalar_type(p))  # the shuffle's draws are not kept
+    for kept, rng in zip(draws, rngs):
+        kept[:] = rng.integers(0, highs).reshape(m, 2 * k - 1)[:, :k]
+    draws = draws.reshape(-1, k)
+    out = np.empty_like(draws)
     for i in range(k):  # a value taken already becomes j
         d = draws[:, i]
         out[:, i] = np.where((out[:, :i] == d[:, None]).any(1), j[i], d)
@@ -407,8 +413,9 @@ def _grow(cols, y, rows=None, *, max_depth=None, min_samples_leaf=1, rngs=None, 
             split = (f >= 0) & (parent_sse - score > 0) & (nl > 0) & (nl < m)
             c, real, r, nl = c[split], real[split], r[split], nl[split]
             feature[c], value[c] = f[split], thr[split]
-            order = np.argsort(np.where(real, ~go_left[split], 2), axis=1, kind="stable")  # left, right, padding
-            flat[(start[c, None] + np.arange(r.shape[1]))[real]] = np.take_along_axis(r, order, 1)[real]
+            keys = np.where(real, ~go_left[split], np.uint8(2))  # left, right, padding: uint8 sorts by radix
+            order = np.argsort(keys, axis=1, kind="stable")
+            flat[(start[c, None] + np.arange(r.shape[1]))[real]] = r[np.arange(len(c))[:, None], order][real]
             kids = (start[c], start[c] + nl, stop[c], depth[c] + 1, count + c)
             for a, b, e, d, i in zip(*(v.tolist() for v in kids)):
                 stacks[a // n] += [(b, e, d, i, 1), (a, b, d, i, 0)]  # the left child pops first
@@ -440,9 +447,16 @@ def _grow(cols, y, rows=None, *, max_depth=None, min_samples_leaf=1, rngs=None, 
     return _Trees(packed_feature, packed_value, right, pos[roots])
 
 
-def weighted_median(values, weights) -> float:
-    """Smallest value (in sorted order) whose cumulative weight reaches half
-    the total."""
+# (row, column) cells that one block of a batched predict holds at most
+_PREDICT_CELLS = 2**14
+
+
+def weighted_medians(values, weights) -> np.ndarray:
+    """The weighted median of each row of ``values`` (n, m) under the m
+    ``weights``: the smallest value, in a stable sort of the row, whose
+    cumulative weight reaches half the total. The rows are taken in blocks
+    of at most ``_PREDICT_CELLS`` cells, each block one stable argsort, one
+    cumsum of the weights and one count per row."""
     v = np.asarray(values, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w < 0):
@@ -450,10 +464,22 @@ def weighted_median(values, weights) -> float:
     total = w.sum()
     if total <= 0:
         raise ZeroTotalWeight("weights sum to zero")
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order])
-    i = int(np.searchsorted(cum, 0.5 * total))
-    return float(v[order[min(i, len(v) - 1)]])
+    n, m = v.shape
+    out = np.empty(n)
+    step = max(1, _PREDICT_CELLS // max(1, m))
+    for start in range(0, n, step):
+        block = v[start : start + step]
+        order, rows = np.argsort(block, axis=1, kind="stable"), np.arange(len(block))
+        # the count of cumulative weights short of half the total is searchsorted's index
+        i = np.minimum((np.cumsum(w[order], axis=1) < 0.5 * total).sum(axis=1), m - 1)
+        out[start : start + step] = block[rows, order[rows, i]]
+    return out
+
+
+def weighted_median(values, weights) -> float:
+    """Smallest value (in sorted order) whose cumulative weight reaches half
+    the total: the one-row case of ``weighted_medians``."""
+    return float(weighted_medians(np.asarray(values, dtype=np.float64)[None], weights)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +549,13 @@ class LinearModel(Regressor):
 
 
 class KnnModel(Regressor):
+    """k-nearest neighbours: the mean target of the k training rows nearest
+    in squared distance, ties going to the lowest training row. Rows are
+    predicted in blocks whose (row, training row, column) differences hold
+    at most ``_PREDICT_CELLS`` cells. Each distance is the pairwise sum over
+    the columns that a one-row call makes, so a row's prediction does not
+    depend on the rows predicted with it."""
+
     algorithm = "knn"
 
     def __init__(self, n_features, X, y, k):
@@ -539,10 +572,12 @@ class KnnModel(Regressor):
     def predict(self, X):
         k = min(self.k, len(self.y))
         out = np.empty(X.shape[0])
-        for r in range(X.shape[0]):
-            d2 = ((self.X - X[r]) ** 2).sum(axis=1)
-            order = np.argsort(d2, kind="stable")  # distance ties: lowest row index
-            out[r] = self.y[order[:k]].mean()
+        step = max(1, _PREDICT_CELLS // max(1, self.X.size))
+        for start in range(0, X.shape[0], step):
+            rows = slice(start, start + step)
+            d2 = ((self.X - X[rows, None]) ** 2).sum(axis=2)  # each row's pairwise sum over the columns
+            order = np.argsort(d2, axis=1, kind="stable")  # distance ties: lowest row index
+            out[rows] = self.y[order[:, :k]].mean(axis=1)
         return out
 
     def to_state(self):
@@ -659,7 +694,9 @@ class BoostModel(Regressor):
 
 
 class AdaBoostModel(Regressor):
-    """AdaBoost.R2 with linear loss and weighted-median aggregation."""
+    """AdaBoost.R2 with linear loss and weighted-median aggregation: a row
+    predicts the ``weighted_medians`` of its rounds' leaf values under
+    ``log_weights``, taken for blocks of rows at once."""
 
     algorithm = "adaboost"
 
@@ -701,8 +738,7 @@ class AdaBoostModel(Regressor):
         return cls(X.shape[1], trees, log_weights)
 
     def predict(self, X):
-        preds = self.trees.leaves(X)
-        return np.array([weighted_median(preds[:, r], self.log_weights) for r in range(X.shape[0])])
+        return weighted_medians(self.trees.leaves(X).T, self.log_weights)
 
     def to_state(self):
         return {"log_weights": self.log_weights.tolist(), **self.trees.to_state()}

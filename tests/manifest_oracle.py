@@ -73,7 +73,7 @@ def _instance(rec, version, img, where, root) -> DetectionInstance:
             and bbox[2] > 0 and bbox[3] > 0):
         raise DataError(f"{where}: bbox {bbox!r} is not [x, y, w, h] of integers with w, h > 0")
     mask, origin = _read_mask(rec, version, img, where, root) if "mask" in rec else (None, (0, 0))
-    return DetectionInstance(
+    inst = DetectionInstance(
         label=ClassLabel.from_name(rec["class"]),
         bbox=tuple(bbox),
         confidence=rec.get("confidence"),
@@ -81,6 +81,9 @@ def _instance(rec, version, img, where, root) -> DetectionInstance:
         origin=tuple(origin),
         calories_kcal=rec.get("calories_kcal"),
     )
+    if isinstance(inst.calories_kcal, int) and not _int(inst.calories_kcal):
+        raise DataError(f"{where}: calories_kcal must be a finite number, got {inst.calories_kcal!r:.50}")
+    return inst
 
 
 def _list(value, what):

@@ -9,10 +9,10 @@ relative paths, so that what a command prints does not name the side:
 
 - ``gen --seed 7 --records 644`` and ``gen --seed 3 --records 300 --width
   256 --height 288 --views-per-item 3 --boundary-noise 0.03``;
-- for each of them, ``extract`` of its manifest, ``train`` and ``eval
-  --split test`` of all six models on its CSV, ``pipeline`` with the rf
-  bundle, and ``detmetrics`` of the manifest against itself, with and
-  without ``--conf-threshold 0.5``;
+- for each of them, ``extract`` of its manifest, ``train``, ``eval
+  --split test`` and ``eval --split all`` of all six models on its CSV,
+  ``pipeline`` with the rf bundle, and ``detmetrics`` of the manifest
+  against itself, with and without ``--conf-threshold 0.5``;
 - for each of them, a perturbed copy of its manifest, ``pred.json``, made
   with the standard library alone (``PERTURB``): about one instance in ten
   dropped, each kept one moved by a (dx, dy) in [-3, 3] that keeps its mask
@@ -128,6 +128,8 @@ def _steps():
             steps.append((f"{name}-train-{model}", cli("train", "--data", data, "--model", model, "--out", out)))
             steps.append((f"{name}-eval-{model}", cli("eval", "--model", f"{out}/model.json", "--data", data,
                                                       "--split", "test", "--out", f"{out}/eval")))
+            steps.append((f"{name}-eval-all-{model}", cli("eval", "--model", f"{out}/model.json", "--data", data,
+                                                          "--split", "all", "--out", f"{out}/eval-all")))
         steps.append((f"{name}-pipeline", cli("pipeline", "--annotations", manifest,
                                               "--model", f"{name}/rf/model.json", "--out", f"{name}/pipeline")))
         steps.append((f"{name}-detmetrics", cli("detmetrics", "--pred", manifest, "--gt", manifest,

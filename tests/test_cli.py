@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from foodcal import cli, manifests, maskgeom, metrics, preprocess, regress, synth
 from foodcal.cli import SCENE_OPTIONS, main
 from foodcal.errors import DataError, write_json
-from foodcal.measurement import ClassLabel, DetectionInstance
+from foodcal.measurement import FOOD_CLASSES, ClassLabel, DetectionInstance
 
 import metric_oracles
 from cli_child import run_foodcal
@@ -160,9 +160,8 @@ def test_pipeline_matches_extract_then_predict(gen_644, tmp_path, capsys, model)
     estimates = json.loads((out / "estimates.json").read_text())
 
     regressor, params, _ = cli._load_bundle(bundle)
-    records = preprocess.read_csv(gen_644 / "x" / "features.csv")
-    ds = preprocess.minmax_apply(params, preprocess.RegressionDataset.from_records(records))
-    assert [e["class"] for e in estimates] == [r.label.value for r in records]
+    ds = preprocess.minmax_apply(params, preprocess.read_csv(gen_644 / "x" / "features.csv"))
+    assert [e["class"] for e in estimates] == [FOOD_CLASSES[j].value for j in ds.X[:, :5].argmax(axis=1)]
     assert [e["kcal"] for e in estimates] == regress.predict_matrix(regressor, ds.X).tolist()
 
 
@@ -457,6 +456,37 @@ def test_non_finite_csv_exits_2(tmp_path, capsys):
     )
     assert run_cli("train", "--data", str(data), "--model", "lr", "--out", str(tmp_path / "m")) == 2
     assert "line 3: non-finite height_mm, calories_kcal" in capsys.readouterr().err
+
+
+def _unlabel(source, target, rows) -> int:
+    """Copy the dataset CSV ``source`` to ``target`` with the calorie label
+    of each of ``rows`` (0 is the first data row) emptied; returns the file
+    line of the first."""
+    lines = source.read_text().splitlines()
+    for r in rows:
+        lines[r + 1] = lines[r + 1].rsplit(",", 1)[0] + ","
+    target.write_text("\n".join(lines) + "\n")
+    return min(rows) + 2
+
+
+def test_train_rejects_an_unlabelled_row(gen_dir, tmp_path, capsys):
+    # an rf trained on NaN targets wrote a bundle that no reader accepts
+    data = tmp_path / "unlabelled.csv"
+    line = _unlabel(gen_dir / "dataset.csv", data, [17, 3, 9, 20, 11])
+    assert run_cli("train", "--data", str(data), "--model", "rf", "--out", str(tmp_path / "m")) == 2
+    assert _one_error_line(capsys) == f"error: {data}: line {line}: calories_kcal is empty\n"
+    assert not (tmp_path / "m").exists()
+
+
+def test_eval_of_all_rows_rejects_an_unlabelled_row(gen_dir, lr_bundle, tmp_path, capsys):
+    # it scored NaN for the unlabelled row and wrote "mae": NaN into eval.json
+    data = tmp_path / "unlabelled.csv"
+    line = _unlabel(gen_dir / "dataset.csv", data, [6])
+    capsys.readouterr()
+    assert run_cli("eval", "--model", str(lr_bundle), "--data", str(data), "--split", "all",
+                   "--out", str(tmp_path / "e")) == 2
+    assert _one_error_line(capsys) == f"error: {data}: line {line}: calories_kcal is empty\n"
+    assert not (tmp_path / "e" / "eval.json").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

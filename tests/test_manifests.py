@@ -460,6 +460,7 @@ INSTANCE_FAULTS = {
     "confidence-above-1": ((1, 2, 3), False, lambda r, e: _set(r, "confidence", 1.5)),
     "confidence-bool": ((1, 2, 3), False, lambda r, e: _set(r, "confidence", True)),
     "calories-string": ((1, 2, 3), False, lambda r, e: _set(r, "calories_kcal", "12")),
+    "calories-past-int64": ((1, 2, 3), False, lambda r, e: _set(r, "calories_kcal", 10**20)),
     "mask-number": ((1, 2, 3), True, lambda r, e: _set(r, "mask", 5)),
     "mask-null": ((1, 2, 3), True, lambda r, e: _set(r, "mask", None)),
     "mask-path-in-v3": ((3,), True, lambda r, e: _set(r, "mask", "masks/a.pgm")),
@@ -605,6 +606,21 @@ def test_two_faults_of_one_instance_give_the_oracle_error(tmp_path, first, secon
     expected = _outcome(oracle, path)
     assert not isinstance(expected, list)
     assert _outcome(manifests.read_manifest, path) == expected
+
+
+@pytest.mark.parametrize("kcal", [2**63, -(2**63) - 1, 10**20, 10**300], ids=["2**63", "-2**63-1", "1e20", "1e300"])
+def test_calories_past_int64_are_refused_by_reader_and_writer(tmp_path, kcal):
+    # they read back as that integer, and extract wrote 1e+20 into features.csv
+    path = _manifest_with(tmp_path, [PURI, {**PURI, "calories_kcal": 2**63 - 1}, {**PURI, "calories_kcal": kcal}])
+    with pytest.raises(DataError) as err:
+        manifests.read_manifest(path)
+    assert str(err.value) == f"{path}: image a: calories_kcal must be a finite number, got {kcal!r:.50} (instance 2)"
+    image = manifests.ImageAnnotations("a", 8, 8, [DetectionInstance(ClassLabel.PURI, (1, 1, 2, 2), calories_kcal=kcal)])
+    with pytest.raises(ValueError) as err:
+        manifests.write_manifest(tmp_path / "out.json", [image])
+    assert str(err.value) == (f"{tmp_path / 'out.json'}: image a: calories_kcal must be a finite number, "
+                              f"got {kcal!r:.50} (instance 0)")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_a_mask_of_2_to_the_64_pixels_is_a_byte_count_error(tmp_path):

@@ -1,5 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foodcal import preprocess as pp
 from foodcal.errors import CoinNotEncodable, DataError, EmptyDataset, TooFewRows
@@ -256,8 +261,8 @@ def test_csv_round_trip(tmp_path):
     recs = random_records(rng, 25)
     path = tmp_path / "d.csv"
     pp.write_csv(path, recs)
-    back = pp.read_csv(path)
-    assert back == recs  # exact: floats are written with repr
+    back, ds = pp.read_csv(path), pp.RegressionDataset.from_records(recs)
+    assert (back.X.tobytes(), back.y.tobytes()) == (ds.X.tobytes(), ds.y.tobytes())  # floats are written with repr
 
 
 def test_csv_rejects_wrong_header(tmp_path):
@@ -308,16 +313,83 @@ def test_csv_short_row_gives_its_field_count(tmp_path, row, fields):
         pp.read_csv(path)
 
 
-def test_csv_skips_blank_lines_and_reads_a_coin_row(tmp_path):
+def test_csv_skips_blank_lines_and_rejects_a_coin_row(tmp_path):
+    # the coin has no one-hot column: its row is a fault of the file, on its line
     path = tmp_path / "d.csv"
     path.write_text(",".join(pp.CSV_FIELDS) + "\n\nPuri,10.0,20.0,30.0,40.0,50.0\n\nCoin,1.0,2.0,3.0,4.0,\n")
-    records = pp.read_csv(path)
-    assert records == [
-        FeatureRecord(ClassLabel.PURI, 10.0, 20.0, 30.0, 40.0, calories_kcal=50.0),
-        FeatureRecord(ClassLabel.COIN, 1.0, 2.0, 3.0, 4.0),
-    ]
-    with pytest.raises(CoinNotEncodable):
-        pp.RegressionDataset.from_records(records)
+    with pytest.raises(DataError, match=f"^{path}: line 5: the coin is not a food class$"):
+        pp.read_csv(path)
+    path.write_text(",".join(pp.CSV_FIELDS) + "\n\nPuri,10.0,20.0,30.0,40.0,50.0\n\n")
+    ds = pp.read_csv(path)
+    assert ds.X.tolist() == [[0, 0, 1, 0, 0, 10.0, 20.0, 30.0, 40.0]] and ds.y.tolist() == [50.0]
+
+
+def test_csv_empty_label_names_its_line(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(",".join(pp.CSV_FIELDS) + "\nPuri,10.0,20.0,30.0,40.0,50.0\nPeaju,1.0,2.0,3.0,4.0,\n")
+    with pytest.raises(DataError, match=f"^{path}: line 3: calories_kcal is empty$"):
+        pp.read_csv(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["Puri,1,2,3,4,", "Puri,x,2,3,4,5"], "line 2: calories_kcal is empty"),
+    (["Puri,1,2,3,4,5", "Puri,x,2,3,4,5", "Coin,1,2,3,4,5"], "line 3: bad row"),
+    (["Coin,1,2,3,4,5", "Puri,1,2,3"], "line 2: the coin is not a food class"),
+    (["Puri,1,2,3,4,5", "Puri,1,2,nan,4,", "Puri,1,2"], "line 3: non-finite area_mm2"),
+    (["Pizza,1,2,3,4,5", "Puri,inf,2,3,4,5"], "line 2: bad row .*unknown class name 'Pizza'"),
+])
+def test_csv_first_faulty_line_gives_the_error(tmp_path, rows, message):
+    # the column pass finds a fault somewhere; the error is the first line's
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([",".join(pp.CSV_FIELDS)] + rows) + "\n")
+    with pytest.raises(DataError, match=message):
+        pp.read_csv(path)
+
+
+def test_csv_row_before_a_decoding_fault_gives_the_error(tmp_path):
+    # the bad byte lies chunks of text past the bad row, where a reader that
+    # checks each row as it reads it stops
+    path = tmp_path / "d.csv"
+    good = b"Puri,10.0,20.0,30.0,40.0,50.0\n" * 2000
+    path.write_bytes(",".join(pp.CSV_FIELDS).encode() + b"\nPuri,1,2,3,4,\n" + good + b"Puri,1\xff,2,3,4,5\n")
+    with pytest.raises(DataError, match="line 2: calories_kcal is empty"):
+        pp.read_csv(path)
+
+
+# finite floats, with the extremes a writer's repr must carry: signed zeros,
+# subnormals, the smallest normal and numbers near the top of the range
+CSV_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308])
+
+
+@st.composite
+def labelled_records(draw):
+    return [FeatureRecord(draw(st.sampled_from(FOOD_CLASSES)), *(draw(CSV_FLOATS) for _ in range(5)))
+            for _ in range(draw(st.integers(0, 12)))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(labelled_records(), st.booleans(), st.booleans(), st.booleans())
+def test_read_csv_is_from_records_of_what_write_csv_wrote(tmp_path_factory, records, crlf, quote_all, blanks):
+    """``read_csv`` by columns gives the bytes of ``from_records``, also when
+    the file has LF line ends, every field quoted or blank lines between rows."""
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    pp.write_csv(path, records)
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    text = io.StringIO()
+    writer = csv.writer(text, quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL,
+                        lineterminator="\r\n" if crlf else "\n")
+    for row in rows:
+        writer.writerow(row)
+        if blanks:
+            text.write("\r\n" if crlf else "\n")
+    expected = pp.RegressionDataset.from_records(records)
+    for content in (path.read_text(encoding="utf-8"), text.getvalue()):
+        path.write_bytes(content.encode("utf-8"))
+        ds = pp.read_csv(path)
+        assert (ds.X.tobytes(), ds.y.tobytes()) == (expected.X.tobytes(), expected.y.tobytes())
+        assert ds.X.shape == (len(records), pp.N_FEATURES)
 
 
 def test_csv_bad_number_names_the_line_and_its_fields(tmp_path):

@@ -348,6 +348,34 @@ def test_weighted_median_unordered_input():
     assert regress.weighted_median([3.0, 1.0, 2.0], [0.8, 0.1, 0.1]) == 3.0
 
 
+def test_weighted_median_negative_weight_raises():
+    with pytest.raises(ValueError, match="non-negative"):
+        regress.weighted_median([1.0, 2.0], [1.0, -0.5])
+
+
+def _weighted_median_oracle(values, weights) -> float:
+    """The per-row weighted median that ``weighted_medians`` replaced: a
+    stable argsort, a cumsum and a searchsorted for half the total."""
+    v, w = np.asarray(values, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    i = int(np.searchsorted(np.cumsum(w[order]), 0.5 * w.sum()))
+    return float(v[order[min(i, len(v) - 1)]])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 9).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(st.sampled_from([-1.5, 0.0, 2.0, 2.5, 7.0]), min_size=m, max_size=m), min_size=1, max_size=40),
+    st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]), min_size=m, max_size=m).filter(any))),
+    st.sampled_from([1, 5, 64, None]))
+def test_weighted_medians_are_the_per_row_oracle(case, cells):
+    # tied values, zero weights and blocks of one row up to all of them
+    rows, weights = case
+    expected = [_weighted_median_oracle(row, weights) for row in rows]
+    with mock.patch.object(regress, "_PREDICT_CELLS", cells or regress._PREDICT_CELLS):
+        assert regress.weighted_medians(np.array(rows), weights).tolist() == expected
+    assert [regress.weighted_median(row, weights) for row in rows] == expected
+
+
 # ---------------------------------------------------------------------------
 # individual algorithms
 
@@ -395,6 +423,31 @@ def test_knn_distance_tie_lowest_index():
     model = regress.KnnModel.fit(X, np.array([0.0, 5.0, 9.0]), k=2)
     # query at 1.0: distances 1, 1, 1 -> rows 0 and 1 win
     assert model.predict(np.array([[1.0]]))[0] == 2.5
+
+
+def _knn_oracle(model, X) -> np.ndarray:
+    """The per-row knn prediction that the batched one replaced."""
+    k = min(model.k, len(model.y))
+    out = np.empty(X.shape[0])
+    for r in range(X.shape[0]):
+        d2 = ((model.X - X[r]) ** 2).sum(axis=1)
+        order = np.argsort(d2, kind="stable")
+        out[r] = model.y[order[:k]].mean()
+    return out
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["tied", "real"])
+@pytest.mark.parametrize("k", [1, 5, 12, 80])
+def test_knn_batch_prediction_is_the_per_row_loop(grid, k):
+    # 150 query rows over 70 training rows of 9 columns take several blocks;
+    # on the grid many distances tie exactly, and ties go to the lowest row
+    rng = np.random.default_rng(k)
+    draw = (lambda *shape: rng.integers(0, 3, shape).astype(float)) if grid else (
+        lambda *shape: rng.uniform(-1e3, 1e3, shape))
+    model = regress.KnnModel.fit(draw(70, N_FEATURES), rng.uniform(0, 500, 70), k=k)
+    X = draw(150, N_FEATURES)
+    assert regress._PREDICT_CELLS // model.X.size < len(X) // 2
+    assert np.array_equal(model.predict(X), _knn_oracle(model, X))
 
 
 def test_dtree_two_value_split():
@@ -447,6 +500,22 @@ def test_adaboost_single_learner_is_its_prediction():
     model = regress.AdaBoostModel.fit(X, y, seed=0, max_rounds=1)
     assert len(model.trees) == 1
     assert np.array_equal(model.predict(X), model.trees[0].predict(X))
+
+
+def test_adaboost_batch_prediction_is_the_per_row_weighted_median():
+    # 30 rounds that repeat 6 fitted trees, so the rounds' predictions of a
+    # row tie, and every third round carries no weight
+    data = toy_dataset(np.random.default_rng(6), n=900)
+    fitted = regress.AdaBoostModel.fit(data.X, data.y, seed=3, max_rounds=6, max_depth=2)
+    assert len(fitted.trees) == 6
+    rounds = np.random.default_rng(7).integers(0, len(fitted.trees), 30)
+    weights = np.resize(fitted.log_weights, 30)
+    weights[::3] = 0.0
+    model = regress.AdaBoostModel(N_FEATURES, [fitted.trees[t] for t in rounds], weights)
+    preds = model.trees.leaves(data.X)
+    assert len(data) > regress._PREDICT_CELLS // len(model.trees)  # more than one block
+    expected = [_weighted_median_oracle(preds[:, r], weights) for r in range(len(data))]
+    assert model.predict(data.X).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
