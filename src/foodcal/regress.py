@@ -576,8 +576,10 @@ class KnnModel(Regressor):
         for start in range(0, X.shape[0], step):
             rows = slice(start, start + step)
             d2 = ((self.X - X[rows, None]) ** 2).sum(axis=2)  # each row's pairwise sum over the columns
-            order = np.argsort(d2, axis=1, kind="stable")  # distance ties: lowest row index
-            out[rows] = self.y[order[:, :k]].mean(axis=1)
+            # rows at or below the k-th distance (NaN too, as argsort puts it last) by (distance, row)
+            r, c = np.nonzero(~(d2 > np.partition(d2, k - 1, axis=1)[:, k - 1, None]))
+            c = c[np.lexsort((d2[r, c], r))]
+            out[rows] = self.y[c[np.searchsorted(r, np.arange(len(d2)))[:, None] + np.arange(k)]].mean(axis=1)
         return out
 
     def to_state(self):

@@ -14,9 +14,9 @@ true mm/px = 25.5 / diameter_px. Weight model: weight_g = nominal area_mm2
 * class thickness (g/mm^2) * (1 + u), u uniform in +-weight_noise, drawn
 once per item; calories = weight * class density.
 
-Each shape is rasterized only over its window: the pixels within
-``max_radius * (1 + a) + 2`` of its centre, where a < 1 is the boundary
-jitter's amplitude, because a jittered offset p is inside when
+Each shape is rasterized only over its window: its nominal bounding box
+scaled by 1 + a about its centre and grown by 2 px, where a < 1 is the
+boundary jitter's amplitude, because a jittered offset p is inside when
 p / (1 + j(phi)) is inside the nominal shape and |j| <= a. Every shape is
 star-convex about its centre (each family is convex and holds it), so the
 jitter can only change the pixels of a thin band around the nominal
@@ -151,8 +151,9 @@ class Scene:
 class _Shape:
     """Shape star-convex about its centre (cx, cy), with an exact inside
     test on centered offsets; ``truth`` gives the analytic geometry of the
-    nominal (unjittered) boundary. ``_rasterize`` relies on the star
-    convexity: ``contains(p * s)`` can only turn false as s grows."""
+    nominal (unjittered) boundary and ``box`` its bounding box, which
+    holds the centre. ``_rasterize`` relies on the star convexity:
+    ``contains(p * s)`` can only turn false as s grows."""
 
     def __init__(self, cx, cy, rotation=0.0):
         self.cx = cx
@@ -162,7 +163,9 @@ class _Shape:
     def contains(self, dx, dy):
         raise NotImplementedError
 
-    def max_radius(self) -> float:
+    def box(self) -> tuple[float, float, float, float]:
+        """(x_min, x_max, y_min, y_max) offsets of the nominal shape about
+        its centre."""
         raise NotImplementedError
 
     def truth(self) -> tuple[float, float, float, float]:
@@ -178,8 +181,8 @@ class _Disk(_Shape):
     def contains(self, dx, dy):
         return dx * dx + dy * dy <= self.radius * self.radius
 
-    def max_radius(self):
-        return self.radius
+    def box(self):
+        return -self.radius, self.radius, -self.radius, self.radius
 
     def truth(self):
         r = self.radius
@@ -198,17 +201,18 @@ class _Ellipse(_Shape):
         v = -dx * s + dy * c
         return (u / self.a) ** 2 + (v / self.b) ** 2 <= 1.0
 
-    def max_radius(self):
-        return max(self.a, self.b)
+    def box(self):
+        c, s = math.cos(self.rotation), math.sin(self.rotation)
+        w = math.sqrt((self.a * c) ** 2 + (self.b * s) ** 2)
+        h = math.sqrt((self.a * s) ** 2 + (self.b * c) ** 2)
+        return -w, w, -h, h
 
     def truth(self):
         a, b = self.a, self.b
         area = math.pi * a * b
         perimeter = math.pi * (3 * (a + b) - math.sqrt((3 * a + b) * (a + 3 * b)))  # Ramanujan
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        w = 2 * math.sqrt((a * c) ** 2 + (b * s) ** 2)
-        h = 2 * math.sqrt((a * s) ** 2 + (b * c) ** 2)
-        return area, perimeter, w, h
+        _, w, _, h = self.box()
+        return area, perimeter, 2 * w, 2 * h
 
 
 class _Rectangle(_Shape):
@@ -220,8 +224,8 @@ class _Rectangle(_Shape):
     def contains(self, dx, dy):
         return (np.abs(dx) <= self.half_w) & (np.abs(dy) <= self.half_h)
 
-    def max_radius(self):
-        return math.hypot(self.half_w, self.half_h)
+    def box(self):
+        return -self.half_w, self.half_w, -self.half_h, self.half_h
 
     def truth(self):
         w, h = 2 * self.half_w, 2 * self.half_h
@@ -244,17 +248,17 @@ class _Triangle(_Shape):
         self.vertices = [(x * c - y * s, x * s + y * c) for x, y in local]
 
     def contains(self, dx, dy):
-        inside = np.ones(np.broadcast(dx, dy).shape, dtype=bool)
-        v = self.vertices
-        for i in range(3):
-            x1, y1 = v[i]
-            x2, y2 = v[(i + 1) % 3]
-            cross = (x2 - x1) * (dy - y1) - (y2 - y1) * (dx - x1)
-            inside &= cross >= 0.0
-        return inside
+        # inside or on each edge: cross product A - B >= 0, tested as A >= B (the same bits)
+        (x1, y1), (x2, y2), (x3, y3) = self.vertices
+        return (
+            ((x2 - x1) * (dy - y1) >= (y2 - y1) * (dx - x1))
+            & ((x3 - x2) * (dy - y2) >= (y3 - y2) * (dx - x2))
+            & ((x1 - x3) * (dy - y3) >= (y1 - y3) * (dx - x3))
+        )
 
-    def max_radius(self):
-        return max(math.hypot(x, y) for x, y in self.vertices)
+    def box(self):
+        xs, ys = zip(*self.vertices)
+        return min(xs), max(xs), min(ys), max(ys)
 
     def truth(self):
         v = self.vertices
@@ -265,9 +269,8 @@ class _Triangle(_Shape):
             x2, y2 = v[(i + 1) % 3]
             area += x1 * y2 - x2 * y1
             perimeter += math.hypot(x2 - x1, y2 - y1)
-        xs = [x for x, _ in v]
-        ys = [y for _, y in v]
-        return abs(area) / 2.0, perimeter, max(xs) - min(xs), max(ys) - min(ys)
+        x_min, x_max, y_min, y_max = self.box()
+        return abs(area) / 2.0, perimeter, x_max - x_min, y_max - y_min
 
 
 def _shape_for(label, extent, aspect, height_ratio, rotation, cx, cy) -> _Shape:
@@ -345,13 +348,14 @@ def _window(shape: _Shape, height, width, amplitude) -> tuple[slice, slice]:
     shape can cover, boundary jitter of ``amplitude`` included.
 
     A jittered offset p is inside when p / (1 + j) is inside the nominal
-    shape and |j| <= amplitude, so it lies within ``max_radius * (1 +
-    amplitude)`` of the centre; 2 px more keep rounding off the edge."""
-    reach = shape.max_radius() * (1.0 + amplitude) + 2.0
-    y0 = max(0, int(math.floor(shape.cy - reach)))
-    y1 = min(height, int(math.ceil(shape.cy + reach)) + 1)
-    x0 = max(0, int(math.floor(shape.cx - reach)))
-    x1 = min(width, int(math.ceil(shape.cx + reach)) + 1)
+    shape and |j| <= amplitude, so it lies in the ``box`` scaled by 1 + j,
+    within the box scaled by 1 + amplitude as the box holds the centre; 2 px
+    more on each side keep rounding off the edge."""
+    x_min, x_max, y_min, y_max = (v * (1.0 + amplitude) for v in shape.box())
+    y0 = max(0, int(math.floor(shape.cy + y_min - 2.0)))
+    y1 = min(height, int(math.ceil(shape.cy + y_max + 2.0)) + 1)
+    x0 = max(0, int(math.floor(shape.cx + x_min - 2.0)))
+    x1 = min(width, int(math.ceil(shape.cx + x_max + 2.0)) + 1)
     return slice(y0, max(y0, y1)), slice(x0, max(x0, x1))
 
 
@@ -405,6 +409,8 @@ def generate_scene(
     rng = np.random.default_rng((cfg.seed, seed))
 
     occupancy = np.zeros((cfg.height, cfg.width), dtype=bool)
+    # each instance's full-frame mask is a plane of one zeroed block, one allocation per scene
+    masks = np.zeros((1 + (cfg.items_per_scene if items is None else len(items)), cfg.height, cfg.width), np.uint8)
     instances: list[DetectionInstance] = []
     truths: list[InstanceTruth] = []
 
@@ -428,7 +434,7 @@ def generate_scene(
             if touches_edge or (occupancy[window] & inside).any():
                 continue
             occupancy[window] |= inside
-            mask = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
+            mask = masks[len(instances)]
             mask[window] = inside
             confidence = round(float(rng.uniform(min_confidence, 1.0)), 6)
             bbox = (x0, y0, x1 - x0, y1 - y0)

@@ -23,8 +23,10 @@ relative paths, so that what a command prints does not name the side:
 - a SHA-256 over every instance (label, bbox, confidence, origin, calorie
   label, mask shape, dtype and bytes) and every truth of
   ``synth.generate_scene`` and of ``synth._scene_with_retries`` for seeds
-  0-149, under five scene configs, one of them crowded enough to force
-  retries, each ``PlacementFailure`` message in place of its scene.
+  0-149, under seven scene configs, each ``PlacementFailure`` message in
+  place of its scene: one crowded enough to force retries, one at boundary
+  noise 0.9, where the window's margin over the jittered shape is least,
+  and one at 640x640, the frame of the ``estimate`` benchmark workload.
 
 The standard output and exit status of every command are kept as files
 too. Every file but ``run_manifest.json``, which holds timings, is compared
@@ -57,6 +59,8 @@ configs = {
     "noiseless": synth.SceneConfig(boundary_noise=0.0),
     "noise-0.03": synth.SceneConfig(boundary_noise=0.03),
     "noise-0.3": synth.SceneConfig(boundary_noise=0.3),
+    "noise-0.9": synth.SceneConfig(boundary_noise=0.9),
+    "640x640": synth.SceneConfig(width=640, height=640),
     "crowded": synth.SceneConfig(width=150, height=90, items_per_scene=4, coin_radius_range=(8.0, 12.0),
                                  max_placement_tries=15, boundary_noise=0.05),
 }

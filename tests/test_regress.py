@@ -436,17 +436,40 @@ def _knn_oracle(model, X) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("grid", [True, False], ids=["tied", "real"])
+@pytest.mark.parametrize("kind", ["tied", "real", "duplicated"])
 @pytest.mark.parametrize("k", [1, 5, 12, 80])
-def test_knn_batch_prediction_is_the_per_row_loop(grid, k):
+def test_knn_batch_prediction_is_the_per_row_loop(kind, k):
     # 150 query rows over 70 training rows of 9 columns take several blocks;
-    # on the grid many distances tie exactly, and ties go to the lowest row
+    # on the grid many distances tie exactly, and ties go to the lowest row;
+    # duplicated training rows tie at every distance, often at the k-th, and
+    # half the queries sit on a training row
     rng = np.random.default_rng(k)
-    draw = (lambda *shape: rng.integers(0, 3, shape).astype(float)) if grid else (
-        lambda *shape: rng.uniform(-1e3, 1e3, shape))
-    model = regress.KnnModel.fit(draw(70, N_FEATURES), rng.uniform(0, 500, 70), k=k)
+    if kind == "tied":
+        draw = lambda *shape: rng.integers(0, 3, shape).astype(float)
+    else:
+        draw = lambda *shape: rng.uniform(-1e3, 1e3, shape)
+    train = draw(70, N_FEATURES)
     X = draw(150, N_FEATURES)
+    if kind == "duplicated":
+        train = train[rng.integers(0, 20, 70)]
+        X[::2] = train[rng.integers(0, 70, 75)]
+    model = regress.KnnModel.fit(train, rng.uniform(0, 500, 70), k=k)
     assert regress._PREDICT_CELLS // model.X.size < len(X) // 2
+    assert np.array_equal(model.predict(X), _knn_oracle(model, X))
+
+
+def test_knn_nan_distances_rank_last_as_in_a_stable_argsort():
+    # a NaN query column makes every distance of its row NaN; a NaN training
+    # entry makes that training row's distance NaN for every query
+    rng = np.random.default_rng(3)
+    train = rng.uniform(0, 1, (40, 3))
+    train[[4, 17, 30], 1] = np.nan
+    model = regress.KnnModel.fit(train, rng.uniform(0, 500, 40), k=5)
+    X = rng.uniform(0, 1, (12, 3))
+    X[[2, 7], 0] = np.nan
+    got = model.predict(X)
+    assert np.array_equal(got, _knn_oracle(model, X)) and np.isfinite(got).all()
+    model.k = 39  # more than the 37 finite distances of a row
     assert np.array_equal(model.predict(X), _knn_oracle(model, X))
 
 

@@ -333,6 +333,67 @@ def test_jitter_runs_only_on_the_boundary_band(shape):
         assert 0 < jitter.pixels <= 0.25 * inside.size
 
 
+@pytest.mark.parametrize("amplitude", [0.0, 0.02, 0.3, 0.9])
+@pytest.mark.parametrize(
+    "shape, box",
+    [
+        (synth._Rectangle(100.2, 100.6, 30.0, 18.0), (-30.0, 30.0, -18.0, 18.0)),
+        # apex up: vertices (0, -30), (30, 15) and (-30, 15) about the centroid
+        (synth._Triangle(99.6, 100.1, 60.0, 45.0, 0.0), (-30.0, 30.0, -30.0, 15.0)),
+    ],
+    ids=["rectangle", "triangle"],
+)
+def test_window_is_the_box_grown_by_the_jitter(shape, box, amplitude):
+    assert shape.box() == box
+    x_min, x_max, y_min, y_max = (v * (1.0 + amplitude) for v in box)
+    rows, cols = synth._window(shape, 300, 300, amplitude)
+    # 2 px on each side, plus less than 1 px of rounding to whole pixels
+    assert rows.start > shape.cy + y_min - 3.0 and rows.stop - 1 < shape.cy + y_max + 3.0
+    assert cols.start > shape.cx + x_min - 3.0 and cols.stop - 1 < shape.cx + x_max + 3.0
+
+
+def cross_product_contains(triangle, dx, dy):
+    """The triangle's inside test as three cross products, each >= 0."""
+    v = triangle.vertices
+    inside = np.ones(np.broadcast(dx, dy).shape, dtype=bool)
+    for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1]):
+        inside &= (x2 - x1) * (dy - y1) - (y2 - y1) * (dx - x1) >= 0.0
+    return inside
+
+
+@pytest.mark.parametrize(
+    "triangle",
+    [
+        synth._Triangle(0.0, 0.0, 60.0, 45.0, 0.0),
+        synth._Triangle(0.0, 0.0, 60.0, 50.0, 2.1),
+        synth._Triangle(0.0, 0.0, 7.3, 1.1, 4.0),
+        synth._Triangle(0.0, 0.0, 40.0, 40.0, math.pi / 2),
+    ],
+    ids=["apex-up", "turned", "thin", "quarter-turn"],
+)
+def test_triangle_contains_is_the_cross_product_test_bit_for_bit(triangle):
+    v = np.array(triangle.vertices)
+    t = np.linspace(0.0, 1.0, 41)[:, None]
+    on_edges = np.concatenate([a + t * (b - a) for a, b in zip(v, np.roll(v, -1, axis=0))])
+    points = np.concatenate([v, on_edges, on_edges + 1e-12, on_edges - 1e-12])
+    got = triangle.contains(points[:, 0], points[:, 1])
+    assert got.dtype == bool and np.array_equal(got, cross_product_contains(triangle, points[:, 0], points[:, 1]))
+    assert triangle.contains(v[:, 0], v[:, 1]).all()  # a vertex lies on two edges
+    grid = np.arange(-40.0, 40.5, 0.5)
+    dx, dy = grid[None, :], grid[:, None]
+    assert np.array_equal(triangle.contains(dx, dy), cross_product_contains(triangle, dx, dy))
+
+
+def test_apex_up_triangle_holds_its_edges():
+    # on this triangle the points of each edge at integer steps are exact floats
+    triangle = synth._Triangle(0.0, 0.0, 60.0, 45.0, 0.0)
+    steps = np.arange(0.0, 31.0)
+    dx = np.concatenate([steps, -steps, 2 * steps - 30.0])
+    dy = np.concatenate([1.5 * steps - 30.0, 1.5 * steps - 30.0, np.full(31, 15.0)])
+    assert triangle.contains(dx, dy).all()
+    assert not triangle.contains(dx * (1 + 1e-9), dy * (1 + 1e-9))[[5, 36, 72]].any()
+
+
 @pytest.mark.parametrize("amplitude", [-0.1, 1.0, 1.5, math.nan])
 def test_boundary_noise_outside_unit_interval_is_rejected(amplitude):
     with pytest.raises(ValueError, match="boundary noise must be in"):
