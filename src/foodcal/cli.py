@@ -340,9 +340,10 @@ def cmd_gradcheck(args, parser):
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
     worst = 0.0
     for seed in range(args.seeds):
-        err = gradcheck(args.block, seed=seed)
+        err, array = gradcheck(args.block, seed=seed)
         worst = max(worst, err)
-        print(f"{args.block} seed {seed}: max relative error {err:.3e}")
+        where = "" if err < GRADCHECK_TOLERANCE else f" in {array}"
+        print(f"{args.block} seed {seed}: max relative error {err:.3e}{where}")
     status = "PASS" if worst < GRADCHECK_TOLERANCE else "FAIL"
     print(f"{args.block}: worst {worst:.3e} over {args.seeds} seeds -> {status}")
     return 0 if status == "PASS" else 2

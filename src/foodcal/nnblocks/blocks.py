@@ -8,7 +8,10 @@ the second half with every intermediate retained, the retained tensors are
 concatenated, CBAM gates the concatenation, and a 1x1 convolution exits.
 Every convolution is followed by SiLU and keeps the spatial size (stride 1,
 a (2 * padding + 1)-square kernel). Each ``*_fwd`` has a ``*_bwd`` for the
-gradient checker that follows the ``(gx, grads)`` protocol of ``ops``.
+gradient checker that follows the ``(gx, grads)`` protocol of ``ops``, and
+follows its stacked-copy protocol too: gates, residual adds and
+concatenations broadcast the copy axis, and each forward returns its copies
+flattened into the batch.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,19 @@ def _same_size(*convs: ConvParams) -> None:
         if c.stride != 1 or c.kernel != (2 * c.padding + 1,) * 2:
             raise ShapeMismatch(f"a block's conv must keep the spatial size (stride 1, a (2 * padding + 1)-square "
                                 f"kernel), got kernel {c.kernel} stride {c.stride} padding {c.padding}")
+
+
+def _fwd(fwd, x, p):
+    """``fwd(x, p)``, the copies of its output, if any, back on a leading
+    axis: (P, n, ...) from the flattened (P * n, ...)."""
+    y, cache = fwd(x, p)
+    n = x.shape[-4]
+    return (y if x.ndim == 4 and len(y) == n else y.reshape(-1, n, *y.shape[1:])), cache
+
+
+def _flat(y: np.ndarray) -> np.ndarray:
+    """A block output with its copies flattened into the batch axis."""
+    return y.reshape(-1, *y.shape[-3:])
 
 
 def _under(prefix: str, grads: dict) -> dict:
@@ -59,6 +75,7 @@ class CbamParams:
         self.b1 = np.asarray(self.b1, dtype=np.float64)
         self.w2 = np.asarray(self.w2, dtype=np.float64)
         self.b2 = np.asarray(self.b2, dtype=np.float64)
+        ops.check_int("reduction", self.reduction, 1)
         hidden, c = self.w1.shape
         if self.b1.shape != (hidden,) or self.w2.shape != (c, hidden) or self.b2.shape != (c,):
             raise ShapeMismatch("inconsistent channel-attention MLP shapes")
@@ -72,6 +89,7 @@ class CbamParams:
 
     @classmethod
     def init(cls, channels, reduction=16, rng=None, spatial_kernel=7) -> "CbamParams":
+        ops.check_int("reduction", reduction, 1)
         hidden = max(1, channels // reduction)
         scale = 1.0 / np.sqrt(channels)
         return cls(
@@ -89,16 +107,23 @@ class CbamParams:
 
 
 def _mlp_fwd(v, p: CbamParams):
-    """The MLP over (P * n, c) descriptors, group i through copy i of the
-    stacked arrays (see ``ops.with_copy_axis``); the cache is for plain
-    parameters."""
-    w1, w2 = ops.with_copy_axis(p.w1, 2), ops.with_copy_axis(p.w2, 2)
-    b1, b2 = ops.with_copy_axis(p.b1, 1), ops.with_copy_axis(p.b2, 1)
-    groups = v.reshape(ops.copy_count(len(v), w1, b1, w2, b2), -1, v.shape[1])
-    pre = groups @ w1.transpose(0, 2, 1) + b1[:, None]
-    h = ops.relu(pre)
-    z = h @ w2.transpose(0, 2, 1) + b2[:, None]
-    return z.reshape(len(v), -1), (v, pre.reshape(len(v), -1), h.reshape(len(v), -1), p)
+    """The MLP over descriptors ``v``: (2, n, c), or (2, P, n, c) with a copy
+    axis, the average- and max-pooled ones stacked. Plain parameters take
+    every row in one product, so a shared row is multiplied as a row of a
+    larger batch; stacked ones make one product per copy and descriptor.
+    The cache is for plain parameters."""
+    arrays = [ops.with_copy_axis(a, nd) for a, nd in ((p.w1, 2), (p.b1, 1), (p.w2, 2), (p.b2, 1))]
+    if all(len(a) == 1 for a in arrays):
+        rows = v.reshape(-1, v.shape[-1])
+        pre = rows @ p.w1.T + p.b1
+        h = ops.relu(pre)
+        z = h @ p.w2.T + p.b2
+        return z.reshape(v.shape), (v, pre.reshape(*v.shape[:-1], -1), h.reshape(*v.shape[:-1], -1), p)
+    w1, b1, w2, b2 = arrays
+    v = v.reshape(2, -1, *v.shape[-2:])
+    ops.check_copies(v.shape[1], *map(len, arrays))
+    h = ops.relu(v @ w1.transpose(0, 2, 1) + b1[:, None])
+    return h @ w2.transpose(0, 2, 1) + b2[:, None], None
 
 
 def _mlp_bwd(cache, gz):
@@ -108,15 +133,14 @@ def _mlp_bwd(cache, gz):
 
 
 def cbam_channel_attention_fwd(x, p: CbamParams):
-    x = ops.as_tensor4(x)
-    if x.shape[1] != p.channels:
-        raise ShapeMismatch(f"input has {x.shape[1]} channels, CBAM expects {p.channels}")
+    x = ops.as_tensor(x)
+    if x.shape[-3] != p.channels:
+        raise ShapeMismatch(f"input has {x.shape[-3]} channels, CBAM expects {p.channels}")
     avg, avg_cache = ops.spatial_mean_fwd(x)
     mx, max_cache = ops.spatial_max_fwd(x)
-    za, mlp_a = _mlp_fwd(avg, p)
-    zm, mlp_m = _mlp_fwd(mx, p)
-    gates = ops.sigmoid(za + zm)
-    return gates, (avg_cache, max_cache, mlp_a, mlp_m, gates)
+    z, mlp = _mlp_fwd(np.stack([avg, mx]), p)
+    gates = ops.sigmoid(z[0] + z[1])
+    return gates.reshape(-1, gates.shape[-1]), (avg_cache, max_cache, mlp, gates)
 
 
 def cbam_channel_attention(x, p: CbamParams) -> np.ndarray:
@@ -125,19 +149,19 @@ def cbam_channel_attention(x, p: CbamParams) -> np.ndarray:
 
 
 def _channel_attention_bwd(cache, gg):
-    avg_cache, max_cache, mlp_a, mlp_m, gates = cache
+    avg_cache, max_cache, (v, pre, h, p), gates = cache
     gz = ops.sigmoid_bwd(gates, gg)
-    gavg, grads_a = _mlp_bwd(mlp_a, gz)
-    gmx, grads_m = _mlp_bwd(mlp_m, gz)
+    gavg, grads_a = _mlp_bwd((v[0], pre[0], h[0], p), gz)
+    gmx, grads_m = _mlp_bwd((v[1], pre[1], h[1], p), gz)
     gx = ops.spatial_mean_bwd(avg_cache, gavg) + ops.spatial_max_bwd(max_cache, gmx)
     return gx, {k: grads_a[k] + grads_m[k] for k in grads_a}
 
 
 def cbam_spatial_attention_fwd(x, p: CbamParams):
-    x = ops.as_tensor4(x)
+    x = ops.as_tensor(x)
     mean_map, mean_cache = ops.channel_mean_fwd(x)
     max_map, max_cache = ops.channel_max_fwd(x)
-    cat = np.concatenate([mean_map, max_map], axis=1)
+    cat = np.concatenate([mean_map, max_map], axis=-3)
     pre, conv_cache = ops.conv2d_fwd(cat, p.spatial)
     gates = ops.sigmoid(pre)
     return gates, (mean_cache, max_cache, conv_cache, gates)
@@ -159,12 +183,12 @@ def _spatial_attention_bwd(cache, gg):
 
 
 def cbam_fwd(x, p: CbamParams):
-    x = ops.as_tensor4(x)
-    gc, ca_cache = cbam_channel_attention_fwd(x, p)
-    x1 = x * gc[:, :, None, None]
-    gs, sa_cache = cbam_spatial_attention_fwd(x1, p)
+    x = ops.as_tensor(x)
+    gc, ca_cache = _fwd(cbam_channel_attention_fwd, x, p)
+    x1 = x * gc[..., None, None]
+    gs, sa_cache = _fwd(cbam_spatial_attention_fwd, x1, p)
     y = x1 * gs
-    return y, (x, gc, x1, gs, ca_cache, sa_cache)
+    return _flat(y), (x, gc, x1, gs, ca_cache, sa_cache)
 
 
 def cbam(x, p: CbamParams) -> np.ndarray:
@@ -220,6 +244,7 @@ class C2fCdParams:
 
     @classmethod
     def init(cls, c_in, c_out, n=1, reduction=16, rng=None) -> "C2fCdParams":
+        ops.check_int("n, the bottleneck count,", n, 0)
         if c_out % 2 != 0:
             raise ShapeMismatch("c_out must be even (channels split into halves)")
         ch = c_out // 2
@@ -240,9 +265,9 @@ class C2fCdParams:
 
 
 def _bottleneck_fwd(x, p1: ConvParams, p2: ConvParams):
-    a1, c1 = ops.conv2d_fwd(x, p1)
+    a1, c1 = _fwd(ops.conv2d_fwd, x, p1)
     h1 = ops.silu(a1)
-    a2, c2 = ops.conv2d_fwd(h1, p2)
+    a2, c2 = _fwd(ops.conv2d_fwd, h1, p2)
     h2 = ops.silu(a2)
     return h2 + x, (a1, c1, a2, c2)
 
@@ -257,22 +282,22 @@ def _bottleneck_bwd(cache, gy):
 
 
 def c2f_cd_fwd(x, p: C2fCdParams):
-    x = ops.as_tensor4(x)
-    a0, e_cache = ops.coordconv_fwd(x, p.entry)
+    x = ops.as_tensor(x)
+    a0, e_cache = _fwd(ops.coordconv_fwd, x, p.entry)
     h0 = ops.silu(a0)
     ch = p.entry.c_out // 2
-    retained = [h0[:, :ch], h0[:, ch:]]
+    retained = [h0[..., :ch, :, :], h0[..., ch:, :, :]]
     b_caches = []
     cur = retained[1]
     for p1, p2 in p.bottlenecks:
         cur, cache = _bottleneck_fwd(cur, p1, p2)
         retained.append(cur)
         b_caches.append(cache)
-    cat = np.concatenate(retained, axis=1)
-    att, cbam_cache = cbam_fwd(cat, p.cbam)
-    aN, x_cache = ops.conv2d_fwd(att, p.exit)
+    cat = ops.concat_channels(retained)
+    att, cbam_cache = _fwd(cbam_fwd, cat, p.cbam)
+    aN, x_cache = _fwd(ops.conv2d_fwd, att, p.exit)
     out = ops.silu(aN)
-    return out, (a0, e_cache, ch, b_caches, cbam_cache, aN, x_cache, p)
+    return _flat(out), (a0, e_cache, ch, b_caches, cbam_cache, aN, x_cache, p)
 
 
 def c2f_cd(x, p: C2fCdParams) -> np.ndarray:

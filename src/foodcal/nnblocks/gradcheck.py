@@ -8,10 +8,16 @@ gradients at or above unit scale and degrades gracefully to an absolute
 comparison below it.
 
 Each element still gets its own central difference, but the forwards are
-batched: a chunk of elements of one target array becomes 2k perturbed
-copies of that array, evaluated in one forward. Input copies ride the
-batch axis; a parameter array is swapped for its stacked copies (see
-``ops.with_copy_axis``) for the duration of the call.
+batched: a chunk of k elements of one target array becomes 2k perturbed
+copies, evaluated in one forward, and each forward computes only what its
+perturbation can change. An input copy is the one sample that holds its
+element, so the batch is 2k samples; the other samples of its loss row
+keep the output of the analytic pass. A parameter array is swapped, for
+the duration of the call, for its 2k copies stacked on a copy axis (see
+``ops``) and the input runs once, untiled: the ops before the parameter's
+first use run once, and the rest run per copy. Each loss row is summed as
+the full block output would be, so every numeric gradient has the bits of
+a forward of the whole tiled batch.
 """
 
 from functools import partial
@@ -26,8 +32,8 @@ _FD_STEP = 1e-5
 
 # elements perturbed per forward (2x as many stacked copies); bounds the
 # memory of one forward. Seed 0 of all four blocks, medians of 16
-# alternations on 2 CPUs: 108 ms at 16, 97 ms at 32, 95 ms at 64; peak RSS
-# of the four checks 38, 41 and 47 MB
+# alternations on 2 CPUs: 58 ms at 16, 49 ms at 32, 43 ms at 64; peak RSS
+# of a process running the four checks 38.1, 38.8 and 41.9 MB
 _CHUNK = 32
 
 
@@ -70,46 +76,71 @@ def _swap_param(params, name: str, value: np.ndarray) -> np.ndarray:
     return old
 
 
-def _forward_with(fwd, x, params, name, stacked):
-    """Output of ``fwd`` over ``x`` tiled once per copy in ``stacked``, with
-    ``stacked`` bound in place of the parameter ``name`` for the call."""
-    arr = _swap_param(params, name, stacked)
-    try:
-        return fwd(np.tile(x, (len(stacked), 1, 1, 1)))[0]
-    finally:
-        _swap_param(params, name, arr)
+def _perturbed(rows: np.ndarray, row, col, delta) -> np.ndarray:
+    """Copies ``rows[row[i]]``, each with element ``col[i]`` moved by ``delta[i]``."""
+    copies = rows[row]
+    copies[np.arange(len(copies)), col] += delta
+    return copies
 
 
-def _central_differences(arr: np.ndarray, forward, step: float) -> np.ndarray:
-    """d sum(output) / d arr by central differences, one per element.
-    ``forward`` takes (2k, *arr.shape) copies of ``arr``, copy i < k with
-    one element raised by ``step`` and copy k + i with it lowered, and
-    returns an output whose batch holds 2k equal groups, one per copy."""
-    flat = arr.reshape(-1)
-    numeric = np.empty(flat.size)
-    for start in range(0, flat.size, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, flat.size))
+def _input_losses(fwd, x, y):
+    """Loss of each perturbed copy of ``x``. A copy runs only the sample
+    that holds its element; the other samples keep their output ``y``."""
+    samples = x.reshape(len(x), -1)
+
+    def losses(idx, delta):
+        s, j = np.divmod(idx, samples.shape[1])
+        out = fwd(_perturbed(samples, s, j, delta).reshape(len(idx), *x.shape[1:]))[0]
+        rows = np.repeat(y[None], len(idx), axis=0)
+        rows[np.arange(len(idx)), s] = out
+        return rows.reshape(len(idx), -1).sum(axis=1)
+
+    return losses
+
+
+def _param_losses(fwd, x, params, name, arr):
+    """Loss of each perturbed copy of the parameter ``name``: the copies are
+    bound in its place, stacked (see ``ops``), for one forward of ``x``."""
+    flat = arr.reshape(1, -1)
+
+    def losses(idx, delta):
+        stacked = _perturbed(flat, np.zeros_like(idx), idx, delta).reshape(len(idx), *arr.shape)
+        old = _swap_param(params, name, stacked)
+        try:
+            out = fwd(x)[0]
+        finally:
+            _swap_param(params, name, old)
+        return out.reshape(len(idx), -1).sum(axis=1)
+
+    return losses
+
+
+def _central_differences(shape, losses, step: float) -> np.ndarray:
+    """d loss / d element of an array of ``shape`` by central differences,
+    one per element. ``losses(idx, delta)`` gives, in one forward, the loss
+    with element ``idx[i]`` alone moved by ``delta[i]``, for each i."""
+    numeric = np.empty(int(np.prod(shape)))
+    for start in range(0, numeric.size, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, numeric.size))
         k = len(idx)
-        stacked = np.tile(flat, (2 * k, 1))
-        stacked[np.arange(k), idx] = flat[idx] + step
-        stacked[np.arange(k, 2 * k), idx] = flat[idx] - step
-        loss = forward(stacked.reshape(2 * k, *arr.shape)).reshape(2 * k, -1).sum(axis=1)
+        loss = losses(np.concatenate([idx, idx]), np.repeat([step, -step], k))
         numeric[idx] = (loss[:k] - loss[k:]) / (2.0 * step)
-    return numeric.reshape(arr.shape)
+    return numeric.reshape(shape)
 
 
-def _numeric_gradients(x, params, fwd, step: float) -> dict[str, np.ndarray]:
+def _numeric_gradients(x, y, params, fwd, step: float) -> dict[str, np.ndarray]:
     """Central-difference gradients of sum(fwd(x)) for ``"input"`` and for
-    every parameter array, keyed by its dotted name."""
-    numeric = {"input": _central_differences(x, lambda xs: fwd(xs.reshape(-1, *x.shape[1:]))[0], step)}
+    every parameter array, keyed by its dotted name; ``y`` is fwd(x)."""
+    numeric = {"input": _central_differences(x.shape, _input_losses(fwd, x, y), step)}
     for name, arr in ops.param_arrays(params):
-        numeric[name] = _central_differences(arr, partial(_forward_with, fwd, x, params, name), step)
+        numeric[name] = _central_differences(arr.shape, _param_losses(fwd, x, params, name, arr), step)
     return numeric
 
 
-def gradcheck(block: str, seed: int = 0, step: float = _FD_STEP) -> float:
+def gradcheck(block: str, seed: int = 0, step: float = _FD_STEP) -> tuple[float, str]:
     """Max relative error between analytic and central-difference gradients
-    of sum(output) over the input and all parameters."""
+    of sum(output) over the input and all parameters, and the dotted name
+    of the array where it occurs (``"input"`` for the input)."""
     x, params, fwd, bwd = _make_case(block, seed)
     y, cache = fwd(x)
     gx, grads = bwd(cache, np.ones_like(y))
@@ -118,5 +149,7 @@ def gradcheck(block: str, seed: int = 0, step: float = _FD_STEP) -> float:
     if sorted(grads) != names:
         raise ValueError(f"{block}: backward returns gradients of {sorted(grads)}, the check covers {names}")
     analytic = {"input": gx, **grads}
-    numeric = _numeric_gradients(x, params, fwd, step)
-    return max(_max_rel_err(np.asarray(analytic[name]), num) for name, num in numeric.items())
+    numeric = _numeric_gradients(x, y, params, fwd, step)
+    errors = {name: _max_rel_err(np.asarray(analytic[name]), num) for name, num in numeric.items()}
+    worst = max(errors, key=errors.get)
+    return errors[worst], worst

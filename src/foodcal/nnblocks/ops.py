@@ -7,6 +7,16 @@ matching ``*_bwd`` to produce analytic gradients (used by the gradient
 checker). A backward with parameters maps ``(cache, gy)`` to ``(gx, grads)``,
 ``grads`` keyed by the names of ``param_arrays`` (``weight``, ``bias`` for a
 convolution). Max reductions route gradient to the first maximal element.
+
+Stacked copies: any parameter array may be replaced by P copies stacked on
+a new leading axis, and an activation may carry a leading copy axis,
+(P, n, c, h, w); a 4-D activation is one copy. Every op broadcasts over
+that axis: copy i of its output comes from copy i of each input or
+parameter with P copies, and an input with one copy is shared by all. So
+the ops before the first one that reads a stacked array run once. A
+forward returns its copies flattened, copy-major, into the batch axis:
+``conv2d_fwd`` of P copies of n samples returns (P * n, c_out, oh, ow).
+Backward passes take plain parameters and 4-D activations.
 """
 
 from dataclasses import dataclass, fields, is_dataclass
@@ -17,13 +27,20 @@ from numpy.lib.stride_tricks import as_strided
 from foodcal.errors import ShapeMismatch
 
 
-def as_tensor4(x) -> np.ndarray:
+def as_tensor(x) -> np.ndarray:
+    """``x`` as a float64 (n, c, h, w) tensor, or (P, n, c, h, w) with a copy axis."""
     t = np.asarray(x, dtype=np.float64)
-    if t.ndim != 4 or min(t.shape) < 1:
-        raise ShapeMismatch(f"expected a (n, c, h, w) tensor, got shape {t.shape}")
+    if t.ndim not in (4, 5) or min(t.shape) < 1:
+        raise ShapeMismatch(f"expected a (n, c, h, w) or (copies, n, c, h, w) tensor, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("tensor values must be finite")
     return t
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Reject a ``value`` that is not an integer (a bool is not one) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ShapeMismatch(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass
@@ -43,12 +60,14 @@ class ConvParams:
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 4:
-            raise ShapeMismatch(f"weight must be 4D, got shape {self.weight.shape}")
+        if self.weight.ndim != 4 or min(self.weight.shape) < 1:
+            raise ShapeMismatch(f"weight must be 4D with no empty axis, got shape {self.weight.shape}")
         if self.bias.shape != (self.weight.shape[0],):
             raise ShapeMismatch("bias length must equal the output channel count")
-        if self.stride < 1 or self.padding < 0:
-            raise ShapeMismatch("stride must be >= 1 and padding >= 0")
+        if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
+            raise ValueError("weight and bias values must be finite")
+        check_int("stride", self.stride, 1)
+        check_int("padding", self.padding, 0)
 
     @property
     def c_out(self) -> int:
@@ -95,26 +114,22 @@ def param_arrays(params, prefix: str = "") -> list[tuple[str, np.ndarray]]:
 
 
 def with_copy_axis(a: np.ndarray, ndim: int) -> np.ndarray:
-    """A parameter of ``ndim`` axes with a leading copy axis: (1, *shape)
-    when plain, unchanged when stacked to (P, *shape).
-
-    Stacked parameters run P copies of a block in one forward: the batch
-    holds P groups of n samples, and group i meets copy i of every stacked
-    array. Only the ops that read parameters see the groups; activations
-    stay (P * n, c, h, w)."""
+    """An array of ``ndim`` axes with a leading copy axis: (1, *shape) when
+    plain, unchanged when it already has one, (P, *shape)."""
     return a.reshape((-1,) + a.shape[a.ndim - ndim :])
 
 
-def copy_count(batch: int, *arrays: np.ndarray) -> int:
-    """P, the copy count of ``arrays`` (each from ``with_copy_axis``), once
-    it is checked that every array has 1 or P copies and that ``batch``
-    splits into P groups."""
-    copies = max(len(a) for a in arrays)
-    if any(len(a) not in (1, copies) for a in arrays) or batch % copies:
-        raise ShapeMismatch(
-            f"parameter copies {[len(a) for a in arrays]} do not split a batch of {batch}"
-        )
-    return copies
+def check_copies(*counts: int) -> None:
+    """Reject copy ``counts`` that do not broadcast: each must be 1 or P."""
+    if any(c not in (1, max(counts)) for c in counts):
+        raise ShapeMismatch(f"copy counts {list(counts)} do not broadcast")
+
+
+def concat_channels(arrays) -> np.ndarray:
+    """``arrays`` concatenated on the channel axis (-3), their leading axes
+    broadcast, so a shared activation meets each copy of a stacked one."""
+    lead = np.broadcast_shapes(*(a.shape[:-3] for a in arrays))
+    return np.concatenate([np.broadcast_to(a, lead + a.shape[-3:]) for a in arrays], axis=-3)
 
 
 def conv_out_hw(h: int, w: int, p: ConvParams) -> tuple[int, int]:
@@ -132,9 +147,9 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     """``x`` with ``padding`` zero rows and columns on each side."""
     if padding == 0:
         return x
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), x.dtype)
-    xp[:, :, padding : padding + h, padding : padding + w] = x
+    *lead, h, w = x.shape
+    xp = np.zeros((*lead, h + 2 * padding, w + 2 * padding), x.dtype)
+    xp[..., padding : padding + h, padding : padding + w] = x
     return xp
 
 
@@ -144,32 +159,32 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
 
 
 def _window_matrix(xp, oh, ow, kh, kw, stride):
-    """(n, c * kh * kw, oh * ow) receptive fields of the pre-padded ``xp``,
-    rows in the order of a flattened (c, kh, kw) weight."""
-    n, c, _, _ = xp.shape
-    sn, sc, sy, sx = xp.strides
+    """(..., n, c * kh * kw, oh * ow) receptive fields of the pre-padded
+    ``xp``, rows in the order of a flattened (c, kh, kw) weight."""
+    *lead, c, _, _ = xp.shape
+    *s_lead, sc, sy, sx = xp.strides
     win = as_strided(
-        xp, (n, c, kh, kw, oh, ow), (sn, sc, sy, sx, sy * stride, sx * stride), writeable=False
+        xp, (*lead, c, kh, kw, oh, ow), (*s_lead, sc, sy, sx, sy * stride, sx * stride), writeable=False
     )
-    return win.reshape(n, c * kh * kw, oh * ow)
+    return win.reshape(*lead, c * kh * kw, oh * ow)
 
 
 def conv2d_fwd(x, p: ConvParams):
-    x = as_tensor4(x)
-    if x.shape[1] != p.c_in:
-        raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects {p.c_in}")
-    oh, ow = conv_out_hw(x.shape[2], x.shape[3], p)
+    x = as_tensor(x)
+    if x.shape[-3] != p.c_in:
+        raise ShapeMismatch(f"input has {x.shape[-3]} channels, kernel expects {p.c_in}")
+    oh, ow = conv_out_hw(x.shape[-2], x.shape[-1], p)
     xp = _pad(x, p.padding)
     w, b = with_copy_axis(p.weight, 4), with_copy_axis(p.bias, 1)
-    copies = copy_count(x.shape[0], w, b)
-    cols = _window_matrix(xp, oh, ow, *p.kernel, p.stride)
-    out = np.matmul(w.reshape(len(w), 1, p.c_out, -1), cols.reshape(copies, -1, *cols.shape[1:]))
-    out += b[:, None, :, None]
-    return out.reshape(x.shape[0], p.c_out, oh, ow), (xp, x.shape, p)
+    cols = _window_matrix(with_copy_axis(xp, 4), oh, ow, *p.kernel, p.stride)
+    check_copies(len(cols), len(w), len(b))
+    # one (c_out, c_in * kh * kw) @ (c_in * kh * kw, oh * ow) product per sample and copy
+    out = np.matmul(w.reshape(len(w), 1, p.c_out, -1), cols) + b[:, None, :, None]
+    return out.reshape(-1, p.c_out, oh, ow), (xp, x.shape, p)
 
 
 def conv2d(x, p: ConvParams) -> np.ndarray:
-    """Cross-correlation with zero padding; output (n, c_out, oh, ow)."""
+    """Cross-correlation with zero padding; output (P * n, c_out, oh, ow)."""
     return conv2d_fwd(x, p)[0]
 
 
@@ -203,14 +218,13 @@ def coord_channels(n: int, h: int, w: int) -> np.ndarray:
 
 
 def coordconv_fwd(x, p: ConvParams):
-    x = as_tensor4(x)
-    if p.c_in != x.shape[1] + 2:
-        raise ShapeMismatch(
-            f"coordconv kernel expects {p.c_in} channels but input+coords has {x.shape[1] + 2}"
-        )
-    aug = np.concatenate([x, coord_channels(x.shape[0], x.shape[2], x.shape[3])], axis=1)
+    x = as_tensor(x)
+    n, c, h, w = x.shape[-4:]
+    if p.c_in != c + 2:
+        raise ShapeMismatch(f"coordconv kernel expects {p.c_in} channels but input+coords has {c + 2}")
+    aug = concat_channels([x, coord_channels(n, h, w)])
     y, cache = conv2d_fwd(aug, p)
-    return y, (cache, x.shape[1])
+    return y, (cache, c)
 
 
 def coordconv(x, p: ConvParams) -> np.ndarray:
@@ -261,7 +275,7 @@ def silu_bwd(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
 
 
 def spatial_mean_fwd(x):
-    return x.mean(axis=(2, 3)), x.shape
+    return x.mean(axis=(-2, -1)), x.shape
 
 
 def spatial_mean_bwd(shape, gp):
@@ -270,10 +284,9 @@ def spatial_mean_bwd(shape, gp):
 
 
 def spatial_max_fwd(x):
-    n, c, h, w = x.shape
-    flat = x.reshape(n, c, h * w)
-    arg = flat.argmax(axis=2)  # first maximum
-    return flat.max(axis=2), (x.shape, arg)
+    flat = x.reshape(*x.shape[:-2], -1)
+    arg = flat.argmax(axis=-1)  # first maximum
+    return flat.max(axis=-1), (x.shape, arg)
 
 
 def spatial_max_bwd(cache, gp):
@@ -285,7 +298,7 @@ def spatial_max_bwd(cache, gp):
 
 
 def channel_mean_fwd(x):
-    return x.mean(axis=1, keepdims=True), x.shape
+    return x.mean(axis=-3, keepdims=True), x.shape
 
 
 def channel_mean_bwd(shape, gp):
@@ -293,8 +306,8 @@ def channel_mean_bwd(shape, gp):
 
 
 def channel_max_fwd(x):
-    arg = x.argmax(axis=1)  # (n, h, w), first maximum
-    return x.max(axis=1, keepdims=True), (x.shape, arg)
+    arg = x.argmax(axis=-3)  # (..., n, h, w), first maximum
+    return x.max(axis=-3, keepdims=True), (x.shape, arg)
 
 
 def channel_max_bwd(cache, gp):

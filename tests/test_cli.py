@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import shutil
 import tempfile
 from dataclasses import asdict
@@ -16,6 +17,7 @@ from foodcal import cli, manifests, maskgeom, metrics, preprocess, regress, synt
 from foodcal.cli import SCENE_OPTIONS, main
 from foodcal.errors import DataError, write_json
 from foodcal.measurement import FOOD_CLASSES, ClassLabel, DetectionInstance
+from foodcal.nnblocks import blocks
 
 import metric_oracles
 from cli_child import run_foodcal
@@ -290,6 +292,27 @@ def test_gen_writes_one_food_instance_per_row(gen_644, tmp_path):
 def test_gradcheck_command(capsys):
     assert run_cli("gradcheck", "--block", "coordconv", "--seeds", "2") == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_a_failing_gradcheck_seed_names_its_worst_array(monkeypatch, capsys):
+    right = blocks.c2f_cd_bwd
+
+    def wrong(cache, gy):
+        gx, grads = right(cache, gy)
+        return gx, {**grads, "exit.weight": 3 * grads["exit.weight"] + 1}
+
+    monkeypatch.setattr(blocks, "c2f_cd_bwd", wrong)
+    assert run_cli("gradcheck", "--block", "c2fcd", "--seeds", "2") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["c2fcd seed 0", "c2fcd seed 1", "c2fcd"]
+    assert all(line.endswith(" in exit.weight") for line in lines[:2])
+    assert lines[2].endswith("-> FAIL") and " in " not in lines[2]
+
+
+def test_a_passing_gradcheck_line_names_no_array(capsys):
+    assert run_cli("gradcheck", "--block", "conv", "--seeds", "1") == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"conv seed 0: max relative error \d\.\d{3}e-\d\d", line)
 
 
 def test_detmetrics_self_comparison(gen_dir, tmp_path, capsys):

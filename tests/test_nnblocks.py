@@ -15,6 +15,7 @@ from foodcal.nnblocks.gradcheck import (
     _swap_param,
     gradcheck,
 )
+from gradcheck_oracle import tiled_numeric_gradients
 
 # the package exports the function under the module's name
 gradcheck_module = importlib.import_module("foodcal.nnblocks.gradcheck")
@@ -86,6 +87,50 @@ def test_conv_channel_mismatch_raises():
     p = ops.ConvParams.init(2, 3, 3, rng)
     with pytest.raises(ShapeMismatch):
         ops.conv2d(np.zeros((1, 5, 6, 6)), p)
+
+
+@pytest.mark.parametrize(
+    "change, error, match",
+    [
+        ({"stride": 1.5}, ShapeMismatch, "stride"),
+        ({"padding": 1.0}, ShapeMismatch, "padding"),
+        ({"stride": True}, ShapeMismatch, "stride"),
+        ({"padding": False}, ShapeMismatch, "padding"),
+        ({"weight": "nan"}, ValueError, "finite"),
+        ({"bias": "inf"}, ValueError, "finite"),
+        ({"weight": np.zeros((0, 3, 3, 3)), "bias": np.zeros(0)}, ShapeMismatch, "no empty axis"),
+    ],
+    ids=["float-stride", "float-padding", "bool-stride", "bool-padding", "nan-weight", "inf-bias", "no-output"],
+)
+def test_conv_params_reject_bad_values_at_construction(change, error, match):
+    # each of these used to construct; conv2d then raised a TypeError, or
+    # returned NaN, or (c_out = 0) an empty output
+    p = ops.ConvParams.init(2, 3, 3, np.random.default_rng(6), padding=1)
+    fields = {"weight": p.weight, "bias": p.bias, "stride": p.stride, "padding": p.padding}
+    for key, value in change.items():
+        if isinstance(value, str):
+            value = fields[key].copy()
+            value.flat[1] = float(change[key])
+        fields[key] = value
+    with pytest.raises(error, match=match):
+        ops.ConvParams(**fields)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda rng: blocks.CbamParams.init(4, reduction=0, rng=rng), "reduction"),
+        (lambda rng: blocks.CbamParams.init(4, reduction=-1, rng=rng), "reduction"),
+        (lambda rng: replace(blocks.CbamParams.init(4, 2, rng), reduction=0), "reduction"),
+        (lambda rng: blocks.C2fCdParams.init(3, 4, n=-1, rng=rng), "n, the bottleneck count"),
+    ],
+    ids=["cbam-reduction-0", "cbam-reduction-negative", "cbam-field-reduction-0", "c2fcd-n-negative"],
+)
+def test_block_params_reject_a_bad_count(build, match):
+    # reduction 0 raised ZeroDivisionError, -1 constructed, and n = -1 was
+    # reported as a CBAM channel mismatch
+    with pytest.raises(ShapeMismatch, match=match):
+        build(np.random.default_rng(7))
 
 
 def test_conv_empty_output_raises():
@@ -327,7 +372,7 @@ def test_block_params_reject_a_conv_that_changes_the_spatial_size(build):
 @pytest.mark.parametrize("block", BLOCK_NAMES)
 def test_gradcheck_below_threshold(block):
     for seed in (0, 1):
-        assert gradcheck(block, seed=seed) < 1e-4
+        assert gradcheck(block, seed=seed)[0] < 1e-4
 
 
 @pytest.mark.parametrize(
@@ -343,7 +388,8 @@ def test_gradcheck_catches_a_wrong_exit_gradient(monkeypatch, key, corrupt):
         return gx, {**grads, key: corrupt(grads[key])}
 
     monkeypatch.setattr(blocks, "c2f_cd_bwd", wrong)
-    assert gradcheck("c2fcd", seed=0) > GRADCHECK_TOLERANCE
+    err, array = gradcheck("c2fcd", seed=0)
+    assert err > GRADCHECK_TOLERANCE and array == key
 
 
 def test_gradcheck_runs_the_backward_bound_at_call_time(monkeypatch):
@@ -354,8 +400,9 @@ def test_gradcheck_runs_the_backward_bound_at_call_time(monkeypatch):
         return gx, {**grads, "weight": 2.0 * grads["weight"]}
 
     monkeypatch.setattr(ops, "conv2d_bwd", scaled_weight)
-    assert gradcheck("conv", seed=0) > GRADCHECK_TOLERANCE
-    assert gradcheck("coordconv", seed=0) > GRADCHECK_TOLERANCE
+    for block in ("conv", "coordconv"):
+        err, array = gradcheck(block, seed=0)
+        assert err > GRADCHECK_TOLERANCE and array == "weight"
 
 
 def test_gradcheck_rejects_gradients_it_does_not_check(monkeypatch):
@@ -413,7 +460,7 @@ def loop_numeric_gradients(x, params, fwd, step):
 @pytest.mark.parametrize("block", BLOCK_NAMES)
 def test_batched_differences_match_the_element_loop(block, seed):
     x, p, fwd, _ = _make_case(block, seed)
-    batched = _numeric_gradients(x, p, fwd, _FD_STEP)
+    batched = _numeric_gradients(x, fwd(x)[0], p, fwd, _FD_STEP)
     oracle = loop_numeric_gradients(x, p, fwd, _FD_STEP)
     assert list(batched) == list(oracle)
     for name in oracle:
@@ -423,7 +470,8 @@ def test_batched_differences_match_the_element_loop(block, seed):
 @pytest.mark.parametrize("block", BLOCK_NAMES)
 def test_stacked_parameter_forward_equals_separate_forwards(block):
     # conv -> conv2d_fwd, coordconv -> coordconv_fwd, cbam -> cbam_fwd,
-    # c2fcd -> c2f_cd_fwd; every parameter array in turn gets three copies
+    # c2fcd -> c2f_cd_fwd; every parameter array in turn gets three copies,
+    # run on the shared input and on an input with three copies of its own
     x, p, fwd, _ = _make_case(block, 0)
     rng = np.random.default_rng(11)
     for name, arr in ops.param_arrays(p):
@@ -434,22 +482,34 @@ def test_stacked_parameter_forward_equals_separate_forwards(block):
             separate.append(fwd(x)[0])
         _swap_param(p, name, copies)
         try:
-            stacked = fwd(np.tile(x, (3, 1, 1, 1)))[0]
+            shared, copied = fwd(x)[0], fwd(np.stack([x] * 3))[0]
         finally:
             _swap_param(p, name, arr)
-        assert stacked.ndim == 4
-        np.testing.assert_allclose(stacked, np.concatenate(separate), rtol=0, atol=1e-12, err_msg=name)
+        for stacked in (shared, copied):
+            assert stacked.ndim == 4
+            np.testing.assert_allclose(stacked, np.concatenate(separate), rtol=0, atol=1e-12, err_msg=name)
 
 
-def test_stacked_parameter_must_split_the_batch():
+@pytest.mark.parametrize("block", BLOCK_NAMES)
+def test_input_copies_equal_separate_forwards(block):
+    x, p, fwd, _ = _make_case(block, 0)
+    inputs = x + np.random.default_rng(12).normal(scale=0.1, size=(3, *x.shape))
+    np.testing.assert_allclose(fwd(inputs)[0], np.concatenate([fwd(c)[0] for c in inputs]), rtol=0, atol=1e-12)
+
+
+def test_stacked_copy_counts_must_broadcast():
     rng = np.random.default_rng(0)
     p = ops.ConvParams.init(2, 3, 3, rng, padding=1)
     p.weight = np.stack([p.weight] * 3)
-    with pytest.raises(ShapeMismatch, match="do not split a batch of 4"):
-        ops.conv2d(rng.normal(size=(4, 3, 5, 5)), p)
+    with pytest.raises(ShapeMismatch, match=r"copy counts \[2, 3, 1\]"):
+        ops.conv2d(rng.normal(size=(2, 4, 3, 5, 5)), p)
     p.bias = np.stack([p.bias] * 2)
-    with pytest.raises(ShapeMismatch, match=r"copies \[3, 2\]"):
+    with pytest.raises(ShapeMismatch, match=r"copy counts \[1, 3, 2\]"):
         ops.conv2d(rng.normal(size=(6, 3, 5, 5)), p)
+    c = blocks.CbamParams.init(4, 2, rng)
+    c.w2 = np.stack([c.w2] * 3)
+    with pytest.raises(ShapeMismatch, match=r"copy counts \[2, 1, 1, 3, 1\]"):
+        blocks.cbam(rng.normal(size=(2, 1, 4, 5, 5)), c)
 
 
 def _snapshot(x, p):
@@ -469,28 +529,40 @@ def test_gradcheck_leaves_input_and_parameters_as_they_were(monkeypatch, block):
     case = _make_case(block, 0)
     before = _snapshot(case[0], case[1])
     monkeypatch.setattr(gradcheck_module, "_make_case", lambda *_: case)
-    assert gradcheck(block) < GRADCHECK_TOLERANCE
+    assert gradcheck(block)[0] < GRADCHECK_TOLERANCE
     _assert_unchanged(case[0], case[1], before)
 
 
 def test_gradcheck_restores_parameters_when_a_forward_raises(monkeypatch):
     x, p, fwd, bwd = _make_case("c2fcd", 0)
     before = _snapshot(x, p)
-    calls = []
+    calls = []  # the copy count of entry.weight at each forward
     chunk = gradcheck_module._CHUNK
-    before_params = 1 + -(-x.size // chunk)  # the analytic pass, then the input's chunks
 
-    def failing(x):
-        calls.append(x.shape[0])
-        if calls[before_params:].count(2 * chunk) == 2:  # the second full parameter chunk
+    def failing(xs):
+        calls.append(len(p.entry.weight) if p.entry.weight.ndim == 5 else None)
+        if calls.count(2 * chunk) == 2:  # the second full chunk of the first parameter
             raise RuntimeError("forward failed")
-        return fwd(x)
+        return fwd(xs)
 
     monkeypatch.setattr(gradcheck_module, "_make_case", lambda *_: (x, p, failing, bwd))
     with pytest.raises(RuntimeError, match="forward failed"):
         gradcheck("c2fcd")
-    assert len(calls) > before_params and calls[-1] == 2 * chunk  # raised on a stacked parameter chunk
+    # the analytic pass and the input's chunks ran with plain parameters
+    assert calls[: 1 + -(-x.size // chunk)] == [None] * (1 + -(-x.size // chunk))
+    assert calls[-1] == 2 * chunk
     _assert_unchanged(x, p, before)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("block", BLOCK_NAMES)
+def test_numeric_gradients_have_the_bits_of_the_tiled_forwards(block, seed):
+    x, p, fwd, _ = _make_case(block, seed)
+    numeric = _numeric_gradients(x, fwd(x)[0], p, fwd, _FD_STEP)
+    oracle = tiled_numeric_gradients(x, p, fwd, _FD_STEP)
+    assert list(numeric) == list(oracle)
+    for name in oracle:
+        assert np.array_equal(numeric[name], oracle[name]), name
 
 
 def test_gradcheck_catches_one_wrong_element_deep_in_the_block(monkeypatch):
@@ -503,7 +575,8 @@ def test_gradcheck_catches_one_wrong_element_deep_in_the_block(monkeypatch):
         return gx, {**grads, "bottlenecks.0.0.weight": bad}
 
     monkeypatch.setattr(blocks, "c2f_cd_bwd", wrong)
-    assert gradcheck("c2fcd", seed=0) > GRADCHECK_TOLERANCE
+    err, array = gradcheck("c2fcd", seed=0)
+    assert err > GRADCHECK_TOLERANCE and array == "bottlenecks.0.0.weight"
 
 
 def _settings(p):
