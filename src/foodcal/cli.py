@@ -216,9 +216,13 @@ def cmd_train(args, parser):
     dataset = preprocess.read_csv(args.data)
     train, _, _ = preprocess.split(dataset, seed=seed)
     try:
-        train = preprocess.zscore_filter(train, threshold)
+        kept = preprocess.zscore_filter(train, threshold)
     except TooFewRows as exc:
         raise DataError(f"{args.data}: {exc}; the train split of its {len(dataset)} rows has {len(train)}") from exc
+    if len(kept) == 0:
+        raise DataError(f"{args.data}: the z-score filter at threshold {threshold!r} keeps none of the "
+                        f"{len(train)} rows of the train split")
+    train = kept
     params = preprocess.minmax_fit(train)
     train_n = preprocess.minmax_apply(params, train)
     algorithm = MODEL_NAMES[args.model]

@@ -102,6 +102,12 @@ def write_manifest(path, images: list[ImageAnnotations]) -> Path:
     return path
 
 
+def _empty_mask() -> tuple[np.ndarray, tuple[int, int]]:
+    """The stored ``(crop, origin)`` of an empty mask, one background pixel
+    at [0, 0]: a new array each call, since a read instance holds it."""
+    return np.zeros((1, 1), np.uint8), (0, 0)
+
+
 def _integer(v) -> bool:
     """Whether ``v`` is a number of integer value that fits int64, as the
     JSON integers of a manifest are. A bool is not one."""
@@ -120,9 +126,9 @@ def _record(inst: DetectionInstance, width: int, height: int) -> dict:
         rec["confidence"] = inst.confidence
     if inst.mask is not None:
         found = inst.foreground
-        if found is None:  # an empty mask: one background pixel at the image corner
+        if found is None:
             maskgeom.as_mask(inst.mask)  # a mask of no pixels, or not 2-D, still raises
-            found = np.zeros((1, 1), np.uint8), (0, 0)
+            found = _empty_mask()
         crop, (x, y) = found
         crop = maskgeom.as_mask(crop)
         h, w = crop.shape
@@ -223,7 +229,7 @@ def _read(entries, version, path) -> list[ImageAnnotations]:
         f"{mwheres[i]}: {'mask' if version == 3 else f'mask {masks[i]}'} is {tuple(hw[i].tolist())} at "
         f"{origins[i]}, image is ({H[i]}, {W[i]})"))
     if version == 1:  # image-sized masks: keep the crops that v2 and v3 store
-        found = (maskgeom.foreground(p) or (np.zeros((1, 1), np.uint8), (0, 0)) for p in pixels)
+        found = (maskgeom.foreground(p) or _empty_mask() for p in pixels)
     else:
         crops = _unpack([mask["bits"] for mask in masks], h, w, mwheres) if version == 3 else pixels
         found = zip(crops, map(tuple, origins))

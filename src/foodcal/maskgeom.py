@@ -34,6 +34,9 @@ large batch takes several. On a canvas:
 ``connected_components``, ``trace_contour`` and ``shape_stats`` run the
 same code on a canvas of one crop or on one contour.
 
+``foreground`` is the one cut of a mask to its foreground box: synth's
+placement, ``connected_components`` and ``trace_contour`` all use it.
+
 Masks of version 1 and 2 annotation manifests are binary PGM (P5) files: 0
 background, 255 foreground; a pixel v reads back as foreground when
 2v > maxval, so v >= 128 at 255. Version 3 stores masks in the manifest.
@@ -89,28 +92,22 @@ def as_mask(arr) -> np.ndarray:
     return m.astype(np.uint8, copy=False)
 
 
-def foreground_slices(mask) -> tuple[slice, slice] | None:
-    """Row and column slices of the foreground bounding box of a 2D array,
-    or None when it has no non-zero entry. Does not validate the values."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    if rows.size == 0:
-        return None
-    cols = np.flatnonzero(mask[rows[0] : rows[-1] + 1].any(axis=0))
-    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
-
-
 def foreground(mask, origin=(0, 0)) -> tuple[np.ndarray, tuple[int, int]] | None:
     """``(crop, (x, y))``: a mask with its top-left pixel at image pixel
-    ``origin``, cut to its foreground box, and the box's top-left pixel;
-    None when it has no non-zero entry. A mask that is not 2-D but has one
+    ``origin``, cut to the bounding box of its non-zero entries, and the
+    box's top-left pixel; None when it has no non-zero entry. The crop is
+    a view of the mask. A mask that is not 2-D but has a non-zero entry
     comes back whole, for ``as_mask`` to reject. Values are not checked."""
     mask = np.asarray(mask)
     if mask.ndim != 2:
         return (mask, origin) if mask.any() else None
-    box = foreground_slices(mask)
-    if box is None:
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
         return None
-    return mask[box], (origin[0] + box[1].start, origin[1] + box[0].start)
+    y0, y1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(mask[y0:y1].any(axis=0))
+    x0, x1 = int(cols[0]), int(cols[-1]) + 1
+    return mask[y0:y1, x0:x1], (origin[0] + x0, origin[1] + y0)
 
 
 def _canvas(crops) -> tuple[np.ndarray, int, np.ndarray]:
@@ -182,14 +179,14 @@ def connected_components(mask) -> list[np.ndarray]:
     Returns one full-size mask per component, ordered by (min-y, min-x) of
     the component's pixels (ties broken by first pixel in row-major order).
     Components are disjoint and their union is the input foreground. The
-    runs of the foreground box are labelled on a canvas of one crop, as
-    ``largest_component_stats`` labels many.
+    runs of the ``foreground`` crop are labelled on a canvas of that one
+    crop, as ``largest_component_stats`` labels many.
     """
     m = as_mask(mask)
-    box = foreground_slices(m)
-    if box is None:
+    found = foreground(m)
+    if found is None:
         return []
-    sub = m[box]
+    sub, (x0, y0) = found
     h, w = sub.shape
     flat, stride, _ = _canvas([sub])
     starts, ends, parent = _label_runs(flat, stride)
@@ -208,7 +205,7 @@ def connected_components(mask) -> list[np.ndarray]:
     out = []
     for k in range(1, roots.size + 1):
         comp = np.zeros_like(m)
-        comp[box] = labels == k
+        comp[y0 : y0 + h, x0 : x0 + w] = labels == k
         out.append(comp)
     return out
 
@@ -272,18 +269,18 @@ def trace_contour(component) -> np.ndarray:
     pixel and walks clockwise (image coordinates, y down); the walk stops
     when the start pixel is re-entered from its original backtrack position.
     Returns an (n, 2) int64 array of (x, y) points. Raises EmptyComponent
-    if the mask has no foreground. The foreground box is walked on a canvas
-    of one crop, as ``largest_component_stats`` walks many.
+    if the mask has no foreground. The ``foreground`` crop is walked on a
+    canvas of that one crop, as ``largest_component_stats`` walks many.
     """
-    m = as_mask(component)
-    box = foreground_slices(m)
-    if box is None:
+    found = foreground(as_mask(component))
+    if found is None:
         raise EmptyComponent("cannot trace a mask with no foreground pixels")
-    flat, stride, _ = _canvas([m[box]])
+    crop, (x0, y0) = found
+    flat, stride, _ = _canvas([crop])
     start = int(np.argmax(flat))
     points = np.array(_walk(_neighbour_codes(flat, stride), start, *_moves(stride)), dtype=np.int64)
     ys, xs = np.divmod(points, stride)
-    return np.column_stack((xs + (box[1].start - 1), ys + (box[0].start - 1)))
+    return np.column_stack((xs + (x0 - 1), ys + (y0 - 1)))
 
 
 def _stats(x, y, bounds) -> list[ShapeStats]:

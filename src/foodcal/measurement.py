@@ -141,16 +141,10 @@ def select_reference(detections: list[DetectionInstance]) -> DetectionInstance:
     """Pick the highest-confidence coin; ties go to the earliest instance."""
     if not detections:
         raise NoReferenceObject("no detections supplied")
-    best = None
-    for det in detections:
-        if det.label is not ClassLabel.COIN:
-            continue
-        conf = det.confidence if det.confidence is not None else 0.0
-        if best is None or conf > (best.confidence if best.confidence is not None else 0.0):
-            best = det
-    if best is None:
+    coins = [det for det in detections if det.label is ClassLabel.COIN]
+    if not coins:
         raise NoReferenceObject("no coin instance among detections")
-    return best
+    return max(coins, key=lambda det: det.confidence or 0.0)  # max keeps the first of equal keys
 
 
 def scale_factor(coin_bbox_h_px: float, coin_bbox_w_px: float) -> ScaleFactor:

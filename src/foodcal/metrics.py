@@ -14,10 +14,11 @@ image is found with one sort, and one stable sort pools the predictions by
 class and confidence. Per kind, each pair's IoU is computed once (box pairs
 in one vectorised pass, a mask pair on the overlap of its masks' windows,
 each mask the crop at its instance's origin or a whole frame at (0, 0)),
-each image is matched greedily once per distinct set of pairs that pass a
-threshold, and the AP of all (class, threshold) rows is one 2-D pass: a
-cumulative sum, the right-to-left precision envelope and a lookup of the
-101-point recall grid. ``average_precision`` is its one-row case.
+each image is matched greedily at the first threshold and again only at a
+threshold where one of its pairs stops passing, and the AP of all (class,
+threshold) rows is one 2-D pass: a cumulative sum, the right-to-left
+precision envelope and a lookup of the 101-point recall grid.
+``average_precision`` is its one-row case.
 """
 
 import math
@@ -325,38 +326,29 @@ def _image_flags(ranked, gts_by_image, candidates, thresholds) -> np.ndarray:
     ``ranked``, each image's predictions in confidence order, all images in
     a row, from their ``_candidates`` of one IoU kind. ``thresholds`` ascend.
 
-    Each image is matched from one set of pair IoUs, once per distinct
-    non-empty set of pairs at or above a threshold: the greedy outcome
-    depends on nothing else, so thresholds that pass the same pairs share
-    one match, and with no pair passing every prediction is an FP. A
-    prediction only claims ground truth of its own class, so matching all
-    classes of an image together gives each class the flags it would get
-    alone."""
-    n_img, n_thr = len(ranked), len(thresholds)
-    first = np.cumsum([0] + [len(preds) for preds in ranked])  # each image's first prediction
+    A pair passes the thresholds at or below its IoU, so the set of pairs
+    that pass changes only at a threshold where one of them stops passing,
+    and the greedy outcome depends on nothing else. Each image is matched
+    at the first threshold and again at each such change, and its flags
+    hold until the next; once no pair passes, its predictions are FPs and
+    no match is made, as when it has no pair at all. A prediction only
+    claims ground truth of its own class, so matching all classes of an
+    image together gives each class the flags it would get alone."""
     starts, ious, gt_index = candidates
-    # thresholds t and t + 1 pass the same pairs of an image unless one of
-    # them passes exactly t + 1 thresholds, so the least count above t among
-    # the image's pairs names the set that passes t; n_thr + 1 names none
-    passed = np.searchsorted(thresholds, ious, side="right")
-    least = np.full((n_img, n_thr + 1), n_thr + 1)
-    least[np.repeat(np.arange(n_img), np.diff(starts[first])), passed] = passed
-    key = np.minimum.accumulate(least[:, :0:-1], axis=1)[:, ::-1]  # (image, threshold)
-    new = key <= n_thr
-    new[:, 1:] &= key[:, 1:] != key[:, :-1]
-    # one match per set, its flags appended to a run of FPs that stands for
-    # every empty set; at[g] is where match g's flags start
-    flags = [False] * int(np.diff(first).max(initial=0))
-    at = []
-    starts, ious, gt_index, first = starts.tolist(), ious.tolist(), gt_index.tolist(), first.tolist()
-    for i, t in zip(*(a.tolist() for a in np.nonzero(new))):
-        at.append(len(flags))
-        flags += _greedy_match(starts[first[i] : first[i + 1] + 1], ious, gt_index, thresholds[t],
-                               len(gts_by_image[i]))[0]
-    group = np.cumsum(new).reshape(key.shape) - 1  # the last match at or before each (image, threshold)
-    offset = np.where(key <= n_thr, np.array(at + [0])[group], 0)  # + [0]: a valid index when no image matches
-    image = np.repeat(np.arange(n_img), np.diff(first))
-    return np.array(flags, dtype=bool)[offset[image].T + (np.arange(len(image)) - np.array(first)[image])]
+    passed = np.searchsorted(thresholds, ious, side="right").tolist()  # thresholds each pair passes
+    starts, ious, gt_index = starts.tolist(), ious.tolist(), gt_index.tolist()
+    flags = np.zeros((len(thresholds), len(starts) - 1), dtype=bool)
+    first = 0  # the image's first prediction
+    for preds, gts in zip(ranked, gts_by_image):
+        end = first + len(preds)
+        # threshold 0, then each one at which one of the image's pairs stops
+        # passing; from the last on, none passes
+        cuts = sorted({0, *passed[starts[first] : starts[end]]})
+        for t, stop in zip(cuts, cuts[1:]):
+            flags[t:stop, first:end] = _greedy_match(starts[first : end + 1], ious, gt_index, thresholds[t],
+                                                     len(gts))[0]
+        first = end
+    return flags
 
 
 def _class_sweeps(preds_by_image, gts_by_image, kinds, conf_threshold, thresholds):

@@ -286,7 +286,7 @@ def spatial_mean_bwd(shape, gp):
 def spatial_max_fwd(x):
     flat = x.reshape(*x.shape[:-2], -1)
     arg = flat.argmax(axis=-1)  # first maximum
-    return flat.max(axis=-1), (x.shape, arg)
+    return np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], (x.shape, arg)
 
 
 def spatial_max_bwd(cache, gp):
@@ -307,7 +307,7 @@ def channel_mean_bwd(shape, gp):
 
 def channel_max_fwd(x):
     arg = x.argmax(axis=-3)  # (..., n, h, w), first maximum
-    return x.max(axis=-3, keepdims=True), (x.shape, arg)
+    return np.take_along_axis(x, arg[..., None, :, :], axis=-3), (x.shape, arg)
 
 
 def channel_max_bwd(cache, gp):

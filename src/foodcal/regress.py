@@ -821,11 +821,8 @@ def from_dict(payload: dict) -> Regressor:
         model.spec = ModelSpec(
             algorithm,
             seed=int(number_array(payload.get("seed", 0), "seed", int, ndim=0, least=0)),
-            hyperparameters={
-                k: v
-                for k, v in payload.get("hyperparameters", {}).items()
-                if DEFAULT_HYPERPARAMETERS[algorithm].get(k) != v
-            },
+            # every stored value is checked; a copy, so the spec shares nothing with the payload
+            hyperparameters=dict(payload.get("hyperparameters", {}).items()),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: hyperparameters not an object
         raise DataError(f"malformed {MODEL_FORMAT} payload: {exc!r}") from exc

@@ -23,9 +23,10 @@ jitter can only change the pixels of a thin band around the nominal
 boundary; the angle and the jitter are evaluated there alone. The pixels
 within the band's inner edge are the sure-inside core, which every
 jittered raster holds, so a placement try whose core overlaps an earlier
-instance is rejected before its band is resolved. An accepted instance
-carries its ``DetectionInstance.foreground``: a view of its frame cut to
-the tight box that placement found, and that box's top-left pixel.
+instance is rejected before its band is resolved. ``maskgeom.foreground``
+cuts the raster at the window's corner to the tight box, and an accepted
+instance carries its ``DetectionInstance.foreground``: a view of its
+uint8 frame cut to that box, and the box's top-left pixel.
 """
 
 import math
@@ -425,11 +426,11 @@ def generate_scene(
             window, inside = _rasterize(shape, cfg.height, cfg.width, jitter, occupancy)
             if inside is None:  # its sure-inside core overlaps an earlier instance
                 continue
-            box = maskgeom.foreground_slices(inside)
-            if box is None:
+            found = maskgeom.foreground(inside, (window[1].start, window[0].start))
+            if found is None:
                 continue
-            y0, y1 = window[0].start + box[0].start, window[0].start + box[0].stop
-            x0, x1 = window[1].start + box[1].start, window[1].start + box[1].stop
+            crop, (x0, y0) = found
+            y1, x1 = y0 + crop.shape[0], x0 + crop.shape[1]
             touches_edge = y0 == 0 or x0 == 0 or y1 == cfg.height or x1 == cfg.width
             if touches_edge or (occupancy[window] & inside).any():
                 continue

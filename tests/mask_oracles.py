@@ -19,6 +19,15 @@ _DX = (1, 1, 0, -1, -1, -1, 0, 1)
 _DY = (0, 1, 1, 1, 0, -1, -1, -1)
 
 
+def nonzero_box(mask):
+    """Row and column slices of the bounding box of the non-zero entries of
+    a 2-D array, from ``np.nonzero``; None when it has none."""
+    ys, xs = np.nonzero(mask)
+    if ys.size == 0:
+        return None
+    return slice(int(ys.min()), int(ys.max()) + 1), slice(int(xs.min()), int(xs.max()) + 1)
+
+
 def pixel_label(mask):
     """8-connected labelling by vectorised union-find over pixels. Every
     pixel starts out pointing at the first pixel of its horizontal run; each
@@ -63,7 +72,7 @@ def pixel_components(mask):
     """connected_components as computed from ``pixel_label``: full-size
     masks in (min-y, min-x, first pixel) order."""
     m = maskgeom.as_mask(mask)
-    box = maskgeom.foreground_slices(m)
+    box = nonzero_box(m)
     if box is None:
         return []
     sub = m[box]
@@ -91,7 +100,7 @@ def trace(mask):
     the walk stops exactly when that closing edge recurs. Returns (x, y)
     rows in the coordinates of ``mask``; empty for an empty mask.
     """
-    box = maskgeom.foreground_slices(mask)
+    box = nonzero_box(mask)
     if box is None:
         return np.empty((0, 2), dtype=np.int64)
     sub = mask[box]
@@ -161,7 +170,7 @@ def extract_features(detections, scale):
     for i, det in enumerate(detections):
         if det.label is ClassLabel.COIN or det.mask is None or not det.mask.any():
             continue
-        stats = largest_stats(det.mask[maskgeom.foreground_slices(det.mask)])
+        stats = largest_stats(det.mask[nonzero_box(det.mask)])
         records.append(
             FeatureRecord(
                 label=det.label,

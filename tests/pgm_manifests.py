@@ -14,6 +14,8 @@ import numpy as np
 
 from foodcal import maskgeom
 
+from mask_oracles import nonzero_box
+
 
 def paste(mask, origin, height, width):
     """The height x width frame of a mask cropped at ``origin`` (x, y)."""
@@ -41,7 +43,7 @@ def write_pgm_manifest(path, images, version=2) -> Path:
                 if version == 1:
                     maskgeom.write_pgm(path.parent / rec["mask"], frame)
                 else:
-                    box = maskgeom.foreground_slices(frame)
+                    box = nonzero_box(frame)
                     crop, origin = (np.zeros((1, 1), np.uint8), (0, 0)) if box is None else (
                         frame[box], (box[1].start, box[0].start))
                     maskgeom.write_pgm(path.parent / rec["mask"], crop)

@@ -470,6 +470,21 @@ def test_too_few_rows_for_the_z_score_filter_names_the_csv(tmp_path, capsys):
     assert line.startswith(f"error: {data}: ") and "z-score filtering needs at least two rows" in line
 
 
+@pytest.mark.parametrize("threshold", [0.1, 0, -1])
+def test_a_z_score_filter_that_keeps_no_row_names_the_csv(tmp_path, capsys, threshold):
+    # this once failed in minmax_fit, naming neither the CSV nor the threshold
+    data = tmp_path / "gen"
+    assert run_cli("gen", "--seed", "7", "--records", "60", "--out", str(data)) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"zscore_threshold": threshold}))
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(data / "dataset.csv"), "--model", "lr", "--config", str(config),
+                   "--out", str(tmp_path / "m")) == 2
+    n_train = len(preprocess.split(preprocess.read_csv(data / "dataset.csv"))[0])
+    assert _one_error_line(capsys) == (f"error: {data / 'dataset.csv'}: the z-score filter at threshold "
+                                       f"{float(threshold)!r} keeps none of the {n_train} rows of the train split\n")
+
+
 def test_non_finite_csv_exits_2(tmp_path, capsys):
     data = tmp_path / "nan.csv"
     data.write_text(
@@ -604,6 +619,9 @@ def _v1_tree(key, k, value):
         (lambda b: b.update(preprocessing=[]), "preprocessing must be an object, got []"),
         # a list of hyperparameters once ended in a traceback
         (_set_regressor(hyperparameters=[]), "malformed foodcal-regressor payload: AttributeError"),
+        # a null value of an unknown name once loaded unchecked
+        (lambda b: b["regressor"]["hyperparameters"].update(bogus=None),
+         """malformed foodcal-regressor payload: ValueError("unknown hyperparameters for dtree: ['bogus']")"""),
         # a regressor of another width once loaded and failed only in predict,
         # with a message that named neither the bundle nor the cause
         (_set_regressor(n_features=10), "the regressor takes 10 features, not the 9 of the feature layout"),
@@ -615,7 +633,7 @@ def _v1_tree(key, k, value):
          "huge-n-features", "string-model-seed", "list-model-seed", "negative-model-seed", "bool-v2-feature",
          "string-v1-threshold", "bool-v1-value", "bool-v1-feature", "bool-v1-left", "bool-v1-right",
          "string-zscore-threshold", "no-zscore-threshold", "int-split", "list-normalization", "list-preprocessing",
-         "list-hyperparameters", "other-feature-layout"],
+         "list-hyperparameters", "null-unknown-hyperparameter", "other-feature-layout"],
 )
 def test_malformed_bundle_exits_2(gen_dir, tmp_path, capsys, corrupt, message):
     model = tmp_path / "m" / "model.json"

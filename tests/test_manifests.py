@@ -25,6 +25,7 @@ from foodcal.cli import main
 from foodcal.errors import DataError
 from foodcal.measurement import ClassLabel, DetectionInstance
 
+from mask_oracles import nonzero_box
 from pgm_manifests import paste, write_pgm_manifest
 
 LABELS = (ClassLabel.PURI, ClassLabel.BEGUNI)  # two classes, so some pairs never match
@@ -58,7 +59,7 @@ def instances(draw, h, w, with_confidence):
     out = []
     for _ in range(draw(st.integers(1, 4))):
         m = draw(frame_masks(h, w))
-        box = maskgeom.foreground_slices(m)
+        box = nonzero_box(m)
         bbox = (0, 0, 1, 1) if box is None else (
             box[1].start, box[0].start, box[1].stop - box[1].start, box[0].stop - box[0].start)
         conf = draw(st.floats(0.0, 1.0)) if with_confidence else None
@@ -94,7 +95,7 @@ def test_crops_give_the_full_frame_results(tmp_path_factory, images):
         for full, read in ((full_preds, pimg.instances), (full_gts, gimg.instances)):
             for f, r in zip(full, read):
                 assert np.array_equal(paste(r.mask, r.origin, h, w), f.mask)
-                assert r.mask.dtype == np.uint8 and (r.mask.shape == (1, 1) or maskgeom.foreground_slices(
+                assert r.mask.dtype == np.uint8 and (r.mask.shape == (1, 1) or nonzero_box(
                     r.mask) == (slice(0, r.mask.shape[0]), slice(0, r.mask.shape[1])))  # tight
             assert measurement.extract_features(read, scale) == measurement.extract_features(full, scale)
         for p, fp in zip(pimg.instances, full_preds):

@@ -521,6 +521,10 @@ def test_sweeps_match_an_image_once_per_distinct_set_of_passing_pairs(monkeypatc
     calls.clear()
     metrics._class_sweeps([pred], [gt], ["box"], None, metrics.COCO_THRESHOLDS)
     assert calls == [0.5, 0.65]
+    # its only pair has IoU 0.6: from 0.65 on no pair passes, and no match is made
+    calls.clear()
+    metrics._class_sweeps([pred[1:]], [gt[1:]], ["box"], None, metrics.COCO_THRESHOLDS)
+    assert calls == [0.5]
 
 
 @pytest.mark.parametrize("kind", ["bogus", "Mask"])

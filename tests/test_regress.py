@@ -732,6 +732,9 @@ MALFORMED = {
     "list-seed": ("linear", lambda p: p.update(seed=[1]), "seed must be an integer >= 0"),
     "negative-seed": ("linear", lambda p: p.update(seed=-5), "seed must be an integer >= 0"),
     "list-hyperparameters": ("linear", lambda p: p.update(hyperparameters=[]), "malformed foodcal-regressor payload"),
+    # a null value of an unknown name once loaded: it equals the None of a missing default
+    "null-unknown-hyperparameter": ("knn", lambda p: p.update(hyperparameters={"k": 5, "bogus": None}),
+                                    "unknown hyperparameters for knn: ['bogus']"),
 }
 
 
