@@ -89,6 +89,9 @@ class DetectionInstance:
     calories_kcal: float | None = None
 
     def __post_init__(self):
+        for name in ("confidence", "calories_kcal"):  # a NumPy number as a Python one; np.bool_ stays
+            if isinstance(value := getattr(self, name), (np.integer, np.floating)):
+                object.__setattr__(self, name, float(value) if isinstance(value, np.floating) else int(value))
         if self.confidence is not None and not (is_number(self.confidence) and 0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence must be a number in [0, 1], got {self.confidence!r}")
         if self.calories_kcal is not None and not is_number(self.calories_kcal):

@@ -11,7 +11,9 @@ a (2 * padding + 1)-square kernel). Each ``*_fwd`` has a ``*_bwd`` for the
 gradient checker that follows the ``(gx, grads)`` protocol of ``ops``, and
 follows its stacked-copy protocol too: gates, residual adds and
 concatenations broadcast the copy axis, and each forward returns its copies
-flattened into the batch.
+flattened into the batch. The public forwards check their input with
+``ops.as_tensor``; a ``*_fwd`` takes it as checked, as it does every
+tensor a block makes from it, and checks only channel counts.
 """
 
 from dataclasses import dataclass
@@ -133,7 +135,6 @@ def _mlp_bwd(cache, gz):
 
 
 def cbam_channel_attention_fwd(x, p: CbamParams):
-    x = ops.as_tensor(x)
     if x.shape[-3] != p.channels:
         raise ShapeMismatch(f"input has {x.shape[-3]} channels, CBAM expects {p.channels}")
     avg, avg_cache = ops.spatial_mean_fwd(x)
@@ -145,7 +146,7 @@ def cbam_channel_attention_fwd(x, p: CbamParams):
 
 def cbam_channel_attention(x, p: CbamParams) -> np.ndarray:
     """Per-(sample, channel) gates: sigmoid(MLP(avgpool) + MLP(maxpool))."""
-    return cbam_channel_attention_fwd(x, p)[0]
+    return cbam_channel_attention_fwd(ops.as_tensor(x), p)[0]
 
 
 def _channel_attention_bwd(cache, gg):
@@ -158,7 +159,6 @@ def _channel_attention_bwd(cache, gg):
 
 
 def cbam_spatial_attention_fwd(x, p: CbamParams):
-    x = ops.as_tensor(x)
     mean_map, mean_cache = ops.channel_mean_fwd(x)
     max_map, max_cache = ops.channel_max_fwd(x)
     cat = np.concatenate([mean_map, max_map], axis=-3)
@@ -169,7 +169,7 @@ def cbam_spatial_attention_fwd(x, p: CbamParams):
 
 def cbam_spatial_attention(x, p: CbamParams) -> np.ndarray:
     """Per-pixel gates: sigmoid(conv7x7([channel mean; channel max]))."""
-    return cbam_spatial_attention_fwd(x, p)[0]
+    return cbam_spatial_attention_fwd(ops.as_tensor(x), p)[0]
 
 
 def _spatial_attention_bwd(cache, gg):
@@ -183,7 +183,6 @@ def _spatial_attention_bwd(cache, gg):
 
 
 def cbam_fwd(x, p: CbamParams):
-    x = ops.as_tensor(x)
     gc, ca_cache = _fwd(cbam_channel_attention_fwd, x, p)
     x1 = x * gc[..., None, None]
     gs, sa_cache = _fwd(cbam_spatial_attention_fwd, x1, p)
@@ -194,7 +193,7 @@ def cbam_fwd(x, p: CbamParams):
 def cbam(x, p: CbamParams) -> np.ndarray:
     """Channel attention first, then spatial attention, each rescaling the
     tensor it was computed from."""
-    return cbam_fwd(x, p)[0]
+    return cbam_fwd(ops.as_tensor(x), p)[0]
 
 
 def cbam_bwd(cache, gy):
@@ -282,7 +281,6 @@ def _bottleneck_bwd(cache, gy):
 
 
 def c2f_cd_fwd(x, p: C2fCdParams):
-    x = ops.as_tensor(x)
     a0, e_cache = _fwd(ops.coordconv_fwd, x, p.entry)
     h0 = ops.silu(a0)
     ch = p.entry.c_out // 2
@@ -302,7 +300,7 @@ def c2f_cd_fwd(x, p: C2fCdParams):
 
 def c2f_cd(x, p: C2fCdParams) -> np.ndarray:
     """Forward pass of the composite block; spatial dimensions are preserved."""
-    return c2f_cd_fwd(x, p)[0]
+    return c2f_cd_fwd(ops.as_tensor(x), p)[0]
 
 
 def c2f_cd_bwd(cache, gy):

@@ -17,7 +17,8 @@ the duration of the call, for its 2k copies stacked on a copy axis (see
 ``ops``) and the input runs once, untiled: the ops before the parameter's
 first use run once, and the rest run per copy. Each loss row is summed as
 the full block output would be, so every numeric gradient has the bits of
-a forward of the whole tiled batch.
+a forward of the whole tiled batch. ``ops.as_tensor`` checks the case
+input once; the ``*_fwd`` forwards take it and its copies as checked.
 """
 
 from functools import partial
@@ -31,9 +32,9 @@ BLOCK_NAMES = ("conv", "coordconv", "cbam", "c2fcd")
 _FD_STEP = 1e-5
 
 # elements perturbed per forward (2x as many stacked copies); bounds the
-# memory of one forward. Seed 0 of all four blocks, medians of 16
-# alternations on 2 CPUs: 58 ms at 16, 49 ms at 32, 43 ms at 64; peak RSS
-# of a process running the four checks 38.1, 38.8 and 41.9 MB
+# memory of one forward. Seed 0 of all four blocks in a new process, medians
+# of 16 alternations on 2 shared CPUs: 61 ms at 16, 57 ms at 32, 54 ms at
+# 64; peak RSS of that process 37.5, 38.2 and 41.4 MB
 _CHUNK = 32
 
 
@@ -142,6 +143,7 @@ def gradcheck(block: str, seed: int = 0, step: float = _FD_STEP) -> tuple[float,
     of sum(output) over the input and all parameters, and the dotted name
     of the array where it occurs (``"input"`` for the input)."""
     x, params, fwd, bwd = _make_case(block, seed)
+    x = ops.as_tensor(x)
     y, cache = fwd(x)
     gx, grads = bwd(cache, np.ones_like(y))
 

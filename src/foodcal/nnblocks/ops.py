@@ -6,7 +6,13 @@ pure, and each has a ``*_fwd`` variant returning a cache consumed by the
 matching ``*_bwd`` to produce analytic gradients (used by the gradient
 checker). A backward with parameters maps ``(cache, gy)`` to ``(gx, grads)``,
 ``grads`` keyed by the names of ``param_arrays`` (``weight``, ``bias`` for a
-convolution). Max reductions route gradient to the first maximal element.
+convolution). A max's forward caches only its input; the backward takes the
+argmax from it and routes gradient to the first maximal element.
+
+Values are checked once, where they enter: parameters at construction, and
+a tensor by ``as_tensor`` in ``gradcheck`` and the public forwards
+(``conv2d``, ``coordconv``, those of ``blocks``). A ``*_fwd`` takes a
+checked tensor, and checks only its channel count.
 
 Stacked copies: any parameter array may be replaced by P copies stacked on
 a new leading axis, and an activation may carry a leading copy axis,
@@ -20,9 +26,9 @@ Backward passes take plain parameters and 4-D activations.
 """
 
 from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from foodcal.errors import ShapeMismatch
 
@@ -129,7 +135,8 @@ def concat_channels(arrays) -> np.ndarray:
     """``arrays`` concatenated on the channel axis (-3), their leading axes
     broadcast, so a shared activation meets each copy of a stacked one."""
     lead = np.broadcast_shapes(*(a.shape[:-3] for a in arrays))
-    return np.concatenate([np.broadcast_to(a, lead + a.shape[-3:]) for a in arrays], axis=-3)
+    return np.concatenate([a if a.shape[:-3] == lead else np.broadcast_to(a, lead + a.shape[-3:])
+                           for a in arrays], axis=-3)
 
 
 def conv_out_hw(h: int, w: int, p: ConvParams) -> tuple[int, int]:
@@ -144,9 +151,9 @@ def conv_out_hw(h: int, w: int, p: ConvParams) -> tuple[int, int]:
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    """``x`` with ``padding`` zero rows and columns on each side."""
+    """``x`` with ``padding`` zero rows and columns on each side, C-contiguous."""
     if padding == 0:
-        return x
+        return np.ascontiguousarray(x)
     *lead, h, w = x.shape
     xp = np.zeros((*lead, h + 2 * padding, w + 2 * padding), x.dtype)
     xp[..., padding : padding + h, padding : padding + w] = x
@@ -159,18 +166,15 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
 
 
 def _window_matrix(xp, oh, ow, kh, kw, stride):
-    """(..., n, c * kh * kw, oh * ow) receptive fields of the pre-padded
-    ``xp``, rows in the order of a flattened (c, kh, kw) weight."""
+    """(..., n, c * kh * kw, oh * ow) receptive fields of the pre-padded,
+    C-contiguous ``xp``, rows in the order of a flattened (c, kh, kw) weight."""
     *lead, c, _, _ = xp.shape
     *s_lead, sc, sy, sx = xp.strides
-    win = as_strided(
-        xp, (*lead, c, kh, kw, oh, ow), (*s_lead, sc, sy, sx, sy * stride, sx * stride), writeable=False
-    )
+    win = np.ndarray((*lead, c, kh, kw, oh, ow), xp.dtype, xp, 0, (*s_lead, sc, sy, sx, sy * stride, sx * stride))
     return win.reshape(*lead, c * kh * kw, oh * ow)
 
 
 def conv2d_fwd(x, p: ConvParams):
-    x = as_tensor(x)
     if x.shape[-3] != p.c_in:
         raise ShapeMismatch(f"input has {x.shape[-3]} channels, kernel expects {p.c_in}")
     oh, ow = conv_out_hw(x.shape[-2], x.shape[-1], p)
@@ -185,7 +189,7 @@ def conv2d_fwd(x, p: ConvParams):
 
 def conv2d(x, p: ConvParams) -> np.ndarray:
     """Cross-correlation with zero padding; output (P * n, c_out, oh, ow)."""
-    return conv2d_fwd(x, p)[0]
+    return conv2d_fwd(as_tensor(x), p)[0]
 
 
 def conv2d_bwd(cache, gy):
@@ -207,18 +211,21 @@ def conv2d_bwd(cache, gy):
     return gx, {"weight": gw, "bias": gb}
 
 
+@lru_cache(maxsize=64)
 def coord_channels(n: int, h: int, w: int) -> np.ndarray:
     """Two (n, 1, h, w) channels: x position scaled to [-1, 1] across columns
-    and y position across rows; a dimension of 1 maps to 0."""
+    and y position across rows; a dimension of 1 maps to 0. Read-only: one
+    array per (n, h, w)."""
     xs = np.zeros(w) if w == 1 else 2.0 * np.arange(w) / (w - 1) - 1.0
     ys = np.zeros(h) if h == 1 else 2.0 * np.arange(h) / (h - 1) - 1.0
     cx = np.broadcast_to(xs[None, None, None, :], (n, 1, h, w))
     cy = np.broadcast_to(ys[None, None, :, None], (n, 1, h, w))
-    return np.concatenate([cx, cy], axis=1).astype(np.float64)
+    coords = np.concatenate([cx, cy], axis=1)
+    coords.flags.writeable = False
+    return coords
 
 
 def coordconv_fwd(x, p: ConvParams):
-    x = as_tensor(x)
     n, c, h, w = x.shape[-4:]
     if p.c_in != c + 2:
         raise ShapeMismatch(f"coordconv kernel expects {p.c_in} channels but input+coords has {c + 2}")
@@ -229,7 +236,7 @@ def coordconv_fwd(x, p: ConvParams):
 
 def coordconv(x, p: ConvParams) -> np.ndarray:
     """conv2d over the input augmented with normalized x/y coordinate channels."""
-    return coordconv_fwd(x, p)[0]
+    return coordconv_fwd(as_tensor(x), p)[0]
 
 
 def coordconv_bwd(cache, gy):
@@ -271,11 +278,11 @@ def silu_bwd(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# reductions (pooling over spatial or channel axes)
+# reductions (pooling over spatial or channel axes); a mean is sum / count, as in ndarray.mean
 
 
 def spatial_mean_fwd(x):
-    return x.mean(axis=(-2, -1)), x.shape
+    return np.add.reduce(x, axis=(-2, -1)) / (x.shape[-2] * x.shape[-1]), x.shape
 
 
 def spatial_mean_bwd(shape, gp):
@@ -284,21 +291,19 @@ def spatial_mean_bwd(shape, gp):
 
 
 def spatial_max_fwd(x):
-    flat = x.reshape(*x.shape[:-2], -1)
-    arg = flat.argmax(axis=-1)  # first maximum
-    return np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], (x.shape, arg)
+    return np.maximum.reduce(x, axis=(-2, -1)), x
 
 
-def spatial_max_bwd(cache, gp):
-    (n, c, h, w), arg = cache
+def spatial_max_bwd(x, gp):
+    n, c, h, w = x.shape
     gx = np.zeros((n, c, h * w))
     ni, ci = np.ogrid[:n, :c]
-    gx[ni, ci, arg] = gp
+    gx[ni, ci, x.reshape(n, c, h * w).argmax(axis=-1)] = gp  # argmax: the first maximum
     return gx.reshape(n, c, h, w)
 
 
 def channel_mean_fwd(x):
-    return x.mean(axis=-3, keepdims=True), x.shape
+    return np.add.reduce(x, axis=-3, keepdims=True) / x.shape[-3], x.shape
 
 
 def channel_mean_bwd(shape, gp):
@@ -306,13 +311,12 @@ def channel_mean_bwd(shape, gp):
 
 
 def channel_max_fwd(x):
-    arg = x.argmax(axis=-3)  # (..., n, h, w), first maximum
-    return np.take_along_axis(x, arg[..., None, :, :], axis=-3), (x.shape, arg)
+    return np.maximum.reduce(x, axis=-3, keepdims=True), x
 
 
-def channel_max_bwd(cache, gp):
-    (n, c, h, w), arg = cache
+def channel_max_bwd(x, gp):
+    n, c, h, w = x.shape
     gx = np.zeros((n, c, h, w))
     ni, hi, wi = np.ogrid[:n, :h, :w]
-    gx[ni, arg, hi, wi] = gp[:, 0]
+    gx[ni, x.argmax(axis=1), hi, wi] = gp[:, 0]  # argmax: the first maximum
     return gx

@@ -19,7 +19,11 @@ relative paths, so that what a command prints does not name the side:
   in the image, and a fresh confidence. ``detmetrics`` scores it against
   the manifest with and without ``--conf-threshold 0.5``, so misses, false
   positives and IoUs below 1 are scored too;
-- ``gradcheck --seeds 10`` of every block;
+- ``gradcheck --seeds 10`` of every block, and, since it prints ``%.3e``,
+  the same checks at full precision (``GRAD_DIGEST``): for each block at
+  seeds 0-9, the ``repr`` of what ``gradcheck`` returns and a SHA-256 over
+  every array of ``gradcheck._numeric_gradients`` (name, shape, dtype and
+  bytes);
 - a SHA-256 over every instance (label, bbox, confidence, origin, calorie
   label, mask shape, dtype and bytes) and every truth of
   ``synth.generate_scene`` and of ``synth._scene_with_retries`` for seeds
@@ -83,6 +87,22 @@ for name, cfg in configs.items():
     print(name, digest.hexdigest(), len(failures), "placement failures")
     for line in failures:
         print(" ", line)
+'''
+
+GRAD_DIGEST = '''
+import hashlib
+import importlib
+
+checker = importlib.import_module("foodcal.nnblocks.gradcheck")
+for block in checker.BLOCK_NAMES:
+    for seed in range(10):
+        x, params, fwd, _ = checker._make_case(block, seed)
+        numeric = checker._numeric_gradients(x, fwd(x)[0], params, fwd, checker._FD_STEP)
+        digest = hashlib.sha256()
+        for name, arr in numeric.items():
+            digest.update(repr((name, arr.shape, arr.dtype.str)).encode())
+            digest.update(arr.tobytes())
+        print(block, seed, repr(checker.gradcheck(block, seed)), digest.hexdigest())
 '''
 
 
@@ -149,6 +169,7 @@ def _steps():
                                                           "--out", f"{name}/detmetrics-pred-conf")))
     for block in BLOCKS:
         steps.append((f"gradcheck-{block}", cli("gradcheck", "--block", block, "--seeds", "10")))
+    steps.append(("grad-digest", ("-c", GRAD_DIGEST)))
     steps.append(("scene-digest", ("-c", SCENE_DIGEST)))
     return steps
 

@@ -2,8 +2,8 @@
 
 Each property corrupts one input of a working run: the annotation manifest
 (with its inline masks), a PGM mask that a version 2 manifest references,
-the dataset CSV or a model bundle. The
-corruptions are truncation, byte flips and, in JSON files, leaves swapped
+the dataset CSV, a model bundle or the ``--config`` file of ``gen`` and
+``train``. The corruptions are truncation, byte flips and, in JSON files, leaves swapped
 for values of another type. A corrupted file either still holds a valid
 input (a CSV cut at a row boundary, a flipped raster byte), and the command
 succeeds, or the command exits 2 with one "error: " line on stderr.
@@ -159,6 +159,29 @@ def test_corrupted_bundle_exits_cleanly(base, model):
                    "--split", "all"],
         lambda r: ["pipeline", "--annotations", str(r / "annotations.json"),
                    "--model", str(r / model / "model.json")],
+    ])
+
+
+@pytest.fixture(scope="module")
+def base_config(base, tmp_path_factory):
+    """``base``'s dataset CSV next to a config that sets every key. The JSON
+    is compact, so a flipped byte can change a digit but not add one: the
+    largest run it can ask for is a few 999 x 999 scenes."""
+    root = tmp_path_factory.mktemp("fuzz_config")
+    shutil.copy(base / "dataset.csv", root / "dataset.csv")
+    config = {"seed": 1, "records": 6, "width": 160, "height": 160, "items_per_scene": 2, "views_per_item": 2,
+              "boundary_noise": 0.02, "weight_noise": 0.05, "zscore_threshold": 2.5}
+    (root / "config.json").write_text(json.dumps(config, separators=(",", ":")))
+    for argv in (["gen"], ["train", "--data", str(root / "dataset.csv"), "--model", "lr"]):
+        assert _run(*argv, "--config", str(root / "config.json"), "--out", str(root / "out"))[0] == 0
+    shutil.rmtree(root / "out")
+    return root
+
+
+def test_corrupted_config_exits_cleanly(base_config):
+    _fuzz(base_config, "config.json", True, [
+        lambda r: ["gen", "--config", str(r / "config.json")],
+        lambda r: ["train", "--data", str(r / "dataset.csv"), "--model", "lr", "--config", str(r / "config.json")],
     ])
 
 

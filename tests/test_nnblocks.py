@@ -16,6 +16,7 @@ from foodcal.nnblocks.gradcheck import (
     gradcheck,
 )
 from gradcheck_oracle import tiled_numeric_gradients
+from pool_oracle import cbam_input_gradient, route_channel_max, route_spatial_max
 
 # the package exports the function under the module's name
 gradcheck_module = importlib.import_module("foodcal.nnblocks.gradcheck")
@@ -622,6 +623,133 @@ def test_relu_gradient_exact_in_linear_region():
         2 * step
     )
     assert gx[i] == pytest.approx(fd, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# input checks at the public boundary
+
+
+def _boundary_cases():
+    """name -> (public forward, parameters for a (2, 3, 5, 6) input, the
+    message for such an input of 5 channels, or None where any count is read)."""
+    rng = np.random.default_rng(40)
+    cbam_p = blocks.CbamParams.init(3, reduction=1, rng=rng)
+    return {
+        "conv2d": (ops.conv2d, ops.ConvParams.init(4, 3, 3, rng, padding=1),
+                   "input has 5 channels, kernel expects 3"),
+        "coordconv": (ops.coordconv, ops.ConvParams.init(4, 5, 3, rng, padding=1),
+                      "coordconv kernel expects 5 channels but input+coords has 7"),
+        "cbam": (blocks.cbam, cbam_p, "input has 5 channels, CBAM expects 3"),
+        "cbam_channel_attention": (blocks.cbam_channel_attention, cbam_p, "input has 5 channels, CBAM expects 3"),
+        "cbam_spatial_attention": (blocks.cbam_spatial_attention, cbam_p, None),
+        "c2f_cd": (blocks.c2f_cd, blocks.C2fCdParams.init(3, 4, n=1, reduction=2, rng=rng),
+                   "coordconv kernel expects 5 channels but input+coords has 7"),
+    }
+
+
+def _with_value(x, value):
+    x = x.copy()
+    x.flat[7] = value
+    return x
+
+
+def _tensor_shape_message(x):
+    return f"expected a (n, c, h, w) or (copies, n, c, h, w) tensor, got shape {x.shape}"
+
+
+# name -> (the bad input made from a good one, the error type, the message as a function of the bad
+# input, or None for the channel-mismatch message of the forward or block)
+INPUT_FAULTS = {
+    "nan": (lambda x: _with_value(x, np.nan), ValueError, lambda x: "tensor values must be finite"),
+    "inf": (lambda x: _with_value(x, -np.inf), ValueError, lambda x: "tensor values must be finite"),
+    "3-d": (lambda x: x[0], ShapeMismatch, _tensor_shape_message),
+    "empty-axis": (lambda x: x[:, :, :0], ShapeMismatch, _tensor_shape_message),
+    "channels": (lambda x: np.concatenate([x, x[:, :2]], axis=1), ShapeMismatch, None),
+}
+
+
+@pytest.mark.parametrize("fault", INPUT_FAULTS)
+@pytest.mark.parametrize("forward", _boundary_cases())
+def test_public_forwards_check_their_input(forward, fault):
+    fwd, p, channel_message = _boundary_cases()[forward]
+    make_bad, error, message = INPUT_FAULTS[fault]
+    bad = make_bad(np.random.default_rng(41).normal(size=(2, 3, 5, 6)))
+    if message is None and channel_message is None:  # spatial attention pools any channel count
+        assert fwd(bad, p).shape == (2, 1, 5, 6)
+        return
+    with pytest.raises(error) as err:
+        fwd(bad, p)
+    assert type(err.value) is error and str(err.value) == (channel_message if message is None else message(bad))
+
+
+# the channel-mismatch message of each block's gradcheck case, given two extra channels
+GRADCHECK_CHANNEL_MESSAGES = {
+    "conv": "input has 5 channels, kernel expects 3",
+    "coordconv": "coordconv kernel expects 5 channels but input+coords has 7",
+    "cbam": "input has 7 channels, CBAM expects 5",
+    "c2fcd": "coordconv kernel expects 8 channels but input+coords has 10",
+}
+
+
+@pytest.mark.parametrize("fault", INPUT_FAULTS)
+@pytest.mark.parametrize("block", BLOCK_NAMES)
+def test_gradcheck_checks_its_case_input(monkeypatch, block, fault):
+    x, p, fwd, bwd = _make_case(block, 0)
+    make_bad, error, message = INPUT_FAULTS[fault]
+    bad = make_bad(x)
+    monkeypatch.setattr(gradcheck_module, "_make_case", lambda *_: (bad, p, fwd, bwd))
+    with pytest.raises(error) as err:
+        gradcheck(block)
+    expected = GRADCHECK_CHANNEL_MESSAGES[block] if message is None else message(bad)
+    assert type(err.value) is error and str(err.value) == expected
+
+
+# ---------------------------------------------------------------------------
+# max pools at ties: the gradient goes to the first maximum
+
+
+def _tied(rng, shape):
+    """Normal values with each map's maximum at both (0, 1) and (2, 0), and
+    channel 1 a copy of channel 0, so every pixel ties on the channel axis."""
+    x = rng.normal(size=shape)
+    x[:, 1] = x[:, 0]
+    x[:, :, 0, 1] = x[:, :, 2, 0] = x.max() + 1.0
+    return x
+
+
+def test_spatial_max_backward_routes_ties_to_the_first_maximum():
+    rng = np.random.default_rng(42)
+    x = _tied(rng, (2, 3, 4, 5))
+    gp = rng.normal(size=(2, 3))
+    y, cache = ops.spatial_max_fwd(x)
+    assert np.array_equal(y, x.max(axis=(2, 3)))
+    gx = ops.spatial_max_bwd(cache, gp)
+    assert np.array_equal(gx, route_spatial_max(x, gp))
+    assert np.array_equal(gx[:, :, 0, 1], gp) and not gx[:, :, 2, 0].any()
+
+
+def test_channel_max_backward_routes_ties_to_the_first_maximum():
+    rng = np.random.default_rng(43)
+    x = _tied(rng, (2, 3, 4, 5))
+    gp = rng.normal(size=(2, 1, 4, 5))
+    y, cache = ops.channel_max_fwd(x)
+    assert np.array_equal(y, x.max(axis=1, keepdims=True))
+    gx = ops.channel_max_bwd(cache, gp)
+    assert np.array_equal(gx, route_channel_max(x, gp))
+    assert not gx[:, 1].any()  # channel 1 ties channel 0 everywhere
+
+
+def test_cbam_backward_routes_ties_to_the_first_maximum():
+    rng = np.random.default_rng(44)
+    p = blocks.CbamParams.init(3, reduction=1, rng=rng, spatial_kernel=3)
+    p.w2[1], p.b2[1] = p.w2[0], p.b2[0]  # channels 0 and 1 get one gate
+    x = _tied(rng, (2, 3, 4, 5))
+    gc = blocks.cbam_channel_attention(x, p)
+    assert np.array_equal(gc[:, 0], gc[:, 1])  # so the gated channels tie too
+    gy = rng.normal(size=x.shape)
+    y, cache = blocks.cbam_fwd(x, p)
+    gx, _ = blocks.cbam_bwd(cache, gy)
+    np.testing.assert_allclose(gx, cbam_input_gradient(x, p, gy), rtol=0, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
