@@ -36,11 +36,10 @@ repeated name is one of the later image, naming both indices.
 
 ``read_manifest`` checks and decodes the whole manifest in one set of
 passes: the width/height pairs of every image, every bbox, every
-mask_origin, every mask size, every confidence and every calorie label
-each go through one ``errors.number_array`` call, the other checks are
-array operations over the same numbers, and the bits of every mask are
-decoded, joined and unpacked by one ``np.unpackbits``, each mask a view
-of that array. The instances are built without checking again. Per
+mask_origin, every mask size and every calorie label each go through one
+``errors.number_array`` call, the other checks are array operations over
+the same numbers, and the bits of every mask are decoded, joined and
+unpacked by one ``np.unpackbits``, each mask a view of that array. Per
 image these passes would cost more than they save, at about four
 instances an image. When a check fails, the manifest is read again one
 image, then one instance, at a time, and the first record at fault in
@@ -49,7 +48,7 @@ at a time would raise.
 """
 
 import base64
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -237,34 +236,23 @@ def _read(entries, version, path) -> list[ImageAnnotations]:
     mask_of = dict(zip(masked, found))
 
     labels = [ClassLabel.from_name(rec["class"]) for rec in recs]
-    confidences = [rec.get("confidence") for rec in recs]
-    calories = [rec.get("calories_kcal") for rec in recs]
-    try:
-        ok = (number_array([c for c in confidences if c is not None], "confidence", least=0) <= 1).all()
-        number_array([k for k in calories if k is not None], "calories_kcal")
+    instances = [
+        DetectionInstance(label, tuple(box), rec.get("confidence"), *mask_of.get(j, (None, (0, 0))),
+                          rec.get("calories_kcal"))
+        for j, (label, box, rec) in enumerate(zip(labels, boxes, recs))
+    ]
+    labelled = [j for j, inst in enumerate(instances) if inst.calories_kcal is not None]
+    try:  # a JSON integer that does not fit int64 is what DetectionInstance lets through
+        number_array([instances[j].calories_kcal for j in labelled], "calories_kcal")
     except DataError:
-        ok = False
-    if not ok:  # raise the fault as a check of one instance at a time does
-        for j, (label, c, k) in enumerate(zip(labels, confidences, calories)):
-            DetectionInstance(label, (0, 0, 1, 1), c, calories_kcal=k)  # a bad value's ValueError
-            if k is not None:  # a JSON integer past int64, which DetectionInstance lets through
-                number_array(k, f"{wheres[owner[j]]}: calories_kcal", ndim=0)
-    instances = [_checked_instance(label, tuple(box), c, *mask_of.get(j, (None, (0, 0))), k)
-                 for j, (label, box, c, k) in enumerate(zip(labels, boxes, confidences, calories))]
+        for j in labelled:
+            number_array(instances[j].calories_kcal, f"{wheres[owner[j]]}: calories_kcal", ndim=0)
     ends = np.cumsum(counts).tolist()
     return [ImageAnnotations(e["image"], width, height, instances[end - n : end])
             for e, (width, height), n, end in zip(entries, dims.tolist(), counts, ends)]
 
 
 _INT64_MAX = np.iinfo(np.int64).max
-_FIELDS = [f.name for f in fields(DetectionInstance)]
-
-
-def _checked_instance(*values) -> DetectionInstance:
-    """``DetectionInstance(*values)`` of values ``_read`` has checked, not run through ``__post_init__``."""
-    inst = object.__new__(DetectionInstance)
-    inst.__dict__.update(zip(_FIELDS, values))
-    return inst
 
 
 def _unpack(bits, h, w, wheres) -> list[np.ndarray]:

@@ -66,6 +66,9 @@ DEFAULT_DENSITIES = {
     ClassLabel.BEGUNI: 1.48,
 }
 
+# the NumPy numbers an instance takes, those float() holds exactly; not np.bool_ or np.longdouble
+_NUMPY_NUMBER = (np.integer, np.float16, np.float32, np.float64)
+
 
 @dataclass(frozen=True)
 class DetectionInstance:
@@ -89,9 +92,9 @@ class DetectionInstance:
     calories_kcal: float | None = None
 
     def __post_init__(self):
-        for name in ("confidence", "calories_kcal"):  # a NumPy number as a Python one; np.bool_ stays
-            if isinstance(value := getattr(self, name), (np.integer, np.floating)):
-                object.__setattr__(self, name, float(value) if isinstance(value, np.floating) else int(value))
+        for name in ("confidence", "calories_kcal"):  # a NumPy number as the Python number it holds
+            if isinstance(value := getattr(self, name), _NUMPY_NUMBER):
+                object.__setattr__(self, name, value.item())
         if self.confidence is not None and not (is_number(self.confidence) and 0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence must be a number in [0, 1], got {self.confidence!r}")
         if self.calories_kcal is not None and not is_number(self.calories_kcal):

@@ -17,8 +17,8 @@ the duration of the call, for its 2k copies stacked on a copy axis (see
 ``ops``) and the input runs once, untiled: the ops before the parameter's
 first use run once, and the rest run per copy. Each loss row is summed as
 the full block output would be, so every numeric gradient has the bits of
-a forward of the whole tiled batch. ``ops.as_tensor`` checks the case
-input once; the ``*_fwd`` forwards take it and its copies as checked.
+a forward of the whole tiled batch. The case input is made here, finite
+and 4-D, so the ``*_fwd`` forwards take it and its copies unchecked.
 """
 
 from functools import partial
@@ -143,7 +143,6 @@ def gradcheck(block: str, seed: int = 0, step: float = _FD_STEP) -> tuple[float,
     of sum(output) over the input and all parameters, and the dotted name
     of the array where it occurs (``"input"`` for the input)."""
     x, params, fwd, bwd = _make_case(block, seed)
-    x = ops.as_tensor(x)
     y, cache = fwd(x)
     gx, grads = bwd(cache, np.ones_like(y))
 

@@ -10,9 +10,9 @@ convolution). A max's forward caches only its input; the backward takes the
 argmax from it and routes gradient to the first maximal element.
 
 Values are checked once, where they enter: parameters at construction, and
-a tensor by ``as_tensor`` in ``gradcheck`` and the public forwards
-(``conv2d``, ``coordconv``, those of ``blocks``). A ``*_fwd`` takes a
-checked tensor, and checks only its channel count.
+a tensor by ``as_tensor`` in the public forwards (``conv2d``,
+``coordconv``, those of ``blocks``). A ``*_fwd`` takes a checked tensor,
+and checks only its channel count.
 
 Stacked copies: any parameter array may be replaced by P copies stacked on
 a new leading axis, and an activation may carry a leading copy axis,
@@ -26,7 +26,6 @@ Backward passes take plain parameters and 4-D activations.
 """
 
 from dataclasses import dataclass, fields, is_dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -211,17 +210,14 @@ def conv2d_bwd(cache, gy):
     return gx, {"weight": gw, "bias": gb}
 
 
-@lru_cache(maxsize=64)
 def coord_channels(n: int, h: int, w: int) -> np.ndarray:
     """Two (n, 1, h, w) channels: x position scaled to [-1, 1] across columns
-    and y position across rows; a dimension of 1 maps to 0. Read-only: one
-    array per (n, h, w)."""
+    and y position across rows; a dimension of 1 maps to 0."""
     xs = np.zeros(w) if w == 1 else 2.0 * np.arange(w) / (w - 1) - 1.0
     ys = np.zeros(h) if h == 1 else 2.0 * np.arange(h) / (h - 1) - 1.0
-    cx = np.broadcast_to(xs[None, None, None, :], (n, 1, h, w))
-    cy = np.broadcast_to(ys[None, None, :, None], (n, 1, h, w))
-    coords = np.concatenate([cx, cy], axis=1)
-    coords.flags.writeable = False
+    coords = np.empty((n, 2, h, w))
+    coords[:, 0] = xs
+    coords[:, 1] = ys[:, None]
     return coords
 
 

@@ -654,10 +654,9 @@ def test_faults_of_two_instances_name_the_first_in_document_order(tmp_path):
 @pytest.mark.parametrize("field, value, python", [
     ("confidence", np.float32(0.5), 0.5),
     ("confidence", np.int64(1), 1),
-    ("confidence", np.longdouble(0.25), 0.25),
     ("calories_kcal", np.float32(200.0), 200.0),
     ("calories_kcal", np.int32(5), 5),
-], ids=["confidence-float32", "confidence-int64", "confidence-longdouble", "calories-float32", "calories-int32"])
+], ids=["confidence-float32", "confidence-int64", "calories-float32", "calories-int32"])
 def test_numpy_scalars_construct_as_python_numbers_and_round_trip(tmp_path, field, value, python):
     # a detector's confidences are float32; each of these raised "must be a number"
     inst = DetectionInstance(ClassLabel.PURI, (0, 0, 2, 2), **{field: value})
@@ -670,7 +669,10 @@ def test_numpy_scalars_construct_as_python_numbers_and_round_trip(tmp_path, fiel
     ("confidence", np.True_, "confidence must be a number in [0, 1], got np.True_"),
     ("confidence", 1.5, "confidence must be a number in [0, 1], got 1.5"),
     ("calories_kcal", np.True_, "calories_kcal must be a finite number or null, got np.True_"),
-], ids=["confidence-numpy-bool", "confidence-above-1", "calories-numpy-bool"])
+    # rounds to 1.0 as a float; only the NumPy numbers float() holds exactly are converted
+    ("confidence", np.longdouble(1) + np.finfo(np.longdouble).eps,
+     f"confidence must be a number in [0, 1], got {np.longdouble(1) + np.finfo(np.longdouble).eps!r}"),
+], ids=["confidence-numpy-bool", "confidence-above-1", "calories-numpy-bool", "confidence-longdouble-above-1"])
 def test_a_numpy_bool_or_an_out_of_range_confidence_is_still_refused(field, value, message):
     with pytest.raises(ValueError) as err:
         DetectionInstance(ClassLabel.PURI, (0, 0, 2, 2), **{field: value})
